@@ -41,22 +41,14 @@ from .frames import (
     Frame,
     FrameTrajectory,
     adaptive_time_grid,
-    adiabatic_parameter,
     adiabatic_report,
     frame_couplings,
     instantaneous_frames,
     residual_oscillation,
-    smooth_gauge,
     superadiabatic_frames,
     write_frames_csv,
 )
-from .generator import (
-    LindbladGenerator,
-    LindbladOps,
-    instantaneous_mode,
-    lindblad_ops,
-    me_rhs,
-)
+from .generator import LindbladGenerator, LindbladOps
 from .propagation import (
     IntegratorConfig,
     JumpEvent,

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._output import fmt, write_table
 from .config import apply_overrides, fig1_job, read_config, sweep_job
 from .errors import SuperlindError
 from .experiments import run_fig1, run_sweep_curves, write_sweep_csv
@@ -95,21 +96,15 @@ def _cmd_spectrum(args) -> int:
     )
     omegas = np.linspace(args.wmin, args.wmax, args.n)
     rates = spec.gamma(omegas)
-    lines = [
-        "# superlind ohmic spectrum",
-        f"# gamma0 = {args.gamma0:.12g}",
-        f"# cutoff = {args.wc:.12g}",
-        f"# temperature = {args.T:.12g}",
-        f"# symmetric_cutoff = {str(args.symmetric_cutoff).lower()}",
-        "omega,gamma",
+    comments = [
+        "superlind ohmic spectrum",
+        f"gamma0 = {fmt(args.gamma0)}",
+        f"cutoff = {fmt(args.wc)}",
+        f"temperature = {fmt(args.T)}",
+        f"symmetric_cutoff = {fmt(args.symmetric_cutoff)}",
     ]
-    lines += [f"{w:.12g},{g:.12g}" for w, g in zip(omegas, np.atleast_1d(rates))]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rows = zip(omegas, np.atleast_1d(rates))
+    write_table(args.output or None, comments, ["omega", "gamma"], rows)
     return 0
 
 

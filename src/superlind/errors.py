@@ -3,6 +3,10 @@
 Every error carries an ``exit_code`` used by the command line interface, so
 that each failure class maps to a stable, documented process exit status.
 """
+import os
+import sys
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 class SuperlindError(Exception):
@@ -69,3 +73,19 @@ class AdiabaticityWarning(UserWarning):
 
 class WindowWarning(UserWarning):
     """Simulation window too short for asymptotic initial/final states."""
+
+
+def _in_package(filename: str) -> bool:
+    return os.path.dirname(os.path.abspath(filename)) == _PACKAGE_DIR
+
+
+def caller_stacklevel() -> int:
+    """``stacklevel`` that makes a warning point at the first frame outside
+    this package, for a ``warnings.warn`` call in the function calling this.
+    """
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and _in_package(frame.f_code.co_filename):
+        frame = frame.f_back
+        level += 1
+    return level

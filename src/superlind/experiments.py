@@ -10,15 +10,14 @@ crossing region.
 from __future__ import annotations
 
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AdiabaticityWarning, ParameterError, WindowWarning
+from ._output import fmt, write_table
+from .errors import AdiabaticityWarning, ParameterError, WindowWarning, caller_stacklevel
 from .frames import (
     adaptive_time_grid,
     adiabatic_report,
@@ -37,6 +36,7 @@ from .model import (
 from .propagation import (
     IntegratorConfig,
     TrajectoryConfig,
+    bloch_vector,
     evolve_lindblad,
     evolve_trajectories,
     evolve_unitary,
@@ -159,7 +159,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float) -> SweepRecord:
             f"adiabatic parameter {report.global_max:.3f} > "
             f"{ADIABATICITY_WARN_THRESHOLD} at 1/v = {inv_v}",
             AdiabaticityWarning,
-            stacklevel=3,
+            stacklevel=caller_stacklevel(),
         )
 
     traj = superadiabatic_frames(H, cfg.order, times, base=base)
@@ -171,7 +171,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float) -> SweepRecord:
             f"initial excited population {leak0:.2e} at 1/v = {inv_v}: "
             "window too short",
             WindowWarning,
-            stacklevel=3,
+            stacklevel=caller_stacklevel(),
         )
 
     icfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol)
@@ -215,36 +215,22 @@ def _sweep_point(cfg: SweepConfig, inv_v: float) -> SweepRecord:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SUPERLIND_THREADS", "")
-    try:
-        n = int(raw) if raw else 1
-    except ValueError:
-        n = 1
-    return max(n, 1)
-
-
 def run_lz_sweep(cfg: SweepConfig, output=None) -> list:
-    """Run one sweep curve; optionally write the records to a CSV file.
-
-    Points may run on a small thread pool (SUPERLIND_THREADS); records come
-    back sorted by inverse velocity regardless of scheduling.
-    """
-    inv_vs = sorted(cfg.inv_velocities)
-    workers = min(_worker_count(), len(inv_vs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda x: _sweep_point(cfg, x), inv_vs))
-    else:
-        records = [_sweep_point(cfg, x) for x in inv_vs]
-    records.sort(key=lambda r: (r.inv_v, r.gamma0))
+    """Run one sweep curve, records sorted by inverse velocity; optionally
+    write them to a CSV file."""
+    records = [_sweep_point(cfg, x) for x in sorted(cfg.inv_velocities)]
     if output is not None:
         write_sweep_csv(output, records, [cfg])
     return records
 
 
 def run_sweep_curves(base: SweepConfig, gamma_values) -> list:
-    """Sweep curves differing in bath strength; records from all curves."""
+    """Sweep curves differing in bath strength; records from all curves.
+
+    A closed sweep ignores the bath, so it runs once whatever the strengths.
+    """
+    if base.mode == "closed":
+        gamma_values = tuple(gamma_values)[:1]
     records = []
     for g in gamma_values:
         cfg = replace(base, bath=replace(base.bath, gamma0=float(g)))
@@ -263,51 +249,27 @@ def write_sweep_csv(path, records, configs, dat: bool = False) -> None:
     if configs:
         c = configs[0]
         meta += [
-            f"delta = {_fmt(c.delta)}",
+            f"delta = {fmt(c.delta)}",
             f"mode = {c.mode}",
             f"order = {c.order}",
-            f"window_factor = {_fmt(c.window_factor)}",
+            f"window_factor = {fmt(c.window_factor)}",
             f"bath_kind = {c.bath.kind}",
-            f"temperature = {_fmt(c.bath.temperature)}",
-            f"cutoff = {_fmt(c.bath.cutoff)}",
-            f"symmetric_cutoff = {_fmt(c.bath.symmetric_cutoff)}",
+            f"temperature = {fmt(c.bath.temperature)}",
+            f"cutoff = {fmt(c.bath.cutoff)}",
+            f"symmetric_cutoff = {fmt(c.bath.symmetric_cutoff)}",
             f"solver = {c.solver}",
             f"seed = {c.seed}",
         ]
         gammas = sorted({r.gamma0 for r in records})
-        meta.append("gamma0_curves = " + ", ".join(_fmt(g) for g in gammas))
-    rows = sorted(records, key=lambda r: (r.inv_v, r.gamma0))
-    sep = "," if not dat else " "
-    lines = ["# superlind sweep"] + [f"# {m}" for m in meta]
-    lines.append(
-        sep.join(
-            ["gamma0", "inv_v", "p_ge", "trace_error", "herm_error",
-             "min_eigenvalue", "adiabaticity"]
-        )
+        meta.append("gamma0_curves = " + ", ".join(fmt(g) for g in gammas))
+    columns = ["gamma0", "inv_v", "p_ge", "trace_error", "herm_error",
+               "min_eigenvalue", "adiabaticity"]
+    rows = (
+        (r.gamma0, r.inv_v, r.p_ge, r.trace_error, r.herm_error, r.min_eigenvalue,
+         r.adiabaticity)
+        for r in sorted(records, key=lambda r: (r.inv_v, r.gamma0))
     )
-    for r in rows:
-        lines.append(
-            sep.join(
-                _fmt(x)
-                for x in (
-                    r.gamma0,
-                    r.inv_v,
-                    r.p_ge,
-                    r.trace_error,
-                    r.herm_error,
-                    r.min_eigenvalue,
-                    r.adiabaticity,
-                )
-            )
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(x).lower()
-    return format(float(x), ".12g")
+    write_table(path, ["superlind sweep", *meta], columns, rows, sep=" " if dat else ",")
 
 
 @dataclass(frozen=True)
@@ -336,20 +298,11 @@ def run_fig1(
     traj = superadiabatic_frames(H, order, times, base=base)
     res = evolve_unitary(H, traj.basis[0, :, 0], -t_final, t_final, sample_times=times)
 
-    def _bloch_path(states) -> np.ndarray:
-        out = np.empty((len(states), 3))
-        for k, psi in enumerate(states):
-            rho01 = psi[0] * np.conj(psi[1])
-            out[k] = (
-                2.0 * rho01.real,
-                -2.0 * rho01.imag,
-                abs(psi[0]) ** 2 - abs(psi[1]) ** 2,
-            )
-        return out
-
-    inst = _bloch_path(base.basis[:, :, 0])
-    supa = _bloch_path(traj.basis[:, :, 0])
-    evol = _bloch_path(res.samples)
+    paths_rho = [
+        np.einsum("ki,kj->kij", states, states.conj())
+        for states in (base.basis[:, :, 0], traj.basis[:, :, 0], res.samples)
+    ]
+    inst, supa, evol = (np.array([bloch_vector(r) for r in rhos]) for rhos in paths_rho)
 
     paths = ()
     if out_prefix is not None:
@@ -359,17 +312,8 @@ def run_fig1(
             f"{prefix}_superadiabatic.csv",
             f"{prefix}_evolution.csv",
         )
-        header = [f"delta = {_fmt(delta)}", f"v = {_fmt(v)}", f"order = {order}"]
-        for name, path_xyz in zip(names, (inst, supa, evol)):
-            rhos = [
-                np.array(
-                    [
-                        [0.5 * (1 + z), 0.5 * (x - 1j * y)],
-                        [0.5 * (x + 1j * y), 0.5 * (1 - z)],
-                    ]
-                )
-                for x, y, z in path_xyz
-            ]
+        header = [f"delta = {fmt(delta)}", f"v = {fmt(v)}", f"order = {order}"]
+        for name, rhos in zip(names, paths_rho):
             write_bloch_csv(name, times, rhos, header_lines=header)
         paths = names
     return Fig1Result(

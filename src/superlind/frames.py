@@ -24,6 +24,7 @@ from .errors import (
     ParameterError,
     TimeDomainError,
 )
+from ._output import write_table
 from .model import TimeDependentHamiltonian
 
 DEFAULT_J_MAX = 12
@@ -114,24 +115,22 @@ class FrameTrajectory:
             raise ParameterError(f"frame unitarity defect {worst:.3e} > {unitarity_tol:.0e}")
         if np.any(np.diff(self.energies, axis=1) < 0):
             raise ParameterError("quasi-energies are not sorted ascending")
-        drift = float(np.max(np.abs(recomputed_quasi_energies(self) - self.energies)))
+        recomputed = _quasi_energies(self.hamiltonian, self.times, self.basis)
+        drift = float(np.max(np.abs(recomputed - self.energies)))
         if drift > energy_tol:
             raise ParameterError(f"stored quasi-energies drifted by {drift:.3e}")
         overlaps = np.einsum("kia,kia->ka", self.basis[:-1].conj(), self.basis[1:])
         if np.any(overlaps.real < 0) or np.any(np.abs(overlaps.imag) >= 0.1):
             raise GridError("gauge smoothness violated between adjacent frames")
-        o2 = np.abs(overlaps) ** 2
-        if np.any(o2 <= MIN_STEP_OVERLAP_SQ):
-            k = int(np.argmin(np.min(o2, axis=1)))
-            raise GridError(
-                f"adjacent-frame overlap below {MIN_STEP_OVERLAP_SQ} near t = {self.times[k]}"
-            )
+        _check_step_overlaps(self)
 
 
-def recomputed_quasi_energies(traj: FrameTrajectory) -> np.ndarray:
-    """<phi_a | H(t_k) | phi_a> for every frame, from the source Hamiltonian."""
-    mats = np.stack([traj.hamiltonian(t) for t in traj.times])
-    return np.einsum("kia,kij,kja->ka", traj.basis.conj(), mats, traj.basis).real
+def _quasi_energies(
+    H: TimeDependentHamiltonian, times: np.ndarray, basis: np.ndarray
+) -> np.ndarray:
+    """<phi_a | H(t_k) | phi_a> for every grid point k and column a."""
+    mats = np.stack([H(t) for t in times])
+    return np.einsum("kia,kij,kja->ka", basis.conj(), mats, basis).real
 
 
 @dataclass(frozen=True)
@@ -173,21 +172,6 @@ def _align_sweep(basis: np.ndarray, times: np.ndarray) -> np.ndarray:
     phases = -np.cumsum(np.angle(raw), axis=0)
     basis[1:] *= np.exp(1j * phases)[:, None, :]
     return basis
-
-
-def smooth_gauge(prev: Frame, cur: Frame) -> Frame:
-    """Re-phase ``cur`` columnwise so <prev_a|cur_a> is real positive."""
-    if prev.basis.shape != cur.basis.shape:
-        raise ParameterError("frames must share dimension and ordering")
-    overlaps = np.einsum("ia,ia->a", prev.basis.conj(), cur.basis)
-    mags = np.abs(overlaps)
-    if np.any(mags < MIN_ALIGN_OVERLAP):
-        raise GridError(
-            f"frame overlap {float(mags.min()):.3f} < {MIN_ALIGN_OVERLAP} between "
-            f"t = {prev.time} and t = {cur.time}: grid too coarse"
-        )
-    phased = cur.basis * (overlaps.conjugate() / mags)[None, :]
-    return Frame(time=cur.time, order=cur.order, basis=phased, energies=cur.energies)
 
 
 def _eigh_grid(mats: np.ndarray, times: np.ndarray, context: str):
@@ -240,46 +224,14 @@ def _differentiate(stack: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _couplings_all(basis: np.ndarray, h: float) -> np.ndarray:
-    """K[k, a, b] = <phi_a | d/dt phi_b> at every grid point."""
-    dbasis = _differentiate(basis, h)
-    return np.einsum("kia,kib->kab", basis.conj(), dbasis)
+def frame_couplings(basis: np.ndarray, step: float) -> np.ndarray:
+    """Derivative couplings K[k, a, b] = <phi_a | d/dt phi_b> at every grid point.
 
-
-def frame_couplings(traj: FrameTrajectory, k: int) -> np.ndarray:
-    """Derivative couplings at grid index k.
-
-    Anti-Hermitian up to the finite-difference error O(h^2); the diagonal
-    vanishes to the same order under the smooth gauge.
+    ``basis`` is a (K, N, N) frame stack on a uniform grid of spacing
+    ``step``. Anti-Hermitian up to the finite-difference error O(step^2);
+    the diagonal vanishes to the same order under the smooth gauge.
     """
-    npts = len(traj)
-    if not 0 <= k < npts:
-        raise ParameterError(f"grid index {k} outside 0..{npts - 1}")
-    h = traj.step
-    if 1 <= k <= npts - 2:
-        db = (traj.basis[k + 1] - traj.basis[k - 1]) / (2.0 * h)
-    elif k == 0:
-        db = (-3.0 * traj.basis[0] + 4.0 * traj.basis[1] - traj.basis[2]) / (2.0 * h)
-    else:
-        db = (3.0 * traj.basis[-1] - 4.0 * traj.basis[-2] + traj.basis[-3]) / (2.0 * h)
-    return traj.basis[k].conj().T @ db
-
-
-def adiabatic_parameter(traj: FrameTrajectory, k: int) -> float:
-    """max over level pairs of |K_ab| / |E_a - E_b| at grid index k (order 0)."""
-    if traj.order != 0:
-        raise ParameterError("adiabatic parameter is defined on order-0 trajectories")
-    coupling = frame_couplings(traj, k)
-    return _ratio_max(coupling, traj.energies[k], traj.times[k])
-
-
-def _ratio_max(coupling: np.ndarray, energies: np.ndarray, t: float) -> float:
-    n = energies.size
-    gaps = energies[None, :] - energies[:, None]
-    off = ~np.eye(n, dtype=bool)
-    if np.any(np.abs(gaps[off]) == 0.0):
-        raise DegeneracyError(f"degenerate pair at t = {t}")
-    return float(np.max(np.abs(coupling[off]) / np.abs(gaps[off])))
+    return np.einsum("kia,kib->kab", basis.conj(), _differentiate(basis, step))
 
 
 def adiabatic_report(traj: FrameTrajectory, j_max: int = DEFAULT_J_MAX) -> AdiabaticReport:
@@ -290,7 +242,7 @@ def adiabatic_report(traj: FrameTrajectory, j_max: int = DEFAULT_J_MAX) -> Adiab
     """
     if traj.order != 0:
         raise ParameterError("adiabatic report is defined on order-0 trajectories")
-    couplings = _couplings_all(traj.basis, traj.step)
+    couplings = frame_couplings(traj.basis, traj.step)
     n = traj.dim
     off = ~np.eye(n, dtype=bool)
     gaps = traj.energies[:, None, :] - traj.energies[:, :, None]
@@ -345,7 +297,7 @@ def superadiabatic_frames(
     n = traj0.dim
     idx = np.arange(n)
     for level in range(1, order + 1):
-        coupling = _couplings_all(level_vecs, h)
+        coupling = frame_couplings(level_vecs, h)
         anti = 0.5 * (coupling - np.conj(np.transpose(coupling, (0, 2, 1))))
         anti[:, idx, idx] = 0.0
         frame_h = -1j * anti
@@ -356,8 +308,7 @@ def superadiabatic_frames(
         lab = lab @ level_vecs
 
     lab = _align_sweep(lab, times)
-    mats = np.stack([H(t) for t in times])
-    quasi = np.einsum("kia,kij,kja->ka", lab.conj(), mats, lab).real
+    quasi = _quasi_energies(H, times, lab)
     traj = FrameTrajectory(times, lab, quasi, order=order, hamiltonian=H)
     _check_step_overlaps(traj)
     return traj
@@ -453,29 +404,20 @@ def adaptive_time_grid(
 def write_frames_csv(traj: FrameTrajectory, path) -> None:
     """Dump a trajectory as CSV: t, order, level, energy (+ x, y, z for N=2)."""
     two_level = traj.dim == 2
-    lines = ["# superlind frame trajectory"]
-    lines.append(f"# order = {traj.order}")
-    lines.append(f"# points = {len(traj)}")
+    comments = ["superlind frame trajectory", f"order = {traj.order}", f"points = {len(traj)}"]
+    columns = ["t", "order", "level", "energy"]
     if two_level:
-        lines.append("# bloch convention: x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11")
-        lines.append("t,order,level,energy,x,y,z")
-    else:
-        lines.append("t,order,level,energy")
-    for k, t in enumerate(traj.times):
-        for a in range(traj.dim):
-            row = [_fmt(t), str(traj.order), str(a), _fmt(traj.energies[k, a])]
-            if two_level:
-                v = traj.basis[k, :, a]
-                rho01 = v[0] * np.conj(v[1])
-                row += [
-                    _fmt(2.0 * rho01.real),
-                    _fmt(-2.0 * rho01.imag),
-                    _fmt(abs(v[0]) ** 2 - abs(v[1]) ** 2),
-                ]
-            lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        comments.append("bloch convention: x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11")
+        columns += ["x", "y", "z"]
 
+    def rows():
+        for k, t in enumerate(traj.times):
+            for a in range(traj.dim):
+                row = [t, traj.order, a, traj.energies[k, a]]
+                if two_level:
+                    v = traj.basis[k, :, a]
+                    rho01 = v[0] * np.conj(v[1])
+                    row += [2.0 * rho01.real, -2.0 * rho01.imag, abs(v[0]) ** 2 - abs(v[1]) ** 2]
+                yield row
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    write_table(path, comments, columns, rows())

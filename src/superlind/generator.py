@@ -207,14 +207,3 @@ class LindbladGenerator:
             base, self.coupling, self.spectrum, self.hamiltonian, self.lamb_shift
         )
 
-
-def lindblad_ops(gen: LindbladGenerator, t: float) -> LindbladOps:
-    return gen.ops(t)
-
-
-def me_rhs(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.ndarray:
-    return gen.rhs(rho, t)
-
-
-def instantaneous_mode(gen: LindbladGenerator) -> LindbladGenerator:
-    return gen.instantaneous()

@@ -4,12 +4,14 @@ All engines integrate forward in time. States are plain ndarrays: a state
 vector is a complex (N,) array of unit norm, a density matrix a complex
 (N, N) Hermitian unit-trace array with nonnegative spectrum.
 
-The adaptive method is an embedded Dormand-Prince 4(5) pair with a
-proportional step controller; it lands exactly on requested sample times
-and on generator frame midpoints so the snapped dissipator never changes
-inside a step. The integrators are written here rather than borrowed so
-that every accepted step can be projected (renormalization,
-re-hermitization) and so trajectory jumps can be bisected inside a step.
+The unitary and master-equation engines share one integrator: an embedded
+Dormand-Prince 4(5) pair with a proportional step controller. It lands
+exactly on requested sample times and on generator frame midpoints so the
+snapped dissipator never changes inside a step. The Monte-Carlo engine
+advances its ensemble in lockstep with fixed RK4 steps of the non-Hermitian
+drift. The integrators are written here rather than borrowed so that every
+accepted step can be projected (renormalization, re-hermitization) and so
+trajectory jumps can be bisected inside a step.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .errors import (
     StiffnessError,
     SuperlindError,
 )
+from ._output import write_table
 from .model import TimeDependentHamiltonian
 
 # Dormand-Prince 4(5) tableau
@@ -52,21 +55,18 @@ _MAX_STEPS = 5_000_000
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration controls.
+    """Tolerances and step cap of the adaptive Dormand-Prince 4(5) integrator.
 
-    ``method`` is "adaptive" (embedded 4(5) pair with error control) or
-    "rk4" (fixed step). ``max_step`` is additionally capped at half the
-    generator frame step whenever a frame grid is in play.
+    ``max_step`` is additionally capped at half the generator frame step
+    whenever a frame grid is in play; the Monte-Carlo engine uses only
+    ``max_step``.
     """
 
-    method: str = "adaptive"
     rtol: float = 1e-8
     atol: float = 1e-10
     max_step: float | None = None
 
     def __post_init__(self):
-        if self.method not in ("adaptive", "rk4"):
-            raise ParameterError(f"unknown integrator method {self.method!r}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ParameterError("tolerances must be > 0")
         if self.max_step is not None and self.max_step <= 0:
@@ -180,14 +180,6 @@ def _rk45_step(f, t, y, dt):
     return y_new, err
 
 
-def _rk4_step(f, t, y, dt):
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _initial_step(f, t0, y0, f0, rtol, atol, max_step):
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((np.abs(y0) / scale) ** 2)))
@@ -252,7 +244,10 @@ def _integrate(
     sample_times=None,
     breakpoints=None,
 ):
-    """Drive y' = f(t, y) from t0 to t1; returns (y, samples list)."""
+    """Drive y' = f(t, y) from t0 to t1.
+
+    Returns (y, samples list, number of rejected step attempts).
+    """
     if not t1 > t0:
         raise ParameterError("need t1 > t0")
     span = t1 - t0
@@ -271,40 +266,35 @@ def _integrate(
 
     y = np.array(y0, dtype=complex, copy=True)
     t = t0
-    adaptive = cfg.method == "adaptive"
-    if adaptive:
-        dt = _initial_step(f, t0, y, f(t0, y), cfg.rtol, cfg.atol, max_step)
-    else:
-        dt = max_step if (cfg.max_step or max_step_cap) else span / 1024.0
+    dt = _initial_step(f, t0, y, f(t0, y), cfg.rtol, cfg.atol, max_step)
 
     min_step = 1e-14 * span
     n_steps = 0
+    n_rejected = 0
     for stop, do_record in zip(stops, record):
         while t < stop - 1e-12 * span:
             n_steps += 1
             if n_steps > _MAX_STEPS:
                 raise StiffnessError(f"step budget exhausted at t = {t}")
             step = min(dt, stop - t)
-            if adaptive:
-                y_new, err = _rk45_step(f, t, y, step)
-                err_norm = _error_norm(err, y, y_new, cfg.rtol, cfg.atol)
-                if err_norm > 1.0:
-                    dt = step * max(_FAC_MIN, _SAFETY * err_norm ** -0.2)
-                    if dt < min_step:
-                        raise StiffnessError(f"step size underflow at t = {t}")
-                    continue
-                factor = _FAC_MAX if err_norm == 0.0 else min(
-                    _FAC_MAX, max(_FAC_MIN, _SAFETY * err_norm ** -0.2)
-                )
-                dt = min(max_step, step * factor)
-            else:
-                y_new = _rk4_step(f, t, y, step)
+            y_new, err = _rk45_step(f, t, y, step)
+            err_norm = _error_norm(err, y, y_new, cfg.rtol, cfg.atol)
+            if err_norm > 1.0:
+                n_rejected += 1
+                dt = step * max(_FAC_MIN, _SAFETY * err_norm ** -0.2)
+                if dt < min_step:
+                    raise StiffnessError(f"step size underflow at t = {t}")
+                continue
+            factor = _FAC_MAX if err_norm == 0.0 else min(
+                _FAC_MAX, max(_FAC_MIN, _SAFETY * err_norm ** -0.2)
+            )
+            dt = min(max_step, step * factor)
             t = t + step
             y = post_step(t, y_new) if post_step is not None else y_new
         t = stop
         if do_record:
             samples.append(np.array(y, copy=True))
-    return y, samples
+    return y, samples, n_rejected
 
 
 # ----------------------------------------------------------------- engines
@@ -328,7 +318,7 @@ def evolve_unitary(
     def renorm(t, y):
         return y / np.linalg.norm(y)
 
-    psi, samples = _integrate(
+    psi, samples, _ = _integrate(
         f, psi0, t0, t1, cfg, post_step=renorm, sample_times=sample_times
     )
     return UnitaryResult(
@@ -378,7 +368,7 @@ def evolve_lindblad(
 
     times = gen.frames.times
     midpoints = 0.5 * (times[:-1] + times[1:])
-    rho, samples = _integrate(
+    rho, samples, diag.n_rejected = _integrate(
         f,
         rho0,
         t0,
@@ -406,14 +396,17 @@ def _traj_rng(seed: int, index: int):
 
 
 def _heff_step(gen, psi, t, dt):
-    """One RK4 step of the non-Hermitian drift for a single state."""
+    """One RK4 step of the non-Hermitian drift.
+
+    ``psi`` is one state (N,) or a stack of states (M, N), one per row.
+    """
     ha = gen.effective_hamiltonian(t)
     hm = gen.effective_hamiltonian(t + 0.5 * dt)
     hb = gen.effective_hamiltonian(t + dt)
-    k1 = -1j * (ha @ psi)
-    k2 = -1j * (hm @ (psi + (0.5 * dt) * k1))
-    k3 = -1j * (hm @ (psi + (0.5 * dt) * k2))
-    k4 = -1j * (hb @ (psi + dt * k3))
+    k1 = -1j * (psi @ ha.T)
+    k2 = -1j * ((psi + (0.5 * dt) * k1) @ hm.T)
+    k3 = -1j * ((psi + (0.5 * dt) * k2) @ hm.T)
+    k4 = -1j * ((psi + dt * k3) @ hb.T)
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -500,14 +493,7 @@ def evolve_trajectories(
 
     for i in range(n):
         t_a = t0 + i * dt
-        ha = gen.effective_hamiltonian(t_a)
-        hm = gen.effective_hamiltonian(t_a + 0.5 * dt)
-        hb = gen.effective_hamiltonian(t_a + dt)
-        k1 = -1j * (psis @ ha.T)
-        k2 = -1j * ((psis + (0.5 * dt) * k1) @ hm.T)
-        k3 = -1j * ((psis + (0.5 * dt) * k2) @ hm.T)
-        k4 = -1j * ((psis + dt * k3) @ hb.T)
-        new = psis + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        new = _heff_step(gen, psis, t_a, dt)
         norms2 = np.einsum("mi,mi->m", new.conj(), new).real
         crossed = np.flatnonzero(norms2 < thresholds)
         for idx in crossed:
@@ -547,34 +533,23 @@ def bloch_vector(rho: np.ndarray):
 
 def write_bloch_csv(path, times, rhos, header_lines=()) -> None:
     """Time series of 2x2 states as t, x, y, z rows."""
-    lines = ["# superlind bloch time series"]
-    lines += [f"# {h}" for h in header_lines]
-    lines.append("# convention: x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11")
-    lines.append("t,x,y,z")
-    for t, rho in zip(times, rhos):
-        x, y, z = bloch_vector(rho)
-        lines.append(",".join(format(v, ".12g") for v in (t, x, y, z)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    comments = ["superlind bloch time series", *header_lines,
+                "convention: x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11"]
+    rows = ((t, *bloch_vector(rho)) for t, rho in zip(times, rhos))
+    write_table(path, comments, ["t", "x", "y", "z"], rows)
 
 
 def write_density_csv(path, times, rhos, header_lines=()) -> None:
     """Time series of N x N states, entries flattened row-major (re, im)."""
     rhos = np.asarray(rhos)
     n = rhos.shape[-1]
-    cols = ["t"]
+    columns = ["t"]
     for i in range(n):
         for j in range(n):
-            cols += [f"re_{i}{j}", f"im_{i}{j}"]
-    lines = ["# superlind density-matrix time series"]
-    lines += [f"# {h}" for h in header_lines]
-    lines.append(",".join(cols))
-    for t, rho in zip(times, rhos):
-        row = [format(float(t), ".12g")]
-        for i in range(n):
-            for j in range(n):
-                row.append(format(rho[i, j].real, ".12g"))
-                row.append(format(rho[i, j].imag, ".12g"))
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            columns += [f"re_{i}{j}", f"im_{i}{j}"]
+    comments = ["superlind density-matrix time series", *header_lines]
+    rows = (
+        [t] + [part for z in rho.ravel() for part in (z.real, z.imag)]
+        for t, rho in zip(times, rhos)
+    )
+    write_table(path, comments, columns, rows)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import superlind as sl
 from superlind.cli import main as cli_main
 from superlind.config import apply_overrides, fig1_job, read_config, sweep_job
-from superlind.experiments import BathConfig
+from superlind.experiments import BathConfig, SweepRecord
 
 FAST = dict(window_factor=10.0, rtol=1e-6, atol=1e-9)
 
@@ -70,6 +71,23 @@ class TestRunSweep:
     def test_adiabaticity_warning_on_fast_sweep(self):
         with pytest.warns(sl.AdiabaticityWarning):
             sl.run_lz_sweep(_fast_cfg(inv_velocities=(1.0,)))
+
+    @pytest.mark.parametrize("entry", ["run_lz_sweep", "run_sweep_curves"])
+    def test_warnings_point_at_caller(self, entry):
+        # so fast a sweep that even the window edges are not adiabatic
+        cfg = _fast_cfg(inv_velocities=(0.3,))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if entry == "run_lz_sweep":
+                sl.run_lz_sweep(cfg)
+            else:
+                sl.run_sweep_curves(cfg, gamma_values=(0.0,))
+        assert {w.category for w in caught} == {sl.AdiabaticityWarning, sl.WindowWarning}
+        assert all(w.filename == __file__ for w in caught)
+
+    def test_closed_sweep_runs_once_for_all_gammas(self):
+        records = sl.run_sweep_curves(_fast_cfg(), gamma_values=(0.0, 0.01, 0.1))
+        assert [(r.inv_v, r.gamma0) for r in records] == [(1.0, 0.0), (2.0, 0.0)]
 
     def test_gamma_curves_share_grid(self):
         records = sl.run_sweep_curves(
@@ -140,6 +158,43 @@ class TestRunSweep:
         sl.write_sweep_csv(out, records, [cfg], dat=True)
         body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert len(body[1].split()) == 7
+
+
+def _record(gamma0, p_ge):
+    return SweepRecord(
+        inv_v=2.0, p_ge=p_ge, mode="superadiabatic", gamma0=gamma0, temperature=0.5,
+        order=4, trace_error=1e-12, herm_error=0.0, min_eigenvalue=-3e-9,
+        adiabaticity=0.25 / 3.0, runtime=1.0,
+    )
+
+
+@pytest.mark.parametrize("dat", [False, True])
+def test_sweep_csv_exact_format(tmp_path, dat):
+    cfg = sl.SweepConfig(
+        inv_velocities=(2.0,),
+        bath=BathConfig(kind="ohmic", gamma0=0.1, temperature=0.5),
+    )
+    out = tmp_path / "sweep.csv"
+    sl.write_sweep_csv(out, [_record(0.1, 0.2), _record(0.01, 0.125)], [cfg], dat=dat)
+    sep = " " if dat else ","
+    assert out.read_text().splitlines() == [
+        "# superlind sweep",
+        "# delta = 1",
+        "# mode = superadiabatic",
+        "# order = 4",
+        "# window_factor = 25",
+        "# bath_kind = ohmic",
+        "# temperature = 0.5",
+        "# cutoff = 5",
+        "# symmetric_cutoff = false",
+        "# solver = me",
+        "# seed = 0",
+        "# gamma0_curves = 0.01, 0.1",
+        sep.join(["gamma0", "inv_v", "p_ge", "trace_error", "herm_error",
+                  "min_eigenvalue", "adiabaticity"]),
+        sep.join(["0.01", "2", "0.125", "1e-12", "0", "-3e-09", "0.0833333333333"]),
+        sep.join(["0.1", "2", "0.2", "1e-12", "0", "-3e-09", "0.0833333333333"]),
+    ]
 
 
 class TestFig1:
@@ -281,6 +336,14 @@ class TestCLI:
         ])
         assert code == 0
         out = capsys.readouterr().out
+        assert out.splitlines()[:6] == [
+            "# superlind ohmic spectrum",
+            "# gamma0 = 0.01",
+            "# cutoff = 5",
+            "# temperature = 0.5",
+            "# symmetric_cutoff = false",
+            "omega,gamma",
+        ]
         rows = [ln for ln in out.splitlines() if not ln.startswith("#")][1:]
         table = {float(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
         assert table[0.0] == pytest.approx(0.005, abs=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import superlind as sl
-from superlind.frames import recomputed_quasi_energies
+from superlind.frames import _align_sweep, _quasi_energies
 
 from lzutil import lz_setup
 
@@ -44,7 +44,8 @@ class TestInstantaneousFrames:
         base.validate()
         gram = np.einsum("kia,kib->kab", base.basis.conj(), base.basis)
         assert np.max(np.abs(gram - np.eye(2))) < 1e-10
-        assert np.max(np.abs(recomputed_quasi_energies(base) - base.energies)) < 1e-10
+        recomputed = _quasi_energies(base.hamiltonian, base.times, base.basis)
+        assert np.max(np.abs(recomputed - base.energies)) < 1e-10
 
     def test_degenerate_spectrum_rejected(self):
         H = sl.TimeDependentHamiltonian.constant(np.eye(2, dtype=complex))
@@ -70,41 +71,43 @@ class TestInstantaneousFrames:
             base.index_at(t_final + h)
 
 
+def _align_pair(prev, cur):
+    """Gauge-fix the two-frame stack (prev, cur) on a unit-step grid."""
+    return _align_sweep(np.stack([prev, cur]), np.array([0.0, 1.0]))
+
+
 class TestSmoothGauge:
     def test_identity(self):
-        H, _, _, base, _ = lz_setup(2.0)
-        f0, f1 = base.frame(100), base.frame(100)
-        out = sl.smooth_gauge(f0, f1)
-        assert np.allclose(out.basis, f1.basis, atol=1e-15)
+        _, _, _, base, _ = lz_setup(2.0)
+        out = _align_pair(base.basis[100], base.basis[100])
+        assert np.allclose(out[1], out[0], atol=1e-15)
+        assert np.allclose(np.abs(out[0]), np.abs(base.basis[100]), atol=1e-15)
 
     def test_pure_phase_removed_exactly(self):
         _, _, _, base, _ = lz_setup(2.0)
-        f0 = base.frame(50)
-        phased = f0.basis.copy()
+        prev = base.basis[50]
+        phased = prev.copy()
         phased[:, 0] *= np.exp(1j * np.pi / 3)
-        cur = sl.Frame(time=f0.time, order=0, basis=phased, energies=f0.energies)
-        out = sl.smooth_gauge(f0, cur)
-        assert np.max(np.abs(out.basis - f0.basis)) < 1e-12
+        out = _align_pair(prev, phased)
+        assert np.max(np.abs(out[1] - out[0])) < 1e-12
 
     def test_nearby_unitary_output_overlap_real(self):
         rng = np.random.default_rng(3)
         _, _, _, base, _ = lz_setup(2.0)
-        f0 = base.frame(200)
+        prev = base.basis[200]
         # small Hermitian perturbation of the frame, re-orthonormalized
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         herm = 0.05 * (m + m.conj().T)
-        q, _ = np.linalg.qr(f0.basis + 1j * herm @ f0.basis)
-        cur = sl.Frame(time=f0.time, order=0, basis=q, energies=f0.energies)
-        out = sl.smooth_gauge(f0, cur)
-        overlaps = np.einsum("ia,ia->a", f0.basis.conj(), out.basis)
+        q, _ = np.linalg.qr(prev + 1j * herm @ prev)
+        out = _align_pair(prev, q)
+        overlaps = np.einsum("ia,ia->a", out[0].conj(), out[1])
         assert np.max(np.abs(overlaps.imag)) < 1e-12
         assert np.all(overlaps.real > 0)
 
     def test_orthogonal_frames_rejected(self):
         _, _, _, base, _ = lz_setup(2.0)
-        first, last = base.frame(0), base.frame(len(base) - 1)
         with pytest.raises(sl.GridError):
-            sl.smooth_gauge(first, last)
+            _align_pair(base.basis[0], base.basis[-1])
 
 
 class TestFrameCouplings:
@@ -112,7 +115,7 @@ class TestFrameCouplings:
         H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x + 0.2 * sl.sigma_z)
         traj = sl.instantaneous_frames(H, np.linspace(0.0, 5.0, 41))
         for k in (0, 20, 40):
-            assert np.max(np.abs(sl.frame_couplings(traj, k))) < 1e-12
+            assert np.max(np.abs(sl.frame_couplings(traj.basis, traj.step)[k])) < 1e-12
 
     def test_lz_crossing_value(self):
         # |<e| d/dt g>| = v*delta / (2 (v^2 t^2 + delta^2)) from the analytic
@@ -122,14 +125,14 @@ class TestFrameCouplings:
         times = np.linspace(-10, 10, 2001)
         traj = sl.instantaneous_frames(H, times)
         k0 = traj.index_at(0.0)
-        assert abs(sl.frame_couplings(traj, k0)[0, 1]) == pytest.approx(
+        assert abs(sl.frame_couplings(traj.basis, traj.step)[k0][0, 1]) == pytest.approx(
             v / 2.0, rel=1e-4
         )
         for t_probe in (-3.0, 1.5):
             k = traj.index_at(t_probe)
             t = traj.times[k]
             expected = v / (2.0 * (v**2 * t**2 + 1.0))
-            assert abs(sl.frame_couplings(traj, k)[0, 1]) == pytest.approx(
+            assert abs(sl.frame_couplings(traj.basis, traj.step)[k][0, 1]) == pytest.approx(
                 expected, rel=1e-4
             )
 
@@ -139,7 +142,7 @@ class TestFrameCouplings:
         times = np.linspace(-10, 10, 2001)  # h = 0.01
         traj = sl.instantaneous_frames(H, times)
         for k in (1, 1000, 1500, 1999):
-            K = sl.frame_couplings(traj, k)
+            K = sl.frame_couplings(traj.basis, traj.step)[k]
             assert np.max(np.abs(K + K.conj().T)) < 1e-5
             assert np.max(np.abs(np.diag(K))) < 1e-6
 
@@ -152,8 +155,8 @@ class TestFrameCouplings:
             order=0, hamiltonian=base.hamiltonian,
         )
         for k in (5, len(base) // 2):
-            a = np.abs(sl.frame_couplings(base, k))
-            b = np.abs(sl.frame_couplings(rephased, k))
+            a = np.abs(sl.frame_couplings(base.basis, base.step)[k])
+            b = np.abs(sl.frame_couplings(rephased.basis, rephased.step)[k])
             off = ~np.eye(2, dtype=bool)
             assert np.max(np.abs(a[off] - b[off])) < 1e-12
 
@@ -163,8 +166,8 @@ class TestAdiabaticParameter:
         v = 0.2
         _, _, _, base, _ = lz_setup(1.0 / v)
         k0 = base.index_at(0.0)
-        assert sl.adiabatic_parameter(base, k0) == pytest.approx(v / 2.0, rel=1e-3)
         report = sl.adiabatic_report(base)
+        assert report.samples[k0] == pytest.approx(v / 2.0, rel=1e-3)
         assert report.global_max == pytest.approx(v / 2.0, rel=1e-3)
         k_star = int(np.argmax(report.samples))
         assert abs(base.times[k_star]) <= 2 * base.step
@@ -187,7 +190,7 @@ class TestAdiabaticParameter:
         H, _, times, base, _ = lz_slow
         traj1 = sl.superadiabatic_frames(H, 1, times, base=base)
         with pytest.raises(sl.ParameterError):
-            sl.adiabatic_parameter(traj1, 0)
+            sl.adiabatic_report(traj1)
 
 
 class TestSuperadiabaticFrames:
@@ -265,7 +268,13 @@ def test_frames_csv_dump(tmp_path):
     out = tmp_path / "frames.csv"
     sl.write_frames_csv(traj, out)
     lines = out.read_text().splitlines()
-    header = [ln for ln in lines if not ln.startswith("#")][0]
-    assert header.split(",") == ["t", "order", "level", "energy", "x", "y", "z"]
-    rows = [ln for ln in lines if not ln.startswith("#")][1:]
+    assert lines[:5] == [
+        "# superlind frame trajectory",
+        "# order = 0",
+        "# points = 41",
+        "# bloch convention: x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11",
+        "t,order,level,energy,x,y,z",
+    ]
+    rows = lines[5:]
     assert len(rows) == 41 * 2
+    assert rows[0].split(",")[:3] == ["-2", "0", "0"]

@@ -188,22 +188,15 @@ class TestMasterEquationRHS:
         with pytest.raises(sl.StateIntegrityError):
             gen.rhs(bad, 0.0)
 
-    def test_module_level_wrappers(self):
-        H, traj = _constant_traj(0.5 * sl.sigma_x)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
-        rho = random_density(np.random.default_rng(2))
-        assert np.allclose(sl.me_rhs(gen, rho, 1.0), gen.rhs(rho, 1.0))
-        assert np.allclose(sl.lindblad_ops(gen, 1.0).dephasing, gen.ops(1.0).dephasing)
-
 
 class TestInstantaneousMode:
     def test_demotes_frames_to_order_zero(self):
         H, _, times, base, traj = lz_setup(3.0, order=4)
         gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
-        inst = sl.instantaneous_mode(gen)
+        inst = gen.instantaneous()
         assert inst.frames.order == 0
         assert np.max(np.abs(inst.frames.basis - base.basis)) < 1e-12
-        assert sl.instantaneous_mode(inst) is inst
+        assert inst.instantaneous() is inst
 
     def test_equivalent_for_constant_hamiltonian(self):
         H, traj0 = _constant_traj(0.5 * sl.sigma_x)
