@@ -62,7 +62,12 @@ class PositivityError(StateIntegrityError):
 
 
 class StiffnessError(SuperlindError):
-    """Adaptive integrator step size underflowed."""
+    """Refining the propagator's sub-steps stopped paying off.
+
+    Either doubling them did not shrink the largest h * ||A|| (the generator
+    is singular), or it did not shrink the error estimate (the tolerances
+    are below rounding).
+    """
 
     exit_code = 7
 

@@ -12,9 +12,8 @@ shift Hamiltonian is diagonal in the frame basis,
 
     H_shift(t) = sum_ab S(w_ab) |<phi_a|A|phi_b>|^2 |phi_b><phi_b|.
 
-Between grid points the generator snaps to the nearest stored frame; keep
-integrator steps at or below half the frame step so the snapping error
-stays under the integration tolerance.
+Between grid points the generator snaps to the nearest stored frame, so
+the dissipator is constant on each frame cell, between two grid midpoints.
 """
 from __future__ import annotations
 
@@ -50,7 +49,7 @@ class LindbladGenerator:
 
     Immutable once built: all per-frame quantities (coupling matrix
     elements, transition frequencies, rates) are precomputed on the grid,
-    so ``rhs`` is pure and cheap to call from concurrent integrations.
+    so ``liouvillian`` and ``rhs`` are pure.
     """
 
     def __init__(
@@ -144,37 +143,48 @@ class LindbladGenerator:
             shift=shift,
         )
 
-    def rhs(self, rho: np.ndarray, t: float) -> np.ndarray:
-        """d rho / dt of the master equation at time t.
+    def liouvillian(self, times) -> np.ndarray:
+        """Generator of the master equation at each of ``times``, (M, N^2, N^2).
 
-        Trace-annihilating and hermiticity-preserving by construction; the
-        dissipator is evaluated in the frame basis where the dephasing
-        operator is diagonal and the jump channels are matrix units.
+        Acts on row-major vec(rho): -i (H (x) I - I (x) H^T) plus the
+        dissipator of the frame nearest to t. The dissipator is built in the
+        frame basis, where the dephasing operator is diagonal and the jump
+        channels are matrix units, and rotated by U (x) U*; it annihilates
+        the trace and preserves hermiticity by construction.
         """
+        n = self.frames.dim
+        cells, where = np.unique(
+            [self.frames.index_at(t) for t in times], return_inverse=True
+        )
+        ell, loss, ls = self._ell[cells], self._out_rate[cells], self._shift_diag[cells]
+        decay = (
+            -0.5 * (ell[:, :, None] - ell[:, None, :]) ** 2
+            - 0.5 * (loss[:, :, None] + loss[:, None, :])
+            - 1j * (ls[:, :, None] - ls[:, None, :])
+        ).reshape(cells.size, n * n)
+        u = self.frames.basis[cells]
+        rot = np.einsum("cia,ckb->cikab", u, u.conj()).reshape(cells.size, n * n, n * n)
+        pops = rot[:, :, :: n + 1]                     # columns vec(|a><a|)
+        diss = (rot * decay[:, None, :]) @ rot.conj().transpose(0, 2, 1)
+        diss += pops @ self._rate[cells] @ pops.conj().transpose(0, 2, 1)
+
+        out = diss[where]
+        blocks = out.reshape(len(times), n, n, n, n)   # [m, i, k, j, l]: (ik), (jl)
+        h = np.stack([self.hamiltonian(t) for t in times])
+        for k in range(n):
+            blocks[:, :, k, :, k] -= 1j * h                     # -i H (x) I
+            blocks[:, k, :, k, :] += 1j * h.transpose(0, 2, 1)  # +i I (x) H^T
+        return out
+
+    def rhs(self, rho: np.ndarray, t: float) -> np.ndarray:
+        """d rho / dt of the master equation at time t."""
         defect = float(np.max(np.abs(rho - rho.conj().T)))
         if defect > HERMITICITY_INPUT_TOL:
             raise StateIntegrityError(
                 f"input state non-Hermitian (defect {defect:.3e} > {HERMITICITY_INPUT_TOL:.0e})"
             )
-        k = self.frames.index_at(t)
-        basis = self.frames.basis[k]
-        h_mat = self.hamiltonian(t)
-        out = -1j * (h_mat @ rho - rho @ h_mat)
-
-        rho_f = basis.conj().T @ rho @ basis
-        ell = self._ell[k]
-        rate = self._rate[k]
-        loss = self._out_rate[k]
-        diss = (-0.5 * (ell[:, None] - ell[None, :]) ** 2) * rho_f
-        diss -= 0.5 * (loss[:, None] + loss[None, :]) * rho_f
-        gain = rate @ np.diagonal(rho_f)
-        idx = np.arange(rho_f.shape[0])
-        diss[idx, idx] += gain
-        if self.lamb_shift:
-            ls = self._shift_diag[k]
-            diss += (-1j * (ls[:, None] - ls[None, :])) * rho_f
-        out += basis @ diss @ basis.conj().T
-        return out
+        n = rho.shape[0]
+        return (self.liouvillian([t])[0] @ rho.ravel()).reshape(n, n)
 
     def effective_hamiltonian(self, t: float) -> np.ndarray:
         """Non-Hermitian drift H(t) + H_shift - (i/2) sum_c Lc^dag Lc."""

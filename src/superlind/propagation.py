@@ -4,14 +4,16 @@ All engines integrate forward in time. States are plain ndarrays: a state
 vector is a complex (N,) array of unit norm, a density matrix a complex
 (N, N) Hermitian unit-trace array with nonnegative spectrum.
 
-The unitary and master-equation engines share one integrator: an embedded
-Dormand-Prince 4(5) pair with a proportional step controller. It lands
-exactly on requested sample times and on generator frame midpoints so the
-snapped dissipator never changes inside a step. The Monte-Carlo engine
-advances its ensemble in lockstep with fixed RK4 steps of the non-Hermitian
-drift. The integrators are written here rather than borrowed so that every
-accepted step can be projected (renormalization, re-hermitization) and so
-trajectory jumps can be bisected inside a step.
+The unitary and master-equation engines share one exponential core for
+y' = A(t) y, with A = -iH or the Liouvillian. Its edges are t0, t1 and the
+sample times, plus the frame midpoints for the master equation, so the
+snapped dissipator is constant between two edges. Each interval between
+edges is split into n equal sub-steps, each propagated by the matrix
+exponential of a fourth-order Magnus exponent built from A at two Gauss
+nodes; n doubles until two passes agree within the tolerances. The state is
+projected (renormalized, re-hermitized) at every edge. The Monte-Carlo
+engine advances its ensemble in lockstep with fixed RK4 steps of the
+non-Hermitian drift, so that trajectory jumps can be bisected inside a step.
 """
 from __future__ import annotations
 
@@ -31,46 +33,36 @@ from .errors import (
 from ._output import write_table
 from .model import TimeDependentHamiltonian
 
-# Dormand-Prince 4(5) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+_GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)  # Gauss-Legendre nodes on [0, 1]
+_CHUNK_ENTRIES = 2**12  # matrix entries in the stack of propagators held at once
+# Doubling the sub-steps must cut the largest h * ||A|| below this fraction
+# of its value: it halves for a bounded generator, stays put at a simple pole.
+_SHRINK = 0.9
 
-_SAFETY = 0.9
-_FAC_MIN = 0.2
-_FAC_MAX = 5.0
-_MAX_STEPS = 5_000_000
+# Pade [13/13] coefficients of the scaling-and-squaring exponential, scaled to
+# a unit constant term so that exp(0) comes out as the identity exactly
+_PADE13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+]) / 64764752532480000.0
+_THETA13 = 5.371920351148152  # largest 1-norm the [13/13] approximant takes unscaled
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and step cap of the adaptive Dormand-Prince 4(5) integrator.
+    """Tolerances of the exponential propagator.
 
-    ``max_step`` is additionally capped at half the generator frame step
-    whenever a frame grid is in play; the Monte-Carlo engine uses only
-    ``max_step``.
+    A solve is accepted once doubling its sub-steps moves the state at no
+    edge by more than atol + rtol * |state| (vector 2-norms).
     """
 
     rtol: float = 1e-8
     atol: float = 1e-10
-    max_step: float | None = None
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ParameterError("tolerances must be > 0")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ParameterError("max_step must be > 0")
 
 
 @dataclass(frozen=True)
@@ -97,6 +89,14 @@ class JumpEvent:
 
 @dataclass
 class IntegrationDiagnostics:
+    """What a master-equation solve did.
+
+    ``n_steps`` counts the sub-steps of the accepted pass and ``n_rejected``
+    those of the resolved coarser passes discarded before it. The drifts are
+    the largest over the edges, measured before each re-hermitization and
+    renormalization; the minimum eigenvalue is taken over the edge states.
+    """
+
     n_steps: int = 0
     n_rejected: int = 0
     max_trace_drift: float = 0.0
@@ -156,145 +156,131 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- core
 
 
-def _error_norm(err, y_old, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((np.abs(err) / scale) ** 2)))
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each matrix in an (M, d, d) stack.
+
+    Scaling and squaring with the [13/13] Pade approximant (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)): each matrix is halved until its
+    1-norm is at most theta_13, and its approximant squared as often.
+    """
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    a = a / (2.0 ** squarings)[:, None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for level in range(squarings.max()):
+        sel = squarings > level
+        r[sel] = r[sel] @ r[sel]
+    return r
 
 
-def _rk45_step(f, t, y, dt):
-    k = [f(t, y)]
-    for i in range(1, 7):
-        yi = y
-        for j, a in enumerate(_DP_A[i]):
-            if a != 0.0:
-                yi = yi + (dt * a) * k[j]
-        k.append(f(t + _DP_C[i] * dt, yi))
-    y_new = y
-    for j, b in enumerate(_DP_B):
-        if b != 0.0:
-            y_new = y_new + (dt * b) * k[j]
-    err = np.zeros_like(y)
-    for j, e in enumerate(_DP_E):
-        if e != 0.0:
-            err = err + (dt * e) * k[j]
-    return y_new, err
+def _magnus4(a1: np.ndarray, a2: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Fourth-order Magnus exponent of sub-steps of widths h, from A at their two
+    Gauss nodes (Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151 (2009))."""
+    h = h[:, None, None]
+    return (0.5 * h) * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h**2 * (a2 @ a1 - a1 @ a2)
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol, max_step):
-    scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((np.abs(y0) / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((np.abs(f0) / scale) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
-    d2 = float(np.sqrt(np.mean((np.abs(f1 - f0) / scale) ** 2))) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, max_step)
+def _edges(t0, t1, sample_times, breakpoints=()):
+    """Ascending edges: t0, the sample times, the breakpoints inside (t0, t1), t1.
 
-
-def _merge_stops(t0, t1, sample_times, breakpoints):
-    """Sorted stop times in (t0, t1] with a flag marking sampling stops."""
-    ts = [np.array([t1])]
-    flags = [np.array([False])]
-    if sample_times is not None:
-        s = np.asarray(sample_times, dtype=float)
-        if s.size and np.any(np.diff(s) < 0):
-            raise ParameterError("sample_times must be ascending")
-        tol = 1e-12 * (t1 - t0)
-        if s.size and (s[0] < t0 - tol or s[-1] > t1 + tol):
-            raise ParameterError(
-                f"sample_times must lie within [{t0}, {t1}]"
-            )
-        ts.append(s)
-        flags.append(np.ones(s.size, dtype=bool))
-    if breakpoints is not None:
-        b = np.asarray(breakpoints, dtype=float)
-        ts.append(b)
-        flags.append(np.zeros(b.size, dtype=bool))
-    t = np.concatenate(ts)
-    f = np.concatenate(flags)
-    span = t1 - t0
-    keep = (t > t0 + 1e-12 * span) & (t <= t1 + 1e-12 * span)
-    t, f = t[keep], f[keep]
-    order = np.argsort(t, kind="stable")
-    t, f = t[order], f[order]
-    out_t, out_f = [], []
-    for ti, fi in zip(t, f):
-        if out_t and abs(ti - out_t[-1]) <= 1e-12 * span:
-            out_f[-1] = out_f[-1] or fi
-        else:
-            out_t.append(float(ti))
-            out_f.append(bool(fi))
-    out_t[-1] = t1  # last stop is exactly the end point
-    return out_t, out_f
-
-
-def _integrate(
-    f,
-    y0,
-    t0,
-    t1,
-    cfg,
-    *,
-    max_step_cap=None,
-    post_step=None,
-    sample_times=None,
-    breakpoints=None,
-):
-    """Drive y' = f(t, y) from t0 to t1.
-
-    Returns (y, samples list, number of rejected step attempts).
+    Also returns the index of each sample time among the edges. Repeated
+    edges need no merging: the interval between them has zero width.
     """
     if not t1 > t0:
         raise ParameterError("need t1 > t0")
-    span = t1 - t0
-    max_step = span
-    if cfg.max_step is not None:
-        max_step = min(max_step, cfg.max_step)
-    if max_step_cap is not None:
-        max_step = min(max_step, max_step_cap)
+    s = np.asarray(() if sample_times is None else sample_times, dtype=float)
+    if s.size and np.any(np.diff(s) < 0):
+        raise ParameterError("sample_times must be ascending")
+    tol = 1e-12 * (t1 - t0)
+    if s.size and (s[0] < t0 - tol or s[-1] > t1 + tol):
+        raise ParameterError(f"sample_times must lie within [{t0}, {t1}]")
+    b = np.asarray(breakpoints, dtype=float)
+    times = np.concatenate([[t0], np.clip(s, t0, t1), b[(b > t0) & (b < t1)], [t1]])
+    order = np.argsort(times, kind="stable")
+    where = np.empty_like(order)
+    where[order] = np.arange(order.size)
+    return times[order], where[1:1 + s.size]
 
-    stops, record = _merge_stops(t0, t1, sample_times, breakpoints)
-    samples = []
-    if sample_times is not None:
-        s = np.asarray(sample_times, dtype=float)
-        n_initial = int(np.sum(s <= t0 + 1e-12 * span))
-        samples.extend([np.array(y0, copy=True)] * n_initial)
 
-    y = np.array(y0, dtype=complex, copy=True)
-    t = t0
-    dt = _initial_step(f, t0, y, f(t0, y), cfg.rtol, cfg.atol, max_step)
+def _march(generator, y0, edges, n, project):
+    """One pass of n Magnus-4 sub-steps per interval between consecutive edges.
 
-    min_step = 1e-14 * span
-    n_steps = 0
-    n_rejected = 0
-    for stop, do_record in zip(stops, record):
-        while t < stop - 1e-12 * span:
-            n_steps += 1
-            if n_steps > _MAX_STEPS:
-                raise StiffnessError(f"step budget exhausted at t = {t}")
-            step = min(dt, stop - t)
-            y_new, err = _rk45_step(f, t, y, step)
-            err_norm = _error_norm(err, y, y_new, cfg.rtol, cfg.atol)
-            if err_norm > 1.0:
-                n_rejected += 1
-                dt = step * max(_FAC_MIN, _SAFETY * err_norm ** -0.2)
-                if dt < min_step:
-                    raise StiffnessError(f"step size underflow at t = {t}")
-                continue
-            factor = _FAC_MAX if err_norm == 0.0 else min(
-                _FAC_MAX, max(_FAC_MIN, _SAFETY * err_norm ** -0.2)
-            )
-            dt = min(max_step, step * factor)
-            t = t + step
-            y = post_step(t, y_new) if post_step is not None else y_new
-        t = stop
-        if do_record:
-            samples.append(np.array(y, copy=True))
-    return y, samples, n_rejected
+    Returns the largest h * ||A||_1 over the sub-step nodes and, when that is
+    at most 1 (every sub-step resolved), the states reached at the edges.
+    The march goes on from ``project`` of each of them.
+    """
+    widths = np.diff(edges)
+    raw = np.empty((edges.size, y0.size), dtype=complex)
+    raw[0] = y = y0
+    worst = 0.0
+    chunk = max(_CHUNK_ENTRIES // y0.size**2, 1)
+    for lo in range(0, n * widths.size, chunk):
+        step = np.arange(lo, min(lo + chunk, n * widths.size))
+        hc = widths[step // n] / n
+        nodes = edges[step // n] + (step % n + _GAUSS[:, None]) * hc     # (2, C)
+        a = generator(nodes.ravel()).reshape(2, hc.size, y0.size, y0.size)
+        worst = max(worst, float(np.max(hc * np.abs(a).sum(axis=-2).max(axis=(0, -1)))))
+        if worst > 1.0:
+            continue  # an unresolved pass only reports how far it is from resolved
+        for j, p in enumerate(_expm(_magnus4(a[0], a[1], hc)), start=lo):
+            y = p @ y
+            if j % n == n - 1:
+                raw[j // n + 1] = y
+                y = project(y)
+    return worst, raw if worst <= 1.0 else None
+
+
+def _propagate(generator, y0, edges, cfg, project):
+    """States of y' = A(t) y at the ascending ``edges``, from y0 at edges[0].
+
+    ``generator(times)`` returns the stack A(times), shape (M, d, d). Each
+    interval between consecutive edges is split into n equal sub-steps, and
+    n doubles from 1. Only passes with every sub-step resolved are compared;
+    the first one that agrees with the previous resolved pass within
+    rtol/atol at every edge is accepted.
+
+    Returns the states reached at the edges before ``project``, extrapolated
+    from the last two passes, the number of sub-steps of the accepted pass,
+    and the number of sub-steps of the resolved passes discarded before it.
+    """
+    n, prev, prev_worst, prev_err, rejected = 1, None, math.inf, math.inf, 0
+    while True:
+        worst, raw = _march(generator, y0, edges, n, project)
+        steps = n * (edges.size - 1)
+        if raw is None:
+            if worst >= _SHRINK * prev_worst:
+                raise StiffnessError(
+                    f"{steps} sub-steps left max h*||A|| at {worst:.3g}: the generator "
+                    f"is singular in [{edges[0]}, {edges[-1]}]"
+                )
+            prev_worst = worst
+            n *= 2
+            continue
+        if prev is not None:
+            err = float(np.max(np.linalg.norm(raw - prev, axis=1) / (
+                cfg.atol + cfg.rtol * np.linalg.norm(raw, axis=1)
+            )))
+            if err <= 1.0:
+                # the global error of the time-symmetric Magnus-4 step expands
+                # in h^4, h^6, ...: one Richardson step removes the h^4 term
+                return raw + (raw - prev) / 15.0, steps, rejected
+            if err >= prev_err:
+                raise StiffnessError(
+                    f"{steps} sub-steps did not shrink the error estimate "
+                    f"({err:.3g} x tolerance): rtol/atol are below rounding"
+                )
+            prev_err = err
+        prev = raw
+        rejected += steps
+        n *= 2
 
 
 # ----------------------------------------------------------------- engines
@@ -308,23 +294,23 @@ def evolve_unitary(
     cfg: IntegratorConfig | None = None,
     sample_times=None,
 ) -> UnitaryResult:
-    """Integrate i psi' = H(t) psi with per-step renormalization."""
+    """Solve i psi' = H(t) psi, renormalizing at every sample time and at t1."""
     cfg = cfg or IntegratorConfig()
     psi0 = check_state_vector(psi0)
+    edges, at = _edges(t0, t1, sample_times)
 
-    def f(t, y):
-        return -1j * (H(t) @ y)
+    def generator(times):
+        return -1j * np.stack([H(t) for t in times])
 
-    def renorm(t, y):
-        return y / np.linalg.norm(y)
+    def project(y):
+        return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
-    psi, samples, _ = _integrate(
-        f, psi0, t0, t1, cfg, post_step=renorm, sample_times=sample_times
-    )
+    raw, _, _ = _propagate(generator, psi0, edges, cfg, project)
+    states = project(raw)
     return UnitaryResult(
-        state=psi,
+        state=states[-1],
         sample_times=None if sample_times is None else np.asarray(sample_times, float),
-        samples=np.stack(samples) if samples else None,
+        samples=states[at] if at.size else None,
     )
 
 
@@ -336,54 +322,48 @@ def evolve_lindblad(
     cfg: IntegratorConfig | None = None,
     sample_times=None,
 ) -> LindbladResult:
-    """Integrate the master equation from rho0.
+    """Solve the master equation from rho0.
 
-    After each accepted step the state is re-hermitized and trace-normalized;
-    positivity is monitored (never forced) and a violation below -1e-5
-    aborts with an error, since the generator should preserve it.
+    The edges of the exponential core are the sample times and the frame
+    midpoints, where the generator's dissipator changes. At every edge the
+    state is re-hermitized and trace-normalized; positivity is monitored
+    (never forced) and a violation below -1e-5 aborts with an error, since
+    the Magnus exponent is not of Lindblad form when H changes in a cell.
     """
     cfg = cfg or IntegratorConfig()
     rho0 = check_density_matrix(rho0)
-    diag = IntegrationDiagnostics(min_eigenvalue=float(np.linalg.eigvalsh(rho0).min()))
-
-    def f(t, y):
-        return gen.rhs(y, t)
-
-    def project(t, y):
-        diag.n_steps += 1
-        tr = complex(np.trace(y))
-        diag.max_trace_drift = max(diag.max_trace_drift, abs(tr - 1.0))
-        herm = float(np.max(np.abs(y - y.conj().T)))
-        diag.max_hermiticity_drift = max(diag.max_hermiticity_drift, herm)
-        y = 0.5 * (y + y.conj().T)
-        y = y / np.trace(y).real
-        min_eig = float(np.linalg.eigvalsh(y).min())
-        diag.min_eigenvalue = min(diag.min_eigenvalue, min_eig)
-        if min_eig < -1e-5:
-            raise PositivityError(
-                f"min eigenvalue {min_eig:.3e} at t = {t}: tolerance too loose "
-                "or generator not of Lindblad form"
-            )
-        return y
-
+    n = rho0.shape[0]
     times = gen.frames.times
-    midpoints = 0.5 * (times[:-1] + times[1:])
-    rho, samples, diag.n_rejected = _integrate(
-        f,
-        rho0,
-        t0,
-        t1,
-        cfg,
-        max_step_cap=gen.frames.step / 2.0,
-        post_step=project,
-        sample_times=sample_times,
-        breakpoints=midpoints,
+    edges, at = _edges(t0, t1, sample_times, 0.5 * (times[:-1] + times[1:]))
+
+    def project(y):
+        rho = y.reshape(-1, n, n)
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        return rho.reshape(y.shape)
+
+    raw, n_steps, n_rejected = _propagate(gen.liouvillian, rho0.ravel(), edges, cfg, project)
+    rhos = project(raw).reshape(-1, n, n)
+    raw = raw.reshape(-1, n, n)
+    min_eigs = np.linalg.eigvalsh(rhos).min(axis=1)
+    k = int(np.argmin(min_eigs))
+    diag = IntegrationDiagnostics(
+        n_steps=n_steps,
+        n_rejected=n_rejected,
+        max_trace_drift=float(np.max(np.abs(np.trace(raw, axis1=1, axis2=2) - 1.0))),
+        max_hermiticity_drift=float(np.max(np.abs(raw - raw.conj().transpose(0, 2, 1)))),
+        min_eigenvalue=float(min_eigs[k]),
     )
+    if diag.min_eigenvalue < -1e-5:
+        raise PositivityError(
+            f"min eigenvalue {diag.min_eigenvalue:.3e} at t = {edges[k]}: tolerance "
+            "too loose or generator not of Lindblad form"
+        )
     return LindbladResult(
-        state=rho,
+        state=rhos[-1],
         diagnostics=diag,
         sample_times=None if sample_times is None else np.asarray(sample_times, float),
-        samples=np.stack(samples) if samples else None,
+        samples=rhos[at] if at.size else None,
     )
 
 
@@ -462,7 +442,6 @@ def evolve_trajectories(
     t0: float,
     t1: float,
     tcfg: TrajectoryConfig,
-    cfg: IntegratorConfig | None = None,
 ) -> TrajectoryResult:
     """Jump unraveling of the master equation, averaged over an ensemble.
 
@@ -478,10 +457,7 @@ def evolve_trajectories(
     if not t1 > t0:
         raise ParameterError("need t1 > t0")
     span = t1 - t0
-    h = gen.frames.step
-    step_target = h / 2.0
-    if cfg is not None and cfg.max_step is not None:
-        step_target = min(step_target, cfg.max_step)
+    step_target = gen.frames.step / 2.0
     n = max(int(math.ceil(span / step_target)), 1)
     dt = span / n
 

@@ -8,6 +8,60 @@ import superlind as sl
 from lzutil import excited_population, excited_state, lz_setup
 
 
+def _lz_coarse():
+    """Dephased LZ master equation (v = 1) on a 41-point grid over [-2, 2]."""
+    H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
+    base = sl.instantaneous_frames(H, np.linspace(-2.0, 2.0, 41))
+    gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
+    psi0 = base.basis[0, :, 0]
+    return gen, np.outer(psi0, psi0.conj())
+
+
+class TestExponentialCore:
+    def test_expm_matches_scipy(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 4, 9):
+            # 1-norms from 1e-3 to ~1e3: the larger ones need squaring
+            a = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+            a *= np.logspace(-3, 2, 6)[:, None, None]
+            a = np.concatenate([a, np.zeros((1, n, n))])
+            got = sl.propagation._expm(a)
+            want = np.stack([linalg.expm(m) for m in a])
+            scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+            assert np.max(np.abs(got - want) / scale) < 1e-12
+            assert np.array_equal(got[-1], np.eye(n))
+
+    def test_lindblad_matches_dop853_oracle(self):
+        integrate = pytest.importorskip("scipy.integrate")
+        gen, rho0 = _lz_coarse()
+        times = gen.frames.times
+        edges = np.concatenate([[-2.0], 0.5 * (times[:-1] + times[1:]), [2.0]])
+        eps = 1e-9 * gen.frames.step
+        y = rho0.ravel()
+        for a, b in zip(edges[:-1], edges[1:]):
+            # keep the snapped dissipator on this cell at its end points
+            def f(t, y, a=a, b=b):
+                return gen.rhs(y.reshape(2, 2), min(max(t, a + eps), b - eps)).ravel()
+
+            sol = integrate.solve_ivp(f, (a, b), y, method="DOP853", rtol=1e-12, atol=1e-14)
+            y = sol.y[:, -1]
+        excited = excited_state(gen.hamiltonian, 2.0)
+        ours = sl.evolve_lindblad(gen, rho0, -2.0, 2.0).state
+        assert excited_population(ours, excited) == pytest.approx(
+            excited_population(y.reshape(2, 2), excited), abs=1e-8
+        )
+
+    def test_sample_on_midpoint_equals_split_solve(self):
+        gen, rho0 = _lz_coarse()
+        mid = 0.5 * (gen.frames.times[17] + gen.frames.times[18])
+        whole = sl.evolve_lindblad(gen, rho0, -2.0, 2.0, sample_times=[mid])
+        first = sl.evolve_lindblad(gen, rho0, -2.0, mid)
+        second = sl.evolve_lindblad(gen, first.state, mid, 2.0)
+        assert np.max(np.abs(whole.samples[0] - first.state)) < 1e-8
+        assert np.max(np.abs(whole.state - second.state)) < 1e-8
+
+
 class TestEvolveUnitary:
     def test_rabi_half_period(self):
         # H = (delta/2) sigma_x for a time pi/delta maps (1,0) to (0,-i)
@@ -89,23 +143,27 @@ class TestEvolveLindblad:
         assert d.n_steps > 0
 
     def test_rejected_steps_counted(self):
-        # Dormand-Prince makes 2 start-up rhs calls and 7 per attempted step
-        H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
-        base = sl.instantaneous_frames(H, np.linspace(-2.0, 2.0, 41))
-        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
-        calls = 0
-        rhs = gen.rhs
+        # 41 intervals: -2, the 40 frame midpoints inside (-2, 2), 2. Passes
+        # split each into 1, 2, 4, ... sub-steps and evaluate the generator
+        # at two Gauss nodes per sub-step; the resolved passes before the
+        # accepted one are counted as rejected.
+        gen, rho0 = _lz_coarse()
+        nodes = 0
+        liouvillian = gen.liouvillian
 
-        def counted(rho, t):
-            nonlocal calls
-            calls += 1
-            return rhs(rho, t)
+        def counted(times):
+            nonlocal nodes
+            nodes += len(times)
+            return liouvillian(times)
 
-        gen.rhs = counted
-        psi0 = base.basis[0, :, 0]
-        d = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -2.0, 2.0).diagnostics
-        assert d.n_rejected > 0
-        assert d.n_rejected == (calls - 2) / 7 - d.n_steps
+        gen.liouvillian = counted
+        d = sl.evolve_lindblad(gen, rho0, -2.0, 2.0).diagnostics
+        n = d.n_steps // 41
+        assert d.n_steps == 41 * n and n & (n - 1) == 0
+        assert nodes == 2 * 41 * (2 * n - 1)
+        # rejected: the passes m, 2m, ..., n/2 from the first resolved one, m
+        first_resolved = n - d.n_rejected / 41
+        assert first_resolved in {2**k for k in range(n.bit_length() - 1)}
 
     def test_positivity_violation_detected(self):
         # a drift that is not of Lindblad form pumps coherence without bound
@@ -116,12 +174,31 @@ class TestEvolveLindblad:
         class BrokenGenerator:
             frames = traj
 
-            def rhs(self, rho, t):
-                return 0.2 * np.asarray(sl.sigma_x)
+            def liouvillian(self, times):
+                # rho -> 0.2 sigma_x tr(rho) on row-major vec(rho)
+                op = 0.2 * np.outer(np.asarray(sl.sigma_x).ravel(), np.eye(2).ravel())
+                return np.broadcast_to(op, (len(times), 4, 4))
 
         rho0 = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(sl.PositivityError):
             sl.evolve_lindblad(BrokenGenerator(), rho0, 0.0, 50.0)
+
+    def test_tight_tolerance_near_stationary_start(self):
+        # the instantaneous ground state barely moves at the start of the
+        # window; a tight tolerance must still complete and converge
+        H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
+        base = sl.instantaneous_frames(H, sl.adaptive_time_grid(H, -10.0, 10.0))
+        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
+        psi0 = base.basis[0, :, 0]
+        rho0 = np.outer(psi0, psi0.conj())
+        excited = excited_state(H, 10.0)
+        tight = sl.evolve_lindblad(
+            gen, rho0, -10.0, 10.0, cfg=sl.IntegratorConfig(rtol=1e-10, atol=1e-12)
+        )
+        default = sl.evolve_lindblad(gen, rho0, -10.0, 10.0)
+        assert excited_population(tight.state, excited) == pytest.approx(
+            excited_population(default.state, excited), abs=1e-8
+        )
 
     def test_invalid_initial_state_rejected(self):
         H, _, _, base, _ = lz_setup(2.0)
@@ -230,7 +307,7 @@ class TestConfigsAndValidators:
         with pytest.raises(sl.ParameterError):
             sl.IntegratorConfig(rtol=0.0)
         with pytest.raises(sl.ParameterError):
-            sl.IntegratorConfig(max_step=-1.0)
+            sl.IntegratorConfig(atol=-1.0)
 
     def test_trajectory_config_validation(self):
         with pytest.raises(sl.ParameterError):
