@@ -29,6 +29,7 @@ from .model import (
     BathSpectrum,
     LZParams,
     dephasing_spectrum,
+    hermiticity_defect,
     lz_hamiltonian,
     ohmic_spectrum,
     sigma_z,
@@ -197,7 +198,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float) -> SweepRecord:
             res = evolve_trajectories(gen, psi0, -t_final, t_final, tcfg)
             p = float(np.real(excited.conj() @ res.state @ excited))
             trace_error = abs(float(np.trace(res.state).real) - 1.0)
-            herm_error = float(np.max(np.abs(res.state - res.state.conj().T)))
+            herm_error = hermiticity_defect(res.state)
             min_eig = float(np.linalg.eigvalsh(res.state).min())
 
     return SweepRecord(
@@ -302,7 +303,7 @@ def run_fig1(
         np.einsum("ki,kj->kij", states, states.conj())
         for states in (base.basis[:, :, 0], traj.basis[:, :, 0], res.samples)
     ]
-    inst, supa, evol = (np.array([bloch_vector(r) for r in rhos]) for rhos in paths_rho)
+    inst, supa, evol = (np.stack(bloch_vector(rhos), axis=-1) for rhos in paths_rho)
 
     paths = ()
     if out_prefix is not None:

@@ -26,6 +26,7 @@ from .errors import (
 )
 from ._output import write_table
 from .model import TimeDependentHamiltonian
+from .propagation import bloch_vector, evolve_unitary
 
 DEFAULT_J_MAX = 12
 GAP_TOL_FACTOR = 1e-9
@@ -97,15 +98,20 @@ class FrameTrajectory:
             energies=self.energies[k],
         )
 
-    def index_at(self, t: float) -> int:
-        """Nearest grid index; errors if t falls outside the grid."""
-        h = self.step
-        if t < self.times[0] - 0.5 * h - 1e-9 * h or t > self.times[-1] + 0.5 * h + 1e-9 * h:
+    def index_at(self, t):
+        """Nearest grid index of t, or an index array for an array of times.
+
+        Halves round to even, as ``round`` does; raises ``TimeDomainError``
+        naming the first time outside the grid."""
+        t = np.asarray(t, dtype=float)
+        h, first, last = self.step, self.times[0], self.times[-1]
+        outside = (t < first - 0.5 * h - 1e-9 * h) | (t > last + 0.5 * h + 1e-9 * h)
+        if outside.any():
             raise TimeDomainError(
-                f"t = {t!r} outside frame grid [{self.times[0]}, {self.times[-1]}]"
+                f"t = {float(t[outside][0])!r} outside frame grid [{first}, {last}]"
             )
-        k = int(round((t - self.times[0]) / h))
-        return min(max(k, 0), self.times.size - 1)
+        k = np.minimum(np.maximum(np.rint((t - first) / h), 0), self.times.size - 1).astype(int)
+        return int(k) if k.ndim == 0 else k
 
     def validate(self, unitarity_tol: float = 1e-10, energy_tol: float = 1e-10) -> None:
         """Re-check the trajectory invariants; raises on violation."""
@@ -119,7 +125,7 @@ class FrameTrajectory:
         drift = float(np.max(np.abs(recomputed - self.energies)))
         if drift > energy_tol:
             raise ParameterError(f"stored quasi-energies drifted by {drift:.3e}")
-        overlaps = np.einsum("kia,kia->ka", self.basis[:-1].conj(), self.basis[1:])
+        overlaps = _step_overlaps(self.basis)
         if np.any(overlaps.real < 0) or np.any(np.abs(overlaps.imag) >= 0.1):
             raise GridError("gauge smoothness violated between adjacent frames")
         _check_step_overlaps(self)
@@ -129,8 +135,7 @@ def _quasi_energies(
     H: TimeDependentHamiltonian, times: np.ndarray, basis: np.ndarray
 ) -> np.ndarray:
     """<phi_a | H(t_k) | phi_a> for every grid point k and column a."""
-    mats = np.stack([H(t) for t in times])
-    return np.einsum("kia,kij,kja->ka", basis.conj(), mats, basis).real
+    return np.einsum("kia,kij,kja->ka", basis.conj(), H.on_grid(times), basis).real
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ def _align_sweep(basis: np.ndarray, times: np.ndarray) -> np.ndarray:
     adjacent same-index overlap is real positive."""
     basis = basis.copy()
     basis[0] = _reference_phase(basis[0])
-    raw = np.einsum("kia,kia->ka", basis[:-1].conj(), basis[1:])
+    raw = _step_overlaps(basis)
     mags = np.abs(raw)
     if np.any(mags < MIN_ALIGN_OVERLAP):
         bad = np.min(mags, axis=1)
@@ -194,17 +199,20 @@ def instantaneous_frames(
 ) -> FrameTrajectory:
     """Order-0 trajectory: sorted eigenframes of H on the grid, gauge-fixed."""
     times = np.asarray(times, dtype=float)
-    mats = np.stack([H(t) for t in times])
-    vals, vecs = _eigh_grid(mats, times, "instantaneous frames")
+    vals, vecs = _eigh_grid(H.on_grid(times), times, "instantaneous frames")
     vecs = _align_sweep(vecs, times)
     traj = FrameTrajectory(times, vecs, vals, order=0, hamiltonian=H)
     _check_step_overlaps(traj)
     return traj
 
 
+def _step_overlaps(basis: np.ndarray) -> np.ndarray:
+    """<phi_a(t_k) | phi_a(t_k+1)> for every grid step k and column a, (K-1, N)."""
+    return np.einsum("kia,kia->ka", basis[:-1].conj(), basis[1:])
+
+
 def _check_step_overlaps(traj: FrameTrajectory) -> None:
-    overlaps = np.einsum("kia,kia->ka", traj.basis[:-1].conj(), traj.basis[1:])
-    o2 = np.abs(overlaps) ** 2
+    o2 = np.abs(_step_overlaps(traj.basis)) ** 2
     if np.any(o2 <= MIN_STEP_OVERLAP_SQ):
         k = int(np.argmin(np.min(o2, axis=1)))
         raise GridError(
@@ -327,8 +335,6 @@ def residual_oscillation(
     instantaneous ground column. Scales like A^(j+1) for an order-j basis
     with adiabatic parameter A.
     """
-    from .propagation import evolve_unitary
-
     psi0 = traj.basis[0, :, 0]
     result = evolve_unitary(
         H, psi0, float(traj.times[0]), float(traj.times[-1]), cfg=cfg,
@@ -359,16 +365,19 @@ def adaptive_time_grid(
     if not t1 > t0:
         raise ParameterError("need t1 > t0")
 
+    def spectrum(times):
+        """Minimal gap, largest per-step ||H_k+1 - H_k||_2 and the eigenvectors."""
+        mats = H.on_grid(times)
+        vals, vecs = np.linalg.eigh(mats)
+        min_gap = float(np.diff(vals, axis=1).min())
+        if min_gap <= 0:
+            raise DegeneracyError("degenerate spectrum on the time grid")
+        dnorm = float(np.max(np.linalg.norm(mats[1:] - mats[:-1], ord=2, axis=(1, 2))))
+        return min_gap, dnorm, vecs
+
     probe = np.linspace(t0, t1, initial_points)
-    mats = np.stack([H(t) for t in probe])
-    vals = np.linalg.eigvalsh(mats)
-    min_gap = float(np.diff(vals, axis=1).min())
-    if min_gap <= 0:
-        raise DegeneracyError("degenerate spectrum on the probe grid")
-    dmats = mats[1:] - mats[:-1]
-    dnorm = float(np.max(np.linalg.norm(dmats, ord=2, axis=(1, 2))))
-    probe_h = probe[1] - probe[0]
-    rate = dnorm / probe_h if dnorm > 0 else 0.0
+    min_gap, dnorm, _ = spectrum(probe)
+    rate = dnorm / (probe[1] - probe[0]) if dnorm > 0 else 0.0
     if rate > 0:
         # 0.95 headroom keeps the verification below from tripping on
         # float-equality at the bound and forcing a needless halving
@@ -381,43 +390,24 @@ def adaptive_time_grid(
         if n > max_points:
             raise GridError(f"grid would exceed {max_points} points")
         times = np.linspace(t0, t1, n)
-        mats = np.stack([H(t) for t in times])
-        vals = np.linalg.eigvalsh(mats)
-        min_gap = float(np.diff(vals, axis=1).min())
-        if min_gap <= 0:
-            raise DegeneracyError("degenerate spectrum on the time grid")
-        dnorm = float(np.max(np.linalg.norm(mats[1:] - mats[:-1], ord=2, axis=(1, 2))))
-        if dnorm <= gap_fraction * min_gap:
-            try:
-                traj = instantaneous_frames(H, times)
-            except GridError:
-                n = 2 * (n - 1) + 1
-                continue
-            overlaps = np.einsum(
-                "kia,kia->ka", traj.basis[:-1].conj(), traj.basis[1:]
-            )
-            if float(np.min(np.abs(overlaps) ** 2)) > min_overlap_sq:
-                return times
+        min_gap, dnorm, vecs = spectrum(times)
+        # |<phi_k|phi_k+1>| does not depend on the eigenvectors' phases
+        if (dnorm <= gap_fraction * min_gap
+                and float(np.min(np.abs(_step_overlaps(vecs)) ** 2)) > min_overlap_sq):
+            return times
         n = 2 * (n - 1) + 1
 
 
 def write_frames_csv(traj: FrameTrajectory, path) -> None:
     """Dump a trajectory as CSV: t, order, level, energy (+ x, y, z for N=2)."""
-    two_level = traj.dim == 2
     comments = ["superlind frame trajectory", f"order = {traj.order}", f"points = {len(traj)}"]
     columns = ["t", "order", "level", "energy"]
-    if two_level:
+    bloch = ()
+    if traj.dim == 2:
         comments.append("bloch convention: x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11")
         columns += ["x", "y", "z"]
-
-    def rows():
-        for k, t in enumerate(traj.times):
-            for a in range(traj.dim):
-                row = [t, traj.order, a, traj.energies[k, a]]
-                if two_level:
-                    v = traj.basis[k, :, a]
-                    rho01 = v[0] * np.conj(v[1])
-                    row += [2.0 * rho01.real, -2.0 * rho01.imag, abs(v[0]) ** 2 - abs(v[1]) ** 2]
-                yield row
-
-    write_table(path, comments, columns, rows())
+        # x, y, z of the projector onto column a, each of shape (K, 2)
+        bloch = bloch_vector(np.einsum("kia,kja->kaij", traj.basis, traj.basis.conj()))
+    rows = ([t, traj.order, a, traj.energies[k, a], *(c[k, a] for c in bloch)]
+            for k, t in enumerate(traj.times) for a in range(traj.dim))
+    write_table(path, comments, columns, rows)

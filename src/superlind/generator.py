@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, StateIntegrityError
 from .frames import FrameTrajectory, instantaneous_frames
-from .model import BathSpectrum, CouplingOperator, TimeDependentHamiltonian
+from .model import BathSpectrum, CouplingOperator, TimeDependentHamiltonian, hermiticity_defect
 
 HERMITICITY_INPUT_TOL = 1e-8
 
@@ -123,18 +123,15 @@ class LindbladGenerator:
 
     def ops(self, t: float) -> LindbladOps:
         """Explicit operators at the frame nearest to t."""
-        k = self.frames.index_at(t)
+        return self._ops(self.frames.index_at(t))
+
+    def _ops(self, k: int) -> LindbladOps:
         basis = self.frames.basis[k]
-        n = self.frames.dim
         dephasing = np.einsum("ia,a,ja->ij", basis, self._ell[k], basis.conj())
-        jumps = {}
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                amp = self._amp[k, a, b]
-                if amp != 0.0:
-                    jumps[(a, b)] = amp * np.outer(basis[:, a], basis[:, b].conj())
+        jumps = {  # the diagonal of _amp is zero
+            (a, b): self._amp[k, a, b] * np.outer(basis[:, a], basis[:, b].conj())
+            for a, b in np.argwhere(self._amp[k] != 0.0).tolist()
+        }
         shift = np.einsum("ia,a,ja->ij", basis, self._shift_diag[k], basis.conj())
         return LindbladOps(
             time=float(self.frames.times[k]),
@@ -153,9 +150,7 @@ class LindbladGenerator:
         the trace and preserves hermiticity by construction.
         """
         n = self.frames.dim
-        cells, where = np.unique(
-            [self.frames.index_at(t) for t in times], return_inverse=True
-        )
+        cells, where = np.unique(self.frames.index_at(times), return_inverse=True)
         ell, loss, ls = self._ell[cells], self._out_rate[cells], self._shift_diag[cells]
         decay = (
             -0.5 * (ell[:, :, None] - ell[:, None, :]) ** 2
@@ -170,7 +165,7 @@ class LindbladGenerator:
 
         out = diss[where]
         blocks = out.reshape(len(times), n, n, n, n)   # [m, i, k, j, l]: (ik), (jl)
-        h = np.stack([self.hamiltonian(t) for t in times])
+        h = self.hamiltonian.on_grid(times)
         for k in range(n):
             blocks[:, :, k, :, k] -= 1j * h                     # -i H (x) I
             blocks[:, k, :, k, :] += 1j * h.transpose(0, 2, 1)  # +i I (x) H^T
@@ -178,7 +173,7 @@ class LindbladGenerator:
 
     def rhs(self, rho: np.ndarray, t: float) -> np.ndarray:
         """d rho / dt of the master equation at time t."""
-        defect = float(np.max(np.abs(rho - rho.conj().T)))
+        defect = hermiticity_defect(rho)
         if defect > HERMITICITY_INPUT_TOL:
             raise StateIntegrityError(
                 f"input state non-Hermitian (defect {defect:.3e} > {HERMITICITY_INPUT_TOL:.0e})"
@@ -186,10 +181,10 @@ class LindbladGenerator:
         n = rho.shape[0]
         return (self.liouvillian([t])[0] @ rho.ravel()).reshape(n, n)
 
-    def effective_hamiltonian(self, t: float) -> np.ndarray:
-        """Non-Hermitian drift H(t) + H_shift - (i/2) sum_c Lc^dag Lc."""
-        k = self.frames.index_at(t)
-        return self.hamiltonian(t) + self._heff_add[k]
+    def effective_hamiltonian(self, times) -> np.ndarray:
+        """Non-Hermitian drift H(t) + H_shift - (i/2) sum_c Lc^dag Lc at each
+        of ``times``, (M, N, N)."""
+        return self.hamiltonian.on_grid(times) + self._heff_add[self.frames.index_at(times)]
 
     def jump_channels(self, t: float):
         """Nonzero jump channels at the frame nearest to t.
@@ -197,12 +192,10 @@ class LindbladGenerator:
         Returns a list of ((a, b), L) pairs; the dephasing channel is
         labeled (-1, -1).
         """
-        ops = self.ops(t)
-        channels = []
-        if np.any(self._ell[self.frames.index_at(t)] != 0.0):
-            channels.append(((-1, -1), ops.dephasing))
-        channels.extend(ops.jumps.items())
-        return channels
+        k = self.frames.index_at(t)
+        ops = self._ops(k)
+        dephasing = [((-1, -1), ops.dephasing)] if np.any(self._ell[k] != 0.0) else []
+        return dephasing + list(ops.jumps.items())
 
     def instantaneous(self) -> "LindbladGenerator":
         """Same generator with the frames demoted to order 0.

@@ -21,9 +21,10 @@ for _m in (sigma_x, sigma_y, sigma_z):
     _m.setflags(write=False)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entry of |m - m^dag|; zero for an exactly Hermitian matrix."""
-    return float(np.max(np.abs(m - m.conj().T)))
+def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
+    """Largest entry of |m - m^dag| of one matrix (a float) or of each in a (..., N, N) stack."""
+    d = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1))
+    return float(d) if d.ndim == 0 else d
 
 
 def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -39,8 +40,10 @@ def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -
 class TimeDependentHamiltonian:
     """An N x N Hermitian matrix-valued function of time.
 
-    Wraps an evaluator ``t -> matrix``; every evaluation is checked for
-    shape and hermiticity so downstream algebra can trust its input.
+    Wraps an evaluator ``t -> matrix``. Evaluations are checked per stack:
+    ``on_grid`` evaluates a stack of times and checks its shape and
+    hermiticity once, so every evaluation is checked and downstream algebra
+    can trust its input; ``H(t)`` is a stack of one.
     """
 
     def __init__(self, dim: int, evaluator: Callable[[float], np.ndarray]):
@@ -56,17 +59,27 @@ class TimeDependentHamiltonian:
         return cls(m.shape[0], lambda t: m)
 
     def __call__(self, t: float) -> np.ndarray:
-        m = np.asarray(self._evaluator(t), dtype=complex)
-        if m.shape != (self.dim, self.dim):
+        return self.on_grid([t])[0]
+
+    def on_grid(self, times) -> np.ndarray:
+        """H at each of ``times``, shape (M, N, N); the stack is checked once."""
+        raw = [self._evaluator(t) for t in times]
+        try:
+            mats = np.array(raw, dtype=complex)
+        except ValueError:
+            raise DimensionError("Hamiltonian evaluator returned differing shapes") from None
+        if mats.shape != (len(raw), self.dim, self.dim):
             raise DimensionError(
-                f"Hamiltonian evaluator returned shape {m.shape}, expected {(self.dim, self.dim)}"
+                f"Hamiltonian evaluator returned shape {mats.shape[1:]}, "
+                f"expected {(self.dim, self.dim)}"
             )
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
+        defects = hermiticity_defect(mats)
+        k = int(np.argmax(defects))
+        if defects[k] > HERMITICITY_TOL:
             raise ParameterError(
-                f"H(t={t!r}) is not Hermitian (defect {defect:.3e})"
+                f"H(t={float(times[k])!r}) is not Hermitian (defect {defects[k]:.3e})"
             )
-        return m
+        return mats
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,10 @@ from .errors import (
     SuperlindError,
 )
 from ._output import write_table
-from .model import TimeDependentHamiltonian
+from .model import TimeDependentHamiltonian, hermiticity_defect
 
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)  # Gauss-Legendre nodes on [0, 1]
+_RK4_NODES = np.array([0.0, 0.5, 1.0])  # fractions of an RK4 step where the drift is taken
 _CHUNK_ENTRIES = 2**12  # matrix entries in the stack of propagators held at once
 # Doubling the sub-steps must cut the largest h * ||A|| below this fraction
 # of its value: it halves for a bounded generator, stays put at a simple pole.
@@ -140,7 +141,7 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    herm = hermiticity_defect(rho)
     if herm > 1e-10:
         raise StateIntegrityError(f"density matrix hermiticity defect {herm:.3e}")
     tr = complex(np.trace(rho))
@@ -300,7 +301,7 @@ def evolve_unitary(
     edges, at = _edges(t0, t1, sample_times)
 
     def generator(times):
-        return -1j * np.stack([H(t) for t in times])
+        return -1j * H.on_grid(times)
 
     def project(y):
         return y / np.linalg.norm(y, axis=-1, keepdims=True)
@@ -351,7 +352,7 @@ def evolve_lindblad(
         n_steps=n_steps,
         n_rejected=n_rejected,
         max_trace_drift=float(np.max(np.abs(np.trace(raw, axis1=1, axis2=2) - 1.0))),
-        max_hermiticity_drift=float(np.max(np.abs(raw - raw.conj().transpose(0, 2, 1)))),
+        max_hermiticity_drift=float(np.max(hermiticity_defect(raw))),
         min_eigenvalue=float(min_eigs[k]),
     )
     if diag.min_eigenvalue < -1e-5:
@@ -380,9 +381,7 @@ def _heff_step(gen, psi, t, dt):
 
     ``psi`` is one state (N,) or a stack of states (M, N), one per row.
     """
-    ha = gen.effective_hamiltonian(t)
-    hm = gen.effective_hamiltonian(t + 0.5 * dt)
-    hb = gen.effective_hamiltonian(t + dt)
+    ha, hm, hb = gen.effective_hamiltonian(t + dt * _RK4_NODES)
     k1 = -1j * (psi @ ha.T)
     k2 = -1j * ((psi + (0.5 * dt) * k1) @ hm.T)
     k3 = -1j * ((psi + (0.5 * dt) * k2) @ hm.T)
@@ -497,21 +496,22 @@ def evolve_trajectories(
 
 
 def bloch_vector(rho: np.ndarray):
-    """(x, y, z) with x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11."""
+    """(x, y, z) with x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11: floats
+    for one 2x2 matrix, three arrays of shape (...) for a (..., 2, 2) stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise DimensionError(f"Bloch vector needs a 2x2 density matrix, got {rho.shape}")
-    x = 2.0 * rho[0, 1].real
-    y = 2.0 * rho[1, 0].imag
-    z = (rho[0, 0] - rho[1, 1]).real
-    return float(x), float(y), float(z)
+    if rho.shape[-2:] != (2, 2):
+        raise DimensionError(f"Bloch vector needs 2x2 density matrices, got {rho.shape}")
+    x = 2.0 * rho[..., 0, 1].real
+    y = 2.0 * rho[..., 1, 0].imag
+    z = (rho[..., 0, 0] - rho[..., 1, 1]).real
+    return (float(x), float(y), float(z)) if rho.ndim == 2 else (x, y, z)
 
 
 def write_bloch_csv(path, times, rhos, header_lines=()) -> None:
     """Time series of 2x2 states as t, x, y, z rows."""
     comments = ["superlind bloch time series", *header_lines,
                 "convention: x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11"]
-    rows = ((t, *bloch_vector(rho)) for t, rho in zip(times, rhos))
+    rows = zip(times, *bloch_vector(rhos))
     write_table(path, comments, ["t", "x", "y", "z"], rows)
 
 

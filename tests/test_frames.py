@@ -70,6 +70,30 @@ class TestInstantaneousFrames:
         with pytest.raises(sl.TimeDomainError):
             base.index_at(t_final + h)
 
+    def test_index_at_array_matches_scalar(self, lz_slow):
+        _, _, times, base, _ = lz_slow
+        h = base.step
+        probes = np.concatenate([
+            times,
+            0.5 * (times[:-1] + times[1:]),              # exact cell midpoints
+            [times[0] - 0.5 * h, times[-1] + 0.5 * h],   # clamped to the end frames
+            np.random.default_rng(3).uniform(times[0], times[-1], 2000),
+        ])
+        got = base.index_at(probes)
+        assert got.shape == probes.shape
+        assert np.array_equal(got, [base.index_at(t) for t in probes])
+        # oracle: Python round() (halves to even) of the scaled offset, clamped
+        oracle = [min(max(round((t - times[0]) / h), 0), times.size - 1) for t in probes]
+        assert np.array_equal(got, oracle)
+        assert base.index_at(times[0] - 0.5 * h) == 0
+        assert base.index_at(times[-1] + 0.5 * h) == times.size - 1
+
+    def test_index_at_array_outside_raises(self, lz_slow):
+        _, t_final, times, base, _ = lz_slow
+        probes = np.array([0.0, t_final + base.step, 1.0])
+        with pytest.raises(sl.TimeDomainError, match=repr(float(probes[1]))):
+            base.index_at(probes)
+
 
 def _align_pair(prev, cur):
     """Gauge-fix the two-frame stack (prev, cur) on a unit-step grid."""
@@ -252,7 +276,7 @@ class TestResidualOscillation:
 def test_adaptive_time_grid_meets_conditions():
     H = sl.lz_hamiltonian(sl.LZParams(v=0.5, delta=1.0))
     times = sl.adaptive_time_grid(H, -20.0, 20.0)
-    mats = np.stack([H(t) for t in times])
+    mats = H.on_grid(times)
     vals = np.linalg.eigvalsh(mats)
     min_gap = float(np.diff(vals, axis=1).min())
     dnorm = np.max(np.linalg.norm(mats[1:] - mats[:-1], ord=2, axis=(1, 2)))
@@ -260,6 +284,24 @@ def test_adaptive_time_grid_meets_conditions():
     traj = sl.instantaneous_frames(H, times)
     overlaps = np.einsum("kia,kia->ka", traj.basis[:-1].conj(), traj.basis[1:])
     assert np.min(np.abs(overlaps) ** 2) > 0.999
+
+
+def _ladder_hamiltonian(v=0.25, delta=1.0):
+    """Three levels with two separated avoided crossings, at t = -10 and t = +10."""
+    def evaluate(t):
+        return np.array([[0.5 * v * (t + 10.0), 0.5 * delta, 0.0],
+                         [0.5 * delta, 0.0, 0.5 * delta],
+                         [0.0, 0.5 * delta, 0.5 * v * (t - 10.0)]], dtype=complex)
+
+    return sl.TimeDependentHamiltonian(3, evaluate)
+
+
+@pytest.mark.parametrize("H,t_final,points", [
+    (sl.lz_hamiltonian(sl.LZParams(v=0.5, delta=1.0)), 50.0, 2633),
+    (_ladder_hamiltonian(), 150.0, 4028),
+], ids=["lz-inv_v-2", "ladder"])
+def test_adaptive_time_grid_sizes(H, t_final, points):
+    assert sl.adaptive_time_grid(H, -t_final, t_final).size == points
 
 
 def test_frames_csv_dump(tmp_path):

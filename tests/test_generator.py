@@ -215,11 +215,14 @@ def test_effective_hamiltonian_matches_ops():
     H, _, times, base, traj = lz_setup(2.0, order=1)
     spec = sl.ohmic_spectrum(0.1, 5.0, 0.5, shift=lambda w: 0.01 * np.asarray(w))
     gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H, lamb_shift=True)
-    for t in (-4.0, 0.0, 3.3):
+    probes = np.array([-4.0, 0.0, 3.3])
+    heff = gen.effective_hamiltonian(probes)
+    assert heff.shape == (3, 2, 2)
+    for t, got in zip(probes, heff):
         ops = gen.ops(t)
         total = sum(
             (L.conj().T @ L for L in ops.jumps.values()),
             ops.dephasing.conj().T @ ops.dephasing,
         )
         expected = gen.hamiltonian(t) + ops.shift - 0.5j * total
-        assert np.max(np.abs(gen.effective_hamiltonian(t) - expected)) < 1e-12
+        assert np.max(np.abs(got - expected)) < 1e-12

@@ -43,6 +43,34 @@ class TestLZHamiltonian:
         with pytest.raises(sl.ParameterError):
             H(0.0)
 
+    def test_on_grid_matches_pointwise(self):
+        H = sl.lz_hamiltonian(sl.LZParams(v=0.3, delta=1.0))
+        times = np.linspace(-40, 40, 17)
+        stack = H.on_grid(times)
+        assert stack.shape == (17, 2, 2)
+        assert np.array_equal(stack, np.array([H(t) for t in times]))
+        assert np.array_equal(stack, [0.5 * np.array([[-0.3 * t, 1.0], [1.0, 0.3 * t]])
+                                      for t in times])
+        assert np.array_equal(hermiticity_defect(stack), [hermiticity_defect(m) for m in stack])
+
+    def test_on_grid_wrong_shape(self):
+        H = sl.TimeDependentHamiltonian(2, lambda t: np.eye(3, dtype=complex))
+        with pytest.raises(sl.DimensionError):
+            H.on_grid([0.0, 1.0])
+        ragged = sl.TimeDependentHamiltonian(2, lambda t: np.eye(2 if t < 0.5 else 3))
+        with pytest.raises(sl.DimensionError):
+            ragged.on_grid([0.0, 1.0])
+
+    def test_on_grid_names_non_hermitian_time(self):
+        # Hermitian everywhere except at the last time of the stack
+        def evaluate(t):
+            return np.array([[0.0, 1.0], [0.0 if t == 2.5 else 1.0, 0.0]], dtype=complex)
+
+        H = sl.TimeDependentHamiltonian(2, evaluate)
+        H.on_grid(np.linspace(0.0, 2.0, 5))
+        with pytest.raises(sl.ParameterError, match=r"H\(t=2\.5\) is not Hermitian"):
+            H.on_grid(np.linspace(0.0, 2.5, 6))
+
     def test_coupling_operator_checks(self):
         op = sl.CouplingOperator(sl.sigma_z)
         assert op.dim == 2

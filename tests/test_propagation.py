@@ -5,7 +5,7 @@ import pytest
 
 import superlind as sl
 
-from lzutil import excited_population, excited_state, lz_setup
+from lzutil import excited_population, excited_state, lz_setup, random_density
 
 
 def _lz_coarse():
@@ -297,9 +297,20 @@ class TestBlochVector:
             x, y, z = sl.bloch_vector(np.outer(psi, psi.conj()))
             assert x * x + y * y + z * z == pytest.approx(1.0, abs=1e-12)
 
+    def test_stack_matches_pointwise(self):
+        rng = np.random.default_rng(13)
+        rhos = np.array([random_density(rng) for _ in range(12)]).reshape(3, 4, 2, 2)
+        x, y, z = sl.bloch_vector(rhos)
+        assert x.shape == y.shape == z.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                assert (x[i, j], y[i, j], z[i, j]) == sl.bloch_vector(rhos[i, j])
+
     def test_dimension_error(self):
         with pytest.raises(sl.DimensionError):
             sl.bloch_vector(np.eye(3, dtype=complex) / 3.0)
+        with pytest.raises(sl.DimensionError):
+            sl.bloch_vector(np.zeros((5, 3, 3), dtype=complex))
 
 
 class TestConfigsAndValidators:
