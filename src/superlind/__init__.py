@@ -28,7 +28,6 @@ from .model import (
     CouplingOperator,
     LZParams,
     TimeDependentHamiltonian,
-    custom_spectrum,
     dephasing_spectrum,
     lz_hamiltonian,
     ohmic_spectrum,
@@ -38,7 +37,6 @@ from .model import (
 )
 from .frames import (
     AdiabaticReport,
-    Frame,
     FrameTrajectory,
     adaptive_time_grid,
     adiabatic_report,
@@ -48,7 +46,7 @@ from .frames import (
     superadiabatic_frames,
     write_frames_csv,
 )
-from .generator import LindbladGenerator, LindbladOps
+from .generator import LindbladGenerator
 from .propagation import (
     IntegratorConfig,
     JumpEvent,

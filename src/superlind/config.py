@@ -217,4 +217,6 @@ def fig1_job(data: dict) -> Fig1Job:
         raise ConfigError(f"invalid fig1 config: fig1.v must be > 0, got {v}")
     if order < 0:
         raise ConfigError("invalid fig1 config: fig1.order must be >= 0")
+    if not window > 0:
+        raise ConfigError(f"invalid fig1 config: fig1.window_factor must be > 0, got {window}")
     return Fig1Job(delta=delta, v=v, order=order, window_factor=window, prefix=prefix)

@@ -108,8 +108,11 @@ class SweepConfig:
             raise ParameterError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if not 0 <= self.order:
             raise ParameterError("order must be >= 0")
-        if self.window_factor < 10:
+        if not self.window_factor >= 10:
             raise ParameterError("window_factor must be >= 10 (window must dwarf the crossing)")
+        # the solver configs check the tolerances and the ensemble size
+        IntegratorConfig(rtol=self.rtol, atol=self.atol)
+        TrajectoryConfig(n_traj=self.n_traj)
 
 
 @dataclass(frozen=True)

@@ -28,24 +28,16 @@ from ._output import write_table
 from .model import TimeDependentHamiltonian
 from .propagation import bloch_vector, evolve_unitary
 
-DEFAULT_J_MAX = 12
+J_MAX = 12  # highest super-adiabatic order built or recommended
 GAP_TOL_FACTOR = 1e-9
 MIN_ALIGN_OVERLAP = 0.5
 MIN_STEP_OVERLAP_SQ = 0.99
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Basis at one instant: unitary columns sorted by quasi-energy."""
-
-    time: float
-    order: int
-    basis: np.ndarray      # (N, N), column a is the a-th basis vector
-    energies: np.ndarray   # (N,), ascending
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+UNITARITY_TOL = 1e-10
+ENERGY_TOL = 1e-10
+GRID_GAP_FRACTION = 0.01
+GRID_MIN_OVERLAP_SQ = 0.999
+GRID_INITIAL_POINTS = 129
+GRID_MAX_POINTS = 2_000_000
 
 
 class FrameTrajectory:
@@ -90,14 +82,6 @@ class FrameTrajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def frame(self, k: int) -> Frame:
-        return Frame(
-            time=float(self.times[k]),
-            order=self.order,
-            basis=self.basis[k],
-            energies=self.energies[k],
-        )
-
     def index_at(self, t):
         """Nearest grid index of t, or an index array for an array of times.
 
@@ -113,17 +97,17 @@ class FrameTrajectory:
         k = np.minimum(np.maximum(np.rint((t - first) / h), 0), self.times.size - 1).astype(int)
         return int(k) if k.ndim == 0 else k
 
-    def validate(self, unitarity_tol: float = 1e-10, energy_tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Re-check the trajectory invariants; raises on violation."""
         gram = np.einsum("kia,kib->kab", self.basis.conj(), self.basis)
         worst = float(np.max(np.abs(gram - np.eye(self.dim))))
-        if worst > unitarity_tol:
-            raise ParameterError(f"frame unitarity defect {worst:.3e} > {unitarity_tol:.0e}")
+        if worst > UNITARITY_TOL:
+            raise ParameterError(f"frame unitarity defect {worst:.3e} > {UNITARITY_TOL:.0e}")
         if np.any(np.diff(self.energies, axis=1) < 0):
             raise ParameterError("quasi-energies are not sorted ascending")
         recomputed = _quasi_energies(self.hamiltonian, self.times, self.basis)
         drift = float(np.max(np.abs(recomputed - self.energies)))
-        if drift > energy_tol:
+        if drift > ENERGY_TOL:
             raise ParameterError(f"stored quasi-energies drifted by {drift:.3e}")
         overlaps = _step_overlaps(self.basis)
         if np.any(overlaps.real < 0) or np.any(np.abs(overlaps.imag) >= 0.1):
@@ -242,11 +226,11 @@ def frame_couplings(basis: np.ndarray, step: float) -> np.ndarray:
     return np.einsum("kia,kib->kab", basis.conj(), _differentiate(basis, step))
 
 
-def adiabatic_report(traj: FrameTrajectory, j_max: int = DEFAULT_J_MAX) -> AdiabaticReport:
+def adiabatic_report(traj: FrameTrajectory) -> AdiabaticReport:
     """Sample the adiabatic parameter on the whole grid and suggest an order.
 
     The suggested order is the integer nearest 1/max(A), clamped to
-    [0, j_max]; a vanishing adiabatic parameter needs no correction at all.
+    [0, J_MAX]; a vanishing adiabatic parameter needs no correction at all.
     """
     if traj.order != 0:
         raise ParameterError("adiabatic report is defined on order-0 trajectories")
@@ -263,7 +247,7 @@ def adiabatic_report(traj: FrameTrajectory, j_max: int = DEFAULT_J_MAX) -> Adiab
     if global_max < 1e-12:
         order = 0
     else:
-        order = int(min(max(round(1.0 / global_max), 0), j_max))
+        order = int(min(max(round(1.0 / global_max), 0), J_MAX))
     samples.setflags(write=False)
     return AdiabaticReport(samples=samples, global_max=global_max, recommended_order=order)
 
@@ -273,7 +257,6 @@ def superadiabatic_frames(
     order: int,
     times: np.ndarray,
     *,
-    j_max: int = DEFAULT_J_MAX,
     base: FrameTrajectory | None = None,
 ) -> FrameTrajectory:
     """Order-j super-adiabatic trajectory.
@@ -286,8 +269,8 @@ def superadiabatic_frames(
     """
     if order < 0:
         raise ParameterError(f"order must be >= 0, got {order}")
-    if order > j_max:
-        raise OrderCapError(f"order {order} exceeds cap {j_max}")
+    if order > J_MAX:
+        raise OrderCapError(f"order {order} exceeds cap {J_MAX}")
     times = np.asarray(times, dtype=float)
     if base is not None:
         if base.order != 0 or base.times.shape != times.shape or not np.allclose(base.times, times):
@@ -349,18 +332,15 @@ def adaptive_time_grid(
     H: TimeDependentHamiltonian,
     t0: float,
     t1: float,
-    *,
-    gap_fraction: float = 0.01,
-    min_overlap_sq: float = 0.999,
-    initial_points: int = 129,
-    max_points: int = 2_000_000,
 ) -> np.ndarray:
     """Uniform grid fine enough to follow the eigenframes of H.
 
-    The step is chosen so that per-step Hamiltonian motion stays below
-    ``gap_fraction`` of the minimal gap and adjacent eigenvector overlaps
-    exceed ``min_overlap_sq``; both conditions are verified on the built
-    grid and the grid is halved until they hold.
+    The step is chosen from a ``GRID_INITIAL_POINTS`` probe so that the
+    per-step Hamiltonian motion stays below ``GRID_GAP_FRACTION`` of the
+    minimal gap and adjacent eigenvector overlaps exceed
+    ``GRID_MIN_OVERLAP_SQ``; both conditions are verified on the built grid
+    and the grid is halved until they hold, or until it would exceed
+    ``GRID_MAX_POINTS`` and ``GridError`` is raised.
     """
     if not t1 > t0:
         raise ParameterError("need t1 > t0")
@@ -375,25 +355,25 @@ def adaptive_time_grid(
         dnorm = float(np.max(np.linalg.norm(mats[1:] - mats[:-1], ord=2, axis=(1, 2))))
         return min_gap, dnorm, vecs
 
-    probe = np.linspace(t0, t1, initial_points)
+    probe = np.linspace(t0, t1, GRID_INITIAL_POINTS)
     min_gap, dnorm, _ = spectrum(probe)
     rate = dnorm / (probe[1] - probe[0]) if dnorm > 0 else 0.0
     if rate > 0:
         # 0.95 headroom keeps the verification below from tripping on
         # float-equality at the bound and forcing a needless halving
-        h_target = 0.95 * gap_fraction * min_gap / rate
-        n = max(int(math.ceil((t1 - t0) / h_target)) + 1, initial_points)
+        h_target = 0.95 * GRID_GAP_FRACTION * min_gap / rate
+        n = max(int(math.ceil((t1 - t0) / h_target)) + 1, GRID_INITIAL_POINTS)
     else:
-        n = initial_points
+        n = GRID_INITIAL_POINTS
 
     while True:
-        if n > max_points:
-            raise GridError(f"grid would exceed {max_points} points")
+        if n > GRID_MAX_POINTS:
+            raise GridError(f"grid would exceed {GRID_MAX_POINTS} points")
         times = np.linspace(t0, t1, n)
         min_gap, dnorm, vecs = spectrum(times)
         # |<phi_k|phi_k+1>| does not depend on the eigenvectors' phases
-        if (dnorm <= gap_fraction * min_gap
-                and float(np.min(np.abs(_step_overlaps(vecs)) ** 2)) > min_overlap_sq):
+        if (dnorm <= GRID_GAP_FRACTION * min_gap
+                and float(np.min(np.abs(_step_overlaps(vecs)) ** 2)) > GRID_MIN_OVERLAP_SQ):
             return times
         n = 2 * (n - 1) + 1
 

@@ -18,30 +18,14 @@ the dissipator is constant on each frame cell, between two grid midpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, StateIntegrityError
-from .frames import FrameTrajectory, instantaneous_frames
+from .frames import FrameTrajectory
 from .model import BathSpectrum, CouplingOperator, TimeDependentHamiltonian, hermiticity_defect
 
 HERMITICITY_INPUT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class LindbladOps:
-    """Explicit jump operators at one time.
-
-    ``dephasing`` is diagonal in the frame basis; each entry of ``jumps``
-    maps channel (a, b) to the rank-one operator transferring b -> a;
-    ``shift`` is the diagonal shift Hamiltonian (zero matrix if disabled).
-    """
-
-    time: float
-    dephasing: np.ndarray
-    jumps: dict
-    shift: np.ndarray
 
 
 class LindbladGenerator:
@@ -119,27 +103,6 @@ class LindbladGenerator:
                     self._shift_diag, self._heff_add):
             arr.setflags(write=False)
 
-    # ------------------------------------------------------------------ ops
-
-    def ops(self, t: float) -> LindbladOps:
-        """Explicit operators at the frame nearest to t."""
-        return self._ops(self.frames.index_at(t))
-
-    def _ops(self, k: int) -> LindbladOps:
-        basis = self.frames.basis[k]
-        dephasing = np.einsum("ia,a,ja->ij", basis, self._ell[k], basis.conj())
-        jumps = {  # the diagonal of _amp is zero
-            (a, b): self._amp[k, a, b] * np.outer(basis[:, a], basis[:, b].conj())
-            for a, b in np.argwhere(self._amp[k] != 0.0).tolist()
-        }
-        shift = np.einsum("ia,a,ja->ij", basis, self._shift_diag[k], basis.conj())
-        return LindbladOps(
-            time=float(self.frames.times[k]),
-            dephasing=dephasing,
-            jumps=jumps,
-            shift=shift,
-        )
-
     def liouvillian(self, times) -> np.ndarray:
         """Generator of the master equation at each of ``times``, (M, N^2, N^2).
 
@@ -189,24 +152,20 @@ class LindbladGenerator:
     def jump_channels(self, t: float):
         """Nonzero jump channels at the frame nearest to t.
 
-        Returns a list of ((a, b), L) pairs; the dephasing channel is
-        labeled (-1, -1).
+        Returns a list of ((a, b), L) pairs: the dephasing operator, diagonal
+        in the frame basis and labeled (-1, -1), then each rank-one operator
+        transferring b -> a. An empty list means no dissipator. With
+        ``effective_hamiltonian`` this is the master equation in explicit
+        operators: d rho/dt = -i (H_eff rho - rho H_eff^dag) + sum L rho L^dag.
         """
         k = self.frames.index_at(t)
-        ops = self._ops(k)
-        dephasing = [((-1, -1), ops.dephasing)] if np.any(self._ell[k] != 0.0) else []
-        return dephasing + list(ops.jumps.items())
-
-    def instantaneous(self) -> "LindbladGenerator":
-        """Same generator with the frames demoted to order 0.
-
-        This is the comparison model that applies decoherence in the
-        instantaneous eigenbasis of H(t).
-        """
-        if self.frames.order == 0:
-            return self
-        base = instantaneous_frames(self.hamiltonian, self.frames.times)
-        return LindbladGenerator(
-            base, self.coupling, self.spectrum, self.hamiltonian, self.lamb_shift
-        )
+        basis = self.frames.basis[k]
+        channels = []
+        if np.any(self._ell[k] != 0.0):
+            dephasing = np.einsum("ia,a,ja->ij", basis, self._ell[k], basis.conj())
+            channels.append(((-1, -1), dephasing))
+        return channels + [  # the diagonal of _amp is zero
+            ((a, b), self._amp[k, a, b] * np.outer(basis[:, a], basis[:, b].conj()))
+            for a, b in np.argwhere(self._amp[k] != 0.0).tolist()
+        ]
 

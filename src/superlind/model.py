@@ -141,15 +141,13 @@ class BathSpectrum:
     ``gamma(w)`` is the absorption/emission rate at frequency ``w`` (must be
     >= 0 everywhere for a completely positive master equation); ``shift(w)``
     is the corresponding energy-shift function, identically zero unless the
-    caller supplies one. Both accept scalars or arrays.
+    caller supplies one. Both accept scalars or arrays. Build one directly
+    for a user-defined spectrum; the generator re-checks every rate it
+    evaluates.
     """
 
     gamma: Callable
     shift: Callable = field(default=_zero_shift)
-    kind: str = "custom"
-    gamma0: float | None = None
-    cutoff: float | None = None
-    temperature: float | None = None
 
 
 def ohmic_spectrum(
@@ -199,14 +197,7 @@ def ohmic_spectrum(
         val = np.maximum(val, 0.0)  # clamp -0.0 / rounding dust
         return float(val) if val.ndim == 0 else val
 
-    return BathSpectrum(
-        gamma=gamma,
-        shift=shift if shift is not None else _zero_shift,
-        kind="ohmic",
-        gamma0=float(gamma0),
-        cutoff=float(cutoff),
-        temperature=float(temperature),
-    )
+    return BathSpectrum(gamma, shift if shift is not None else _zero_shift)
 
 
 def dephasing_spectrum(gamma0: float, *, shift: Callable | None = None) -> BathSpectrum:
@@ -223,33 +214,5 @@ def dephasing_spectrum(gamma0: float, *, shift: Callable | None = None) -> BathS
         val = np.where(w_arr == 0.0, float(gamma0), 0.0)
         return float(val) if val.ndim == 0 else val
 
-    return BathSpectrum(
-        gamma=gamma,
-        shift=shift if shift is not None else _zero_shift,
-        kind="pure-dephasing",
-        gamma0=float(gamma0),
-        temperature=0.0,
-    )
+    return BathSpectrum(gamma, shift if shift is not None else _zero_shift)
 
-
-def custom_spectrum(
-    gamma: Callable,
-    *,
-    shift: Callable | None = None,
-    gamma0: float | None = None,
-    cutoff: float | None = None,
-    temperature: float | None = None,
-) -> BathSpectrum:
-    """Escape hatch for user-defined spectra.
-
-    The caller guarantees gamma(w) >= 0 for every frequency the generator
-    will sample; consumers re-check each evaluated rate.
-    """
-    return BathSpectrum(
-        gamma=gamma,
-        shift=shift if shift is not None else _zero_shift,
-        kind="custom",
-        gamma0=gamma0,
-        cutoff=cutoff,
-        temperature=temperature,
-    )

@@ -48,6 +48,7 @@ _PADE13 = np.array([
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 ]) / 64764752532480000.0
 _THETA13 = 5.371920351148152  # largest 1-norm the [13/13] approximant takes unscaled
+STATE_NORM_TOL = 1e-8  # largest |norm - 1| an initial state vector may have
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class IntegratorConfig:
     atol: float = 1e-10
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.rtol > 0 and self.atol > 0):  # NaN fails too
             raise ParameterError("tolerances must be > 0")
 
 
@@ -108,7 +109,6 @@ class IntegrationDiagnostics:
 @dataclass(frozen=True)
 class UnitaryResult:
     state: np.ndarray
-    sample_times: np.ndarray | None = None
     samples: np.ndarray | None = None
 
 
@@ -116,7 +116,6 @@ class UnitaryResult:
 class LindbladResult:
     state: np.ndarray
     diagnostics: IntegrationDiagnostics | None = None
-    sample_times: np.ndarray | None = None
     samples: np.ndarray | None = None
 
 
@@ -124,15 +123,14 @@ class LindbladResult:
 class TrajectoryResult:
     state: np.ndarray
     jumps: list | None = None
-    n_traj: int = 0
 
 
-def check_state_vector(psi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def check_state_vector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise DimensionError(f"state vector must be 1-d, got shape {psi.shape}")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > STATE_NORM_TOL:
         raise StateIntegrityError(f"state vector norm {norm} != 1")
     return psi / norm
 
@@ -310,7 +308,6 @@ def evolve_unitary(
     states = project(raw)
     return UnitaryResult(
         state=states[-1],
-        sample_times=None if sample_times is None else np.asarray(sample_times, float),
         samples=states[at] if at.size else None,
     )
 
@@ -363,7 +360,6 @@ def evolve_lindblad(
     return LindbladResult(
         state=rhos[-1],
         diagnostics=diag,
-        sample_times=None if sample_times is None else np.asarray(sample_times, float),
         samples=rhos[at] if at.size else None,
     )
 
@@ -489,7 +485,7 @@ def evolve_trajectories(
     psis = psis / norms[:, None]
     rho = np.einsum("mi,mj->ij", psis, psis.conj()) / m
     rho = 0.5 * (rho + rho.conj().T)
-    return TrajectoryResult(state=rho, jumps=events, n_traj=m)
+    return TrajectoryResult(state=rho, jumps=events)
 
 
 # ------------------------------------------------------------------- misc

@@ -19,6 +19,16 @@ def lz_setup(inv_v, order=0, delta=1.0, window=25.0):
     return H, t_final, times, base, traj
 
 
+def ladder_hamiltonian(v=0.25, delta=1.0):
+    """Three levels with two separated avoided crossings, at t = -10 and t = +10."""
+    def evaluate(t):
+        return np.array([[0.5 * v * (t + 10.0), 0.5 * delta, 0.0],
+                         [0.5 * delta, 0.0, 0.5 * delta],
+                         [0.0, 0.5 * delta, 0.5 * v * (t - 10.0)]], dtype=complex)
+
+    return sl.TimeDependentHamiltonian(3, evaluate)
+
+
 def excited_state(H, t):
     _, vecs = np.linalg.eigh(H(t))
     return vecs[:, -1]

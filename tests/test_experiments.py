@@ -388,6 +388,29 @@ class TestCLI:
             f"[output]\npath = {tmp_path / 'x.csv'}\n"
         )
         assert cli_main(["sweep", str(cfg)]) == 3
+        # values the solvers would reject are config errors too, whatever
+        # the method, and no output is written
+        cfg.write_text(SWEEP_CFG_TEXT.format(out=tmp_path / "y.csv"))
+        for overrides in (
+            ["solver.rtol=-1"],
+            ["solver.atol=0"],
+            ["solver.rtol=nan"],
+            ["sweep.mode=superadiabatic", "solver.method=trajectories", "solver.n_traj=0"],
+            ["sweep.mode=superadiabatic", "solver.method=me", "solver.n_traj=0"],
+        ):
+            args = ["sweep", str(cfg)] + [a for o in overrides for a in ("--set", o)]
+            assert cli_main(args) == 3, overrides
+        assert not (tmp_path / "y.csv").exists()
+        fig1 = tmp_path / "fig1.cfg"
+        fig1.write_text(f"[fig1]\nv = 0.5\n[output]\nprefix = {tmp_path / 'f1'}\n")
+        for window in ("0", "-1", "nan"):
+            assert cli_main(["fig1", str(fig1), "--set", f"fig1.window_factor={window}"]) == 3
+
+    def test_check_suite_passes(self, capsys):
+        assert cli_main(["check"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert all(line.startswith("[PASS] ") for line in lines), lines
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:

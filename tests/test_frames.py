@@ -4,7 +4,7 @@ import pytest
 import superlind as sl
 from superlind.frames import _align_sweep, _quasi_energies
 
-from lzutil import lz_setup
+from lzutil import ladder_hamiltonian, lz_setup
 
 
 @pytest.fixture(scope="module")
@@ -286,19 +286,9 @@ def test_adaptive_time_grid_meets_conditions():
     assert np.min(np.abs(overlaps) ** 2) > 0.999
 
 
-def _ladder_hamiltonian(v=0.25, delta=1.0):
-    """Three levels with two separated avoided crossings, at t = -10 and t = +10."""
-    def evaluate(t):
-        return np.array([[0.5 * v * (t + 10.0), 0.5 * delta, 0.0],
-                         [0.5 * delta, 0.0, 0.5 * delta],
-                         [0.0, 0.5 * delta, 0.5 * v * (t - 10.0)]], dtype=complex)
-
-    return sl.TimeDependentHamiltonian(3, evaluate)
-
-
 @pytest.mark.parametrize("H,t_final,points", [
     (sl.lz_hamiltonian(sl.LZParams(v=0.5, delta=1.0)), 50.0, 2633),
-    (_ladder_hamiltonian(), 150.0, 4028),
+    (ladder_hamiltonian(), 150.0, 4028),
 ], ids=["lz-inv_v-2", "ladder"])
 def test_adaptive_time_grid_sizes(H, t_final, points):
     assert sl.adaptive_time_grid(H, -t_final, t_final).size == points

@@ -5,7 +5,7 @@ import pytest
 
 import superlind as sl
 
-from lzutil import lz_setup, random_density
+from lzutil import ladder_hamiltonian, lz_setup, random_density
 
 
 def _constant_traj(matrix, t1=10.0, n=201):
@@ -13,28 +13,45 @@ def _constant_traj(matrix, t1=10.0, n=201):
     return H, sl.instantaneous_frames(H, np.linspace(0.0, t1, n))
 
 
-def _naive_rhs(gen, rho, t):
-    """Reference superoperator assembled from the explicit operators."""
-    ops = gen.ops(t)
-    h_tot = gen.hamiltonian(t) + ops.shift
-    out = -1j * (h_tot @ rho - rho @ h_tot)
-    for L in [ops.dephasing, *ops.jumps.values()]:
-        ldl = L.conj().T @ L
-        out += L @ rho @ L.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+def _jumps(gen, t):
+    """The rank-one jump channels at t, dephasing left out: {(a, b): L}."""
+    return {label: L for label, L in gen.jump_channels(t) if label != (-1, -1)}
+
+
+def _dephasing(gen, t):
+    """The dephasing operator at t, or zero when it is not a channel."""
+    return dict(gen.jump_channels(t)).get((-1, -1), np.zeros((gen.frames.dim,) * 2))
+
+
+def _shift(gen, t):
+    """The shift Hamiltonian at t: the Hermitian part of H_eff - H."""
+    drift = gen.effective_hamiltonian([t])[0] - gen.hamiltonian(t)
+    return 0.5 * (drift + drift.conj().T)
+
+
+def _unraveled_rhs(gen, rho, t):
+    """The master equation as the Monte-Carlo unraveling applies it:
+    -i (H_eff rho - rho H_eff^dag) + sum_c L_c rho L_c^dag."""
+    heff = gen.effective_hamiltonian([t])[0]
+    out = -1j * (heff @ rho - rho @ heff.conj().T)
+    for _, L in gen.jump_channels(t):
+        out += L @ rho @ L.conj().T
     return out
 
 
 class TestLindbladOps:
+    """The explicit operators: ``jump_channels`` and ``effective_hamiltonian``."""
+
     def test_diagonal_coupling_frame(self):
         # frame basis diagonalizes sigma_z, so sigma_z coupling produces no
         # jump operators and the dephasing operator is sqrt(gamma(0)) sigma_z
         H, traj = _constant_traj(0.5 * sl.sigma_z)
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.5)
         gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
-        ops = gen.ops(1.0)
-        assert ops.jumps == {}
+        [(label, dephasing)] = gen.jump_channels(1.0)
+        assert label == (-1, -1)
         g0 = spec.gamma(0.0)
-        assert np.allclose(ops.dephasing, math.sqrt(g0) * sl.sigma_z, atol=1e-12)
+        assert np.allclose(dephasing, math.sqrt(g0) * sl.sigma_z, atol=1e-12)
 
     def test_transverse_frame(self):
         # sigma_x eigenframe: sigma_z has no diagonal part, and the
@@ -42,12 +59,12 @@ class TestLindbladOps:
         H, traj = _constant_traj(0.5 * sl.sigma_x)
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.5)
         gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
-        ops = gen.ops(2.0)
-        assert np.max(np.abs(ops.dephasing)) < 1e-12
-        down = ops.jumps[(0, 1)]
+        assert np.max(np.abs(_dephasing(gen, 2.0))) < 1e-12
+        jumps = _jumps(gen, 2.0)
+        down = jumps[(0, 1)]
         rate = float(np.trace(down.conj().T @ down).real)
         assert rate == pytest.approx(spec.gamma(1.0), rel=1e-12)
-        up = ops.jumps[(1, 0)]
+        up = jumps[(1, 0)]
         assert float(np.trace(up.conj().T @ up).real) == pytest.approx(
             spec.gamma(-1.0), rel=1e-12
         )
@@ -55,39 +72,36 @@ class TestLindbladOps:
     def test_zero_temperature_kills_upward_jumps(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x)
         gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.0), H)
-        assert set(gen.ops(0.0).jumps) == {(0, 1)}
+        assert set(_jumps(gen, 0.0)) == {(0, 1)}
 
     def test_jump_rank_one_and_frame_structure(self):
         H, _, times, base, traj = lz_setup(3.0, order=2)
         gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5), H)
-        ops = gen.ops(1.7)
         k = traj.index_at(1.7)
         U = traj.basis[k]
-        deph_f = U.conj().T @ ops.dephasing @ U
+        deph_f = U.conj().T @ _dephasing(gen, 1.7) @ U
         assert np.max(np.abs(deph_f - np.diag(np.diag(deph_f)))) < 1e-12
-        for L in ops.jumps.values():
+        for L in _jumps(gen, 1.7).values():
             assert np.linalg.matrix_rank(L, tol=1e-12) == 1
 
     def test_lamb_shift_diagonal_in_frame(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x)
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.5, shift=lambda w: 0.01 * np.asarray(w))
         gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H, lamb_shift=True)
-        ops = gen.ops(0.0)
         U = traj.basis[0]
-        shift_f = U.conj().T @ ops.shift @ U
+        shift_f = U.conj().T @ _shift(gen, 0.0) @ U
         assert np.max(np.abs(shift_f - np.diag(np.diag(shift_f)))) < 1e-12
         # sum_a S(w_ab) |<a|A|b>|^2 on the two-level transverse frame
         expected = np.diag([spec.shift(-1.0), spec.shift(1.0)])
         assert np.allclose(shift_f, expected, atol=1e-12)
         off = sl.LindbladGenerator(traj, sl.sigma_z, spec, H, lamb_shift=False)
-        assert np.max(np.abs(off.ops(0.0).shift)) == 0.0
+        assert np.max(np.abs(_shift(off, 0.0))) < 1e-15
 
     def test_zero_spectrum_disables_dissipator(self):
         H, _, times, base, traj = lz_setup(2.0)
         gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.0), H)
-        ops = gen.ops(0.0)
-        assert np.max(np.abs(ops.dephasing)) == 0.0
-        assert ops.jumps == {}
+        assert gen.jump_channels(0.0) == []
+        assert np.max(np.abs(gen.effective_hamiltonian([0.0])[0] - gen.hamiltonian(0.0))) == 0.0
         rho = random_density(np.random.default_rng(0))
         h0 = gen.hamiltonian(0.0)
         assert np.allclose(gen.rhs(rho, 0.0), -1j * (h0 @ rho - rho @ h0), atol=1e-14)
@@ -96,11 +110,11 @@ class TestLindbladOps:
         H, traj = _constant_traj(0.5 * sl.sigma_x, t1=5.0)
         gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
         with pytest.raises(sl.TimeDomainError):
-            gen.ops(6.0)
+            gen.jump_channels(6.0)
 
     def test_negative_custom_rate_rejected(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x)
-        bad = sl.custom_spectrum(lambda w: np.asarray(w, dtype=float))
+        bad = sl.BathSpectrum(lambda w: np.asarray(w, dtype=float))
         with pytest.raises(sl.ParameterError):
             sl.LindbladGenerator(traj, sl.sigma_z, bad, H)
 
@@ -118,14 +132,22 @@ class TestMasterEquationRHS:
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_matches_explicit_operator_assembly(self):
-        H, _, times, base, traj = lz_setup(2.0, order=1)
+        # rhs equals the master equation rebuilt from the operators that the
+        # Monte-Carlo unraveling uses (Dalibard, Castin, Molmer, PRL 68, 580
+        # (1992)), on the LZ model and on a three-level ladder
+        H, _, _, _, traj = lz_setup(2.0, order=1)
+        ladder = ladder_hamiltonian()
+        ladder_traj = sl.superadiabatic_frames(
+            ladder, 1, sl.adaptive_time_grid(ladder, -30.0, 30.0))
+        ladder_coupling = np.diag([1.0, 0.0, -1.0]) + 0.3 * (np.eye(3, k=1) + np.eye(3, k=-1))
         spec = sl.ohmic_spectrum(0.08, 5.0, 0.4, shift=lambda w: 0.02 * np.asarray(w))
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H, lamb_shift=True)
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            rho = random_density(rng)
-            t = rng.uniform(times[0], times[-1])
-            assert np.max(np.abs(gen.rhs(rho, t) - _naive_rhs(gen, rho, t))) < 1e-12
+        for H, traj, coupling in ((H, traj, sl.sigma_z), (ladder, ladder_traj, ladder_coupling)):
+            gen = sl.LindbladGenerator(traj, coupling, spec, H, lamb_shift=True)
+            for _ in range(20):
+                rho = random_density(rng, traj.dim)
+                t = rng.uniform(traj.times[0], traj.times[-1])
+                assert np.max(np.abs(gen.rhs(rho, t) - _unraveled_rhs(gen, rho, t))) < 1e-12
 
     def test_frame_gauge_invariance(self):
         rng = np.random.default_rng(4)
@@ -154,7 +176,7 @@ class TestMasterEquationRHS:
             ground = traj.basis[k, :, 0]
             rho = np.outer(ground, ground.conj())
             t = traj.times[k]
-            h_tot = gen.hamiltonian(t) + gen.ops(t).shift
+            h_tot = gen.hamiltonian(t) + _shift(gen, t)
             unitary_only = -1j * (h_tot @ rho - rho @ h_tot)
             assert np.max(np.abs(gen.rhs(rho, t) - unitary_only)) < 1e-13
 
@@ -190,21 +212,14 @@ class TestMasterEquationRHS:
 
 
 class TestInstantaneousMode:
-    def test_demotes_frames_to_order_zero(self):
-        H, _, times, base, traj = lz_setup(3.0, order=4)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
-        inst = gen.instantaneous()
-        assert inst.frames.order == 0
-        assert np.max(np.abs(inst.frames.basis - base.basis)) < 1e-12
-        assert inst.instantaneous() is inst
-
     def test_equivalent_for_constant_hamiltonian(self):
+        # the instantaneous mode is the generator built on order-0 frames
         H, traj0 = _constant_traj(0.5 * sl.sigma_x)
         times = traj0.times
         traj2 = sl.superadiabatic_frames(H, 2, times, base=traj0)
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.5)
         gen = sl.LindbladGenerator(traj2, sl.sigma_z, spec, H)
-        inst = gen.instantaneous()
+        inst = sl.LindbladGenerator(traj0, sl.sigma_z, spec, H)
         rng = np.random.default_rng(8)
         for _ in range(5):
             rho = random_density(rng)
@@ -219,10 +234,12 @@ def test_effective_hamiltonian_matches_ops():
     heff = gen.effective_hamiltonian(probes)
     assert heff.shape == (3, 2, 2)
     for t, got in zip(probes, heff):
-        ops = gen.ops(t)
-        total = sum(
-            (L.conj().T @ L for L in ops.jumps.values()),
-            ops.dephasing.conj().T @ ops.dephasing,
-        )
-        expected = gen.hamiltonian(t) + ops.shift - 0.5j * total
+        k = traj.index_at(t)
+        U = traj.basis[k]
+        # first-principles shift: U diag_b(sum_a S(E_b - E_a) |<a|A|b>|^2) U^dag
+        abar = U.conj().T @ sl.sigma_z @ U
+        omega = traj.energies[k][None, :] - traj.energies[k][:, None]
+        shift = U @ np.diag((spec.shift(omega) * np.abs(abar) ** 2).sum(axis=0)) @ U.conj().T
+        total = sum(L.conj().T @ L for _, L in gen.jump_channels(t))
+        expected = gen.hamiltonian(t) + shift - 0.5j * total
         assert np.max(np.abs(got - expected)) < 1e-12
