@@ -8,10 +8,12 @@ every offender at once.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .experiments import MODES, SOLVERS, BathConfig, SweepConfig
+from .frames import J_MAX
 
 
 def read_config(path) -> dict:
@@ -213,10 +215,9 @@ def fig1_job(data: dict) -> Fig1Job:
     window = s.get_float("fig1", "window_factor", 25.0)
     prefix = s.get_str("output", "prefix", "fig1")
     s.finish("fig1")
-    if v <= 0:
-        raise ConfigError(f"invalid fig1 config: fig1.v must be > 0, got {v}")
-    if order < 0:
-        raise ConfigError("invalid fig1 config: fig1.order must be >= 0")
-    if not window > 0:
-        raise ConfigError(f"invalid fig1 config: fig1.window_factor must be > 0, got {window}")
+    for name, value in (("model.delta", delta), ("fig1.v", v), ("fig1.window_factor", window)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"invalid fig1 config: {name} must be finite and > 0, got {value}")
+    if not 0 <= order <= J_MAX:
+        raise ConfigError(f"invalid fig1 config: fig1.order must be in [0, {J_MAX}]")
     return Fig1Job(delta=delta, v=v, order=order, window_factor=window, prefix=prefix)

@@ -19,6 +19,7 @@ import numpy as np
 from ._output import fmt, write_table
 from .errors import AdiabaticityWarning, ParameterError, WindowWarning, caller_stacklevel
 from .frames import (
+    J_MAX,
     adaptive_time_grid,
     adiabatic_report,
     instantaneous_frames,
@@ -98,17 +99,17 @@ class SweepConfig:
         object.__setattr__(self, "inv_velocities", tuple(float(x) for x in self.inv_velocities))
         if not self.inv_velocities:
             raise ParameterError("need at least one inverse velocity")
-        if any(x <= 0 for x in self.inv_velocities):
-            raise ParameterError("all inverse velocities must be > 0")
-        if self.delta <= 0:
-            raise ParameterError("delta must be > 0")
+        if not all(0 < x < math.inf for x in self.inv_velocities):
+            raise ParameterError("all inverse velocities must be finite and > 0")
+        if not 0 < self.delta < math.inf:
+            raise ParameterError("delta must be finite and > 0")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.solver not in SOLVERS:
             raise ParameterError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if not 0 <= self.order:
-            raise ParameterError("order must be >= 0")
-        if not self.window_factor >= 10:
+        if not 0 <= self.order <= J_MAX:
+            raise ParameterError(f"order must be in [0, {J_MAX}]")
+        if not 10 <= self.window_factor < math.inf:
             raise ParameterError("window_factor must be >= 10 (window must dwarf the crossing)")
         # the solver configs check the tolerances and the ensemble size
         IntegratorConfig(rtol=self.rtol, atol=self.atol)

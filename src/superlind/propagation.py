@@ -4,16 +4,17 @@ All engines integrate forward in time. States are plain ndarrays: a state
 vector is a complex (N,) array of unit norm, a density matrix a complex
 (N, N) Hermitian unit-trace array with nonnegative spectrum.
 
-The unitary and master-equation engines share one exponential core for
-y' = A(t) y, with A = -iH or the Liouvillian. Its edges are t0, t1 and the
+All three engines share one kernel for y' = A(t) y: the matrix exponential
+of a fourth-order Magnus exponent built from A at two Gauss nodes of a step,
+with A = -iH, the Liouvillian, or -iH_eff for the jump unraveling. The
+unitary and master-equation engines step between the edges t0, t1 and the
 sample times, plus the frame midpoints for the master equation, so the
 snapped dissipator is constant between two edges. Each interval between
-edges is split into n equal sub-steps, each propagated by the matrix
-exponential of a fourth-order Magnus exponent built from A at two Gauss
-nodes; n doubles until two passes agree within the tolerances. The state is
-projected (renormalized, re-hermitized) at every edge. The Monte-Carlo
-engine advances its ensemble in lockstep with fixed RK4 steps of the
-non-Hermitian drift, so that trajectory jumps can be bisected inside a step.
+edges is split into n equal sub-steps; n doubles until two passes agree
+within the tolerances. The state is projected (renormalized, re-hermitized)
+at every edge. The Monte-Carlo engine takes one such step per half frame
+cell, in lockstep for the whole ensemble, and finds each jump time from the
+norms at the two ends of its step.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from ._output import write_table
 from .model import TimeDependentHamiltonian, hermiticity_defect
 
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)  # Gauss-Legendre nodes on [0, 1]
-_RK4_NODES = np.array([0.0, 0.5, 1.0])  # fractions of an RK4 step where the drift is taken
 _CHUNK_ENTRIES = 2**12  # matrix entries in the stack of propagators held at once
 # Doubling the sub-steps must cut the largest h * ||A|| below this fraction
 # of its value: it halves for a bounded generator, stays put at a simple pole.
@@ -372,44 +372,41 @@ def _traj_rng(seed: int, index: int):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _heff_step(gen, psi, t, dt):
-    """One RK4 step of the non-Hermitian drift.
+def _jump(gen, rng, psi_a, psi_b, t_a, t_b, h_eff, threshold, events, depth=0):
+    """Handle a norm-threshold crossing inside [t_a, t_b], within one frame cell.
 
-    ``psi`` is one state (N,) or a stack of states (M, N), one per row.
-    """
-    ha, hm, hb = gen.effective_hamiltonian(t + dt * _RK4_NODES)
-    k1 = -1j * (psi @ ha.T)
-    k2 = -1j * ((psi + (0.5 * dt) * k1) @ hm.T)
-    k3 = -1j * ((psi + (0.5 * dt) * k2) @ hm.T)
-    k4 = -1j * ((psi + dt * k3) @ hb.T)
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _resolve_jump(gen, rng, psi_a, t_a, dt, threshold, events, depth=0):
-    """Handle a norm-threshold crossing inside [t_a, t_a + dt].
-
-    Bisects the jump time to 1e-3 of the step, applies a channel drawn with
-    probability proportional to ||L psi||^2, then finishes the step
+    ``h_eff`` is the drift anywhere in that cell. There d||psi||^2/dt =
+    -<psi, gamma psi> with gamma = i (H_eff - H_eff^dag) constant, so psi_a
+    and psi_b give ||psi||^2 and its slope at both ends; the jump time is the
+    threshold crossing of their cubic Hermite interpolant, found by bisecting
+    that polynomial. One Magnus-4 exponential reaches it, a channel drawn
+    with probability ~ ||L psi||^2 acts, and another finishes the step
     (recursing if the survivor crosses its fresh threshold again).
     """
     if depth > 64:
         raise StiffnessError("jump cascade did not terminate within one step")
+    h = t_b - t_a
+    gamma = 1j * (h_eff - h_eff.conj().T)
+    f0, f1 = (float(np.vdot(p, p).real) for p in (psi_a, psi_b))
+    d0, d1 = (-h * float(np.vdot(p, gamma @ p).real) for p in (psi_a, psi_b))
+    c2, c3 = 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1
     lo, hi = 0.0, 1.0
-    psi_hi = _heff_step(gen, psi_a, t_a, dt)
-    for _ in range(10):  # 2^-10 < 1e-3 of the step
-        mid = 0.5 * (lo + hi)
-        psi_mid = _heff_step(gen, psi_a, t_a, mid * dt)
-        if float(np.vdot(psi_mid, psi_mid).real) < threshold:
-            hi, psi_hi = mid, psi_mid
+    for _ in range(40):  # 2^-40 of the step, far below the interpolation error
+        s = 0.5 * (lo + hi)
+        if f0 - threshold + s * (d0 + s * (c2 + s * c3)) < 0.0:
+            hi = s
         else:
-            lo = mid
-    t_jump = t_a + hi * dt
-    channels = gen.jump_channels(t_jump)
+            lo = s
+    t_jump = t_a + 0.5 * (lo + hi) * h
+    widths = np.array([t_jump - t_a, t_b - t_jump])
+    nodes = np.array([t_a, t_jump]) + _GAUSS[:, None] * widths          # (2, 2)
+    a = -1j * gen.effective_hamiltonian(nodes.ravel()).reshape(2, 2, *h_eff.shape)
+    to_jump, rest = _expm(_magnus4(a[0], a[1], widths))
+    psi = to_jump @ psi_a
+    channels = gen.jump_channels(0.5 * (t_a + t_b))
     if not channels:
         raise SuperlindError("norm decayed but no jump channel is active")
-    weights = np.array(
-        [float(np.vdot(L @ psi_hi, L @ psi_hi).real) for _, L in channels]
-    )
+    weights = np.array([float(np.vdot(L @ psi, L @ psi).real) for _, L in channels])
     total = float(weights.sum())
     if total <= 0.0:
         raise SuperlindError("norm decayed but all jump weights vanish")
@@ -417,18 +414,15 @@ def _resolve_jump(gen, rng, psi_a, t_a, dt, threshold, events, depth=0):
     pick = int(np.searchsorted(np.cumsum(weights), u))
     pick = min(pick, len(channels) - 1)
     label, op = channels[pick]
-    psi = op @ psi_hi
+    psi = op @ psi
     psi = psi / np.linalg.norm(psi)
     if events is not None:
         events.append(JumpEvent(time=float(t_jump), target=label[0], source=label[1]))
     threshold = rng.uniform()
-    if hi < 1.0:
-        rest = (1.0 - hi) * dt
-        psi_end = _heff_step(gen, psi, t_jump, rest)
-        if float(np.vdot(psi_end, psi_end).real) < threshold:
-            return _resolve_jump(gen, rng, psi, t_jump, rest, threshold, events, depth + 1)
-        return psi_end, threshold
-    return psi, threshold
+    psi_end = rest @ psi
+    if float(np.vdot(psi_end, psi_end).real) < threshold:
+        return _jump(gen, rng, psi, psi_end, t_jump, t_b, h_eff, threshold, events, depth + 1)
+    return psi_end, threshold
 
 
 def evolve_trajectories(
@@ -443,41 +437,40 @@ def evolve_trajectories(
     Pure states drift under H_eff = H + H_shift - (i/2) sum L^dag L without
     renormalization; a trajectory jumps when its squared norm falls below a
     uniform threshold, with channel probabilities ~ ||L psi||^2. All
-    trajectories advance in lockstep on a fixed RK4 grid (half the frame
-    step, aligned with frame boundaries), which keeps the ensemble exactly
-    reproducible for a given seed: every trajectory consumes only its own
-    counter-based random stream keyed by (seed, trajectory index).
+    trajectories advance in lockstep between the edges t0, t1 and the frame
+    grid points and cell midpoints inside (t0, t1): two steps per frame cell,
+    each propagated by the Magnus-4 exponential of the exponential core, with
+    both Gauss nodes strictly inside one cell. A jump time is the threshold
+    crossing of the cubic Hermite interpolant of ||psi||^2 between the ends of
+    its step. Every trajectory consumes only its own counter-based random
+    stream keyed by (seed, trajectory index), so an ensemble is exactly
+    reproducible for a given seed.
     """
     psi0 = check_state_vector(psi0)
-    if not t1 > t0:
-        raise ParameterError("need t1 > t0")
-    span = t1 - t0
-    step_target = gen.frames.step / 2.0
-    n = max(int(math.ceil(span / step_target)), 1)
-    dt = span / n
+    times = gen.frames.times
+    edges, _ = _edges(t0, t1, None, np.concatenate([times, 0.5 * (times[:-1] + times[1:])]))
+    widths = np.diff(edges)
 
-    m = tcfg.n_traj
+    m, n = tcfg.n_traj, psi0.size
     rngs = [_traj_rng(tcfg.seed, i) for i in range(m)]
     thresholds = np.array([rng.uniform() for rng in rngs])
     psis = np.tile(psi0, (m, 1))
     events = [[] for _ in range(m)] if tcfg.record_jumps else None
 
-    for i in range(n):
-        t_a = t0 + i * dt
-        new = _heff_step(gen, psis, t_a, dt)
-        norms2 = np.einsum("mi,mi->m", new.conj(), new).real
-        crossed = np.flatnonzero(norms2 < thresholds)
-        for idx in crossed:
-            new[idx], thresholds[idx] = _resolve_jump(
-                gen,
-                rngs[idx],
-                psis[idx],
-                t_a,
-                dt,
-                thresholds[idx],
-                events[idx] if events is not None else None,
-            )
-        psis = new
+    chunk = max(_CHUNK_ENTRIES // n**2, 1)
+    for lo in range(0, widths.size, chunk):
+        h = widths[lo:lo + chunk]
+        nodes = edges[lo:lo + h.size] + _GAUSS[:, None] * h               # (2, C)
+        heff = gen.effective_hamiltonian(nodes.ravel()).reshape(2, h.size, n, n)
+        for j, p in enumerate(_expm(_magnus4(-1j * heff[0], -1j * heff[1], h)), start=lo):
+            new = psis @ p.T
+            norms2 = np.einsum("mi,mi->m", new.conj(), new).real
+            for idx in np.flatnonzero(norms2 < thresholds):
+                new[idx], thresholds[idx] = _jump(
+                    gen, rngs[idx], psis[idx], new[idx], edges[j], edges[j + 1], heff[0, j - lo],
+                    thresholds[idx], events[idx] if events is not None else None,
+                )
+            psis = new
 
     norms = np.linalg.norm(psis, axis=1)
     if np.any(norms <= 0):

@@ -397,14 +397,21 @@ class TestCLI:
             ["solver.rtol=nan"],
             ["sweep.mode=superadiabatic", "solver.method=trajectories", "solver.n_traj=0"],
             ["sweep.mode=superadiabatic", "solver.method=me", "solver.n_traj=0"],
+            ["model.delta=nan"],
+            ["sweep.inv_v=nan"],
+            ["sweep.order=13"],
+            ["sweep.window_factor=inf"],
         ):
             args = ["sweep", str(cfg)] + [a for o in overrides for a in ("--set", o)]
             assert cli_main(args) == 3, overrides
         assert not (tmp_path / "y.csv").exists()
         fig1 = tmp_path / "fig1.cfg"
         fig1.write_text(f"[fig1]\nv = 0.5\n[output]\nprefix = {tmp_path / 'f1'}\n")
-        for window in ("0", "-1", "nan"):
-            assert cli_main(["fig1", str(fig1), "--set", f"fig1.window_factor={window}"]) == 3
+        for override in ("fig1.window_factor=0", "fig1.window_factor=-1",
+                         "fig1.window_factor=nan", "fig1.window_factor=inf",
+                         "fig1.order=13", "fig1.v=nan", "model.delta=nan"):
+            assert cli_main(["fig1", str(fig1), "--set", override]) == 3, override
+        assert not list(tmp_path.glob("f1*"))
 
     def test_check_suite_passes(self, capsys):
         assert cli_main(["check"]) == 0

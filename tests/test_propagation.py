@@ -5,7 +5,13 @@ import pytest
 
 import superlind as sl
 
-from lzutil import excited_population, excited_state, lz_setup, random_density
+from lzutil import (
+    excited_population,
+    excited_state,
+    ladder_hamiltonian,
+    lz_setup,
+    random_density,
+)
 
 
 def _lz_coarse():
@@ -218,14 +224,62 @@ class TestEvolveTrajectories:
         uni = sl.evolve_unitary(H, psi0, -t_final, t_final)
         assert all(len(j) == 0 for j in res.jumps)
         rho_uni = np.outer(uni.state, uni.state.conj())
-        # the fixed-step drift accumulates a small phase at the window edges
-        # (eigenfrequencies ~ v t_final / 2); populations are much tighter
-        assert np.max(np.abs(res.state - rho_uni)) < 5e-3
+        assert np.max(np.abs(res.state - rho_uni)) < 1e-6
         excited = excited_state(H, t_final)
         assert abs(
             excited_population(res.state, excited)
             - excited_population(rho_uni, excited)
         ) < 1e-4
+
+    def test_first_jump_times_match_dop853_oracle(self):
+        # before its first jump a trajectory drifts under the snapped H_eff
+        # alone and jumps where ||psi||^2 crosses its first random draw
+        integrate = pytest.importorskip("scipy.integrate")
+        H, t_final, _, _, traj = lz_setup(3.0, order=4)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5), H)
+        psi0 = traj.basis[0, :, 0]
+        m = 30
+        res = sl.evolve_trajectories(gen, psi0, -t_final, t_final,
+                                     sl.TrajectoryConfig(n_traj=m, seed=0))
+        first = np.array([events[0].time for events in res.jumps])
+        thresholds = [sl.propagation._traj_rng(0, i).uniform() for i in range(m)]
+        times = traj.times
+        edges = np.concatenate([[-t_final], 0.5 * (times[:-1] + times[1:]), [t_final]])
+        eps = 1e-9 * traj.step
+        want = np.full(m, np.nan)
+        y = psi0
+        for a, b in zip(edges[:-1], edges[1:]):
+            pending = np.flatnonzero(np.isnan(want))
+            if not pending.size:
+                break
+
+            def f(t, y, a=a, b=b):  # the snapped H_eff of this cell at its end points
+                return -1j * (gen.effective_hamiltonian([min(max(t, a + eps), b - eps)])[0] @ y)
+
+            crossings = [lambda t, y, c=thresholds[i]: np.vdot(y, y).real - c for i in pending]
+            sol = integrate.solve_ivp(f, (a, b), y, method="DOP853", rtol=1e-12, atol=1e-14,
+                                      events=crossings)
+            for i, hits in zip(pending, sol.t_events):
+                if hits.size:
+                    want[i] = hits[0]
+            y = sol.y[:, -1]
+        # the lockstep takes two steps per frame cell
+        assert np.max(np.abs(first - want)) < 1e-3 * traj.step / 2
+
+    def test_three_level_ladder_matches_master_equation(self):
+        H = ladder_hamiltonian()
+        times = sl.adaptive_time_grid(H, -150.0, 150.0)
+        traj = sl.superadiabatic_frames(H, 4, times)
+        gen = sl.LindbladGenerator(traj, np.diag([1.0, 0.0, -1.0]),
+                                   sl.ohmic_spectrum(0.05, 5.0, 0.5), H)
+        psi0 = traj.basis[0, :, 0]
+        ground = np.linalg.eigh(H(150.0))[1][:, 0]
+        me = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -150.0, 150.0)
+        m = 500
+        mc = sl.evolve_trajectories(gen, psi0, -150.0, 150.0,
+                                    sl.TrajectoryConfig(n_traj=m, seed=0, record_jumps=False))
+        p_me, p_mc = (1.0 - excited_population(r.state, ground) for r in (me, mc))
+        assert abs(p_mc - p_me) < 4.0 * math.sqrt(p_me * (1.0 - p_me) / m)
 
     def test_seed_reproducibility(self):
         H, t_final, _, base, _ = lz_setup(2.0)
