@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .experiments import MODES, SOLVERS, BathConfig, SweepConfig
@@ -193,6 +193,8 @@ def sweep_job(data: dict) -> SweepJob:
             rtol=rtol,
             atol=atol,
         )
+        for g in gammas[1:]:  # every curve's bath, before any curve is solved
+            replace(base.bath, gamma0=g)
     except ValueError as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc
     return SweepJob(base=base, gamma_values=tuple(gammas), output=output, dat=dat)

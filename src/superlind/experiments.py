@@ -64,8 +64,14 @@ class BathConfig:
     def __post_init__(self):
         if self.kind not in ("none", "dephasing", "ohmic"):
             raise ParameterError(f"unknown bath kind {self.kind!r}")
-        if self.gamma0 < 0:
-            raise ParameterError("gamma0 must be >= 0")
+        if not 0 <= self.gamma0 < math.inf:
+            raise ParameterError(f"gamma0 must be finite and >= 0, got {self.gamma0!r}")
+        if not 0 < self.cutoff < math.inf:
+            raise ParameterError(f"cutoff must be finite and > 0, got {self.cutoff!r}")
+        if not 0 <= self.temperature < math.inf:
+            raise ParameterError(
+                f"temperature must be finite and >= 0, got {self.temperature!r}"
+            )
 
     def spectrum(self) -> BathSpectrum:
         if self.kind == "ohmic":
@@ -163,6 +169,15 @@ def _sweep_point(cfg: SweepConfig, inv_v: float) -> SweepRecord:
         warnings.warn(
             f"adiabatic parameter {report.global_max:.3f} > "
             f"{ADIABATICITY_WARN_THRESHOLD} at 1/v = {inv_v}",
+            AdiabaticityWarning,
+            stacklevel=caller_stacklevel(),
+        )
+
+    if cfg.order > report.recommended_order:
+        warnings.warn(
+            f"order {cfg.order} is above the recommended order "
+            f"{report.recommended_order} at 1/v = {inv_v}: the super-adiabatic "
+            "expansion is asymptotic, and its terms grow past that order",
             AdiabaticityWarning,
             stacklevel=caller_stacklevel(),
         )

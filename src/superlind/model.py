@@ -40,35 +40,44 @@ def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -
 class TimeDependentHamiltonian:
     """An N x N Hermitian matrix-valued function of time.
 
-    Wraps an evaluator ``t -> matrix``. Evaluations are checked per stack:
-    ``on_grid`` evaluates a stack of times and checks its shape and
-    hermiticity once, so every evaluation is checked and downstream algebra
-    can trust its input; ``H(t)`` is a stack of one.
+    Wraps an evaluator ``t -> matrix``, or, built with ``affine``, the
+    broadcast h0 + t * h1 over a whole stack of times. Evaluations are
+    checked per stack: ``on_grid`` evaluates a stack of times and checks its
+    shape and hermiticity once, so every evaluation is checked and
+    downstream algebra can trust its input; ``H(t)`` is a stack of one.
     """
 
     def __init__(self, dim: int, evaluator: Callable[[float], np.ndarray]):
         if dim < 2:
             raise DimensionError(f"dimension must be >= 2, got {dim}")
         self.dim = int(dim)
-        self._evaluator = evaluator
+        self._stack = lambda times: [evaluator(t) for t in times]
+
+    @classmethod
+    def affine(cls, h0: np.ndarray, h1: np.ndarray) -> "TimeDependentHamiltonian":
+        """H(t) = h0 + t * h1, evaluated on a stack of times as one broadcast."""
+        h0 = _require_hermitian(h0, "affine Hamiltonian h0").copy()
+        h1 = _require_hermitian(h1, "affine Hamiltonian h1").copy()
+        if h1.shape != h0.shape:
+            raise DimensionError(f"h0 is {h0.shape} but h1 is {h1.shape}")
+        H = cls(h0.shape[0], None)  # checks the dimension; the broadcast replaces the evaluator
+        H._stack = lambda times: h0 + np.asarray(times, dtype=float)[:, None, None] * h1
+        return H
 
     @classmethod
     def constant(cls, matrix: np.ndarray) -> "TimeDependentHamiltonian":
-        m = _require_hermitian(matrix, "constant Hamiltonian")
-        m.setflags(write=False)
-        return cls(m.shape[0], lambda t: m)
+        return cls.affine(matrix, np.zeros(np.shape(matrix)))
 
     def __call__(self, t: float) -> np.ndarray:
         return self.on_grid([t])[0]
 
     def on_grid(self, times) -> np.ndarray:
         """H at each of ``times``, shape (M, N, N); the stack is checked once."""
-        raw = [self._evaluator(t) for t in times]
         try:
-            mats = np.array(raw, dtype=complex)
+            mats = np.asarray(self._stack(times), dtype=complex)
         except ValueError:
             raise DimensionError("Hamiltonian evaluator returned differing shapes") from None
-        if mats.shape != (len(raw), self.dim, self.dim):
+        if mats.shape != (len(times), self.dim, self.dim):
             raise DimensionError(
                 f"Hamiltonian evaluator returned shape {mats.shape[1:]}, "
                 f"expected {(self.dim, self.dim)}"
@@ -100,12 +109,11 @@ def lz_hamiltonian(params: LZParams) -> TimeDependentHamiltonian:
 
     Instantaneous gap sqrt(v^2 t^2 + delta^2); the crossing sits at t = 0.
     """
+    # (0.5 v) t equals 0.5 (v t) exactly: halving commutes with rounding
     v, delta = params.v, params.delta
-
-    def evaluate(t: float) -> np.ndarray:
-        return 0.5 * np.array([[-v * t, delta], [delta, v * t]], dtype=complex)
-
-    return TimeDependentHamiltonian(2, evaluate)
+    return TimeDependentHamiltonian.affine(
+        0.5 * np.array([[0.0, delta], [delta, 0.0]]), np.diag([-0.5 * v, 0.5 * v])
+    )
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,14 @@ unitary and master-equation engines step between the edges t0, t1 and the
 sample times, plus the frame midpoints for the master equation, so the
 snapped dissipator is constant between two edges. Each interval between
 edges is split into n equal sub-steps; n doubles until two passes agree
-within the tolerances. The state is projected (renormalized, re-hermitized)
-at every edge. The Monte-Carlo engine takes one such step per half frame
-cell, in lockstep for the whole ensemble, and finds each jump time from the
-norms at the two ends of its step.
+within the tolerances. The sub-step propagators of an interval are composed
+by batched pairwise products before they touch the state, so Python runs
+once per edge, not once per sub-step; the state is projected (renormalized,
+re-hermitized) at every edge. Resolved sub-steps are exponentiated with the
+[9/9] Pade approximant, anything larger with scaled and squared [13/13].
+The Monte-Carlo engine takes one such step per half frame cell, in lockstep
+for the whole ensemble, and finds each jump time from the norms at the two
+ends of its step.
 """
 from __future__ import annotations
 
@@ -40,14 +44,19 @@ _CHUNK_ENTRIES = 2**12  # matrix entries in the stack of propagators held at onc
 # of its value: it halves for a bounded generator, stays put at a simple pole.
 _SHRINK = 0.9
 
-# Pade [13/13] coefficients of the scaling-and-squaring exponential, scaled to
-# a unit constant term so that exp(0) comes out as the identity exactly
+# Pade [9/9] and [13/13] coefficients of the scaling-and-squaring exponential,
+# scaled to a unit constant term so that exp(0) comes out as the identity exactly
+_PADE9 = np.array([
+    17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+    2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+]) / 17643225600.0
 _PADE13 = np.array([
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 ]) / 64764752532480000.0
-_THETA13 = 5.371920351148152  # largest 1-norm the [13/13] approximant takes unscaled
+_THETA9 = 2.097847961257068   # largest 1-norm the [9/9] approximant takes unscaled
+_THETA13 = 5.371920351148152  # the same for [13/13]
 STATE_NORM_TOL = 1e-8  # largest |norm - 1| an initial state vector may have
 
 
@@ -158,15 +167,27 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of each matrix in an (M, d, d) stack.
 
-    Scaling and squaring with the [13/13] Pade approximant (Higham, SIAM J.
-    Matrix Anal. Appl. 26, 1179 (2005)): each matrix is halved until its
-    1-norm is at most theta_13, and its approximant squared as often.
+    Pade approximants after Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005). When every 1-norm of the stack is at most theta_9 (so every
+    resolved sub-step of the exponential core, h ||A||_1 <= 1), the [9/9]
+    approximant is accurate to rounding as it stands: no scaling, one matrix
+    product fewer than [13/13]. Otherwise each matrix is halved until its
+    1-norm is at most theta_13, and its [13/13] approximant squared as often.
     """
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    eye = np.eye(a.shape[-1])
+    if norm.max() <= _THETA9:
+        b = _PADE9
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        a8 = a4 @ a4
+        u = a @ (b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+        return np.linalg.solve(v - u, v + u)
     squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
     a = a / (2.0 ** squarings)[:, None, None]
     b = _PADE13
-    eye = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -212,27 +233,40 @@ def _edges(t0, t1, sample_times, breakpoints=()):
 def _march(generator, y0, edges, n, project):
     """One pass of n Magnus-4 sub-steps per interval between consecutive edges.
 
+    The sub-step propagators are built a chunk at a time, at most
+    ``_CHUNK_ENTRIES`` matrix entries, from one generator call per chunk. The
+    chunk is a power of two, as is n, so each chunk holds whole blocks of
+    m = min(n, chunk) consecutive sub-steps of one interval. Each block is
+    folded into one propagator by log2(m) batched pairwise products, and
+    Python iterates once per block: once per edge when n <= chunk.
+
     Returns the largest h * ||A||_1 over the sub-step nodes and, when that is
     at most 1 (every sub-step resolved), the states reached at the edges.
     The march goes on from ``project`` of each of them.
     """
     widths = np.diff(edges)
-    raw = np.empty((edges.size, y0.size), dtype=complex)
+    d = y0.size
+    raw = np.empty((edges.size, d), dtype=complex)
     raw[0] = y = y0
     worst = 0.0
-    chunk = max(_CHUNK_ENTRIES // y0.size**2, 1)
-    for lo in range(0, n * widths.size, chunk):
-        step = np.arange(lo, min(lo + chunk, n * widths.size))
+    chunk = 1 << (max(_CHUNK_ENTRIES // d**2, 1).bit_length() - 1)
+    m = min(n, chunk)
+    total = n * widths.size
+    for lo in range(0, total, chunk):
+        step = np.arange(lo, min(lo + chunk, total))
         hc = widths[step // n] / n
         nodes = edges[step // n] + (step % n + _GAUSS[:, None]) * hc     # (2, C)
-        a = generator(nodes.ravel()).reshape(2, hc.size, y0.size, y0.size)
+        a = generator(nodes.ravel()).reshape(2, hc.size, d, d)
         worst = max(worst, float(np.max(hc * np.abs(a).sum(axis=-2).max(axis=(0, -1)))))
         if worst > 1.0:
             continue  # an unresolved pass only reports how far it is from resolved
-        for j, p in enumerate(_expm(_magnus4(a[0], a[1], hc)), start=lo):
-            y = p @ y
-            if j % n == n - 1:
-                raw[j // n + 1] = y
+        p = _expm(_magnus4(a[0], a[1], hc)).reshape(-1, m, d, d)
+        while p.shape[1] > 1:
+            p = p[:, 1::2] @ p[:, 0::2]  # the later sub-step acts last
+        for block, q in enumerate(p[:, 0], start=lo // m):
+            y = q @ y
+            if (block + 1) * m % n == 0:
+                raw[(block + 1) * m // n] = y
                 y = project(y)
     return worst, raw if worst <= 1.0 else None
 
@@ -334,11 +368,11 @@ def evolve_lindblad(
     times = gen.frames.times
     edges, at = _edges(t0, t1, sample_times, 0.5 * (times[:-1] + times[1:]))
 
+    swap = np.arange(n * n).reshape(n, n).T.ravel()  # vec(rho) -> vec(rho^T)
+
     def project(y):
-        rho = y.reshape(-1, n, n)
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-        return rho.reshape(y.shape)
+        y = 0.5 * (y + y[..., swap].conj())
+        return y / y[..., :: n + 1].sum(axis=-1, keepdims=True).real
 
     raw, n_steps, n_rejected = _propagate(gen.liouvillian, rho0.ravel(), edges, cfg, project)
     rhos = project(raw).reshape(-1, n, n)

@@ -20,13 +20,13 @@ def lz_setup(inv_v, order=0, delta=1.0, window=25.0):
 
 
 def ladder_hamiltonian(v=0.25, delta=1.0):
-    """Three levels with two separated avoided crossings, at t = -10 and t = +10."""
-    def evaluate(t):
-        return np.array([[0.5 * v * (t + 10.0), 0.5 * delta, 0.0],
-                         [0.5 * delta, 0.0, 0.5 * delta],
-                         [0.0, 0.5 * delta, 0.5 * v * (t - 10.0)]], dtype=complex)
-
-    return sl.TimeDependentHamiltonian(3, evaluate)
+    """Three levels with two separated avoided crossings, at t = -10 and t = +10:
+    diag(v (t + 10) / 2, 0, v (t - 10) / 2) plus (delta / 2) nearest-neighbour
+    couplings."""
+    h0 = np.array([[5.0 * v, 0.5 * delta, 0.0],
+                   [0.5 * delta, 0.0, 0.5 * delta],
+                   [0.0, 0.5 * delta, -5.0 * v]])
+    return sl.TimeDependentHamiltonian.affine(h0, np.diag([0.5 * v, 0.0, 0.5 * v]))
 
 
 def excited_state(H, t):

@@ -85,6 +85,17 @@ class TestRunSweep:
         assert {w.category for w in caught} == {sl.AdiabaticityWarning, sl.WindowWarning}
         assert all(w.filename == __file__ for w in caught)
 
+    @pytest.mark.parametrize("inv_v,warns", [(1.0, True), (2.0, False)])
+    def test_order_above_recommended_warns(self, inv_v, warns):
+        # adiabatic parameter 0.5 at 1/v = 1 (recommended order 2), 0.25 at
+        # 1/v = 2 (recommended order 4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sl.run_lz_sweep(_fast_cfg(inv_velocities=(inv_v,), order=4))
+        above = [w for w in caught if "above the recommended order" in str(w.message)]
+        assert [w.category for w in above] == ([sl.AdiabaticityWarning] if warns else [])
+        assert all(w.filename == __file__ for w in above)
+
     def test_closed_sweep_runs_once_for_all_gammas(self):
         records = sl.run_sweep_curves(_fast_cfg(), gamma_values=(0.0, 0.01, 0.1))
         assert [(r.inv_v, r.gamma0) for r in records] == [(1.0, 0.0), (2.0, 0.0)]
@@ -401,6 +412,12 @@ class TestCLI:
             ["sweep.inv_v=nan"],
             ["sweep.order=13"],
             ["sweep.window_factor=inf"],
+            ["sweep.mode=superadiabatic", "bath.kind=ohmic", "bath.temperature=-1"],
+            ["sweep.mode=superadiabatic", "bath.kind=ohmic", "bath.temperature=inf"],
+            ["sweep.mode=superadiabatic", "bath.kind=ohmic", "bath.cutoff=nan"],
+            ["sweep.mode=superadiabatic", "bath.kind=ohmic", "bath.cutoff=0"],
+            ["sweep.mode=superadiabatic", "bath.kind=dephasing", "bath.gamma0=nan"],
+            ["sweep.mode=superadiabatic", "bath.kind=dephasing", "bath.gamma0=0.01,-1"],
         ):
             args = ["sweep", str(cfg)] + [a for o in overrides for a in ("--set", o)]
             assert cli_main(args) == 3, overrides

@@ -71,6 +71,26 @@ class TestLZHamiltonian:
         with pytest.raises(sl.ParameterError, match=r"H\(t=2\.5\) is not Hermitian"):
             H.on_grid(np.linspace(0.0, 2.5, 6))
 
+    def test_affine_lz_matches_pointwise_formula(self):
+        rng = np.random.default_rng(11)
+        for v in (0.3, 1.0 / 2.02, 1.0 / 3.0, 2.5):
+            H = sl.lz_hamiltonian(sl.LZParams(v=v, delta=0.7))
+            times = rng.uniform(-300.0, 300.0, 1000)
+            want = [0.5 * np.array([[-v * t, 0.7], [0.7, v * t]], dtype=complex) for t in times]
+            np.testing.assert_array_equal(H.on_grid(times), want)
+
+    def test_affine_checks_its_matrices(self):
+        h = 0.5 * np.asarray(sl.sigma_x)
+        H = sl.TimeDependentHamiltonian.affine(h, sl.sigma_z)
+        assert H.dim == 2 and np.array_equal(H(2.0), h + 2.0 * sl.sigma_z)
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for h0, h1, error in ((skew, h, sl.ParameterError), (h, skew, sl.ParameterError),
+                              (h, np.eye(3), sl.DimensionError),
+                              (np.ones((2, 3)), h, sl.DimensionError),
+                              (np.ones((1, 1)), np.ones((1, 1)), sl.DimensionError)):
+            with pytest.raises(error):
+                sl.TimeDependentHamiltonian.affine(h0, h1)
+
     def test_coupling_operator_checks(self):
         op = sl.CouplingOperator(sl.sigma_z)
         assert op.dim == 2

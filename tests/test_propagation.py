@@ -14,6 +14,29 @@ from lzutil import (
 )
 
 
+def _sequential_march(generator, y0, edges, n, project):
+    """Reference for `_march`: one Magnus-4 sub-step at a time, in order."""
+    d = y0.size
+    raw, y = [y0], y0
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        h = (t1 - t0) / n
+        for k in range(n):
+            a = generator(t0 + (k + sl.propagation._GAUSS) * h).reshape(2, 1, d, d)
+            y = sl.propagation._expm(sl.propagation._magnus4(a[0], a[1], np.array([h])))[0] @ y
+        raw.append(y)
+        y = project(y)
+    return np.array(raw)
+
+
+def _density_projection(n):
+    def project(y):
+        rho = y.reshape(n, n)
+        rho = 0.5 * (rho + rho.conj().T)
+        return (rho / np.trace(rho).real).ravel()
+
+    return project
+
+
 def _lz_coarse():
     """Dephased LZ master equation (v = 1) on a 41-point grid over [-2, 2]."""
     H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
@@ -26,17 +49,70 @@ def _lz_coarse():
 class TestExponentialCore:
     def test_expm_matches_scipy(self):
         linalg = pytest.importorskip("scipy.linalg")
+        theta9 = sl.propagation._THETA9
         rng = np.random.default_rng(3)
         for n in (2, 3, 4, 9):
-            # 1-norms from 1e-3 to ~1e3: the larger ones need squaring
             a = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
-            a *= np.logspace(-3, 2, 6)[:, None, None]
-            a = np.concatenate([a, np.zeros((1, n, n))])
-            got = sl.propagation._expm(a)
-            want = np.stack([linalg.expm(m) for m in a])
-            scale = np.abs(want).max(axis=(1, 2))[:, None, None]
-            assert np.max(np.abs(got - want) / scale) < 1e-12
-            assert np.array_equal(got[-1], np.eye(n))
+            unit = a / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]   # 1-norms 1
+            # 1-norms from 1e-3 to ~1e3: the larger ones need squaring
+            wide = a * np.logspace(-3, 2, 6)[:, None, None]
+            # all at most theta_9: the [9/9] approximant, unscaled; any norm
+            # above it sends the whole stack to [13/13]
+            below = np.array([1e-3, 0.1, 0.5, 0.9, 1 - 1e-9, 1 - 1e-12])[:, None, None]
+            above = np.array([1 + 1e-12, 1 + 1e-9, 1.1, 1.5, 2.0, 2.5])[:, None, None]
+            below, above = theta9 * below * unit, theta9 * above * unit
+            mixed = np.concatenate([below[3:], above[:3]])
+            for stack in (wide, below, above, mixed):
+                stack = np.concatenate([stack, np.zeros((1, n, n))])
+                got = sl.propagation._expm(stack)
+                want = np.stack([linalg.expm(m) for m in stack])
+                scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+                assert np.max(np.abs(got - want) / scale) < 1e-12
+                assert np.array_equal(got[-1], np.eye(n))
+
+    @pytest.mark.parametrize("case", ["me_n_below_chunk", "unitary_n_above_chunk",
+                                      "ladder_n_below_chunk", "ladder_n_above_chunk"])
+    def test_march_matches_sequential_reference(self, case):
+        # block composition reorders only the rounding of the sub-step
+        # products; the projection still acts once per edge
+        if case == "me_n_below_chunk":                # N^2 = 4: chunk 1024
+            gen, rho0 = _lz_coarse()
+            mid = 0.5 * (gen.frames.times[:-1] + gen.frames.times[1:])
+            edges = np.concatenate([[-2.0], mid, [2.0]])
+            generator, y0, n, project = gen.liouvillian, rho0.ravel(), 8, _density_projection(2)
+        elif case == "unitary_n_above_chunk":         # d = 2: chunk 1024
+            H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
+            edges = np.array([-2.0, -0.5, 2.0])
+            y0, n = np.array([1.0, 0.0], complex), 2048
+
+            def generator(times):
+                return -1j * H.on_grid(times)
+
+            def project(y):
+                return y / np.linalg.norm(y)
+        else:                                         # N^2 = 9: chunk 4096 // 81 = 50 -> 32
+            H = ladder_hamiltonian()
+            base = sl.instantaneous_frames(H, sl.adaptive_time_grid(H, -12.0, -8.0))
+            gen = sl.LindbladGenerator(base, np.diag([1.0, 0.0, -1.0]),
+                                       sl.ohmic_spectrum(0.05, 5.0, 0.5), H)
+            mid = 0.5 * (base.times[:-1] + base.times[1:])
+            edges = np.concatenate([[-12.0], mid, [-8.0]])
+            psi0 = base.basis[0, :, 0]
+            y0 = np.outer(psi0, psi0.conj()).ravel()
+            generator, project = gen.liouvillian, _density_projection(3)
+            n = 8 if case == "ladder_n_below_chunk" else 128
+            edges = edges if n == 8 else edges[:6]
+        calls = 0
+
+        def counted(y):
+            nonlocal calls
+            calls += 1
+            return project(y)
+
+        worst, raw = sl.propagation._march(generator, y0, edges, n, counted)
+        assert worst <= 1.0 and calls == edges.size - 1
+        want = _sequential_march(generator, y0, edges, n, project)
+        assert np.max(np.abs(raw - want)) < 1e-13
 
     def test_lindblad_matches_dop853_oracle(self):
         integrate = pytest.importorskip("scipy.integrate")
