@@ -13,6 +13,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -118,6 +119,11 @@ def _cmd_check(_args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "spectrum":
+        if args.n < 1:
+            parser.error(f"spectrum: --n must be >= 1, got {args.n}")
+        if not -math.inf < args.wmin <= args.wmax < math.inf:  # NaN fails too
+            parser.error(f"spectrum: need finite --wmin <= --wmax, got {args.wmin}, {args.wmax}")
     handlers = {
         "sweep": _cmd_sweep,
         "fig1": _cmd_fig1,

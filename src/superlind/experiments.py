@@ -10,7 +10,6 @@ crossing region.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -136,7 +135,6 @@ class SweepRecord:
     herm_error: float
     min_eigenvalue: float
     adiabaticity: float
-    runtime: float
 
     def __post_init__(self):
         if not -1e-7 <= self.p_ge <= 1.0 + 1e-7:
@@ -155,12 +153,17 @@ def _excited_readout(H, t_final: float) -> np.ndarray:
     return vecs[:, -1]
 
 
-def _sweep_point(cfg: SweepConfig, inv_v: float) -> SweepRecord:
-    started = time.perf_counter()
+def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
+    """Records at one inverse velocity: one per bath strength, or one in
+    closed mode, which ignores the bath.
+
+    The model, grid, frames, warnings, initial and readout states are built
+    once and shared by every bath strength.
+    """
+    baths = [replace(cfg.bath, gamma0=float(g)) for g in gamma_values]  # all checked before any solve
     v = 1.0 / inv_v
-    delta = cfg.delta
-    t_final = cfg.window_factor * delta / v
-    H = lz_hamiltonian(LZParams(v=v, delta=delta))
+    t_final = cfg.window_factor * cfg.delta / v
+    H = lz_hamiltonian(LZParams(v=v, delta=cfg.delta))
     times = adaptive_time_grid(H, -t_final, t_final)
 
     base = instantaneous_frames(H, times)
@@ -196,65 +199,58 @@ def _sweep_point(cfg: SweepConfig, inv_v: float) -> SweepRecord:
 
     icfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol)
     excited = _excited_readout(H, t_final)
+
+    def record(gamma0, p, trace_error, herm_error, min_eig):
+        return SweepRecord(
+            inv_v=inv_v, p_ge=float(np.clip(p, -1e-7, 1.0 + 1e-7)), mode=cfg.mode,
+            gamma0=gamma0, temperature=cfg.bath.temperature if cfg.bath.kind == "ohmic" else 0.0,
+            order=cfg.order, trace_error=float(trace_error), herm_error=float(herm_error),
+            min_eigenvalue=float(min_eig), adiabaticity=report.global_max,
+        )
+
     if cfg.mode == "closed":
         res = evolve_unitary(H, psi0, -t_final, t_final, cfg=icfg)
         p = abs(np.vdot(excited, res.state)) ** 2
-        trace_error = abs(float(np.vdot(res.state, res.state).real) - 1.0)
-        herm_error = 0.0
-        min_eig = 0.0
-    else:
-        frames = base if cfg.mode == "instantaneous" else traj
-        gen = LindbladGenerator(frames, sigma_z, cfg.bath.spectrum(), H)
-        if cfg.solver == "me":
-            rho0 = np.outer(psi0, psi0.conj())
-            res = evolve_lindblad(gen, rho0, -t_final, t_final, cfg=icfg)
-            p = float(np.real(excited.conj() @ res.state @ excited))
-            trace_error = res.diagnostics.max_trace_drift
-            herm_error = res.diagnostics.max_hermiticity_drift
-            min_eig = res.diagnostics.min_eigenvalue
-        else:
-            tcfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=cfg.seed, record_jumps=False)
-            res = evolve_trajectories(gen, psi0, -t_final, t_final, tcfg)
-            p = float(np.real(excited.conj() @ res.state @ excited))
-            trace_error = abs(float(np.trace(res.state).real) - 1.0)
-            herm_error = hermiticity_defect(res.state)
-            min_eig = float(np.linalg.eigvalsh(res.state).min())
+        return [record(0.0, p, abs(float(np.vdot(res.state, res.state).real) - 1.0), 0.0, 0.0)]
 
-    return SweepRecord(
-        inv_v=inv_v,
-        p_ge=float(np.clip(p, -1e-7, 1.0 + 1e-7)),
-        mode=cfg.mode,
-        gamma0=cfg.bath.gamma0 if cfg.mode != "closed" else 0.0,
-        temperature=cfg.bath.temperature if cfg.bath.kind == "ohmic" else 0.0,
-        order=cfg.order,
-        trace_error=float(trace_error),
-        herm_error=float(herm_error),
-        min_eigenvalue=float(min_eig),
-        adiabaticity=report.global_max,
-        runtime=time.perf_counter() - started,
-    )
+    frames = base if cfg.mode == "instantaneous" else traj
+    rho0 = np.outer(psi0, psi0.conj())
+    tcfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=cfg.seed, record_jumps=False)
+    records = []
+    for bath in baths:
+        gen = LindbladGenerator(frames, sigma_z, bath.spectrum(), H)
+        if cfg.solver == "me":
+            res = evolve_lindblad(gen, rho0, -t_final, t_final, cfg=icfg)
+            d = res.diagnostics
+            integrity = (d.max_trace_drift, d.max_hermiticity_drift, d.min_eigenvalue)
+        else:
+            res = evolve_trajectories(gen, psi0, -t_final, t_final, tcfg)
+            rho = res.state
+            integrity = (abs(float(np.trace(rho).real) - 1.0), hermiticity_defect(rho),
+                         float(np.linalg.eigvalsh(rho).min()))
+        p = float(np.real(excited.conj() @ res.state @ excited))
+        records.append(record(bath.gamma0, p, *integrity))
+    return records
 
 
 def run_lz_sweep(cfg: SweepConfig, output=None) -> list:
     """Run one sweep curve, records sorted by inverse velocity; optionally
     write them to a CSV file."""
-    records = [_sweep_point(cfg, x) for x in sorted(cfg.inv_velocities)]
+    records = run_sweep_curves(cfg, (cfg.bath.gamma0,))
     if output is not None:
         write_sweep_csv(output, records, [cfg])
     return records
 
 
 def run_sweep_curves(base: SweepConfig, gamma_values) -> list:
-    """Sweep curves differing in bath strength; records from all curves.
+    """Sweep curves differing in bath strength; records from all curves,
+    sorted by (inv_v, gamma0).
 
-    A closed sweep ignores the bath, so it runs once whatever the strengths.
+    Each inverse velocity builds its grid and frames once for all curves; a
+    closed sweep ignores the bath, so it runs once whatever the strengths.
     """
-    if base.mode == "closed":
-        gamma_values = tuple(gamma_values)[:1]
-    records = []
-    for g in gamma_values:
-        cfg = replace(base, bath=replace(base.bath, gamma0=float(g)))
-        records.extend(run_lz_sweep(cfg))
+    gamma_values = tuple(gamma_values)
+    records = [r for x in sorted(base.inv_velocities) for r in _sweep_point(base, x, gamma_values)]
     records.sort(key=lambda r: (r.inv_v, r.gamma0))
     return records
 

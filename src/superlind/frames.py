@@ -86,10 +86,10 @@ class FrameTrajectory:
         """Nearest grid index of t, or an index array for an array of times.
 
         Halves round to even, as ``round`` does; raises ``TimeDomainError``
-        naming the first time outside the grid."""
+        naming the first time outside the grid, NaN included."""
         t = np.asarray(t, dtype=float)
         h, first, last = self.step, self.times[0], self.times[-1]
-        outside = (t < first - 0.5 * h - 1e-9 * h) | (t > last + 0.5 * h + 1e-9 * h)
+        outside = ~((t >= first - 0.5 * h - 1e-9 * h) & (t <= last + 0.5 * h + 1e-9 * h))
         if outside.any():
             raise TimeDomainError(
                 f"t = {float(t[outside][0])!r} outside frame grid [{first}, {last}]"

@@ -13,8 +13,10 @@ snapped dissipator is constant between two edges. Each interval between
 edges is split into n equal sub-steps; n doubles until two passes agree
 within the tolerances. The sub-step propagators of an interval are composed
 by batched pairwise products before they touch the state, so Python runs
-once per edge, not once per sub-step; the state is projected (renormalized,
-re-hermitized) at every edge. Resolved sub-steps are exponentiated with the
+once per edge, not once per sub-step. The core only propagates; each engine
+projects (renormalizes, re-hermitizes) the edge states once, after the solve,
+since the Magnus exponent of -iH or of a Liouvillian preserves norm, trace
+and hermiticity up to rounding. Resolved sub-steps are exponentiated with the
 [9/9] Pade approximant, anything larger with scaled and squared [13/13].
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
 for the whole ensemble, and finds each jump time from the norms at the two
@@ -104,8 +106,9 @@ class IntegrationDiagnostics:
 
     ``n_steps`` counts the sub-steps of the accepted pass and ``n_rejected``
     those of the resolved coarser passes discarded before it. The drifts are
-    the largest over the edges, measured before each re-hermitization and
-    renormalization; the minimum eigenvalue is taken over the edge states.
+    the largest over the edges of the trace and hermiticity drift accumulated
+    from rho0, before the one re-hermitization and renormalization of the
+    returned states; the minimum eigenvalue is taken over those states.
     """
 
     n_steps: int = 0
@@ -214,9 +217,11 @@ def _edges(t0, t1, sample_times, breakpoints=()):
     Also returns the index of each sample time among the edges. Repeated
     edges need no merging: the interval between them has zero width.
     """
-    if not t1 > t0:
-        raise ParameterError("need t1 > t0")
+    if not -math.inf < t0 < t1 < math.inf:  # NaN fails too
+        raise ParameterError(f"need finite t0 < t1, got t0 = {t0!r}, t1 = {t1!r}")
     s = np.asarray(() if sample_times is None else sample_times, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise ParameterError("sample_times must be finite")
     if s.size and np.any(np.diff(s) < 0):
         raise ParameterError("sample_times must be ascending")
     tol = 1e-12 * (t1 - t0)
@@ -230,7 +235,7 @@ def _edges(t0, t1, sample_times, breakpoints=()):
     return times[order], where[1:1 + s.size]
 
 
-def _march(generator, y0, edges, n, project):
+def _march(generator, y0, edges, n):
     """One pass of n Magnus-4 sub-steps per interval between consecutive edges.
 
     The sub-step propagators are built a chunk at a time, at most
@@ -242,7 +247,6 @@ def _march(generator, y0, edges, n, project):
 
     Returns the largest h * ||A||_1 over the sub-step nodes and, when that is
     at most 1 (every sub-step resolved), the states reached at the edges.
-    The march goes on from ``project`` of each of them.
     """
     widths = np.diff(edges)
     d = y0.size
@@ -267,11 +271,10 @@ def _march(generator, y0, edges, n, project):
             y = q @ y
             if (block + 1) * m % n == 0:
                 raw[(block + 1) * m // n] = y
-                y = project(y)
     return worst, raw if worst <= 1.0 else None
 
 
-def _propagate(generator, y0, edges, cfg, project):
+def _propagate(generator, y0, edges, cfg):
     """States of y' = A(t) y at the ascending ``edges``, from y0 at edges[0].
 
     ``generator(times)`` returns the stack A(times), shape (M, d, d). Each
@@ -280,13 +283,13 @@ def _propagate(generator, y0, edges, cfg, project):
     the first one that agrees with the previous resolved pass within
     rtol/atol at every edge is accepted.
 
-    Returns the states reached at the edges before ``project``, extrapolated
-    from the last two passes, the number of sub-steps of the accepted pass,
-    and the number of sub-steps of the resolved passes discarded before it.
+    Returns the states reached at the edges, extrapolated from the last two
+    passes, the number of sub-steps of the accepted pass, and the number of
+    sub-steps of the resolved passes discarded before it.
     """
     n, prev, prev_worst, prev_err, rejected = 1, None, math.inf, math.inf, 0
     while True:
-        worst, raw = _march(generator, y0, edges, n, project)
+        worst, raw = _march(generator, y0, edges, n)
         steps = n * (edges.size - 1)
         if raw is None:
             if worst >= _SHRINK * prev_worst:
@@ -335,11 +338,8 @@ def evolve_unitary(
     def generator(times):
         return -1j * H.on_grid(times)
 
-    def project(y):
-        return y / np.linalg.norm(y, axis=-1, keepdims=True)
-
-    raw, _, _ = _propagate(generator, psi0, edges, cfg, project)
-    states = project(raw)
+    raw, _, _ = _propagate(generator, psi0, edges, cfg)
+    states = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
     return UnitaryResult(
         state=states[-1],
         samples=states[at] if at.size else None,
@@ -357,10 +357,11 @@ def evolve_lindblad(
     """Solve the master equation from rho0.
 
     The edges of the exponential core are the sample times and the frame
-    midpoints, where the generator's dissipator changes. At every edge the
-    state is re-hermitized and trace-normalized; positivity is monitored
-    (never forced) and a violation below -1e-5 aborts with an error, since
-    the Magnus exponent is not of Lindblad form when H changes in a cell.
+    midpoints, where the generator's dissipator changes. The returned edge
+    states are re-hermitized and trace-normalized once, after the solve;
+    positivity is monitored (never forced) and a violation below -1e-5 aborts
+    with an error, since the Magnus exponent is not of Lindblad form when H
+    changes in a cell.
     """
     cfg = cfg or IntegratorConfig()
     rho0 = check_density_matrix(rho0)
@@ -368,15 +369,10 @@ def evolve_lindblad(
     times = gen.frames.times
     edges, at = _edges(t0, t1, sample_times, 0.5 * (times[:-1] + times[1:]))
 
-    swap = np.arange(n * n).reshape(n, n).T.ravel()  # vec(rho) -> vec(rho^T)
-
-    def project(y):
-        y = 0.5 * (y + y[..., swap].conj())
-        return y / y[..., :: n + 1].sum(axis=-1, keepdims=True).real
-
-    raw, n_steps, n_rejected = _propagate(gen.liouvillian, rho0.ravel(), edges, cfg, project)
-    rhos = project(raw).reshape(-1, n, n)
+    raw, n_steps, n_rejected = _propagate(gen.liouvillian, rho0.ravel(), edges, cfg)
     raw = raw.reshape(-1, n, n)
+    rhos = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+    rhos = rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
     min_eigs = np.linalg.eigvalsh(rhos).min(axis=1)
     k = int(np.argmin(min_eigs))
     diag = IntegrationDiagnostics(

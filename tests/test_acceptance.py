@@ -115,7 +115,7 @@ def unraveling_runs():
             trace_error=me.diagnostics.max_trace_drift,
             herm_error=me.diagnostics.max_hermiticity_drift,
             min_eigenvalue=me.diagnostics.min_eigenvalue,
-            adiabaticity=1.0 / 6.0, runtime=0.0,
+            adiabaticity=1.0 / 6.0,
         )
     )
     ensembles = {}

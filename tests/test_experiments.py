@@ -1,11 +1,14 @@
 import math
 import warnings
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import superlind as sl
+from superlind import experiments
 from superlind.cli import main as cli_main
 from superlind.config import apply_overrides, fig1_job, read_config, sweep_job
 from superlind.experiments import BathConfig, SweepRecord
@@ -100,6 +103,36 @@ class TestRunSweep:
         records = sl.run_sweep_curves(_fast_cfg(), gamma_values=(0.0, 0.01, 0.1))
         assert [(r.inv_v, r.gamma0) for r in records] == [(1.0, 0.0), (2.0, 0.0)]
 
+    def test_curves_share_one_build_per_point(self, monkeypatch):
+        cfg = _fast_cfg(mode="superadiabatic", order=2, inv_velocities=(2.0,),
+                        bath=BathConfig(kind="dephasing"))
+        calls = Counter()
+        for name in ("adaptive_time_grid", "superadiabatic_frames"):
+            def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counted)
+        records = sl.run_sweep_curves(cfg, gamma_values=(0.0, 0.01, 0.1))
+        assert calls == {"adaptive_time_grid": 1, "superadiabatic_frames": 1}
+        assert [r.gamma0 for r in records] == [0.0, 0.01, 0.1]
+        for r in records:
+            (alone,) = sl.run_lz_sweep(replace(cfg, bath=replace(cfg.bath, gamma0=r.gamma0)))
+            assert repr(r) == repr(alone)  # bitwise: repr round-trips every float
+
+    def test_each_warning_once_per_point(self):
+        # so fast a sweep that every warning fires: adiabatic parameter 1.67,
+        # recommended order 1, and the window edges are not adiabatic
+        cfg = _fast_cfg(mode="superadiabatic", order=2, inv_velocities=(0.3,),
+                        bath=BathConfig(kind="dephasing"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sl.run_sweep_curves(cfg, gamma_values=(0.0, 0.01, 0.1))
+        assert [w.category for w in caught] == [
+            sl.AdiabaticityWarning, sl.AdiabaticityWarning, sl.WindowWarning,
+        ]
+        assert "above the recommended order" in str(caught[1].message)
+
     def test_gamma_curves_share_grid(self):
         records = sl.run_sweep_curves(
             _fast_cfg(
@@ -175,7 +208,7 @@ def _record(gamma0, p_ge):
     return SweepRecord(
         inv_v=2.0, p_ge=p_ge, mode="superadiabatic", gamma0=gamma0, temperature=0.5,
         order=4, trace_error=1e-12, herm_error=0.0, min_eigenvalue=-3e-9,
-        adiabaticity=0.25 / 3.0, runtime=1.0,
+        adiabaticity=0.25 / 3.0,
     )
 
 
@@ -359,6 +392,16 @@ class TestCLI:
         table = {float(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
         assert table[0.0] == pytest.approx(0.005, abs=1e-12)
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("args", [
+        ["--n", "-1"], ["--n", "0"], ["--wmin", "nan"], ["--wmax", "nan"],
+        ["--wmin=-inf"], ["--wmax", "inf"], ["--wmin", "2", "--wmax", "1"],
+    ])
+    def test_spectrum_rejects_bad_grid(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["spectrum", "--gamma0", "0.01", *args])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -94,6 +94,13 @@ class TestInstantaneousFrames:
         with pytest.raises(sl.TimeDomainError, match=repr(float(probes[1]))):
             base.index_at(probes)
 
+    def test_index_at_nan_is_outside(self, lz_slow):
+        base = lz_slow[3]
+        with pytest.raises(sl.TimeDomainError, match="nan"):
+            base.index_at(np.nan)
+        with pytest.raises(sl.TimeDomainError, match="nan"):
+            base.index_at(np.array([0.0, np.nan]))
+
 
 def _align_pair(prev, cur):
     """Gauge-fix the two-frame stack (prev, cur) on a unit-step grid."""

@@ -14,18 +14,39 @@ from lzutil import (
 )
 
 
-def _sequential_march(generator, y0, edges, n, project):
-    """Reference for `_march`: one Magnus-4 sub-step at a time, in order."""
+def _sequential_march(generator, y0, edges, n, project=None):
+    """Reference for `_march`: one Magnus-4 sub-step at a time, in order, and
+    optionally ``project`` of the state at every edge before going on.
+
+    Returns the largest h * ||A||_1 over the nodes and the edge states."""
     d = y0.size
-    raw, y = [y0], y0
+    raw, y, worst = [y0], y0, 0.0
     for t0, t1 in zip(edges[:-1], edges[1:]):
         h = (t1 - t0) / n
         for k in range(n):
             a = generator(t0 + (k + sl.propagation._GAUSS) * h).reshape(2, 1, d, d)
+            worst = max(worst, h * np.abs(a).sum(axis=-2).max())
             y = sl.propagation._expm(sl.propagation._magnus4(a[0], a[1], np.array([h])))[0] @ y
         raw.append(y)
-        y = project(y)
-    return np.array(raw)
+        if project is not None:
+            y = project(y)
+    return worst, np.array(raw)
+
+
+def _projected_solve(generator, y0, edges, project, cfg=sl.IntegratorConfig()):
+    """Reference solve that projects the state at every edge: sequential
+    passes with n doubling, compared from the first resolved one, then one
+    Richardson step; returns the projected edge states."""
+    n, prev = 1, None
+    while True:
+        worst, raw = _sequential_march(generator, y0, edges, n, project)
+        if worst <= 1.0:
+            if prev is not None:
+                scale = cfg.atol + cfg.rtol * np.linalg.norm(raw, axis=1)
+                if np.max(np.linalg.norm(raw - prev, axis=1) / scale) <= 1.0:
+                    return np.array([project(y) for y in raw + (raw - prev) / 15.0])
+            prev = raw
+        n *= 2
 
 
 def _density_projection(n):
@@ -35,6 +56,10 @@ def _density_projection(n):
         return (rho / np.trace(rho).real).ravel()
 
     return project
+
+
+def _unit_norm(y):
+    return y / np.linalg.norm(y)
 
 
 def _lz_coarse():
@@ -73,13 +98,12 @@ class TestExponentialCore:
     @pytest.mark.parametrize("case", ["me_n_below_chunk", "unitary_n_above_chunk",
                                       "ladder_n_below_chunk", "ladder_n_above_chunk"])
     def test_march_matches_sequential_reference(self, case):
-        # block composition reorders only the rounding of the sub-step
-        # products; the projection still acts once per edge
+        # block composition reorders only the rounding of the sub-step products
         if case == "me_n_below_chunk":                # N^2 = 4: chunk 1024
             gen, rho0 = _lz_coarse()
             mid = 0.5 * (gen.frames.times[:-1] + gen.frames.times[1:])
             edges = np.concatenate([[-2.0], mid, [2.0]])
-            generator, y0, n, project = gen.liouvillian, rho0.ravel(), 8, _density_projection(2)
+            generator, y0, n = gen.liouvillian, rho0.ravel(), 8
         elif case == "unitary_n_above_chunk":         # d = 2: chunk 1024
             H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
             edges = np.array([-2.0, -0.5, 2.0])
@@ -87,9 +111,6 @@ class TestExponentialCore:
 
             def generator(times):
                 return -1j * H.on_grid(times)
-
-            def project(y):
-                return y / np.linalg.norm(y)
         else:                                         # N^2 = 9: chunk 4096 // 81 = 50 -> 32
             H = ladder_hamiltonian()
             base = sl.instantaneous_frames(H, sl.adaptive_time_grid(H, -12.0, -8.0))
@@ -99,20 +120,37 @@ class TestExponentialCore:
             edges = np.concatenate([[-12.0], mid, [-8.0]])
             psi0 = base.basis[0, :, 0]
             y0 = np.outer(psi0, psi0.conj()).ravel()
-            generator, project = gen.liouvillian, _density_projection(3)
+            generator = gen.liouvillian
             n = 8 if case == "ladder_n_below_chunk" else 128
             edges = edges if n == 8 else edges[:6]
-        calls = 0
-
-        def counted(y):
-            nonlocal calls
-            calls += 1
-            return project(y)
-
-        worst, raw = sl.propagation._march(generator, y0, edges, n, counted)
-        assert worst <= 1.0 and calls == edges.size - 1
-        want = _sequential_march(generator, y0, edges, n, project)
+        worst, raw = sl.propagation._march(generator, y0, edges, n)
+        assert worst <= 1.0
+        _, want = _sequential_march(generator, y0, edges, n)
         assert np.max(np.abs(raw - want)) < 1e-13
+
+    @pytest.mark.parametrize("engine", ["lindblad", "unitary"])
+    def test_projecting_once_matches_projecting_every_edge(self, engine):
+        # the Magnus exponent preserves trace, hermiticity and norm, so
+        # projecting only the returned states moves them by rounding alone
+        samples = np.array([-1.3, -0.05, 0.6, 1.45])
+        if engine == "lindblad":
+            gen, rho0 = _lz_coarse()
+            res = sl.evolve_lindblad(gen, rho0, -2.0, 2.0, sample_times=samples)
+            generator, y0, project = gen.liouvillian, rho0.ravel(), _density_projection(2)
+            breakpoints = 0.5 * (gen.frames.times[:-1] + gen.frames.times[1:])
+        else:
+            H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
+            y0 = np.array([1.0, 0.0], complex)
+            res = sl.evolve_unitary(H, y0, -2.0, 2.0, sample_times=samples)
+
+            def generator(times):
+                return -1j * H.on_grid(times)
+
+            project, breakpoints = _unit_norm, ()
+        got = np.concatenate([res.samples, [res.state]]).reshape(samples.size + 1, -1)
+        edges, at = sl.propagation._edges(-2.0, 2.0, samples, breakpoints)
+        want = _projected_solve(generator, y0, edges, project)[np.append(at, -1)]
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_lindblad_matches_dop853_oracle(self):
         integrate = pytest.importorskip("scipy.integrate")
@@ -453,6 +491,19 @@ class TestConfigsAndValidators:
     def test_trajectory_config_validation(self):
         with pytest.raises(sl.ParameterError):
             sl.TrajectoryConfig(n_traj=0)
+
+    @pytest.mark.parametrize("t0,t1,samples", [
+        (-math.inf, 1.0, None), (0.0, math.inf, None), (math.nan, 1.0, None),
+        (0.0, math.nan, None), (0.0, 1.0, [0.0, math.nan]), (0.0, 1.0, [math.nan, 0.5]),
+    ])
+    def test_edges_reject_non_finite_times(self, t0, t1, samples):
+        with pytest.raises(sl.ParameterError):
+            sl.propagation._edges(t0, t1, samples)
+
+    def test_lindblad_rejects_nan_sample_time(self):
+        gen, rho0 = _lz_coarse()
+        with pytest.raises(sl.ParameterError):
+            sl.evolve_lindblad(gen, rho0, -2.0, 2.0, sample_times=[0.0, math.nan])
 
     def test_density_matrix_validator(self):
         with pytest.raises(sl.StateIntegrityError):
