@@ -160,7 +160,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
     The model, grid, frames, warnings, initial and readout states are built
     once and shared by every bath strength.
     """
-    baths = [replace(cfg.bath, gamma0=float(g)) for g in gamma_values]  # all checked before any solve
+    baths = [replace(cfg.bath, gamma0=float(g)) for g in gamma_values]  # checked before any solve
     v = 1.0 / inv_v
     t_final = cfg.window_factor * cfg.delta / v
     H = lz_hamiltonian(LZParams(v=v, delta=cfg.delta))
