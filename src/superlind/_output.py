@@ -19,12 +19,14 @@ def fmt(x) -> str:
 def write_table(path, comments, columns, rows, sep: str = ",") -> None:
     """Write comment lines, a header row and rows of numbers to `path`.
 
-    Each row is an iterable of numbers formatted with `fmt`; `path=None`
-    writes to standard output.
+    Each row is a sequence of one number per column, formatted by one
+    `%.12g` template per row (the digits `fmt` writes); `path=None` writes
+    to standard output.
     """
     lines = [f"# {c}" for c in comments]
     lines.append(sep.join(columns))
-    lines += [sep.join(fmt(x) for x in row) for row in rows]
+    template = sep.join(["%.12g"] * len(columns))
+    lines += [template % tuple(row) for row in rows]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)

@@ -202,7 +202,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
 
     def record(gamma0, p, trace_error, herm_error, min_eig):
         return SweepRecord(
-            inv_v=inv_v, p_ge=float(np.clip(p, -1e-7, 1.0 + 1e-7)), mode=cfg.mode,
+            inv_v=inv_v, p_ge=float(p), mode=cfg.mode,
             gamma0=gamma0, temperature=cfg.bath.temperature if cfg.bath.kind == "ohmic" else 0.0,
             order=cfg.order, trace_error=float(trace_error), herm_error=float(herm_error),
             min_eigenvalue=float(min_eig), adiabaticity=report.global_max,

@@ -388,6 +388,8 @@ def write_frames_csv(traj: FrameTrajectory, path) -> None:
         columns += ["x", "y", "z"]
         # x, y, z of the projector onto column a, each of shape (K, 2)
         bloch = bloch_vector(np.einsum("kia,kja->kaij", traj.basis, traj.basis.conj()))
-    rows = ([t, traj.order, a, traj.energies[k, a], *(c[k, a] for c in bloch)]
-            for k, t in enumerate(traj.times) for a in range(traj.dim))
+    k, n = traj.energies.shape
+    rows = np.column_stack([np.repeat(traj.times, n), np.full(k * n, traj.order),
+                            np.tile(np.arange(n), k), traj.energies.ravel(),
+                            *(c.ravel() for c in bloch)]).tolist()
     write_table(path, comments, columns, rows)

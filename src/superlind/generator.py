@@ -18,6 +18,7 @@ the dissipator is constant on each frame cell, between two grid midpoints.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,13 @@ class LindbladGenerator:
     Immutable once built: all per-frame quantities (coupling matrix
     elements, transition frequencies, rates) are precomputed on the grid,
     so ``liouvillian`` and ``rhs`` are pure.
+
+    ``channels`` holds every jump operator at every frame, (K, C, N, N)
+    with C = 1 + N (N - 1), labeled by ``channel_labels``: the dephasing
+    operator (-1, -1), then each transfer b -> a as (a, b) in row-major
+    order. ``active_channels`` (K, C) flags the nonzero ones; an inactive
+    operator is exactly zero. All three are read-only; the stack is built
+    once, on first use.
     """
 
     def __init__(
@@ -59,6 +67,11 @@ class LindbladGenerator:
         self._precompute()
 
     def _precompute(self) -> None:
+        """Per-frame arrays, read-only: dephasing amplitudes, rates, channel
+        amplitudes, shift, the non-Hermitian drift addition, and the labels
+        and activity mask of the channel stack, whose operators ``channels``
+        builds from these once, when ``jump_channels`` or the Monte-Carlo
+        unraveling first reads them."""
         basis = self.frames.basis                      # (K, N, N)
         energies = self.frames.energies                # (K, N)
         a_mat = self.coupling.matrix
@@ -99,9 +112,31 @@ class LindbladGenerator:
         #   U (diag(shift) - i/2 diag(ell^2 + out_rate)) U^dag
         drift_diag = self._shift_diag - 0.5j * (self._ell**2 + self._out_rate)
         self._heff_add = np.einsum("kia,ka,kja->kij", basis, drift_diag, basis.conj())
+
+        # the channel stack's labels and mask: the dephasing operator, then the transfers
+        self._transfers = a_idx, b_idx = np.nonzero(~np.eye(n, dtype=bool))
+        self.channel_labels = ((-1, -1), *zip(a_idx.tolist(), b_idx.tolist()))
+        self.active_channels = np.concatenate(
+            [np.any(self._ell != 0.0, axis=1)[:, None], self._amp[:, a_idx, b_idx] != 0.0], axis=1)
         for arr in (self._ell, self._rate, self._out_rate, self._amp,
-                    self._shift_diag, self._heff_add):
+                    self._shift_diag, self._heff_add, self.active_channels):
             arr.setflags(write=False)
+
+    @cached_property
+    def channels(self) -> np.ndarray:
+        """The channel stack, built on first use: only the jump unraveling and
+        ``jump_channels`` read it, and it is C times the size of a frame."""
+        basis = self.frames.basis
+        a_idx, b_idx = self._transfers
+        stack = np.empty((len(self.frames), len(self.channel_labels)) + basis.shape[1:],
+                         dtype=complex)
+        stack[:, 0] = np.einsum("kia,ka,kja->kij", basis, self._ell, basis.conj())
+        np.multiply(basis[:, :, a_idx].transpose(0, 2, 1)[..., :, None],          # kets
+                    basis[:, :, b_idx].conj().transpose(0, 2, 1)[..., None, :],   # bras
+                    out=stack[:, 1:])
+        np.multiply(self._amp[:, a_idx, b_idx][..., None, None], stack[:, 1:], out=stack[:, 1:])
+        stack.setflags(write=False)
+        return stack
 
     def liouvillian(self, times) -> np.ndarray:
         """Generator of the master equation at each of ``times``, (M, N^2, N^2).
@@ -157,15 +192,8 @@ class LindbladGenerator:
         transferring b -> a. An empty list means no dissipator. With
         ``effective_hamiltonian`` this is the master equation in explicit
         operators: d rho/dt = -i (H_eff rho - rho H_eff^dag) + sum L rho L^dag.
+        The operators are read-only views of the channel stack built once.
         """
         k = self.frames.index_at(t)
-        basis = self.frames.basis[k]
-        channels = []
-        if np.any(self._ell[k] != 0.0):
-            dephasing = np.einsum("ia,a,ja->ij", basis, self._ell[k], basis.conj())
-            channels.append(((-1, -1), dephasing))
-        return channels + [  # the diagonal of _amp is zero
-            ((a, b), self._amp[k, a, b] * np.outer(basis[:, a], basis[:, b].conj()))
-            for a, b in np.argwhere(self._amp[k] != 0.0).tolist()
-        ]
-
+        return [(self.channel_labels[c], self.channels[k, c])
+                for c in np.flatnonzero(self.active_channels[k])]

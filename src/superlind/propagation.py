@@ -19,8 +19,8 @@ since the Magnus exponent of -iH or of a Liouvillian preserves norm, trace
 and hermiticity up to rounding. Resolved sub-steps are exponentiated with the
 [9/9] Pade approximant, anything larger with scaled and squared [13/13].
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
-for the whole ensemble, and finds each jump time from the norms at the two
-ends of its step.
+for the whole ensemble, finds each jump time from the norms at the two ends
+of its step, and handles all jumps of a step as one batch.
 """
 from __future__ import annotations
 
@@ -402,57 +402,73 @@ def _traj_rng(seed: int, index: int):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _jump(gen, rng, psi_a, psi_b, t_a, t_b, h_eff, threshold, events, depth=0):
-    """Handle a norm-threshold crossing inside [t_a, t_b], within one frame cell.
+def _jumps(gen, cell, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
+    """Handle the norm-threshold crossings of a batch of trajectories inside
+    one lockstep step [t_a, t_b], which lies in the frame cell ``cell``.
 
-    ``h_eff`` is the drift anywhere in that cell. There d||psi||^2/dt =
-    -<psi, gamma psi> with gamma = i (H_eff - H_eff^dag) constant, so psi_a
-    and psi_b give ||psi||^2 and its slope at both ends; the jump time is the
-    threshold crossing of their cubic Hermite interpolant, found by bisecting
-    that polynomial. One Magnus-4 exponential reaches it, a channel drawn
-    with probability ~ ||L psi||^2 acts, and another finishes the step
-    (recursing if the survivor crosses its fresh threshold again).
+    ``rngs``, ``events`` (or None) and the rows of ``psi_a``, ``psi_b`` and
+    ``thresholds`` belong to the crossing trajectories. ``h_eff`` is the
+    drift anywhere in the cell. There d||psi||^2/dt = -<psi, gamma psi> with
+    gamma = i (H_eff - H_eff^dag) constant, so the step's ends give ||psi||^2
+    and its slope at both; each jump time is the threshold crossing of their
+    cubic Hermite interpolant, found by bisecting that polynomial. One
+    Magnus-4 exponential per trajectory reaches its jump, a channel drawn
+    with probability ~ ||L psi||^2 acts, and another finishes the step.
+    Trajectories whose survivor crosses its fresh threshold again repeat
+    this from their own jump time. Each round makes one
+    ``effective_hamiltonian`` and one ``_expm`` call for the whole batch.
+
+    Returns the states at t_b and the new thresholds.
     """
-    if depth > 64:
-        raise StiffnessError("jump cascade did not terminate within one step")
-    h = t_b - t_a
-    gamma = 1j * (h_eff - h_eff.conj().T)
-    f0, f1 = (float(np.vdot(p, p).real) for p in (psi_a, psi_b))
-    d0, d1 = (-h * float(np.vdot(p, gamma @ p).real) for p in (psi_a, psi_b))
-    c2, c3 = 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1
-    lo, hi = 0.0, 1.0
-    for _ in range(40):  # 2^-40 of the step, far below the interpolation error
-        s = 0.5 * (lo + hi)
-        if f0 - threshold + s * (d0 + s * (c2 + s * c3)) < 0.0:
-            hi = s
-        else:
-            lo = s
-    t_jump = t_a + 0.5 * (lo + hi) * h
-    widths = np.array([t_jump - t_a, t_b - t_jump])
-    nodes = np.array([t_a, t_jump]) + _GAUSS[:, None] * widths          # (2, 2)
-    a = -1j * gen.effective_hamiltonian(nodes.ravel()).reshape(2, 2, *h_eff.shape)
-    to_jump, rest = _expm(_magnus4(a[0], a[1], widths))
-    psi = to_jump @ psi_a
-    channels = gen.jump_channels(0.5 * (t_a + t_b))
-    if not channels:
+    if not gen.active_channels[cell].any():
         raise SuperlindError("norm decayed but no jump channel is active")
-    weights = np.array([float(np.vdot(L @ psi, L @ psi).real) for _, L in channels])
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise SuperlindError("norm decayed but all jump weights vanish")
-    u = rng.uniform() * total
-    pick = int(np.searchsorted(np.cumsum(weights), u))
-    pick = min(pick, len(channels) - 1)
-    label, op = channels[pick]
-    psi = op @ psi
-    psi = psi / np.linalg.norm(psi)
-    if events is not None:
-        events.append(JumpEvent(time=float(t_jump), target=label[0], source=label[1]))
-    threshold = rng.uniform()
-    psi_end = rest @ psi
-    if float(np.vdot(psi_end, psi_end).real) < threshold:
-        return _jump(gen, rng, psi, psi_end, t_jump, t_b, h_eff, threshold, events, depth + 1)
-    return psi_end, threshold
+    channels, labels = gen.channels[cell], gen.channel_labels        # (C, N, N)
+    n = h_eff.shape[0]
+    ops = np.array([np.eye(n), 1j * (h_eff - h_eff.conj().T)])         # 1 and gamma
+    out, out_thr = psi_b.copy(), thresholds.copy()
+    todo = np.arange(len(rngs))
+    t_a = np.full(todo.size, float(t_a))
+    for _round in range(65):  # the first crossings and at most 64 re-crossings
+        if not todo.size:
+            return out, out_thr
+        m, h = todo.size, t_b - t_a
+        ends = np.concatenate([psi_a, psi_b])
+        f, g = np.einsum("ei,xij,ej->xe", ends.conj(), ops, ends).real.reshape(2, 2, m)
+        s = []
+        for f0, f1, d0, d1, threshold in zip(*f.tolist(), *(-h * g).tolist(), thresholds.tolist()):
+            c2, c3 = 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1
+            lo, hi = 0.0, 1.0
+            for _ in range(40):  # 2^-40 of the step, far below the interpolation error
+                mid = 0.5 * (lo + hi)
+                if f0 - threshold + mid * (d0 + mid * (c2 + mid * c3)) < 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            s.append(0.5 * (lo + hi))
+        t_jump = t_a + np.array(s) * h
+        widths = np.concatenate([t_jump - t_a, t_b - t_jump])          # to the jump, then on
+        nodes = np.concatenate([t_a, t_jump]) + _GAUSS[:, None] * widths
+        a = -1j * gen.effective_hamiltonian(nodes.ravel()).reshape(2, 2 * m, n, n)
+        props = _expm(_magnus4(a[0], a[1], widths))
+        kicked = np.einsum("cij,mjk,mk->mci", channels, props[:m], psi_a)    # (m, C, N)
+        cum = np.cumsum(np.einsum("mci,mci->mc", kicked.conj(), kicked).real, axis=1)
+        if not np.all(cum[:, -1] > 0.0):
+            raise SuperlindError("norm decayed but all jump weights vanish")
+        draws = np.array([rngs[i].random(2) for i in todo.tolist()])  # pick, new threshold
+        # the first channel whose cumulative weight exceeds u: never a zero-weight one
+        picks = np.argmax(cum > (draws[:, 0] * cum[:, -1])[:, None], axis=1)
+        psi = kicked[np.arange(m), picks]
+        psi /= np.sqrt(np.einsum("mi,mi->m", psi.conj(), psi).real)[:, None]
+        if events is not None:
+            for i, t, c in zip(todo.tolist(), t_jump.tolist(), picks.tolist()):
+                events[i].append(JumpEvent(time=t, target=labels[c][0], source=labels[c][1]))
+        psi_end = np.einsum("mij,mj->mi", props[m:], psi)
+        thresholds = draws[:, 1]
+        out[todo], out_thr[todo] = psi_end, thresholds
+        again = np.einsum("mi,mi->m", psi_end.conj(), psi_end).real < thresholds
+        todo, t_a, psi_a, psi_b, thresholds = (
+            x[again] for x in (todo, t_jump, psi, psi_end, thresholds))
+    raise StiffnessError("jump cascade did not terminate within one step")
 
 
 def evolve_trajectories(
@@ -472,14 +488,17 @@ def evolve_trajectories(
     each propagated by the Magnus-4 exponential of the exponential core, with
     both Gauss nodes strictly inside one cell. A jump time is the threshold
     crossing of the cubic Hermite interpolant of ||psi||^2 between the ends of
-    its step. Every trajectory consumes only its own counter-based random
-    stream keyed by (seed, trajectory index), so an ensemble is exactly
-    reproducible for a given seed.
+    its step. The trajectories that cross in one step are handled together
+    by ``_jumps``, from the generator's channel stack. Every trajectory
+    consumes only its own counter-based random stream keyed by (seed,
+    trajectory index), a channel pick then a new threshold per jump, so an
+    ensemble is exactly reproducible for a given seed.
     """
     psi0 = check_state_vector(psi0)
     times = gen.frames.times
     edges, _ = _edges(t0, t1, None, np.concatenate([times, 0.5 * (times[:-1] + times[1:])]))
     widths = np.diff(edges)
+    cells = gen.frames.index_at(edges[:-1] + 0.5 * widths)
 
     m, n = tcfg.n_traj, psi0.size
     rngs = [_traj_rng(tcfg.seed, i) for i in range(m)]
@@ -495,10 +514,12 @@ def evolve_trajectories(
         for j, p in enumerate(_expm(_magnus4(-1j * heff[0], -1j * heff[1], h)), start=lo):
             new = psis @ p.T
             norms2 = np.einsum("mi,mi->m", new.conj(), new).real
-            for idx in np.flatnonzero(norms2 < thresholds):
-                new[idx], thresholds[idx] = _jump(
-                    gen, rngs[idx], psis[idx], new[idx], edges[j], edges[j + 1], heff[0, j - lo],
-                    thresholds[idx], events[idx] if events is not None else None,
+            crossed = np.flatnonzero(norms2 < thresholds)
+            if crossed.size:
+                new[crossed], thresholds[crossed] = _jumps(
+                    gen, cells[j], [rngs[i] for i in crossed], psis[crossed], new[crossed],
+                    edges[j], edges[j + 1], heff[0, j - lo], thresholds[crossed],
+                    [events[i] for i in crossed] if events is not None else None,
                 )
             psis = new
 

@@ -120,6 +120,16 @@ class TestRunSweep:
             (alone,) = sl.run_lz_sweep(replace(cfg, bath=replace(cfg.bath, gamma0=r.gamma0)))
             assert repr(r) == repr(alone)  # bitwise: repr round-trips every float
 
+    def test_unphysical_probability_raises(self, monkeypatch):
+        # the record's range check sees the computed P, not a clipped one
+        def solve(H, psi0, t0, t1, cfg=None, sample_times=None):
+            _, vecs = np.linalg.eigh(H(t1))
+            return sl.propagation.UnitaryResult(state=math.sqrt(1.5) * vecs[:, -1])
+
+        monkeypatch.setattr(experiments, "evolve_unitary", solve)
+        with pytest.raises(sl.ParameterError, match="transition probability 1.49"):
+            sl.run_lz_sweep(_fast_cfg(inv_velocities=(2.0,)))
+
     def test_each_warning_once_per_point(self):
         # so fast a sweep that every warning fires: adiabatic parameter 1.67,
         # recommended order 1, and the window edges are not adiabatic

@@ -84,6 +84,36 @@ class TestLindbladOps:
         for L in _jumps(gen, 1.7).values():
             assert np.linalg.matrix_rank(L, tol=1e-12) == 1
 
+    @pytest.mark.parametrize("case", ["lz_warm", "lz_cold", "ladder"])
+    def test_channel_stack_matches_per_call_construction(self, case):
+        # jump_channels reads the stack built once; each operator must equal
+        # the one built from the frame at call time, at every cell
+        if case == "ladder":
+            H = ladder_hamiltonian()
+            traj = sl.superadiabatic_frames(H, 2, sl.adaptive_time_grid(H, -40.0, 40.0))
+            coupling, spec = np.diag([1.0, 0.0, -1.0]), sl.ohmic_spectrum(0.05, 5.0, 0.5)
+        else:
+            H, _, _, _, traj = lz_setup(3.0, order=2)
+            coupling = sl.sigma_z
+            spec = sl.ohmic_spectrum(0.1, 5.0, 0.5 if case == "lz_warm" else 0.0)
+        gen = sl.LindbladGenerator(traj, coupling, spec, H)
+        seen = set()
+        for k, t in enumerate(traj.times):
+            u = traj.basis[k]
+            want = []
+            if np.any(gen._ell[k] != 0.0):
+                want.append(((-1, -1), np.einsum("ia,a,ja->ij", u, gen._ell[k], u.conj())))
+            want += [((a, b), gen._amp[k, a, b] * np.outer(u[:, a], u[:, b].conj()))
+                     for a, b in np.argwhere(gen._amp[k] != 0.0).tolist()]
+            got = gen.jump_channels(t)
+            assert [label for label, _ in got] == [label for label, _ in want]
+            for (_, x), (_, y) in zip(got, want):
+                np.testing.assert_allclose(x, y, rtol=0.0, atol=1e-15)
+            seen.update(label for label, _ in got)
+        # at T = 0 gamma(0) and gamma(-gap) vanish: only the downward channel
+        assert seen == {"lz_warm": {(-1, -1), (0, 1), (1, 0)}, "lz_cold": {(0, 1)},
+                        "ladder": {(-1, -1), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}}[case]
+
     def test_lamb_shift_diagonal_in_frame(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x)
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.5, shift=lambda w: 0.01 * np.asarray(w))

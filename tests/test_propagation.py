@@ -33,6 +33,49 @@ def _sequential_march(generator, y0, edges, n, project=None):
     return worst, np.array(raw)
 
 
+def _sequential_jumps(gen, rng, psi_a, psi_b, t_a, t_b, h_eff, threshold, events, cascades,
+                      depth=0):
+    """Reference for `_jumps`: one trajectory's crossing inside [t_a, t_b],
+    handled alone, with channels from ``jump_channels`` at the step's middle
+    and the pick by ``searchsorted``. Counts each re-crossing in
+    ``cascades[0]``; returns the state at t_b and the new threshold."""
+    if depth > 64:
+        raise sl.StiffnessError("jump cascade did not terminate within one step")
+    h = t_b - t_a
+    gamma = 1j * (h_eff - h_eff.conj().T)
+    f0, f1 = (float(np.vdot(p, p).real) for p in (psi_a, psi_b))
+    d0, d1 = (-h * float(np.vdot(p, gamma @ p).real) for p in (psi_a, psi_b))
+    c2, c3 = 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        s = 0.5 * (lo + hi)
+        if f0 - threshold + s * (d0 + s * (c2 + s * c3)) < 0.0:
+            hi = s
+        else:
+            lo = s
+    t_jump = t_a + 0.5 * (lo + hi) * h
+    widths = np.array([t_jump - t_a, t_b - t_jump])
+    nodes = np.array([t_a, t_jump]) + sl.propagation._GAUSS[:, None] * widths
+    a = -1j * gen.effective_hamiltonian(nodes.ravel()).reshape(2, 2, *h_eff.shape)
+    to_jump, rest = sl.propagation._expm(sl.propagation._magnus4(a[0], a[1], widths))
+    psi = to_jump @ psi_a
+    channels = gen.jump_channels(0.5 * (t_a + t_b))
+    weights = np.array([float(np.vdot(L @ psi, L @ psi).real) for _, L in channels])
+    pick = int(np.searchsorted(np.cumsum(weights), rng.uniform() * weights.sum()))
+    label, op = channels[min(pick, len(channels) - 1)]
+    psi = op @ psi
+    psi = psi / np.linalg.norm(psi)
+    if events is not None:
+        events.append(sl.JumpEvent(time=float(t_jump), target=label[0], source=label[1]))
+    threshold = rng.uniform()
+    psi_end = rest @ psi
+    if float(np.vdot(psi_end, psi_end).real) < threshold:
+        cascades[0] += 1
+        return _sequential_jumps(gen, rng, psi, psi_end, t_jump, t_b, h_eff, threshold, events,
+                                 cascades, depth + 1)
+    return psi_end, threshold
+
+
 def _projected_solve(generator, y0, edges, project, cfg=sl.IntegratorConfig()):
     """Reference solve that projects the state at every edge: sequential
     passes with n doubling, compared from the first resolved one, then one
@@ -394,6 +437,33 @@ class TestEvolveTrajectories:
                                     sl.TrajectoryConfig(n_traj=m, seed=0, record_jumps=False))
         p_me, p_mc = (1.0 - excited_population(r.state, ground) for r in (me, mc))
         assert abs(p_mc - p_me) < 4.0 * math.sqrt(p_me * (1.0 - p_me) / m)
+
+    def test_batched_jumps_match_sequential_reference(self, monkeypatch):
+        # a strong warm bath on a coarse grid: several jumps share a lockstep
+        # step, and some trajectories cross again after a jump in one step
+        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x + 0.3 * sl.sigma_z)
+        traj = sl.instantaneous_frames(H, np.linspace(0.0, 10.0, 21))
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(1.0, 5.0, 1.0), H)
+        psi0 = traj.basis[0, :, 0]
+        tcfg = sl.TrajectoryConfig(n_traj=200, seed=4)
+        batched = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
+        cascades = [0]
+
+        def sequential(gen, cell, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
+            done = [_sequential_jumps(gen, rngs[i], psi_a[i], psi_b[i], t_a, t_b, h_eff,
+                                      thresholds[i], events[i], cascades)
+                    for i in range(len(rngs))]
+            return np.array([psi for psi, _ in done]), np.array([thr for _, thr in done])
+
+        monkeypatch.setattr(sl.propagation, "_jumps", sequential)
+        reference = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
+        assert cascades[0] > 0
+        assert [[(e.target, e.source) for e in evs] for evs in batched.jumps] == [
+            [(e.target, e.source) for e in evs] for evs in reference.jumps]
+        got = np.array([e.time for evs in batched.jumps for e in evs])
+        want = np.array([e.time for evs in reference.jumps for e in evs])
+        assert np.max(np.abs(got - want)) < 1e-12 * traj.step / 2
+        assert np.max(np.abs(batched.state - reference.state)) < 1e-12
 
     def test_seed_reproducibility(self):
         H, t_final, _, base, _ = lz_setup(2.0)
