@@ -465,6 +465,22 @@ class TestEvolveTrajectories:
         assert np.max(np.abs(got - want)) < 1e-12 * traj.step / 2
         assert np.max(np.abs(batched.state - reference.state)) < 1e-12
 
+    @pytest.mark.parametrize("bath, match", [
+        (sl.dephasing_spectrum(0.0), "no jump channel is active"),
+        (sl.ohmic_spectrum(0.2, 5.0, 0.0), "all jump weights vanish"),
+    ])
+    def test_jump_without_weight_raises(self, bath, match):
+        # a crossing in the ground state: no channel at all, or only the
+        # downward one, which annihilates it (H and frames are diagonal, so
+        # its weight is exactly zero)
+        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_z)
+        traj = sl.instantaneous_frames(H, np.linspace(0.0, 1.0, 11))
+        gen = sl.LindbladGenerator(traj, sl.sigma_x, bath, H)
+        ground = traj.basis[0, :, :1].T
+        with pytest.raises(sl.SuperlindError, match=match):
+            sl.propagation._jumps(gen, 0, [sl.propagation._traj_rng(0, 0)], ground, 0.5 * ground,
+                                  0.0, 0.05, H(0.0), np.array([0.5]), None)
+
     def test_seed_reproducibility(self):
         H, t_final, _, base, _ = lz_setup(2.0)
         gen = sl.LindbladGenerator(base, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5), H)
