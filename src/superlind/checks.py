@@ -27,9 +27,9 @@ from .model import (
 from .propagation import bloch_vector, evolve_lindblad, evolve_unitary
 
 
-def _lz_setup(v=0.5, delta=1.0, t_final=8.0, n=801):
-    H = lz_hamiltonian(LZParams(v=v, delta=delta))
-    times = np.linspace(-t_final, t_final, n)
+def _lz_setup():
+    H = lz_hamiltonian(LZParams(v=0.5, delta=1.0))
+    times = np.linspace(-8.0, 8.0, 801)
     return H, times
 
 
@@ -126,12 +126,11 @@ ALL_CHECKS = (
 )
 
 
-def run_all(verbose: bool = True) -> int:
-    """Run every check; returns the number of failures."""
+def run_all() -> int:
+    """Run every check, printing one line each; returns the number of failures."""
     failures = 0
     for check in ALL_CHECKS:
         name, ok, detail = check()
         failures += 0 if ok else 1
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return failures

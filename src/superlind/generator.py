@@ -7,8 +7,9 @@ A and spectrum gamma/S, the jump operators are
     Lab(t)  = sqrt(gamma(w_ab)) * <phi_a|A|phi_b> |phi_a><phi_b|,  a != b
 
 with w_ab = E_b - E_a, so the de-exciting operator |ground><excited| is
-weighted by the rate at +gap and the exciting one at -gap. The optional
-shift Hamiltonian is diagonal in the frame basis,
+weighted by the rate at +gap and the exciting one at -gap. The shift
+Hamiltonian, zero unless the spectrum supplies a shift S, is diagonal in
+the frame basis,
 
     H_shift(t) = sum_ab S(w_ab) |<phi_a|A|phi_b>|^2 |phi_b><phi_b|.
 
@@ -50,7 +51,6 @@ class LindbladGenerator:
         coupling: CouplingOperator | np.ndarray,
         spectrum: BathSpectrum,
         hamiltonian: TimeDependentHamiltonian | None = None,
-        lamb_shift: bool = False,
     ):
         if isinstance(coupling, np.ndarray):
             coupling = CouplingOperator(coupling)
@@ -63,7 +63,6 @@ class LindbladGenerator:
         self.coupling = coupling
         self.spectrum = spectrum
         self.hamiltonian = hamiltonian if hamiltonian is not None else frames.hamiltonian
-        self.lamb_shift = bool(lamb_shift)
         self._precompute()
 
     def _precompute(self) -> None:
@@ -101,12 +100,9 @@ class LindbladGenerator:
         self._amp = np.sqrt(gam) * abar                # channel amplitudes
         self._amp[:, idx, idx] = 0.0
 
-        if self.lamb_shift:
-            s_vals = np.asarray(self.spectrum.shift(omega.ravel()), dtype=float)
-            s_vals = s_vals.reshape(omega.shape)
-            self._shift_diag = np.einsum("kab->kb", s_vals * np.abs(abar) ** 2)
-        else:
-            self._shift_diag = np.zeros_like(energies)
+        s_vals = np.asarray(self.spectrum.shift(omega.ravel()), dtype=float)
+        s_vals = s_vals.reshape(omega.shape)
+        self._shift_diag = np.einsum("kab->kb", s_vals * np.abs(abar) ** 2)
 
         # non-Hermitian drift addition for trajectory unraveling:
         #   U (diag(shift) - i/2 diag(ell^2 + out_rate)) U^dag

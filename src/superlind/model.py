@@ -40,26 +40,27 @@ def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -
 class TimeDependentHamiltonian:
     """An N x N Hermitian matrix-valued function of time.
 
-    Wraps an evaluator ``t -> matrix``, or, built with ``affine``, the
-    broadcast h0 + t * h1 over a whole stack of times. Evaluations are
-    checked per stack: ``on_grid`` evaluates a stack of times and checks its
-    shape and hermiticity once, so every evaluation is checked and
-    downstream algebra can trust its input; ``H(t)`` is a stack of one.
+    Wraps an evaluator ``t -> matrix``, each of whose stacks ``on_grid``
+    checks once for shape and hermiticity, or, built with ``affine``, the
+    broadcast h0 + t * h1, exactly Hermitian at every t by construction and
+    so not re-checked. ``H(t)`` is a stack of one.
     """
 
     def __init__(self, dim: int, evaluator: Callable[[float], np.ndarray]):
         if dim < 2:
             raise DimensionError(f"dimension must be >= 2, got {dim}")
         self.dim = int(dim)
-        self._stack = lambda times: [evaluator(t) for t in times]
+        self._stack = lambda times: self._checked([evaluator(t) for t in times], times)
 
     @classmethod
     def affine(cls, h0: np.ndarray, h1: np.ndarray) -> "TimeDependentHamiltonian":
-        """H(t) = h0 + t * h1, evaluated on a stack of times as one broadcast."""
-        h0 = _require_hermitian(h0, "affine Hamiltonian h0").copy()
-        h1 = _require_hermitian(h1, "affine Hamiltonian h1").copy()
+        """H(t) = h0 + t * h1, evaluated on a stack of times as one broadcast,
+        from the exactly Hermitian parts (h + h^dag) / 2 of the checked h0, h1."""
+        h0 = _require_hermitian(h0, "affine Hamiltonian h0")
+        h1 = _require_hermitian(h1, "affine Hamiltonian h1")
         if h1.shape != h0.shape:
             raise DimensionError(f"h0 is {h0.shape} but h1 is {h1.shape}")
+        h0, h1 = (0.5 * (h + h.conj().T) for h in (h0, h1))
         H = cls(h0.shape[0], None)  # checks the dimension; the broadcast replaces the evaluator
         H._stack = lambda times: h0 + np.asarray(times, dtype=float)[:, None, None] * h1
         return H
@@ -72,9 +73,12 @@ class TimeDependentHamiltonian:
         return self.on_grid([t])[0]
 
     def on_grid(self, times) -> np.ndarray:
-        """H at each of ``times``, shape (M, N, N); the stack is checked once."""
+        """H at each of ``times``, shape (M, N, N)."""
+        return self._stack(times)
+
+    def _checked(self, mats, times) -> np.ndarray:
         try:
-            mats = np.asarray(self._stack(times), dtype=complex)
+            mats = np.asarray(mats, dtype=complex)
         except ValueError:
             raise DimensionError("Hamiltonian evaluator returned differing shapes") from None
         if mats.shape != (len(times), self.dim, self.dim):
@@ -208,7 +212,7 @@ def ohmic_spectrum(
     return BathSpectrum(gamma, shift if shift is not None else _zero_shift)
 
 
-def dephasing_spectrum(gamma0: float, *, shift: Callable | None = None) -> BathSpectrum:
+def dephasing_spectrum(gamma0: float) -> BathSpectrum:
     """Spectrum with weight only at zero frequency: gamma(0) = gamma0.
 
     Models a static or very slow environment: it damps coherences between
@@ -222,5 +226,5 @@ def dephasing_spectrum(gamma0: float, *, shift: Callable | None = None) -> BathS
         val = np.where(w_arr == 0.0, float(gamma0), 0.0)
         return float(val) if val.ndim == 0 else val
 
-    return BathSpectrum(gamma, shift if shift is not None else _zero_shift)
+    return BathSpectrum(gamma)
 

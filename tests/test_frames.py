@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import superlind as sl
 from superlind.frames import _align_sweep, _quasi_energies
@@ -61,6 +64,17 @@ class TestInstantaneousFrames:
         H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
         with pytest.raises(sl.ParameterError):
             sl.instantaneous_frames(H, np.array([0.0, 0.1, 0.3, 0.35]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf arithmetic
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [np.nan] * 3, [0.0, 1.0, np.inf],
+                                       [-np.inf, 0.0, np.inf]], ids=["nan", "all-nan", "inf",
+                                                                     "both-inf"])
+    def test_nonfinite_grid_rejected(self, times):
+        H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
+        with pytest.raises(sl.ParameterError, match="finite"):
+            sl.instantaneous_frames(H, np.array(times))
+        with pytest.raises(sl.ParameterError, match="finite"):
+            sl.FrameTrajectory(times, np.zeros((3, 2, 2)), np.zeros((3, 2)), 0, H)
 
     def test_index_at(self, lz_slow):
         _, t_final, times, base, _ = lz_slow
@@ -291,6 +305,43 @@ def test_adaptive_time_grid_meets_conditions():
     traj = sl.instantaneous_frames(H, times)
     overlaps = np.einsum("kia,kia->ka", traj.basis[:-1].conj(), traj.basis[1:])
     assert np.min(np.abs(overlaps) ** 2) > 0.999
+
+
+@pytest.mark.parametrize("t0,t1", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan),
+                                   (1.0, 1.0), (1.0, 0.0)])
+def test_adaptive_time_grid_needs_finite_increasing_ends(t0, t1):
+    H = sl.lz_hamiltonian(sl.LZParams(v=0.5, delta=1.0))
+    with pytest.raises(sl.ParameterError, match="finite t0 < t1") as info:
+        sl.adaptive_time_grid(H, t0, t1)
+    assert info.value.exit_code == 4
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), data=st.data())
+def test_grid_motion_bound_implies_eigenvector_overlap(n, data):
+    """||H1 - H0||_2 <= 0.01 * gap bounds every eigenvector overlap^2 above 0.999.
+
+    Weyl moves each level by at most ||H1 - H0||_2, so Davis-Kahan gives
+    sin(theta) <= 0.01 / 0.99: the motion clause of ``adaptive_time_grid``
+    implies the overlap clause it no longer checks."""
+    entries = hnp.arrays(float, (2, 2, n, n), elements=st.floats(-1.0, 1.0))
+    re, im = data.draw(entries)
+    h0, direction = _hermitian(re[0] + 1j * im[0]), _hermitian(re[1] + 1j * im[1])
+    gap0 = float(np.diff(np.linalg.eigvalsh(h0)).min())
+    size = float(np.linalg.norm(direction, ord=2))
+    assume(gap0 > 1e-3 and size > 1e-3)  # keep eigh's own error far below the bound
+    fraction = data.draw(st.floats(0.0, 1.0))
+    h1 = h0 + direction * (fraction * 0.01 * gap0 / size)
+    (vals0, vecs0), (vals1, vecs1) = np.linalg.eigh(h0), np.linalg.eigh(h1)
+    min_gap = min(gap0, float(np.diff(vals1).min()))
+    assume(np.linalg.norm(h1 - h0, ord=2) <= 0.01 * min_gap)  # the grid builder's clause
+    overlap_sq = np.abs(np.einsum("ia,ia->a", vecs0.conj(), vecs1)) ** 2
+    assert np.all(overlap_sq > 0.999)
+    assert np.all(overlap_sq >= 1.0 - (0.01 / 0.99) ** 2 - 1e-9)
 
 
 @pytest.mark.parametrize("H,t_final,points", [

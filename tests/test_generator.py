@@ -117,15 +117,18 @@ class TestLindbladOps:
     def test_lamb_shift_diagonal_in_frame(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x)
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.5, shift=lambda w: 0.01 * np.asarray(w))
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H, lamb_shift=True)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
         U = traj.basis[0]
         shift_f = U.conj().T @ _shift(gen, 0.0) @ U
         assert np.max(np.abs(shift_f - np.diag(np.diag(shift_f)))) < 1e-12
         # sum_a S(w_ab) |<a|A|b>|^2 on the two-level transverse frame
         expected = np.diag([spec.shift(-1.0), spec.shift(1.0)])
         assert np.allclose(shift_f, expected, atol=1e-12)
-        off = sl.LindbladGenerator(traj, sl.sigma_z, spec, H, lamb_shift=False)
-        assert np.max(np.abs(_shift(off, 0.0))) < 1e-15
+
+    def test_spectrum_without_shift_gives_no_shift(self):
+        H, traj = _constant_traj(0.5 * sl.sigma_x)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5), H)
+        assert np.max(np.abs(_shift(gen, 0.0))) == 0.0
 
     def test_zero_spectrum_disables_dissipator(self):
         H, _, times, base, traj = lz_setup(2.0)
@@ -173,7 +176,7 @@ class TestMasterEquationRHS:
         spec = sl.ohmic_spectrum(0.08, 5.0, 0.4, shift=lambda w: 0.02 * np.asarray(w))
         rng = np.random.default_rng(9)
         for H, traj, coupling in ((H, traj, sl.sigma_z), (ladder, ladder_traj, ladder_coupling)):
-            gen = sl.LindbladGenerator(traj, coupling, spec, H, lamb_shift=True)
+            gen = sl.LindbladGenerator(traj, coupling, spec, H)
             for _ in range(20):
                 rho = random_density(rng, traj.dim)
                 t = rng.uniform(traj.times[0], traj.times[-1])
@@ -200,7 +203,7 @@ class TestMasterEquationRHS:
         # temperature zero there is no upward jump out of the ground state
         H, _, times, base, traj = lz_setup(3.0, order=2)
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.0, shift=lambda w: 0.03 * np.asarray(w))
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H, lamb_shift=True)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
         for t_probe in (-3.0, 0.0, 2.0):
             k = traj.index_at(t_probe)
             ground = traj.basis[k, :, 0]
@@ -259,7 +262,7 @@ class TestInstantaneousMode:
 def test_effective_hamiltonian_matches_ops():
     H, _, times, base, traj = lz_setup(2.0, order=1)
     spec = sl.ohmic_spectrum(0.1, 5.0, 0.5, shift=lambda w: 0.01 * np.asarray(w))
-    gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H, lamb_shift=True)
+    gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
     probes = np.array([-4.0, 0.0, 3.3])
     heff = gen.effective_hamiltonian(probes)
     assert heff.shape == (3, 2, 2)

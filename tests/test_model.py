@@ -91,6 +91,17 @@ class TestLZHamiltonian:
             with pytest.raises(error):
                 sl.TimeDependentHamiltonian.affine(h0, h1)
 
+    def test_affine_is_exactly_hermitian_at_every_time(self):
+        # an in-tolerance defect used to grow with t and fail the check mid-solve
+        h0 = 0.5 * np.asarray(sl.sigma_x)
+        h1 = np.array([[-0.5, 1e-13], [0.0, 0.5]], dtype=complex)
+        H = sl.TimeDependentHamiltonian.affine(h0, h1)
+        for t in (50.0, 1e6):
+            assert hermiticity_defect(H(t)) == 0.0
+        stack = H.on_grid(np.linspace(-1e6, 1e6, 101))
+        assert np.all(hermiticity_defect(stack) == 0.0)
+        assert H(50.0)[0, 1] == H(50.0)[1, 0] == 0.5 + 50.0 * 0.5e-13
+
     def test_coupling_operator_checks(self):
         op = sl.CouplingOperator(sl.sigma_z)
         assert op.dim == 2
