@@ -66,9 +66,11 @@ class TestInstantaneousFrames:
             sl.instantaneous_frames(H, np.array([0.0, 0.1, 0.3, 0.35]))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf arithmetic
-    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [np.nan] * 3, [0.0, 1.0, np.inf],
-                                       [-np.inf, 0.0, np.inf]], ids=["nan", "all-nan", "inf",
-                                                                     "both-inf"])
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, np.nan, 2.0], [np.nan] * 3, [0.0, 1.0, np.inf], [-np.inf, 0.0, np.inf]],
+        ids=["nan", "all-nan", "inf", "both-inf"],
+    )
     def test_nonfinite_grid_rejected(self, times):
         H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
         with pytest.raises(sl.ParameterError, match="finite"):
@@ -336,7 +338,7 @@ def test_grid_motion_bound_implies_eigenvector_overlap(n, data):
     assume(gap0 > 1e-3 and size > 1e-3)  # keep eigh's own error far below the bound
     fraction = data.draw(st.floats(0.0, 1.0))
     h1 = h0 + direction * (fraction * 0.01 * gap0 / size)
-    (vals0, vecs0), (vals1, vecs1) = np.linalg.eigh(h0), np.linalg.eigh(h1)
+    (_, vecs0), (vals1, vecs1) = np.linalg.eigh(h0), np.linalg.eigh(h1)
     min_gap = min(gap0, float(np.diff(vals1).min()))
     assume(np.linalg.norm(h1 - h0, ord=2) <= 0.01 * min_gap)  # the grid builder's clause
     overlap_sq = np.abs(np.einsum("ia,ia->a", vecs0.conj(), vecs1)) ** 2

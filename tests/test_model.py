@@ -92,7 +92,7 @@ class TestLZHamiltonian:
                 sl.TimeDependentHamiltonian.affine(h0, h1)
 
     def test_affine_is_exactly_hermitian_at_every_time(self):
-        # an in-tolerance defect used to grow with t and fail the check mid-solve
+        # h1's in-tolerance defect must not grow with t into a failed check
         h0 = 0.5 * np.asarray(sl.sigma_x)
         h1 = np.array([[-0.5, 1e-13], [0.0, 0.5]], dtype=complex)
         H = sl.TimeDependentHamiltonian.affine(h0, h1)
