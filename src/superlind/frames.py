@@ -39,6 +39,19 @@ GRID_INITIAL_POINTS = 129
 GRID_MAX_POINTS = 2_000_000
 
 
+def _checked_grid(times) -> np.ndarray:
+    """``times`` as floats; raises unless 1-d, finite, uniform and increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise ParameterError("need a 1-d time grid with at least two points")
+    steps = np.diff(times)
+    h = steps[0]
+    # finiteness first: the uniformity test would subtract infinities
+    if not (np.isfinite(times).all() and h > 0 and np.all(np.abs(steps - h) <= 1e-9 * h)):
+        raise ParameterError("time grid must be finite, uniform and increasing")
+    return times
+
+
 class FrameTrajectory:
     """Frames on a uniform time grid, phase-continuous in k.
 
@@ -55,15 +68,7 @@ class FrameTrajectory:
         order: int,
         hamiltonian: TimeDependentHamiltonian,
     ):
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ParameterError("need a 1-d time grid with at least two points")
-        steps = np.diff(times)
-        h = steps[0]
-        # written so that any NaN or infinity fails it
-        if not (h > 0 and np.all(np.abs(steps - h) <= 1e-9 * h)):
-            raise ParameterError("time grid must be finite, uniform and increasing")
-        self.times = times
+        self.times = _checked_grid(times)
         self.basis = np.asarray(basis, dtype=complex)
         self.energies = np.asarray(energies, dtype=float)
         self.order = int(order)
@@ -182,7 +187,7 @@ def instantaneous_frames(
     H: TimeDependentHamiltonian, times: np.ndarray
 ) -> FrameTrajectory:
     """Order-0 trajectory: sorted eigenframes of H on the grid, gauge-fixed."""
-    times = np.asarray(times, dtype=float)
+    times = _checked_grid(times)
     vals, vecs = _eigh_grid(H.on_grid(times), times, "instantaneous frames")
     vecs = _align_sweep(vecs, times)
     traj = FrameTrajectory(times, vecs, vals, order=0, hamiltonian=H)

@@ -19,15 +19,28 @@ the dissipator is constant on each frame cell, between two grid midpoints.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, StateIntegrityError
 from .frames import FrameTrajectory
-from .model import BathSpectrum, CouplingOperator, TimeDependentHamiltonian, hermiticity_defect
+from .model import (BathSpectrum, CouplingOperator, TimeDependentHamiltonian, coherence_vector,
+                    density_matrix, hermiticity_defect, operator_basis)
 
 HERMITICITY_INPUT_TOL = 1e-8
+_BUILD_ENTRIES = 2**14  # complex entries per temporary while a dissipator stack is built
+
+
+@cache
+def _commutator_structure(n: int) -> np.ndarray:
+    """F_g[a, b] = -i Tr(B_a [B_g, B_b]) in ``operator_basis(n)`` as one real
+    (N^2, N^4) matrix, read-only; row a = 0 is zero: a commutator is traceless."""
+    b = operator_basis(n)
+    f = np.einsum("aji,gbij->gab", b, b[:, None] @ b[None] - b[None] @ b[:, None]).imag
+    f[:, 0] = 0.0
+    f.setflags(write=False)
+    return f.reshape(n * n, -1)
 
 
 class LindbladGenerator:
@@ -67,10 +80,10 @@ class LindbladGenerator:
 
     def _precompute(self) -> None:
         """Per-frame arrays, read-only: dephasing amplitudes, rates, channel
-        amplitudes, shift, the non-Hermitian drift addition, and the labels
-        and activity mask of the channel stack, whose operators ``channels``
-        builds from these once, when ``jump_channels`` or the Monte-Carlo
-        unraveling first reads them."""
+        amplitudes, the frame-diagonal drift, the non-Hermitian drift
+        addition, and the labels and activity mask of the channel stack,
+        whose operators ``channels`` builds from these once, when
+        ``jump_channels`` or the Monte-Carlo unraveling first reads them."""
         basis = self.frames.basis                      # (K, N, N)
         energies = self.frames.energies                # (K, N)
         a_mat = self.coupling.matrix
@@ -96,26 +109,25 @@ class LindbladGenerator:
         idx = np.arange(n)
         rate[:, idx, idx] = 0.0
         self._rate = rate
-        self._out_rate = rate.sum(axis=1)              # (K, N): total loss of level b
         self._amp = np.sqrt(gam) * abar                # channel amplitudes
         self._amp[:, idx, idx] = 0.0
 
         s_vals = np.asarray(self.spectrum.shift(omega.ravel()), dtype=float)
         s_vals = s_vals.reshape(omega.shape)
-        self._shift_diag = np.einsum("kab->kb", s_vals * np.abs(abar) ** 2)
+        shift = np.einsum("kab->kb", s_vals * np.abs(abar) ** 2)
 
-        # non-Hermitian drift addition for trajectory unraveling:
-        #   U (diag(shift) - i/2 diag(ell^2 + out_rate)) U^dag
-        drift_diag = self._shift_diag - 0.5j * (self._ell**2 + self._out_rate)
-        self._heff_add = np.einsum("kia,ka,kja->kij", basis, drift_diag, basis.conj())
+        # H_eff - H is diagonal in the frame basis, diag(shift - i/2 (ell^2 + total
+        # loss rate)): the drift of the unraveling, U drift U^dag, and of the dissipator
+        self._drift = shift - 0.5j * (self._ell**2 + rate.sum(axis=1))
+        self._heff_add = np.einsum("kia,ka,kja->kij", basis, self._drift, basis.conj())
 
         # the channel stack's labels and mask: the dephasing operator, then the transfers
         self._transfers = a_idx, b_idx = np.nonzero(~np.eye(n, dtype=bool))
         self.channel_labels = ((-1, -1), *zip(a_idx.tolist(), b_idx.tolist()))
         self.active_channels = np.concatenate(
             [np.any(self._ell != 0.0, axis=1)[:, None], self._amp[:, a_idx, b_idx] != 0.0], axis=1)
-        for arr in (self._ell, self._rate, self._out_rate, self._amp,
-                    self._shift_diag, self._heff_add, self.active_channels):
+        for arr in (self._ell, self._rate, self._amp, self._drift, self._heff_add,
+                    self.active_channels):
             arr.setflags(write=False)
 
     @cached_property
@@ -134,46 +146,45 @@ class LindbladGenerator:
         stack.setflags(write=False)
         return stack
 
-    def liouvillian(self, times) -> np.ndarray:
-        """Generator of the master equation at each of ``times``, (M, N^2, N^2).
-
-        Acts on row-major vec(rho): -i (H (x) I - I (x) H^T) plus the
-        dissipator of the frame nearest to t. The dissipator is built in the
-        frame basis, where the dephasing operator is diagonal and the jump
-        channels are matrix units, and rotated by U (x) U*; it annihilates
-        the trace and preserves hermiticity by construction.
-        """
-        n = self.frames.dim
-        cells, where = np.unique(self.frames.index_at(times), return_inverse=True)
-        ell, loss, ls = self._ell[cells], self._out_rate[cells], self._shift_diag[cells]
-        decay = (
-            -0.5 * (ell[:, :, None] - ell[:, None, :]) ** 2
-            - 0.5 * (loss[:, :, None] + loss[:, None, :])
-            - 1j * (ls[:, :, None] - ls[:, None, :])
-        ).reshape(cells.size, n * n)
-        u = self.frames.basis[cells]
-        rot = np.einsum("cia,ckb->cikab", u, u.conj()).reshape(cells.size, n * n, n * n)
-        pops = rot[:, :, :: n + 1]                     # columns vec(|a><a|)
-        diss = (rot * decay[:, None, :]) @ rot.conj().transpose(0, 2, 1)
-        diss += pops @ self._rate[cells] @ pops.conj().transpose(0, 2, 1)
-
-        out = diss[where]
-        blocks = out.reshape(len(times), n, n, n, n)   # [m, i, k, j, l]: (ik), (jl)
-        h = self.hamiltonian.on_grid(times)
-        for k in range(n):
-            blocks[:, :, k, :, k] -= 1j * h                     # -i H (x) I
-            blocks[:, k, :, k, :] += 1j * h.transpose(0, 2, 1)  # +i I (x) H^T
+    @cached_property
+    def _dissipators(self) -> np.ndarray:
+        """Each frame's dissipator as a real generator of coherence vectors,
+        (K, N^2, N^2), built on first use, a chunk of frames at a time. In the
+        frame basis U it maps rho_ij to c_ij rho_ij + delta_ij sum_l rate_il rho_ll,
+        c_ij = -i (drift_i - drift_j^*) + ell_i ell_j, so with C_a = U^dag B_a U,
+        D_ab = sum_ij (C_a)_ij^* c_ij (C_b)_ij + (C_a)_ii rate_ij (C_b)_jj."""
+        n, d, ell = self.frames.dim, self._drift, self._ell
+        c_ij = -1j * (d[:, :, None] - d[:, None, :].conj()) + ell[:, :, None] * ell[:, None, :]
+        out = np.empty((len(self.frames), n * n, n * n))
+        step = max(_BUILD_ENTRIES // n**4, 1)
+        for cells in (slice(lo, lo + step) for lo in range(0, len(out), step)):
+            u = self.frames.basis[cells][:, None]
+            c = (u.conj().swapaxes(-1, -2) @ operator_basis(n) @ u).reshape(-1, n * n, n * n)
+            pops = c[:, :, :: n + 1].real
+            out[cells] = ((c.conj() * c_ij[cells].reshape(-1, 1, n * n)) @ c.swapaxes(-1, -2)).real
+            out[cells] += pops @ self._rate[cells] @ pops.swapaxes(-1, -2)
+        out[:, 0] = 0.0  # the trace is conserved
+        out.setflags(write=False)
         return out
 
+    def liouvillian(self, times) -> np.ndarray:
+        """Real generator of the master equation at each of ``times``, (M, N^2, N^2),
+        on coherence vectors (``model.coherence_vector``): the dissipator of the
+        frame nearest to t plus sum_g Tr(B_g H(t)) F_g, which is -i [H, .]. Row 0,
+        the trace, is exactly zero; real coordinates are a Hermitian rho."""
+        n2 = self.frames.dim ** 2
+        hc = coherence_vector(self.hamiltonian.on_grid(times))
+        return self._dissipators[self.frames.index_at(times)] + (
+            hc @ _commutator_structure(self.frames.dim)).reshape(-1, n2, n2)
+
     def rhs(self, rho: np.ndarray, t: float) -> np.ndarray:
-        """d rho / dt of the master equation at time t."""
+        """d rho / dt of the master equation at time t, through the coherence vector."""
         defect = hermiticity_defect(rho)
         if defect > HERMITICITY_INPUT_TOL:
             raise StateIntegrityError(
                 f"input state non-Hermitian (defect {defect:.3e} > {HERMITICITY_INPUT_TOL:.0e})"
             )
-        n = rho.shape[0]
-        return (self.liouvillian([t])[0] @ rho.ravel()).reshape(n, n)
+        return density_matrix(self.liouvillian([t])[0] @ coherence_vector(np.asarray(rho)))
 
     def effective_hamiltonian(self, times) -> np.ndarray:
         """Non-Hermitian drift H(t) + H_shift - (i/2) sum_c Lc^dag Lc at each

@@ -5,6 +5,8 @@ the avoided-crossing (Landau-Zener) model the gap ``delta`` sets it.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,6 +37,36 @@ def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -
     if defect > tol:
         raise ParameterError(f"{what} is not Hermitian (defect {defect:.3e} > {tol:.0e})")
     return m
+
+
+@functools.cache
+def operator_basis(n: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of the N x N matrices, (N^2, N, N), read-only:
+    B_0 = I / sqrt(N), the N - 1 diagonal generalized Gell-Mann matrices, then the
+    symmetric and the antisymmetric one of each pair j < k, scaled so that
+    Tr(B_a B_b) = delta_ab (Hioe & Eberly, PRL 47, 838 (1981))."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[0] = np.eye(n) / math.sqrt(n)
+    for m in range(1, n):
+        basis[m, range(m + 1), range(m + 1)] = np.append(np.ones(m), -m) / math.sqrt(m * (m + 1))
+    j, k = np.triu_indices(n, 1)
+    sym, asym = n + np.arange(j.size), n + j.size + np.arange(j.size)
+    basis[sym, j, k] = basis[sym, k, j] = math.sqrt(0.5)
+    basis[asym, j, k], basis[asym, k, j] = -1j * math.sqrt(0.5), 1j * math.sqrt(0.5)
+    basis.setflags(write=False)
+    return basis
+
+
+def coherence_vector(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates x_a = Tr(B_a rho) of Hermitian (..., N, N), (..., N^2); tr = sqrt(N) x_0."""
+    n = rho.shape[-1]
+    return (rho.reshape(*rho.shape[:-2], n * n) @ operator_basis(n).reshape(n * n, -1).conj().T).real
+
+
+def density_matrix(x: np.ndarray) -> np.ndarray:
+    """sum_a x_a B_a of real coordinates (..., N^2), Hermitian by construction, (..., N, N)."""
+    n = math.isqrt(x.shape[-1])
+    return (x @ operator_basis(n).reshape(n * n, -1)).reshape(*x.shape[:-1], n, n)
 
 
 class TimeDependentHamiltonian:

@@ -6,7 +6,8 @@ vector is a complex (N,) array of unit norm, a density matrix a complex
 
 All three engines share one kernel for y' = A(t) y: the matrix exponential
 of a fourth-order Magnus exponent built from A at two Gauss nodes of a step,
-with A = -iH, the Liouvillian, or -iH_eff for the jump unraveling. The
+with A = -iH, the real Liouvillian of the coherence vector of rho, or
+-iH_eff for the jump unraveling. The
 unitary and master-equation engines step between the edges t0, t1 and the
 sample times, plus the frame midpoints for the master equation, so the
 snapped dissipator is constant between two edges. Each interval between
@@ -14,10 +15,10 @@ edges is split into n equal sub-steps; n doubles until two passes agree
 within the tolerances. The sub-step propagators of an interval are composed
 by batched pairwise products before they touch the state, so Python runs
 once per edge, not once per sub-step. The core only propagates; each engine
-projects (renormalizes, re-hermitizes) the edge states once, after the solve,
-since the Magnus exponent of -iH or of a Liouvillian preserves norm, trace
-and hermiticity up to rounding. Resolved sub-steps are exponentiated with the
-[9/9] Pade approximant, anything larger with scaled and squared [13/13].
+renormalizes the edge states once, after the solve, since the Magnus
+exponent of -iH or of a Liouvillian preserves norm and trace up to rounding.
+Resolved sub-steps are exponentiated with the [9/9] Pade approximant,
+anything larger with scaled and squared [13/13].
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
 for the whole ensemble, finds each jump time from the norms at the two ends
 of its step, and handles all jumps of a step as one batch.
@@ -38,7 +39,7 @@ from .errors import (
     SuperlindError,
 )
 from ._output import write_table
-from .model import TimeDependentHamiltonian, hermiticity_defect
+from .model import TimeDependentHamiltonian, coherence_vector, density_matrix, hermiticity_defect
 
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)  # Gauss-Legendre nodes on [0, 1]
 _CHUNK_ENTRIES = 2**12  # matrix entries in the stack of propagators held at once
@@ -107,8 +108,10 @@ class IntegrationDiagnostics:
     ``n_steps`` counts the sub-steps of the accepted pass and ``n_rejected``
     those of the resolved coarser passes discarded before it. The drifts are
     the largest over the edges of the trace and hermiticity drift accumulated
-    from rho0, before the one re-hermitization and renormalization of the
-    returned states; the minimum eigenvalue is taken over those states.
+    from rho0, before the one renormalization of the returned states: rounding
+    alone, since the core marches real coherence vectors under a generator with
+    a zero trace row. The minimum eigenvalue, over the returned states, is the
+    meaningful integrity number.
     """
 
     n_steps: int = 0
@@ -250,7 +253,7 @@ def _march(generator, y0, edges, n):
     """
     widths = np.diff(edges)
     d = y0.size
-    raw = np.empty((edges.size, d), dtype=complex)
+    raw = np.empty((edges.size, d), dtype=y0.dtype)
     raw[0] = y = y0
     worst = 0.0
     chunk = 1 << (max(_CHUNK_ENTRIES // d**2, 1).bit_length() - 1)
@@ -356,23 +359,21 @@ def evolve_lindblad(
 ) -> LindbladResult:
     """Solve the master equation from rho0.
 
-    The edges of the exponential core are the sample times and the frame
-    midpoints, where the generator's dissipator changes. The returned edge
-    states are re-hermitized and trace-normalized once, after the solve;
-    positivity is monitored (never forced) and a violation below -1e-5 aborts
-    with an error, since the Magnus exponent is not of Lindblad form when H
-    changes in a cell.
+    The core marches the real coherence vector of rho between edges at the
+    sample times and the frame midpoints, where the generator's dissipator
+    changes. The returned states, Hermitian by construction, are
+    trace-normalized once, after the solve; positivity is monitored (never
+    forced) and a violation below -1e-5 aborts with an error, since the Magnus
+    exponent is not of Lindblad form when H changes in a cell.
     """
     cfg = cfg or IntegratorConfig()
     rho0 = check_density_matrix(rho0)
-    n = rho0.shape[0]
     times = gen.frames.times
     edges, at = _edges(t0, t1, sample_times, 0.5 * (times[:-1] + times[1:]))
 
-    raw, n_steps, n_rejected = _propagate(gen.liouvillian, rho0.ravel(), edges, cfg)
-    raw = raw.reshape(-1, n, n)
-    rhos = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-    rhos = rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    raw, n_steps, n_rejected = _propagate(gen.liouvillian, coherence_vector(rho0), edges, cfg)
+    raw = density_matrix(raw)
+    rhos = raw / np.trace(raw, axis1=1, axis2=2).real[:, None, None]
     min_eigs = np.linalg.eigvalsh(rhos).min(axis=1)
     k = int(np.argmin(min_eigs))
     diag = IntegrationDiagnostics(

@@ -65,7 +65,7 @@ class TestInstantaneousFrames:
         with pytest.raises(sl.ParameterError):
             sl.instantaneous_frames(H, np.array([0.0, 0.1, 0.3, 0.35]))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf arithmetic
+    @pytest.mark.filterwarnings("error")  # rejected before H is evaluated on it
     @pytest.mark.parametrize(
         "times",
         [[0.0, np.nan, 2.0], [np.nan] * 3, [0.0, 1.0, np.inf], [-np.inf, 0.0, np.inf]],

@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import superlind as sl
 
@@ -37,6 +39,39 @@ def _unraveled_rhs(gen, rho, t):
     for _, L in gen.jump_channels(t):
         out += L @ rho @ L.conj().T
     return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1), pointwise=st.booleans())
+def _real_generator_matches_assembly(n, seed, pointwise):
+    """``liouvillian`` of a random N-level model, with random frames, equals
+    Tr(B_a L(B_b)) of the operator assembly L in an orthonormal Hermitian
+    basis B; it is real and its trace row is exactly zero."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return m + m.conj().T
+
+    h0, h1 = hermitian(), hermitian()
+    H = (sl.TimeDependentHamiltonian(n, lambda t: h0 + math.sin(t) * h1) if pointwise
+         else sl.TimeDependentHamiltonian.affine(h0, h1))
+    frames, _ = np.linalg.qr(rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n)))
+    energies = np.sort(rng.normal(size=(5, n)), axis=1)
+    traj = sl.FrameTrajectory(np.linspace(-1.0, 1.0, 5), frames, energies, 0, H)
+    spec = sl.ohmic_spectrum(0.08, 5.0, 0.4, shift=lambda w: 0.02 * np.asarray(w))
+    gen = sl.LindbladGenerator(traj, hermitian(), spec, H)
+    basis = sl.model.operator_basis(n)
+    assert np.array_equal(basis[0], np.eye(n) / math.sqrt(n))
+    assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+    assert np.max(np.abs(np.einsum("aij,bji->ab", basis, basis) - np.eye(n * n))) < 1e-15
+    probes = rng.uniform(-1.2, 1.2, size=6)
+    got = gen.liouvillian(probes)
+    assert got.dtype == np.float64 and not got[:, 0].any()
+    for t, g in zip(probes, got):
+        images = np.array([_unraveled_rhs(gen, b, t) for b in basis])
+        want = np.einsum("aji,bij->ab", basis, images)
+        assert np.max(np.abs(g - want)) < 1e-12
 
 
 class TestLindbladOps:
@@ -167,7 +202,9 @@ class TestMasterEquationRHS:
     def test_matches_explicit_operator_assembly(self):
         # rhs equals the master equation rebuilt from the operators that the
         # Monte-Carlo unraveling uses (Dalibard, Castin, Molmer, PRL 68, 580
-        # (1992)), on the LZ model and on a three-level ladder
+        # (1992)), on the LZ model, on a three-level ladder, and, entry by
+        # entry of the real generator, on random models of 2, 3 and 4 levels
+        _real_generator_matches_assembly()
         H, _, _, _, traj = lz_setup(2.0, order=1)
         ladder = ladder_hamiltonian()
         ladder_traj = sl.superadiabatic_frames(

@@ -92,13 +92,9 @@ def _projected_solve(generator, y0, edges, project, cfg=sl.IntegratorConfig()):
         n *= 2
 
 
-def _density_projection(n):
-    def project(y):
-        rho = y.reshape(n, n)
-        rho = 0.5 * (rho + rho.conj().T)
-        return (rho / np.trace(rho).real).ravel()
-
-    return project
+def _unit_trace(x):
+    """A coherence vector rescaled to unit trace, sqrt(N) x_0 = 1."""
+    return x / (math.sqrt(math.isqrt(x.size)) * x[0])
 
 
 def _unit_norm(y):
@@ -120,23 +116,29 @@ class TestExponentialCore:
         theta9 = sl.propagation._THETA9
         rng = np.random.default_rng(3)
         for n in (2, 3, 4, 9):
-            a = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
-            unit = a / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]   # 1-norms 1
-            # 1-norms from 1e-3 to ~1e3: the larger ones need squaring
-            wide = a * np.logspace(-3, 2, 6)[:, None, None]
-            # all at most theta_9: the [9/9] approximant, unscaled; any norm
-            # above it sends the whole stack to [13/13]
-            below = np.array([1e-3, 0.1, 0.5, 0.9, 1 - 1e-9, 1 - 1e-12])[:, None, None]
-            above = np.array([1 + 1e-12, 1 + 1e-9, 1.1, 1.5, 2.0, 2.5])[:, None, None]
-            below, above = theta9 * below * unit, theta9 * above * unit
-            mixed = np.concatenate([below[3:], above[:3]])
-            for stack in (wide, below, above, mixed):
-                stack = np.concatenate([stack, np.zeros((1, n, n))])
-                got = sl.propagation._expm(stack)
-                want = np.stack([linalg.expm(m) for m in stack])
-                scale = np.abs(want).max(axis=(1, 2))[:, None, None]
-                assert np.max(np.abs(got - want) / scale) < 1e-12
-                assert np.array_equal(got[-1], np.eye(n))
+            z = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+            # complex stacks (-iH, -iH_eff) and their real parts (generators of
+            # the coherence vector), whose exponentials must stay real
+            for a in (z, z.real):
+                unit = a / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]   # 1-norms 1
+                # 1-norms from 1e-3 to ~1e3: the larger ones need squaring
+                wide = a * np.logspace(-3, 2, 6)[:, None, None]
+                # all at most theta_9: the [9/9] approximant, unscaled; any norm
+                # above it sends the whole stack to [13/13]
+                below = np.array([1e-3, 0.1, 0.5, 0.9, 1 - 1e-9, 1 - 1e-12])[:, None, None]
+                above = np.array([1 + 1e-12, 1 + 1e-9, 1.1, 1.5, 2.0, 2.5])[:, None, None]
+                below, above = theta9 * below * unit, theta9 * above * unit
+                mixed = np.concatenate([below[3:], above[:3]])
+                for stack in (wide, below, above, mixed):
+                    stack = np.concatenate([stack, np.zeros((1, n, n))])
+                    got = sl.propagation._expm(stack)
+                    # scipy's complex path as the reference: on the widest real
+                    # n = 3 stack its real path is 1.6e-12 off a 40-digit one
+                    want = np.stack([linalg.expm(m + 0j) for m in stack])
+                    assert got.dtype == a.dtype
+                    scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+                    assert np.max(np.abs(got - want) / scale) < 1e-12
+                    assert np.array_equal(got[-1], np.eye(n))
 
     @pytest.mark.parametrize("case", ["me_n_below_chunk", "unitary_n_above_chunk",
                                       "ladder_n_below_chunk", "ladder_n_above_chunk"])
@@ -146,7 +148,7 @@ class TestExponentialCore:
             gen, rho0 = _lz_coarse()
             mid = 0.5 * (gen.frames.times[:-1] + gen.frames.times[1:])
             edges = np.concatenate([[-2.0], mid, [2.0]])
-            generator, y0, n = gen.liouvillian, rho0.ravel(), 8
+            generator, y0, n = gen.liouvillian, sl.model.coherence_vector(rho0), 8
         elif case == "unitary_n_above_chunk":         # d = 2: chunk 1024
             H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
             edges = np.array([-2.0, -0.5, 2.0])
@@ -162,7 +164,7 @@ class TestExponentialCore:
             mid = 0.5 * (base.times[:-1] + base.times[1:])
             edges = np.concatenate([[-12.0], mid, [-8.0]])
             psi0 = base.basis[0, :, 0]
-            y0 = np.outer(psi0, psi0.conj()).ravel()
+            y0 = sl.model.coherence_vector(np.outer(psi0, psi0.conj()))
             generator = gen.liouvillian
             n = 8 if case == "ladder_n_below_chunk" else 128
             edges = edges if n == 8 else edges[:6]
@@ -179,8 +181,9 @@ class TestExponentialCore:
         if engine == "lindblad":
             gen, rho0 = _lz_coarse()
             res = sl.evolve_lindblad(gen, rho0, -2.0, 2.0, sample_times=samples)
-            generator, y0, project = gen.liouvillian, rho0.ravel(), _density_projection(2)
+            generator, y0, project = gen.liouvillian, sl.model.coherence_vector(rho0), _unit_trace
             breakpoints = 0.5 * (gen.frames.times[:-1] + gen.frames.times[1:])
+            state = sl.model.density_matrix
         else:
             H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
             y0 = np.array([1.0, 0.0], complex)
@@ -189,10 +192,10 @@ class TestExponentialCore:
             def generator(times):
                 return -1j * H.on_grid(times)
 
-            project, breakpoints = _unit_norm, ()
-        got = np.concatenate([res.samples, [res.state]]).reshape(samples.size + 1, -1)
+            project, breakpoints, state = _unit_norm, (), np.asarray
+        got = np.concatenate([res.samples, [res.state]])
         edges, at = sl.propagation._edges(-2.0, 2.0, samples, breakpoints)
-        want = _projected_solve(generator, y0, edges, project)[np.append(at, -1)]
+        want = state(_projected_solve(generator, y0, edges, project)[np.append(at, -1)])
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_lindblad_matches_dop853_oracle(self):
@@ -338,8 +341,9 @@ class TestEvolveLindblad:
             frames = traj
 
             def liouvillian(self, times):
-                # rho -> 0.2 sigma_x tr(rho) on row-major vec(rho)
-                op = 0.2 * np.outer(np.asarray(sl.sigma_x).ravel(), np.eye(2).ravel())
+                # rho -> 0.2 sigma_x tr(rho) on coherence vectors: tr(rho) = x . x(I)
+                op = 0.2 * np.outer(sl.model.coherence_vector(sl.sigma_x),
+                                    sl.model.coherence_vector(np.eye(2)))
                 return np.broadcast_to(op, (len(times), 4, 4))
 
         rho0 = np.diag([0.5, 0.5]).astype(complex)
