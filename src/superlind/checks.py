@@ -70,8 +70,6 @@ def check_frames():
 
 
 def check_generator():
-    """The real generator against the master equation in explicit operators,
-    -i (H_eff rho - rho H_eff^dag) + sum L rho L^dag."""
     H, times = _lz_setup()
     traj = instantaneous_frames(H, times)
     gen = LindbladGenerator(traj, sigma_z, ohmic_spectrum(0.05, 5.0, 0.5), H)

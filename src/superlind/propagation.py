@@ -360,11 +360,12 @@ def evolve_lindblad(
     """Solve the master equation from rho0.
 
     The core marches the real coherence vector of rho between edges at the
-    sample times and the frame midpoints, where the generator's dissipator
-    changes. The returned states, Hermitian by construction, are
-    trace-normalized once, after the solve; positivity is monitored (never
-    forced) and a violation below -1e-5 aborts with an error, since the Magnus
-    exponent is not of Lindblad form when H changes in a cell.
+    sample times and the frame midpoints, where the dissipator changes. Real
+    coordinates are Hermitian states, and a zero trace row keeps the trace to
+    rounding, so the two drifts in the diagnostics are structural; the states
+    are trace-normalized once, after the solve. Positivity, the meaningful
+    integrity number, is monitored (never forced); below -1e-5 it aborts,
+    since the Magnus exponent is not of Lindblad form when H changes in a cell.
     """
     cfg = cfg or IntegratorConfig()
     rho0 = check_density_matrix(rho0)
