@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AdiabaticityWarning
 from .experiments import BathConfig, SweepConfig, run_lz_sweep, write_sweep_csv
-from .frames import adiabatic_report, instantaneous_frames, superadiabatic_frames
+from .frames import _eigh, adiabatic_report, instantaneous_frames, superadiabatic_frames
 from .generator import LindbladGenerator
 from .model import (
     LZParams,
@@ -62,8 +62,14 @@ def check_frames():
         base = instantaneous_frames(H, times)
         base.validate()
         report = adiabatic_report(base)
-        detail = f"max adiabatic parameter {report.global_max:.3f}"
-        ok = abs(report.global_max - 0.25) < 0.05
+        # the closed-form 2x2 solver the frames use, against LAPACK on the same stack
+        (vals, vecs), (ref_vals, ref_vecs) = _eigh(H.on_grid(times)), np.linalg.eigh(H.on_grid(times))
+        dvals = float(np.max(np.abs(vals - ref_vals)))
+        dproj = float(np.max(np.abs(np.einsum("kia,kja->kaij", vecs, vecs.conj())
+                                    - np.einsum("kia,kja->kaij", ref_vecs, ref_vecs.conj()))))
+        detail = (f"max adiabatic parameter {report.global_max:.3f}; eigensolver off LAPACK "
+                  f"by {dvals:.1e} (levels), {dproj:.1e} (projectors)")
+        ok = abs(report.global_max - 0.25) < 0.05 and max(dvals, dproj) < 1e-12
     except Exception as exc:  # pragma: no cover - diagnostic path
         return "frame invariants", False, str(exc)
     return "frame invariants", ok, detail

@@ -8,7 +8,8 @@ built by repeatedly diagonalizing the co-moving frame Hamiltonian
     H_frame = diag(levels) - i K,    K[a, b] = <phi_a | d/dt phi_b>,
 
 which suppresses the residual oscillation of the true evolution around the
-basis by one power of the adiabatic parameter per level.
+basis by one power of the adiabatic parameter per level. Every spectral
+solve goes through ``_eigh``: closed form for N = 2, LAPACK for larger N.
 """
 from __future__ import annotations
 
@@ -137,11 +138,12 @@ class AdiabaticReport:
 
 
 def _reference_phase(basis_k: np.ndarray) -> np.ndarray:
-    """Phase-fix columns: largest-magnitude component made real positive."""
+    """Phase-fix columns: largest-magnitude component made real positive, the
+    first of those within a relative 1e-12, so rounding cannot break a tie."""
     out = basis_k.copy()
     for a in range(out.shape[1]):
         col = out[:, a]
-        i = int(np.argmax(np.abs(col)))
+        i = int(np.argmax(np.abs(col) >= (1.0 - 1e-12) * np.abs(col).max()))
         z = col[i]
         if abs(z) > 0:
             col *= z.conjugate() / abs(z)
@@ -168,9 +170,29 @@ def _align_sweep(basis: np.ndarray, times: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _eigh(mats: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues (and eigenvectors) of a (K, N, N) Hermitian stack,
+    read from the lower triangle as LAPACK does. For N = 2 one Jacobi rotation
+    is exact: levels (a+d)/2 -+ hypot((a-d)/2, |b|) with b = m[1, 0], angle
+    atan2(|b|, (a-d)/2) / 2. Larger N call LAPACK's ``eigh`` or ``eigvalsh``."""
+    if mats.shape[-1] != 2:
+        return np.linalg.eigh(mats) if vectors else np.linalg.eigvalsh(mats)
+    a, d, b = mats[:, 0, 0].real, mats[:, 1, 1].real, mats[:, 1, 0]
+    half, size = 0.5 * (a - d), np.abs(b)
+    mean, radius = 0.5 * (a + d), np.hypot(half, size)
+    vals = np.stack([mean - radius, mean + radius], axis=1)
+    if not vectors:
+        return vals
+    theta = 0.5 * np.arctan2(size, half)
+    c, s = np.cos(theta), np.sin(theta)
+    phase = np.divide(b, size, out=np.ones_like(b, dtype=complex), where=size > 0)
+    vecs = np.stack([-s * phase.conj(), c, c, s * phase], axis=1).reshape(-1, 2, 2)
+    return vals, vecs
+
+
 def _eigh_grid(mats: np.ndarray, times: np.ndarray, context: str):
     """Batched Hermitian eigendecomposition with a degeneracy guard."""
-    vals, vecs = np.linalg.eigh(mats)
+    vals, vecs = _eigh(mats)
     spread = float(np.max(vals[:, -1] - vals[:, 0]))
     gap_tol = GAP_TOL_FACTOR * spread
     gaps = np.diff(vals, axis=1)
@@ -276,9 +298,9 @@ def superadiabatic_frames(
         raise ParameterError(f"order must be >= 0, got {order}")
     if order > J_MAX:
         raise OrderCapError(f"order {order} exceeds cap {J_MAX}")
-    times = np.asarray(times, dtype=float)
+    times = _checked_grid(times)
     if base is not None:
-        if base.order != 0 or base.times.shape != times.shape or not np.allclose(base.times, times):
+        if base.order != 0 or not np.array_equal(base.times, times):
             raise ParameterError("base must be an order-0 trajectory on the same grid")
         traj0 = base
     else:
@@ -341,7 +363,8 @@ def adaptive_time_grid(
     The step is chosen from a ``GRID_INITIAL_POINTS`` probe so that the
     per-step Hamiltonian motion stays below ``GRID_GAP_FRACTION`` of the
     minimal gap, which by Weyl and Davis-Kahan holds adjacent eigenvector
-    overlaps^2 above 1 - (0.01 / 0.99)^2, so only eigenvalues are computed.
+    overlaps^2 above 1 - (0.01 / 0.99)^2, so only eigenvalues are computed:
+    of H and of each Hermitian step, whose largest |eigenvalue| is its norm.
     The condition is verified on the built grid, halved until it holds or
     until it would exceed ``GRID_MAX_POINTS`` and ``GridError`` is raised.
     """
@@ -349,13 +372,12 @@ def adaptive_time_grid(
         raise ParameterError(f"need finite t0 < t1, got {t0!r}, {t1!r}")
 
     def spectrum(times):
-        """Minimal gap and largest per-step ||H_k+1 - H_k||_2."""
+        """Minimal gap and largest per-step ||H_k+1 - H_k||_2 (largest |eigenvalue|)."""
         mats = H.on_grid(times)
-        vals = np.linalg.eigvalsh(mats)
-        min_gap = float(np.diff(vals, axis=1).min())
+        min_gap = float(np.diff(_eigh(mats, vectors=False), axis=1).min())
         if min_gap <= 0:
             raise DegeneracyError("degenerate spectrum on the time grid")
-        dnorm = float(np.max(np.linalg.norm(mats[1:] - mats[:-1], ord=2, axis=(1, 2))))
+        dnorm = float(np.max(np.abs(_eigh(mats[1:] - mats[:-1], vectors=False))))
         return min_gap, dnorm
 
     probe = np.linspace(t0, t1, GRID_INITIAL_POINTS)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import superlind as sl
-from superlind.frames import _align_sweep, _quasi_energies
+from superlind.frames import _align_sweep, _eigh, _quasi_energies, _reference_phase
 
 from lzutil import ladder_hamiltonian, lz_setup
 
@@ -151,6 +151,14 @@ class TestSmoothGauge:
         assert np.max(np.abs(overlaps.imag)) < 1e-12
         assert np.all(overlaps.real > 0)
 
+    def test_reference_phase_breaks_ties_on_first_component(self):
+        # component 1 is larger by one ulp, a tie that eigensolver rounding decides
+        col = np.array([[1.0], [-(1.0 + 2.0**-52)]], dtype=complex) / np.sqrt(2.0)
+        assert abs(col[1, 0]) > abs(col[0, 0])
+        out = _reference_phase(col)
+        assert out[0, 0].real > 0 and out[0, 0].imag == 0
+        assert np.allclose(out[:, 0], np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-15)
+
     def test_orthogonal_frames_rejected(self):
         _, _, _, base, _ = lz_setup(2.0)
         with pytest.raises(sl.GridError):
@@ -282,6 +290,13 @@ class TestSuperadiabaticFrames:
         with pytest.raises(sl.ParameterError):
             sl.superadiabatic_frames(H, 1, times, base=other)
 
+    def test_base_on_nearby_grid_rejected(self, lz_slow):
+        # same size, ends 1e-6 apart: the frames would be labelled with the wrong times
+        H, _, times, _, _ = lz_slow
+        other = sl.instantaneous_frames(H, times * (1.0 + 1e-6))
+        with pytest.raises(sl.ParameterError, match="same grid"):
+            sl.superadiabatic_frames(H, 1, times, base=other)
+
 
 class TestResidualOscillation:
     def test_constant_hamiltonian_silent(self):
@@ -319,7 +334,70 @@ def test_adaptive_time_grid_needs_finite_increasing_ends(t0, t1):
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def _hermitian_2x2_stacks(draw):
+    """(K, 2, 2) Hermitian stacks with entries from 1e-6 to 1e6 in magnitude, of
+    either sign on the diagonal. Off-diagonals are zero, 1e-12 of the diagonal,
+    or free, with a free phase."""
+    magnitude = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+    signed = st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(lambda p: p[0] * p[1])
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, d = draw(signed), draw(signed)
+        size = draw(st.sampled_from([0.0, 1e-12 * max(abs(a), abs(d)), None]))
+        b = (draw(magnitude) if size is None else size) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+        mats.append([[a, np.conj(b)], [b, d]])
+    return np.array(mats, dtype=complex)
+
+
+class TestClosedFormEigh:
+    @settings(max_examples=300, deadline=None)
+    @given(mats=_hermitian_2x2_stacks())
+    def test_two_level_matches_lapack(self, mats):
+        vals, vecs = _eigh(mats)
+        ref_vals, ref_vecs = np.linalg.eigh(mats)
+        scale = np.max(np.abs(ref_vals), axis=1)                    # ||H||_2
+        assert np.all(np.diff(vals, axis=1) >= 0)
+        # against 40-digit values ours stay within 2 ulps of ||H||, LAPACK's within 6
+        assert np.all(np.abs(vals - ref_vals) <= 8 * _EPS * scale[:, None])
+        assert np.array_equal(_eigh(mats, vectors=False), vals)
+        # backward error and unitarity at rounding level, for every member
+        residual = np.abs(mats @ vecs - vecs * vals[:, None, :]).max(axis=(1, 2))
+        assert np.all(residual <= 8 * _EPS * scale)
+        gram = np.einsum("kia,kib->kab", vecs.conj(), vecs)
+        assert np.max(np.abs(gram - np.eye(2))) <= 4 * _EPS
+        # eigenvectors are gauge-free, so compare projectors; both solvers move
+        # them by up to eps ||H|| / gap, so only where the gap pins them to 1e-13
+        proj = np.einsum("kia,kja->kaij", vecs, vecs.conj())
+        ref_proj = np.einsum("kia,kja->kaij", ref_vecs, ref_vecs.conj())
+        separated = np.diff(ref_vals, axis=1)[:, 0] > 1e-2 * scale
+        assert np.max(np.abs(proj - ref_proj)[separated], initial=0.0) < 1e-13
+
+    @settings(max_examples=50, deadline=None)
+    @given(entries=hnp.arrays(float, (2, 4, 3, 3), elements=st.floats(-1e3, 1e3)))
+    def test_larger_n_is_lapack(self, entries):
+        mats = _hermitian(entries[0] + 1j * entries[1])
+        vals, vecs = _eigh(mats)
+        ref_vals, ref_vecs = np.linalg.eigh(mats)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+        assert np.array_equal(_eigh(mats, vectors=False), np.linalg.eigvalsh(mats))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4]), data=st.data())
+    def test_step_norm_is_largest_abs_eigenvalue(self, n, data):
+        """||H_k+1 - H_k||_2 on a Hermitian stack, as ``adaptive_time_grid`` computes it."""
+        re, im = data.draw(hnp.arrays(float, (2, 6, n, n), elements=st.floats(-1e3, 1e3)))
+        mats = _hermitian(re + 1j * im)
+        steps = mats[1:] - mats[:-1]
+        got = np.max(np.abs(_eigh(steps, vectors=False)), axis=1)
+        want = np.linalg.norm(steps, ord=2, axis=(1, 2))
+        assert np.all(np.abs(got - want) <= 16 * n * _EPS * want.max())
 
 
 @settings(max_examples=200, deadline=None)
