@@ -298,7 +298,7 @@ def superadiabatic_frames(
         raise ParameterError(f"order must be >= 0, got {order}")
     if order > J_MAX:
         raise OrderCapError(f"order {order} exceeds cap {J_MAX}")
-    times = _checked_grid(times)
+    times = np.asarray(times, dtype=float)
     if base is not None:
         if base.order != 0 or not np.array_equal(base.times, times):
             raise ParameterError("base must be an order-0 trajectory on the same grid")

@@ -34,7 +34,7 @@ def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what} must be a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # a NaN entry makes the defect NaN
         raise ParameterError(f"{what} is not Hermitian (defect {defect:.3e} > {tol:.0e})")
     return m
 
@@ -120,7 +120,7 @@ class TimeDependentHamiltonian:
             )
         defects = hermiticity_defect(mats)
         k = int(np.argmax(defects))
-        if defects[k] > HERMITICITY_TOL:
+        if not defects[k] <= HERMITICITY_TOL:  # also a NaN defect, which argmax returns first
             raise ParameterError(
                 f"H(t={float(times[k])!r}) is not Hermitian (defect {defects[k]:.3e})"
             )

@@ -71,6 +71,16 @@ class TestLZHamiltonian:
         with pytest.raises(sl.ParameterError, match=r"H\(t=2\.5\) is not Hermitian"):
             H.on_grid(np.linspace(0.0, 2.5, 6))
 
+    def test_nan_entries_rejected(self):
+        # NaN - NaN is NaN, so the defect must not pass by failing a ">" test
+        H = sl.TimeDependentHamiltonian(
+            2, lambda t: np.array([[np.nan if t == 1.0 else 0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        H.on_grid([0.0, 0.5])
+        with pytest.raises(sl.ParameterError, match=r"H\(t=1\.0\) is not Hermitian"):
+            H.on_grid([0.0, 0.5, 1.0])
+        with pytest.raises(sl.ParameterError, match="h0 is not Hermitian"):
+            sl.TimeDependentHamiltonian.affine(np.diag([np.nan, 0.0]), np.eye(2))
+
     def test_affine_lz_matches_pointwise_formula(self):
         rng = np.random.default_rng(11)
         for v in (0.3, 1.0 / 2.02, 1.0 / 3.0, 2.5):
