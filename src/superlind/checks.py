@@ -63,7 +63,8 @@ def check_frames():
         base.validate()
         report = adiabatic_report(base)
         # the closed-form 2x2 solver the frames use, against LAPACK on the same stack
-        (vals, vecs), (ref_vals, ref_vecs) = _eigh(H.on_grid(times)), np.linalg.eigh(H.on_grid(times))
+        mats = H.on_grid(times)
+        (vals, vecs), (ref_vals, ref_vecs) = _eigh(mats), np.linalg.eigh(mats)
         dvals = float(np.max(np.abs(vals - ref_vals)))
         dproj = float(np.max(np.abs(np.einsum("kia,kja->kaij", vecs, vecs.conj())
                                     - np.einsum("kia,kja->kaij", ref_vecs, ref_vecs.conj()))))

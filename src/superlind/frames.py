@@ -190,6 +190,15 @@ def _eigh(mats: np.ndarray, vectors: bool = True):
     return vals, vecs
 
 
+def _step_norms(mats: np.ndarray) -> np.ndarray:
+    """||H_k+1 - H_k||_2 of a Hermitian stack: the largest |eigenvalue| of each step
+    for N = 2, else the SVD, as eigvalsh can lose 1e-5 where squared entries underflow."""
+    steps = mats[1:] - mats[:-1]
+    if mats.shape[-1] != 2:
+        return np.linalg.norm(steps, ord=2, axis=(1, 2))
+    return np.abs(_eigh(steps, vectors=False)).max(axis=1)
+
+
 def _eigh_grid(mats: np.ndarray, times: np.ndarray, context: str):
     """Batched Hermitian eigendecomposition with a degeneracy guard."""
     vals, vecs = _eigh(mats)
@@ -363,8 +372,8 @@ def adaptive_time_grid(
     The step is chosen from a ``GRID_INITIAL_POINTS`` probe so that the
     per-step Hamiltonian motion stays below ``GRID_GAP_FRACTION`` of the
     minimal gap, which by Weyl and Davis-Kahan holds adjacent eigenvector
-    overlaps^2 above 1 - (0.01 / 0.99)^2, so only eigenvalues are computed:
-    of H and of each Hermitian step, whose largest |eigenvalue| is its norm.
+    overlaps^2 above 1 - (0.01 / 0.99)^2, so no eigenvector is computed; for
+    N = 2 the norm of each step is its largest |eigenvalue|.
     The condition is verified on the built grid, halved until it holds or
     until it would exceed ``GRID_MAX_POINTS`` and ``GridError`` is raised.
     """
@@ -372,12 +381,12 @@ def adaptive_time_grid(
         raise ParameterError(f"need finite t0 < t1, got {t0!r}, {t1!r}")
 
     def spectrum(times):
-        """Minimal gap and largest per-step ||H_k+1 - H_k||_2 (largest |eigenvalue|)."""
+        """Minimal gap and largest per-step ||H_k+1 - H_k||_2."""
         mats = H.on_grid(times)
         min_gap = float(np.diff(_eigh(mats, vectors=False), axis=1).min())
         if min_gap <= 0:
             raise DegeneracyError("degenerate spectrum on the time grid")
-        dnorm = float(np.max(np.abs(_eigh(mats[1:] - mats[:-1], vectors=False))))
+        dnorm = float(np.max(_step_norms(mats)))
         return min_gap, dnorm
 
     probe = np.linspace(t0, t1, GRID_INITIAL_POINTS)
