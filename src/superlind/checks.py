@@ -25,7 +25,8 @@ from .model import (
     ohmic_spectrum,
     sigma_z,
 )
-from .propagation import bloch_vector, evolve_lindblad, evolve_unitary
+from .propagation import (TrajectoryConfig, bloch_vector, evolve_lindblad, evolve_trajectories,
+                          evolve_unitary)
 
 
 def _lz_setup():
@@ -99,11 +100,15 @@ def check_propagation():
     gen = LindbladGenerator(traj, sigma_z, dephasing_spectrum(0.0), H)
     psi0 = traj.basis[0, :, 0]
     uni = evolve_unitary(H, psi0, -6.0, 6.0)
+    rho_uni = np.outer(uni.state, uni.state.conj())
     lind = evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -6.0, 6.0)
-    diff = float(np.max(np.abs(lind.state - np.outer(uni.state, uni.state.conj()))))
-    x, y, z = bloch_vector(np.outer(uni.state, uni.state.conj()))
-    ok = diff < 1e-7 and abs(x * x + y * y + z * z - 1.0) < 1e-8
-    return "closed-limit propagation", ok, f"gamma=0 deviation {diff:.1e}"
+    mc = evolve_trajectories(gen, psi0, -6.0, 6.0, TrajectoryConfig(n_traj=4, seed=0))
+    diff, mc_diff = (float(np.max(np.abs(r.state - rho_uni))) for r in (lind, mc))
+    jumps = sum(map(len, mc.jumps))
+    x, y, z = bloch_vector(rho_uni)
+    ok = max(diff, mc_diff) < 1e-7 and jumps == 0 and abs(x * x + y * y + z * z - 1.0) < 1e-8
+    return "closed-limit propagation", ok, (f"gamma=0 deviation {diff:.1e} (master equation), "
+                                            f"{mc_diff:.1e} (ensemble, {jumps} jumps)")
 
 
 def check_determinism():

@@ -174,9 +174,10 @@ def _eigh(mats: np.ndarray, vectors: bool = True):
     """Ascending eigenvalues (and eigenvectors) of a (K, N, N) Hermitian stack,
     read from the lower triangle as LAPACK does. For N = 2 one Jacobi rotation
     is exact: levels (a+d)/2 -+ hypot((a-d)/2, |b|) with b = m[1, 0], angle
-    atan2(|b|, (a-d)/2) / 2. Larger N call LAPACK's ``eigh`` or ``eigvalsh``."""
+    atan2(|b|, (a-d)/2) / 2. Larger N call LAPACK's ``eigh``, also for levels
+    alone: ``eigvalsh`` can lose 1e-5 where squared entries underflow."""
     if mats.shape[-1] != 2:
-        return np.linalg.eigh(mats) if vectors else np.linalg.eigvalsh(mats)
+        return np.linalg.eigh(mats) if vectors else np.linalg.eigh(mats).eigenvalues
     a, d, b = mats[:, 0, 0].real, mats[:, 1, 1].real, mats[:, 1, 0]
     half, size = 0.5 * (a - d), np.abs(b)
     mean, radius = 0.5 * (a + d), np.hypot(half, size)
@@ -372,7 +373,7 @@ def adaptive_time_grid(
     The step is chosen from a ``GRID_INITIAL_POINTS`` probe so that the
     per-step Hamiltonian motion stays below ``GRID_GAP_FRACTION`` of the
     minimal gap, which by Weyl and Davis-Kahan holds adjacent eigenvector
-    overlaps^2 above 1 - (0.01 / 0.99)^2, so no eigenvector is computed; for
+    overlaps^2 above 1 - (0.01 / 0.99)^2, so only the levels are needed; for
     N = 2 the norm of each step is its largest |eigenvalue|.
     The condition is verified on the built grid, halved until it holds or
     until it would exceed ``GRID_MAX_POINTS`` and ``GridError`` is raised.

@@ -20,12 +20,14 @@ exponent of -iH or of a Liouvillian preserves norm and trace up to rounding.
 Resolved sub-steps are exponentiated with the [9/9] Pade approximant,
 anything larger with scaled and squared [13/13].
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
-for the whole ensemble, finds each jump time from the norms at the two ends
-of its step, and handles all jumps of a step as one batch.
+for the whole ensemble, a block of steps at a time; it finds each jump time
+from the norms at the two ends of its step and handles the jumps of all
+steps of a block as one batch.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,7 @@ from .model import TimeDependentHamiltonian, coherence_vector, density_matrix, h
 
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)  # Gauss-Legendre nodes on [0, 1]
 _CHUNK_ENTRIES = 2**12  # matrix entries in the stack of propagators held at once
+_BLOCK_ENTRIES = 2**16  # ensemble state entries at a Monte-Carlo block's edges, and of its table
 # Doubling the sub-steps must cut the largest h * ||A|| below this fraction
 # of its value: it halves for a bounded generator, stays put at a simple pole.
 _SHRINK = 0.9
@@ -88,6 +91,9 @@ class TrajectoryConfig:
     record_jumps: bool = True
 
     def __post_init__(self):
+        for name, value in (("n_traj", self.n_traj), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.n_traj < 1:
             raise ParameterError("n_traj must be >= 1")
 
@@ -165,6 +171,12 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     if min_eig < -1e-7:
         raise StateIntegrityError(f"density matrix min eigenvalue {min_eig:.3e}")
     return rho
+
+
+def _of_dim(state: np.ndarray, dim: int) -> np.ndarray:
+    if state.shape[0] != dim:
+        raise DimensionError(f"initial state has dimension {state.shape[0]}, the model {dim}")
+    return state
 
 
 # --------------------------------------------------------------------- core
@@ -335,7 +347,7 @@ def evolve_unitary(
 ) -> UnitaryResult:
     """Solve i psi' = H(t) psi, renormalizing at every sample time and at t1."""
     cfg = cfg or IntegratorConfig()
-    psi0 = check_state_vector(psi0)
+    psi0 = _of_dim(check_state_vector(psi0), H.dim)
     edges, at = _edges(t0, t1, sample_times)
 
     def generator(times):
@@ -368,7 +380,7 @@ def evolve_lindblad(
     since the Magnus exponent is not of Lindblad form when H changes in a cell.
     """
     cfg = cfg or IntegratorConfig()
-    rho0 = check_density_matrix(rho0)
+    rho0 = _of_dim(check_density_matrix(rho0), gen.frames.dim)
     times = gen.frames.times
     edges, at = _edges(t0, t1, sample_times, 0.5 * (times[:-1] + times[1:]))
 
@@ -400,59 +412,52 @@ def evolve_lindblad(
 
 
 def _traj_rng(seed: int, index: int):
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _jumps(gen, cell, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
-    """Handle the norm-threshold crossings of a batch of trajectories inside
-    one lockstep step [t_a, t_b], which lies in the frame cell ``cell``.
+def _jumps(gen, cells, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
+    """Handle the norm-threshold crossings of a batch of trajectories, each in
+    its own lockstep step [t_a, t_b], which lies in its frame cell ``cells``.
 
-    ``rngs``, ``events`` (or None) and the rows of ``psi_a``, ``psi_b`` and
-    ``thresholds`` belong to the crossing trajectories. ``h_eff`` is the
-    drift anywhere in the cell. There d||psi||^2/dt = -<psi, gamma psi> with
-    gamma = i (H_eff - H_eff^dag) constant, so the step's ends give ||psi||^2
-    and its slope at both; each jump time is the threshold crossing of their
-    cubic Hermite interpolant, found by bisecting that polynomial. One
-    Magnus-4 exponential per trajectory reaches its jump, a channel drawn
-    with probability ~ ||L psi||^2 acts, and another finishes the step.
-    Trajectories whose survivor crosses its fresh threshold again repeat
-    this from their own jump time. Each round makes one
-    ``effective_hamiltonian`` and one ``_expm`` call for the whole batch.
+    ``rngs``, ``events`` (or None) and the rows of every array belong to the
+    crossing trajectories. ``h_eff`` is each one's drift anywhere in its cell.
+    There d||psi||^2/dt = -<psi, gamma psi> with gamma = i (H_eff - H_eff^dag)
+    constant, so the step's ends give ||psi||^2 and its slope at both; each
+    jump time is the threshold crossing of their cubic Hermite interpolant,
+    bisected for the whole batch at once. One Magnus-4 exponential per
+    trajectory reaches its jump, a channel drawn with probability ~ ||L psi||^2
+    acts, and another finishes the step. Trajectories whose survivor crosses
+    its fresh threshold again repeat this from their own jump time. Each
+    round makes one ``effective_hamiltonian`` and one ``_expm`` call.
 
     Returns the states at t_b and the new thresholds.
     """
-    if not gen.active_channels[cell].any():
+    if not gen.active_channels[cells].any(axis=1).all():
         raise SuperlindError("norm decayed but no jump channel is active")
-    channels, labels = gen.channels[cell], gen.channel_labels        # (C, N, N)
-    n = h_eff.shape[0]
-    ops = np.array([np.eye(n), 1j * (h_eff - h_eff.conj().T)])         # 1 and gamma
+    channels, labels = gen.channels[cells], gen.channel_labels        # (M, C, N, N)
+    gamma = 1j * (h_eff - h_eff.conj().swapaxes(1, 2))
     out, out_thr = psi_b.copy(), thresholds.copy()
     todo = np.arange(len(rngs))
-    t_a = np.full(todo.size, float(t_a))
     for _round in range(65):  # the first crossings and at most 64 re-crossings
         if not todo.size:
             return out, out_thr
         m, h = todo.size, t_b - t_a
-        ends = np.concatenate([psi_a, psi_b])
-        f, g = np.einsum("ei,xij,ej->xe", ends.conj(), ops, ends).real.reshape(2, 2, m)
-        s = []
-        for f0, f1, d0, d1, threshold in zip(*f.tolist(), *(-h * g).tolist(), thresholds.tolist()):
-            c2, c3 = 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1
-            lo, hi = 0.0, 1.0
-            for _ in range(40):  # 2^-40 of the step, far below the interpolation error
-                mid = 0.5 * (lo + hi)
-                if f0 - threshold + mid * (d0 + mid * (c2 + mid * c3)) < 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            s.append(0.5 * (lo + hi))
-        t_jump = t_a + np.array(s) * h
+        ends = np.stack([psi_a, psi_b])                                 # (2, m, N)
+        f0, f1 = np.einsum("emi,emi->em", ends.conj(), ends).real
+        d0, d1 = -h * np.einsum("emi,mij,emj->em", ends.conj(), gamma, ends).real
+        c2, c3 = 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1
+        # bisect [lo, lo + 2^-i]: every midpoint is dyadic, so exactly (lo + hi) / 2
+        lo, above = np.zeros(m), f0 - thresholds
+        for i in range(1, 41):  # 2^-40 of the step, far below the interpolation error
+            mid = lo + 0.5**i
+            lo = np.where(above + mid * (d0 + mid * (c2 + mid * c3)) < 0.0, lo, mid)
+        t_jump = t_a + (lo + 0.5**41) * h
         widths = np.concatenate([t_jump - t_a, t_b - t_jump])          # to the jump, then on
         nodes = np.concatenate([t_a, t_jump]) + _GAUSS[:, None] * widths
-        a = -1j * gen.effective_hamiltonian(nodes.ravel()).reshape(2, 2 * m, n, n)
+        a = -1j * gen.effective_hamiltonian(nodes.ravel()).reshape(2, 2 * m, *h_eff.shape[1:])
         props = _expm(_magnus4(a[0], a[1], widths))
-        kicked = np.einsum("cij,mjk,mk->mci", channels, props[:m], psi_a)    # (m, C, N)
+        kicked = np.einsum("mcij,mjk,mk->mci", channels, props[:m], psi_a)  # (m, C, N)
         cum = np.cumsum(np.einsum("mci,mci->mc", kicked.conj(), kicked).real, axis=1)
         if not np.all(cum[:, -1] > 0.0):
             raise SuperlindError("norm decayed but all jump weights vanish")
@@ -468,8 +473,8 @@ def _jumps(gen, cell, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
         thresholds = draws[:, 1]
         out[todo], out_thr[todo] = psi_end, thresholds
         again = np.einsum("mi,mi->m", psi_end.conj(), psi_end).real < thresholds
-        todo, t_a, psi_a, psi_b, thresholds = (
-            x[again] for x in (todo, t_jump, psi, psi_end, thresholds))
+        todo, t_a, t_b, psi_a, psi_b, thresholds, channels, gamma = (
+            x[again] for x in (todo, t_jump, t_b, psi, psi_end, thresholds, channels, gamma))
     raise StiffnessError("jump cascade did not terminate within one step")
 
 
@@ -488,15 +493,16 @@ def evolve_trajectories(
     trajectories advance in lockstep between the edges t0, t1 and the frame
     grid points and cell midpoints inside (t0, t1): two steps per frame cell,
     each propagated by the Magnus-4 exponential of the exponential core, with
-    both Gauss nodes strictly inside one cell. A jump time is the threshold
-    crossing of the cubic Hermite interpolant of ||psi||^2 between the ends of
-    its step. The trajectories that cross in one step are handled together
-    by ``_jumps``, from the generator's channel stack. Every trajectory
-    consumes only its own counter-based random stream keyed by (seed,
-    trajectory index), a channel pick then a new threshold per jump, so an
-    ensemble is exactly reproducible for a given seed.
+    both Gauss nodes strictly inside one cell, ``_BLOCK_ENTRIES`` ensemble
+    entries at a time. The step products between a block's edges, with no
+    inverse, give each trajectory's first crossing in it; ``_jumps`` takes
+    all as one batch, and the jumped go on from the end of their step. A jump
+    time is the threshold crossing of the cubic Hermite interpolant of
+    ||psi||^2 between the ends of its step. Every trajectory consumes only its
+    own counter-based random stream keyed by (seed, trajectory index), so an
+    ensemble is exactly reproducible for a given seed, whatever the block.
     """
-    psi0 = check_state_vector(psi0)
+    psi0 = _of_dim(check_state_vector(psi0), gen.frames.dim)
     times = gen.frames.times
     edges, _ = _edges(t0, t1, None, np.concatenate([times, 0.5 * (times[:-1] + times[1:])]))
     widths = np.diff(edges)
@@ -508,22 +514,35 @@ def evolve_trajectories(
     psis = np.tile(psi0, (m, 1))
     events = [[] for _ in range(m)] if tcfg.record_jumps else None
 
-    chunk = max(_CHUNK_ENTRIES // n**2, 1)
-    for lo in range(0, widths.size, chunk):
-        h = widths[lo:lo + chunk]
-        nodes = edges[lo:lo + h.size] + _GAUSS[:, None] * h               # (2, C)
-        heff = gen.effective_hamiltonian(nodes.ravel()).reshape(2, h.size, n, n)
-        for j, p in enumerate(_expm(_magnus4(-1j * heff[0], -1j * heff[1], h)), start=lo):
-            new = psis @ p.T
-            norms2 = np.einsum("mi,mi->m", new.conj(), new).real
-            crossed = np.flatnonzero(norms2 < thresholds)
-            if crossed.size:
-                new[crossed], thresholds[crossed] = _jumps(
-                    gen, cells[j], [rngs[i] for i in crossed], psis[crossed], new[crossed],
-                    edges[j], edges[j + 1], heff[0, j - lo], thresholds[crossed],
-                    [events[i] for i in crossed] if events is not None else None,
-                )
-            psis = new
+    block = max(min(_BLOCK_ENTRIES // (m * n), math.isqrt(_BLOCK_ENTRIES) // n - 1), 1)
+    for lo in range(0, widths.size, block):
+        h = widths[lo:lo + block]
+        b = h.size
+        nodes = edges[lo:lo + b] + _GAUSS[:, None] * h                    # (2, B)
+        heff = gen.effective_hamiltonian(nodes.ravel()).reshape(2, b, n, n)
+        # table[k, :, s]: the steps' product from block edge s to edge k >= s, one GEMM per k
+        table = np.tile(np.eye(n, dtype=complex)[:, None], (b + 1, 1, b + 1, 1))
+        for k, p in enumerate(_expm(_magnus4(-1j * heff[0], -1j * heff[1], h))):
+            table[k + 1, :, :k + 1] = (p @ table[k, :, :k + 1].reshape(n, -1)).reshape(n, -1, n)
+        todo, start, psi = np.arange(m), np.zeros(m, dtype=int), psis  # psi is at edge start
+        while True:
+            end = np.einsum("mij,mj->mi", table[-1, :, start], psi)  # advanced index first
+            # ||psi||^2 never grows: only those below threshold at the block end crossed
+            c = np.flatnonzero(np.einsum("mi,mi->m", end.conj(), end).real < thresholds[todo])
+            ends = np.einsum("kimj,mj->mki", table[:, :, start[c]], psi[c])  # (P, B + 1, N)
+            below = np.einsum("mki,mki->mk", ends.conj(), ends).real < thresholds[todo[c], None]
+            first = np.argmax(below & (np.arange(b + 1) > start[c, None]), axis=1)  # 0: none
+            psis[todo] = end  # after reading psi[c]: psi is psis in the first round
+            hit = np.flatnonzero(first)
+            if not hit.size:
+                break
+            todo, start = todo[c[hit]], first[hit]
+            j = lo + start - 1  # the step of each crossing
+            psi, thresholds[todo] = _jumps(
+                gen, cells[j], [rngs[i] for i in todo], ends[hit, start - 1], ends[hit, start],
+                edges[j], edges[j + 1], heff[0, start - 1], thresholds[todo],
+                [events[i] for i in todo] if events is not None else None,
+            )
 
     norms = np.linalg.norm(psis, axis=1)
     if np.any(norms <= 0):

@@ -388,7 +388,14 @@ class TestClosedFormEigh:
         vals, vecs = _eigh(mats)
         ref_vals, ref_vecs = np.linalg.eigh(mats)
         assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
-        assert np.array_equal(_eigh(mats, vectors=False), np.linalg.eigvalsh(mats))
+        assert np.array_equal(_eigh(mats, vectors=False), ref_vals)
+
+    def test_larger_n_levels_survive_underflow(self):
+        # squared entries of 1e-159 underflow; eigvalsh then returns +-1.49999836
+        mats = np.zeros((1, 3, 3), dtype=complex)
+        mats[0, 1, 0] = mats[0, 0, 1] = 1.3e-159
+        mats[0, 2, 1], mats[0, 1, 2] = 1.5j, -1.5j
+        assert np.max(np.abs(_eigh(mats, vectors=False) - [-1.5, 0.0, 1.5])) < 1e-15
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.sampled_from([2, 3, 4]), data=st.data())

@@ -101,6 +101,19 @@ def _unit_norm(y):
     return y / np.linalg.norm(y)
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("the model was evaluated")
+
+
+def _strong_bath_coarse():
+    """A strong warm bath on a 21-point grid: several jumps share a lockstep
+    step, and some trajectories cross again after a jump in one step."""
+    H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x + 0.3 * sl.sigma_z)
+    traj = sl.instantaneous_frames(H, np.linspace(0.0, 10.0, 21))
+    gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(1.0, 5.0, 1.0), H)
+    return gen, traj.basis[0, :, 0], traj
+
+
 def _lz_coarse():
     """Dephased LZ master equation (v = 1) on a 41-point grid over [-2, 2]."""
     H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
@@ -261,6 +274,12 @@ class TestEvolveUnitary:
         with pytest.raises(sl.StateIntegrityError):
             sl.evolve_unitary(H, np.array([1.0, 1.0], complex), 0.0, 1.0)
 
+    def test_wrong_dimension_state_rejected(self, monkeypatch):
+        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x)
+        monkeypatch.setattr(H, "on_grid", _never)
+        with pytest.raises(sl.DimensionError, match="dimension 3, the model 2"):
+            sl.evolve_unitary(H, np.array([1.0, 0.0, 0.0], complex), 0.0, 1.0)
+
     def test_stiff_problem_raises(self):
         H = sl.TimeDependentHamiltonian(
             2, lambda t: (1.0 / (1.0 - t)) * np.asarray(sl.sigma_z)
@@ -367,6 +386,12 @@ class TestEvolveLindblad:
             excited_population(default.state, excited), abs=1e-8
         )
 
+    def test_wrong_dimension_state_rejected(self, monkeypatch):
+        gen, _ = _lz_coarse()
+        monkeypatch.setattr(gen, "liouvillian", _never)
+        with pytest.raises(sl.DimensionError, match="dimension 3, the model 2"):
+            sl.evolve_lindblad(gen, np.eye(3, dtype=complex) / 3.0, -2.0, 2.0)
+
     def test_invalid_initial_state_rejected(self):
         H, _, _, base, _ = lz_setup(2.0)
         gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.0), H)
@@ -443,18 +468,13 @@ class TestEvolveTrajectories:
         assert abs(p_mc - p_me) < 4.0 * math.sqrt(p_me * (1.0 - p_me) / m)
 
     def test_batched_jumps_match_sequential_reference(self, monkeypatch):
-        # a strong warm bath on a coarse grid: several jumps share a lockstep
-        # step, and some trajectories cross again after a jump in one step
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x + 0.3 * sl.sigma_z)
-        traj = sl.instantaneous_frames(H, np.linspace(0.0, 10.0, 21))
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(1.0, 5.0, 1.0), H)
-        psi0 = traj.basis[0, :, 0]
+        gen, psi0, traj = _strong_bath_coarse()
         tcfg = sl.TrajectoryConfig(n_traj=200, seed=4)
         batched = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
         cascades = [0]
 
-        def sequential(gen, cell, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
-            done = [_sequential_jumps(gen, rngs[i], psi_a[i], psi_b[i], t_a, t_b, h_eff,
+        def sequential(gen, cells, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
+            done = [_sequential_jumps(gen, rngs[i], psi_a[i], psi_b[i], t_a[i], t_b[i], h_eff[i],
                                       thresholds[i], events[i], cascades)
                     for i in range(len(rngs))]
             return np.array([psi for psi, _ in done]), np.array([thr for _, thr in done])
@@ -482,8 +502,33 @@ class TestEvolveTrajectories:
         gen = sl.LindbladGenerator(traj, sl.sigma_x, bath, H)
         ground = traj.basis[0, :, :1].T
         with pytest.raises(sl.SuperlindError, match=match):
-            sl.propagation._jumps(gen, 0, [sl.propagation._traj_rng(0, 0)], ground, 0.5 * ground,
-                                  0.0, 0.05, H(0.0), np.array([0.5]), None)
+            sl.propagation._jumps(gen, np.array([0]), [sl.propagation._traj_rng(0, 0)], ground,
+                                  0.5 * ground, np.array([0.0]), np.array([0.05]), H(0.0)[None],
+                                  np.array([0.5]), None)
+
+    def test_results_do_not_depend_on_block_length(self, monkeypatch):
+        # blocks of one lockstep step each against the default, here one block
+        gen, psi0, traj = _strong_bath_coarse()
+        tcfg = sl.TrajectoryConfig(n_traj=200, seed=4, record_jumps=True)
+        blocked = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
+        monkeypatch.setattr(sl.propagation, "_BLOCK_ENTRIES", 1)
+        stepwise = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
+        assert [[(e.target, e.source) for e in evs] for evs in blocked.jumps] == [
+            [(e.target, e.source) for e in evs] for evs in stepwise.jumps]
+        got = np.array([e.time for evs in blocked.jumps for e in evs])
+        want = np.array([e.time for evs in stepwise.jumps for e in evs])
+        # the two group the step products differently, so the rounding of a
+        # norm can move a jump time by one bisection quantum, 2^-40 of a
+        # lockstep step (half of traj.step), and that jump's successors with it
+        assert np.max(np.abs(got - want)) < 1e-12 * traj.step
+        assert np.max(np.abs(blocked.state - stepwise.state)) < 1e-12
+
+    def test_wrong_dimension_state_rejected(self, monkeypatch):
+        gen, _ = _lz_coarse()
+        monkeypatch.setattr(gen, "effective_hamiltonian", _never)
+        with pytest.raises(sl.DimensionError, match="dimension 3, the model 2"):
+            sl.evolve_trajectories(gen, np.array([1.0, 0.0, 0.0], complex), -2.0, 2.0,
+                                   sl.TrajectoryConfig(n_traj=2))
 
     def test_seed_reproducibility(self):
         H, t_final, _, base, _ = lz_setup(2.0)
@@ -581,6 +626,22 @@ class TestConfigsAndValidators:
     def test_trajectory_config_validation(self):
         with pytest.raises(sl.ParameterError):
             sl.TrajectoryConfig(n_traj=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_traj": 2.5}, {"n_traj": 2.0}, {"n_traj": True}, {"n_traj": 2, "seed": 1.5},
+        {"n_traj": 2, "seed": False}, {"n_traj": 2, "seed": "1"},
+    ])
+    def test_trajectory_config_rejects_non_integers(self, kwargs):
+        with pytest.raises(sl.ParameterError, match="must be an integer"):
+            sl.TrajectoryConfig(**kwargs)
+
+    def test_trajectory_config_accepts_numpy_integers(self):
+        H, t_final, _, base, _ = lz_setup(2.0)
+        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.05), H)
+        args = (gen, base.basis[0, :, 0], -t_final, t_final)
+        a = sl.evolve_trajectories(*args, sl.TrajectoryConfig(n_traj=np.int64(3), seed=np.int64(2)))
+        b = sl.evolve_trajectories(*args, sl.TrajectoryConfig(n_traj=3, seed=2))
+        assert np.array_equal(a.state, b.state)
 
     @pytest.mark.parametrize("t0,t1,samples", [
         (-math.inf, 1.0, None), (0.0, math.inf, None), (math.nan, 1.0, None),
