@@ -58,7 +58,6 @@ from .propagation import (
     evolve_trajectories,
     evolve_unitary,
     write_bloch_csv,
-    write_density_csv,
 )
 from .experiments import (
     BathConfig,

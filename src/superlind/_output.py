@@ -16,7 +16,7 @@ def fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def write_table(path, comments, columns, rows, sep: str = ",") -> None:
+def write_table(path, comments, columns, rows) -> None:
     """Write comment lines, a header row and rows of numbers to `path`.
 
     Each row is a sequence of one number per column, formatted by one
@@ -24,8 +24,8 @@ def write_table(path, comments, columns, rows, sep: str = ",") -> None:
     to standard output.
     """
     lines = [f"# {c}" for c in comments]
-    lines.append(sep.join(columns))
-    template = sep.join(["%.12g"] * len(columns))
+    lines.append(",".join(columns))
+    template = ",".join(["%.12g"] * len(columns))
     lines += [template % tuple(row) for row in rows]
     text = "\n".join(lines) + "\n"
     if path is None:

@@ -70,12 +70,7 @@ def _cmd_sweep(args) -> int:
     job = sweep_job(data)
     output = args.output or job.output
     records = run_sweep_curves(job.base, job.gamma_values)
-    configs = [job.base]
-    write_sweep_csv(output, records, configs, dat=False)
-    if job.dat:
-        dat_path = str(output)
-        dat_path = dat_path[: -len(".csv")] + ".dat" if dat_path.endswith(".csv") else dat_path + ".dat"
-        write_sweep_csv(dat_path, records, configs, dat=True)
+    write_sweep_csv(output, records, [job.base])
     print(f"wrote {len(records)} records to {output}")
     return 0
 

@@ -2,18 +2,24 @@
 
 Grammar (documented in the README): UTF-8 text; `# ...` comments (full-line
 or trailing); `[section]` headers; `key = value` entries; list values are
-comma-separated. Unknown sections or keys are validation errors that list
-every offender at once.
+comma-separated. Each job has one table, `section.key -> (field, parser)`:
+a key fills one field of the job, and an absent key takes that field's
+default (from `SweepConfig`, `BathConfig` or `run_fig1`). Unknown sections
+or keys, unparsable values and missing required keys are validation errors
+that list every offender at once; the domain checks are those of the
+objects filled, reported as config errors before any grid is built.
 """
 from __future__ import annotations
 
 import configparser
+import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .experiments import MODES, SOLVERS, BathConfig, SweepConfig
-from .frames import J_MAX
+from .experiments import BathConfig, SweepConfig, run_fig1
+from .frames import check_order
+from .model import LZParams
 
 
 def read_config(path) -> dict:
@@ -46,180 +52,124 @@ def apply_overrides(data: dict, overrides) -> dict:
     return out
 
 
-class _Schema:
-    """Collects typed values and every validation problem at once."""
+def _bool(text: str) -> bool:
+    words = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+    if text.lower() not in words:
+        raise ValueError(f"{text!r} is not a boolean")
+    return words[text.lower()]
 
-    def __init__(self, data: dict):
-        self.data = data
-        self.errors: list[str] = []
-        self.seen: dict[str, set] = {}
 
-    def _raw(self, section, key, default):
-        self.seen.setdefault(section, set()).add(key)
-        return self.data.get(section, {}).get(key, default)
+def _floats(text: str) -> tuple:
+    out = tuple(float(p) for p in text.split(",") if p.strip())
+    if not out:
+        raise ValueError("need at least one number")
+    return out
 
-    def get_float(self, section, key, default=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            self.errors.append(f"missing required key {section}.{key}")
-            return 0.0
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            self.errors.append(f"{section}.{key} = {raw!r} is not a number")
-            return 0.0
 
-    def get_int(self, section, key, default=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            self.errors.append(f"missing required key {section}.{key}")
-            return 0
-        try:
-            return int(str(raw))
-        except (TypeError, ValueError):
-            self.errors.append(f"{section}.{key} = {raw!r} is not an integer")
-            return 0
+def _read(data: dict, table: dict, required: tuple, what: str) -> dict:
+    """{field: parsed value} for every key of `table` present in `data`.
 
-    def get_bool(self, section, key, default=False):
-        raw = self._raw(section, key, default)
-        if isinstance(raw, bool):
-            return raw
-        text = str(raw).strip().lower()
-        if text in ("true", "yes", "on", "1"):
-            return True
-        if text in ("false", "no", "off", "0"):
-            return False
-        self.errors.append(f"{section}.{key} = {raw!r} is not a boolean")
-        return False
-
-    def get_enum(self, section, key, choices, default=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            self.errors.append(f"missing required key {section}.{key}")
-            return choices[0]
-        text = str(raw).strip()
-        if text not in choices:
-            self.errors.append(
-                f"{section}.{key} = {text!r} must be one of {', '.join(choices)}"
-            )
-            return choices[0]
-        return text
-
-    def get_str(self, section, key, default=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            self.errors.append(f"missing required key {section}.{key}")
-            return ""
-        return str(raw).strip()
-
-    def get_float_list(self, section, key, default=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            self.errors.append(f"missing required key {section}.{key}")
-            return ()
-        if isinstance(raw, (tuple, list)):
-            return tuple(float(x) for x in raw)
-        parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-        out = []
-        for p in parts:
-            try:
-                out.append(float(p))
-            except ValueError:
-                self.errors.append(f"{section}.{key}: {p!r} is not a number")
-        if not out:
-            self.errors.append(f"{section}.{key} must hold at least one number")
-        return tuple(out)
-
-    def finish(self, what: str):
-        unknown = []
-        for section, items in self.data.items():
-            if section not in self.seen:
-                unknown.append(f"unknown section [{section}]")
+    Every unknown section or key, unparsable value and missing required key
+    goes into one ConfigError.
+    """
+    values, problems = {}, []
+    sections = {name.split(".")[0] for name in table}
+    for section, items in data.items():
+        if section not in sections:
+            problems.append(f"unknown section [{section}]")
+            continue
+        for key, raw in items.items():
+            name = f"{section}.{key}"
+            if name not in table:
+                problems.append(f"unknown key {name}")
                 continue
-            for key in items:
-                if key not in self.seen[section]:
-                    unknown.append(f"unknown key {section}.{key}")
-        problems = self.errors + unknown
-        if problems:
-            raise ConfigError(f"invalid {what} config: " + "; ".join(problems))
+            field, parse = table[name]
+            try:
+                values[field] = parse(raw)
+            except ValueError as exc:
+                problems.append(f"{name} = {raw!r}: {exc}")
+    for name in required:
+        section, key = name.split(".")
+        if key not in data.get(section, {}):
+            problems.append(f"missing required key {name}")
+    if problems:
+        raise ConfigError(f"invalid {what} config: " + "; ".join(problems))
+    return values
+
+
+_SWEEP_KEYS = {
+    "model.delta": ("delta", float),
+    "sweep.inv_v": ("inv_velocities", _floats),
+    "sweep.mode": ("mode", str),
+    "sweep.order": ("order", int),
+    "sweep.window_factor": ("window_factor", float),
+    "bath.kind": ("kind", str),
+    "bath.gamma0": ("gamma_values", _floats),
+    "bath.cutoff": ("cutoff", float),
+    "bath.temperature": ("temperature", float),
+    "bath.symmetric_cutoff": ("symmetric_cutoff", _bool),
+    "solver.method": ("solver", str),
+    "solver.n_traj": ("n_traj", int),
+    "solver.seed": ("seed", int),
+    "solver.rtol": ("rtol", float),
+    "solver.atol": ("atol", float),
+    "output.path": ("output", str),
+}
 
 
 @dataclass(frozen=True)
 class SweepJob:
     base: SweepConfig
-    gamma_values: tuple
-    output: str
-    dat: bool
+    gamma_values: tuple = (BathConfig.gamma0,)
+    output: str = "sweep.csv"
 
 
 def sweep_job(data: dict) -> SweepJob:
     """Validate sweep config data and build the job description."""
-    s = _Schema(data)
-    delta = s.get_float("model", "delta", 1.0)
-    inv_v = s.get_float_list("sweep", "inv_v")
-    mode = s.get_enum("sweep", "mode", MODES, "superadiabatic")
-    order = s.get_int("sweep", "order", 4)
-    window = s.get_float("sweep", "window_factor", 25.0)
-    kind = s.get_enum("bath", "kind", ("none", "dephasing", "ohmic"), "none")
-    gammas = s.get_float_list("bath", "gamma0", (0.0,))
-    cutoff = s.get_float("bath", "cutoff", 5.0)
-    temperature = s.get_float("bath", "temperature", 0.0)
-    symmetric = s.get_bool("bath", "symmetric_cutoff", False)
-    solver = s.get_enum("solver", "method", SOLVERS, "me")
-    n_traj = s.get_int("solver", "n_traj", 1000)
-    seed = s.get_int("solver", "seed", 0)
-    rtol = s.get_float("solver", "rtol", 1e-8)
-    atol = s.get_float("solver", "atol", 1e-10)
-    output = s.get_str("output", "path", "sweep.csv")
-    dat = s.get_bool("output", "dat", False)
-    s.finish("sweep")
+    values = _read(data, _SWEEP_KEYS, ("sweep.inv_v",), "sweep")
+    bath = {f.name: values.pop(f.name) for f in fields(BathConfig) if f.name in values}
+    job = {f.name: values.pop(f.name) for f in fields(SweepJob) if f.name in values}
+    gammas = job.get("gamma_values", SweepJob.gamma_values)
     try:
-        base = SweepConfig(
-            inv_velocities=inv_v,
-            delta=delta,
-            bath=BathConfig(
-                kind=kind,
-                gamma0=gammas[0] if gammas else 0.0,
-                cutoff=cutoff,
-                temperature=temperature,
-                symmetric_cutoff=symmetric,
-            ),
-            mode=mode,
-            order=order,
-            window_factor=window,
-            solver=solver,
-            n_traj=n_traj,
-            seed=seed,
-            rtol=rtol,
-            atol=atol,
-        )
+        base = SweepConfig(bath=BathConfig(gamma0=gammas[0], **bath), **values)
         for g in gammas[1:]:  # every curve's bath, before any curve is solved
             replace(base.bath, gamma0=g)
     except ValueError as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc
-    return SweepJob(base=base, gamma_values=tuple(gammas), output=output, dat=dat)
+    return SweepJob(base=base, **job)
 
 
-@dataclass(frozen=True)
+_FIG1_KEYS = {
+    "model.delta": ("delta", float),
+    "fig1.v": ("v", float),
+    "fig1.order": ("order", int),
+    "fig1.window_factor": ("window_factor", float),
+    "output.prefix": ("prefix", str),
+}
+_FIG1_DEFAULTS = inspect.signature(run_fig1).parameters
+
+
+@dataclass(frozen=True, kw_only=True)
 class Fig1Job:
-    delta: float
+    """`run_fig1`'s arguments; an absent order or window factor takes its
+    default, and an absent `model.delta` the sweep's."""
+
+    delta: float = SweepConfig.delta
     v: float
-    order: int
-    window_factor: float
-    prefix: str
+    order: int = _FIG1_DEFAULTS["order"].default
+    window_factor: float = _FIG1_DEFAULTS["window_factor"].default
+    prefix: str = "fig1"
 
 
 def fig1_job(data: dict) -> Fig1Job:
-    s = _Schema(data)
-    delta = s.get_float("model", "delta", 1.0)
-    v = s.get_float("fig1", "v")
-    order = s.get_int("fig1", "order", 3)
-    window = s.get_float("fig1", "window_factor", 25.0)
-    prefix = s.get_str("output", "prefix", "fig1")
-    s.finish("fig1")
-    for name, value in (("model.delta", delta), ("fig1.v", v), ("fig1.window_factor", window)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"invalid fig1 config: {name} must be finite and > 0, got {value}")
-    if not 0 <= order <= J_MAX:
-        raise ConfigError(f"invalid fig1 config: fig1.order must be in [0, {J_MAX}]")
-    return Fig1Job(delta=delta, v=v, order=order, window_factor=window, prefix=prefix)
+    """Validate fig1 config data and build the job description."""
+    job = Fig1Job(**_read(data, _FIG1_KEYS, ("fig1.v",), "fig1"))
+    try:
+        LZParams(v=job.v, delta=job.delta)
+        check_order(job.order)
+        if not 0 < job.window_factor < math.inf:
+            raise ValueError(f"fig1.window_factor must be finite and > 0, got {job.window_factor}")
+    except ValueError as exc:
+        raise ConfigError(f"invalid fig1 config: {exc}") from exc
+    return job

@@ -18,9 +18,9 @@ import numpy as np
 from ._output import fmt, write_table
 from .errors import AdiabaticityWarning, ParameterError, WindowWarning, caller_stacklevel
 from .frames import (
-    J_MAX,
     adaptive_time_grid,
     adiabatic_report,
+    check_order,
     instantaneous_frames,
     superadiabatic_frames,
 )
@@ -71,6 +71,8 @@ class BathConfig:
             raise ParameterError(
                 f"temperature must be finite and >= 0, got {self.temperature!r}"
             )
+        if not isinstance(self.symmetric_cutoff, bool):
+            raise ParameterError(f"symmetric_cutoff must be a bool, got {self.symmetric_cutoff!r}")
 
     def spectrum(self) -> BathSpectrum:
         if self.kind == "ohmic":
@@ -112,13 +114,12 @@ class SweepConfig:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.solver not in SOLVERS:
             raise ParameterError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if not 0 <= self.order <= J_MAX:
-            raise ParameterError(f"order must be in [0, {J_MAX}]")
+        check_order(self.order)
         if not 10 <= self.window_factor < math.inf:
             raise ParameterError("window_factor must be >= 10 (window must dwarf the crossing)")
-        # the solver configs check the tolerances and the ensemble size
+        # the solver configs check the tolerances, the ensemble size and the seed
         IntegratorConfig(rtol=self.rtol, atol=self.atol)
-        TrajectoryConfig(n_traj=self.n_traj)
+        TrajectoryConfig(n_traj=self.n_traj, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,7 @@ def run_sweep_curves(base: SweepConfig, gamma_values) -> list:
     return records
 
 
-def write_sweep_csv(path, records, configs, dat: bool = False) -> None:
+def write_sweep_csv(path, records, configs) -> None:
     """Records to disk: `# key = value` metadata block, then CSV rows.
 
     Rows are sorted by (inv_v, gamma0). Runtimes are intentionally left
@@ -285,7 +286,7 @@ def write_sweep_csv(path, records, configs, dat: bool = False) -> None:
          r.adiabaticity)
         for r in sorted(records, key=lambda r: (r.inv_v, r.gamma0))
     )
-    write_table(path, ["superlind sweep", *meta], columns, rows, sep=" " if dat else ",")
+    write_table(path, ["superlind sweep", *meta], columns, rows)
 
 
 @dataclass(frozen=True)

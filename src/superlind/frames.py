@@ -14,6 +14,7 @@ solve goes through ``_eigh``: closed form for N = 2, LAPACK for larger N.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,6 +290,15 @@ def adiabatic_report(traj: FrameTrajectory) -> AdiabaticReport:
     return AdiabaticReport(samples=samples, global_max=global_max, recommended_order=order)
 
 
+def check_order(order) -> None:
+    """Raise ParameterError unless the super-adiabatic order is an integer in
+    [0, J_MAX]: OrderCapError above the cap."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
+        raise ParameterError(f"order must be an integer >= 0, got {order!r}")
+    if order > J_MAX:
+        raise OrderCapError(f"order {order} exceeds cap {J_MAX}")
+
+
 def superadiabatic_frames(
     H: TimeDependentHamiltonian,
     order: int,
@@ -304,10 +314,7 @@ def superadiabatic_frames(
     are recomputed against the original H(t). ``base`` may supply a
     pre-built order-0 trajectory on the same grid.
     """
-    if order < 0:
-        raise ParameterError(f"order must be >= 0, got {order}")
-    if order > J_MAX:
-        raise OrderCapError(f"order {order} exceeds cap {J_MAX}")
+    check_order(order)
     times = np.asarray(times, dtype=float)
     if base is not None:
         if base.order != 0 or not np.array_equal(base.times, times):

@@ -200,7 +200,6 @@ def ohmic_spectrum(
     temperature: float,
     *,
     symmetric_cutoff: bool = False,
-    shift: Callable | None = None,
 ) -> BathSpectrum:
     """Ohmic rate gamma(w) = gamma0 * w * exp(-w/cutoff) / (1 - exp(-w/T)).
 
@@ -241,7 +240,7 @@ def ohmic_spectrum(
         val = np.maximum(val, 0.0)  # clamp -0.0 / rounding dust
         return float(val) if val.ndim == 0 else val
 
-    return BathSpectrum(gamma, shift if shift is not None else _zero_shift)
+    return BathSpectrum(gamma)
 
 
 def dephasing_spectrum(gamma0: float) -> BathSpectrum:

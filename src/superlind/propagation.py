@@ -39,6 +39,7 @@ from .errors import (
     StateIntegrityError,
     StiffnessError,
     SuperlindError,
+    TimeDomainError,
 )
 from ._output import write_table
 from .model import TimeDependentHamiltonian, coherence_vector, density_matrix, hermiticity_defect
@@ -250,6 +251,18 @@ def _edges(t0, t1, sample_times, breakpoints=()):
     return times[order], where[1:1 + s.size]
 
 
+def _check_span(frames, t0, t1) -> None:
+    """Raise TimeDomainError unless [t0, t1] lies on the frame grid, to the
+    half cell ``index_at`` allows at either end; every edge lies in it."""
+    try:
+        frames.index_at(np.array([t0, t1]))
+    except TimeDomainError:
+        raise TimeDomainError(
+            f"[t0, t1] = [{float(t0)!r}, {float(t1)!r}] is not inside the frame grid "
+            f"[{float(frames.times[0])!r}, {float(frames.times[-1])!r}]"
+        ) from None
+
+
 def _march(generator, y0, edges, n):
     """One pass of n Magnus-4 sub-steps per interval between consecutive edges.
 
@@ -383,6 +396,7 @@ def evolve_lindblad(
     rho0 = _of_dim(check_density_matrix(rho0), gen.frames.dim)
     times = gen.frames.times
     edges, at = _edges(t0, t1, sample_times, 0.5 * (times[:-1] + times[1:]))
+    _check_span(gen.frames, t0, t1)
 
     raw, n_steps, n_rejected = _propagate(gen.liouvillian, coherence_vector(rho0), edges, cfg)
     raw = density_matrix(raw)
@@ -505,6 +519,7 @@ def evolve_trajectories(
     psi0 = _of_dim(check_state_vector(psi0), gen.frames.dim)
     times = gen.frames.times
     edges, _ = _edges(t0, t1, None, np.concatenate([times, 0.5 * (times[:-1] + times[1:])]))
+    _check_span(gen.frames, t0, t1)
     widths = np.diff(edges)
     cells = gen.frames.index_at(edges[:-1] + 0.5 * widths)
 
@@ -574,19 +589,3 @@ def write_bloch_csv(path, times, rhos, header_lines=()) -> None:
                 "convention: x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11"]
     rows = zip(times, *bloch_vector(rhos))
     write_table(path, comments, ["t", "x", "y", "z"], rows)
-
-
-def write_density_csv(path, times, rhos, header_lines=()) -> None:
-    """Time series of N x N states, entries flattened row-major (re, im)."""
-    rhos = np.asarray(rhos)
-    n = rhos.shape[-1]
-    columns = ["t"]
-    for i in range(n):
-        for j in range(n):
-            columns += [f"re_{i}{j}", f"im_{i}{j}"]
-    comments = ["superlind density-matrix time series", *header_lines]
-    rows = (
-        [t] + [part for z in rho.ravel() for part in (z.real, z.imag)]
-        for t, rho in zip(times, rhos)
-    )
-    write_table(path, comments, columns, rows)

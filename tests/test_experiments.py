@@ -1,16 +1,16 @@
 import math
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import superlind as sl
-from superlind import experiments
+from superlind import config, experiments
 from superlind.cli import main as cli_main
-from superlind.config import apply_overrides, fig1_job, read_config, sweep_job
+from superlind.config import Fig1Job, SweepJob, apply_overrides, fig1_job, read_config, sweep_job
 from superlind.experiments import BathConfig, SweepRecord
 
 FAST = dict(window_factor=10.0, rtol=1e-6, atol=1e-9)
@@ -59,6 +59,25 @@ class TestSweepConfigValidation:
     def test_bad_bath_kind(self):
         with pytest.raises(sl.ParameterError):
             BathConfig(kind="lorentzian")
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_symmetric_cutoff_must_be_bool(self, flag):
+        # a truthy string would select the symmetric cutoff
+        with pytest.raises(sl.ParameterError, match="symmetric_cutoff must be a bool"):
+            BathConfig(kind="ohmic", gamma0=0.01, symmetric_cutoff=flag)
+
+    @pytest.mark.parametrize("build", [
+        lambda: _fast_cfg(order=2.5),
+        lambda: _fast_cfg(order=True),
+        lambda: _fast_cfg(seed=1.5),
+        lambda: _fast_cfg(seed=False),
+        lambda: sl.superadiabatic_frames(sl.lz_hamiltonian(sl.LZParams(1.0, 1.0)), 2.5,
+                                         np.linspace(-1.0, 1.0, 11)),
+        lambda: sl.run_fig1(1.0, 0.5, order=2.5, window_factor=10.0),
+    ])
+    def test_order_and_seed_must_be_integers(self, build):
+        with pytest.raises(sl.ParameterError, match="must be an integer"):
+            build()
 
 
 class TestRunSweep:
@@ -205,14 +224,6 @@ class TestRunSweep:
         values = [ln.split(",") for ln in body[1:]]
         assert [float(v[1]) for v in values] == [1.0, 2.0]
 
-    def test_dat_format_whitespace_separated(self, tmp_path):
-        cfg = _fast_cfg()
-        records = sl.run_lz_sweep(cfg)
-        out = tmp_path / "sweep.dat"
-        sl.write_sweep_csv(out, records, [cfg], dat=True)
-        body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
-        assert len(body[1].split()) == 7
-
 
 def _record(gamma0, p_ge):
     return SweepRecord(
@@ -222,15 +233,13 @@ def _record(gamma0, p_ge):
     )
 
 
-@pytest.mark.parametrize("dat", [False, True])
-def test_sweep_csv_exact_format(tmp_path, dat):
+def test_sweep_csv_exact_format(tmp_path):
     cfg = sl.SweepConfig(
         inv_velocities=(2.0,),
         bath=BathConfig(kind="ohmic", gamma0=0.1, temperature=0.5),
     )
     out = tmp_path / "sweep.csv"
-    sl.write_sweep_csv(out, [_record(0.1, 0.2), _record(0.01, 0.125)], [cfg], dat=dat)
-    sep = " " if dat else ","
+    sl.write_sweep_csv(out, [_record(0.1, 0.2), _record(0.01, 0.125)], [cfg])
     assert out.read_text().splitlines() == [
         "# superlind sweep",
         "# delta = 1",
@@ -244,10 +253,9 @@ def test_sweep_csv_exact_format(tmp_path, dat):
         "# solver = me",
         "# seed = 0",
         "# gamma0_curves = 0.01, 0.1",
-        sep.join(["gamma0", "inv_v", "p_ge", "trace_error", "herm_error",
-                  "min_eigenvalue", "adiabaticity"]),
-        sep.join(["0.01", "2", "0.125", "1e-12", "0", "-3e-09", "0.0833333333333"]),
-        sep.join(["0.1", "2", "0.2", "1e-12", "0", "-3e-09", "0.0833333333333"]),
+        "gamma0,inv_v,p_ge,trace_error,herm_error,min_eigenvalue,adiabaticity",
+        "0.01,2,0.125,1e-12,0,-3e-09,0.0833333333333",
+        "0.1,2,0.2,1e-12,0,-3e-09,0.0833333333333",
     ]
 
 
@@ -363,23 +371,79 @@ class TestConfigFiles:
         assert job.v == 0.25 and job.order == 3 and job.prefix == "out/fig1"
 
     def test_shipped_configs_parse(self):
-        configs = Path(__file__).resolve().parent.parent / "configs"
-        a = sweep_job(read_config(configs / "fig2a.cfg"))
-        assert a.gamma_values == (0.0, 0.003, 0.01, 0.03, 0.1)  # five curves
-        assert a.base.mode == "superadiabatic" and a.base.order == 4
-        b = sweep_job(read_config(configs / "fig2b.cfg"))
-        assert b.base.mode == "instantaneous"
-        assert b.gamma_values == a.gamma_values
-        c = sweep_job(read_config(configs / "fig3a.cfg"))
-        assert c.base.bath.temperature == 0.02
-        assert c.gamma_values == (0.0, 0.01, 0.03)
-        d = sweep_job(read_config(configs / "fig3b.cfg"))
-        assert d.base.bath.temperature == 0.5
-        assert d.gamma_values == (0.0, 0.01, 0.1)
-        assert max(d.base.inv_velocities) >= 12
-        f1 = fig1_job(read_config(configs / "fig1.cfg"))
-        assert f1.order == 3
-        assert sweep_job(read_config(configs / "fig2a.cfg")).base.delta == 1.0
+        # perfbench/configs too: a parse failure there stops every benchmark run
+        root = Path(__file__).resolve().parent.parent
+        paths = sorted(root.glob("configs/*.cfg")) + sorted(root.glob("perfbench/configs/*.cfg"))
+        jobs = {p.name: (fig1_job if p.name == "fig1.cfg" else sweep_job)(read_config(p))
+                for p in paths}
+        paper_inv_v = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0)
+        dephasing = (0.0, 0.003, 0.01, 0.03, 0.1)  # five curves
+
+        def job(name, inv_v, gammas, bath, **kwargs):
+            base = sl.SweepConfig(inv_velocities=inv_v, bath=replace(bath, gamma0=gammas[0]),
+                                  order=4, window_factor=25.0, **kwargs)
+            return SweepJob(base=base, gamma_values=gammas, output=name)
+
+        assert jobs == {
+            "fig1.cfg": Fig1Job(delta=1.0, v=0.25, order=3, window_factor=25.0, prefix="fig1"),
+            "fig2a.cfg": job("fig2a.csv", paper_inv_v, dephasing, BathConfig(kind="dephasing"),
+                             mode="superadiabatic"),
+            "fig2b.cfg": job("fig2b.csv", paper_inv_v, dephasing, BathConfig(kind="dephasing"),
+                             mode="instantaneous"),
+            "fig3a.cfg": job("fig3a.csv", paper_inv_v, (0.0, 0.01, 0.03),
+                             BathConfig(kind="ohmic", cutoff=5.0, temperature=0.02)),
+            "fig3b.cfg": job("fig3b.csv", tuple(float(x) for x in range(1, 13)), (0.0, 0.01, 0.1),
+                             BathConfig(kind="ohmic", cutoff=5.0, temperature=0.5)),
+            "closed.cfg": job("closed.csv", (2.0, 4.0), (0.0,), BathConfig(kind="none"),
+                              mode="closed"),
+            "sweep-mc.cfg": job("sweep-mc.csv", (3.0,), (0.1,),
+                                BathConfig(kind="ohmic", cutoff=5.0, temperature=0.5),
+                                solver="trajectories", n_traj=1000, seed=0),
+            "sweep-me.cfg": job("sweep-me.csv", (2.0,), (0.01, 0.1), BathConfig(kind="dephasing"),
+                                solver="me"),
+        }
+
+    def test_every_key_reaches_its_field(self):
+        # every key of each table set to a value other than its field's default
+        sweep = {
+            "model": {"delta": "2"},
+            "sweep": {"inv_v": "3, 1", "mode": "instantaneous", "order": "2",
+                      "window_factor": "30"},
+            "bath": {"kind": "ohmic", "gamma0": "0.2, 0.3", "cutoff": "4", "temperature": "0.7",
+                     "symmetric_cutoff": "yes"},
+            "solver": {"method": "trajectories", "n_traj": "7", "seed": "9", "rtol": "1e-5",
+                       "atol": "1e-6"},
+            "output": {"path": "x.csv"},
+        }
+        fig1 = {"model": {"delta": "2"},
+                "fig1": {"v": "0.5", "order": "5", "window_factor": "30"},
+                "output": {"prefix": "out/f"}}
+        for data, table in ((sweep, config._SWEEP_KEYS), (fig1, config._FIG1_KEYS)):
+            assert {f"{s}.{k}" for s, items in data.items() for k in items} == set(table)
+        job = sweep_job(sweep)
+        assert job == SweepJob(
+            base=sl.SweepConfig(
+                inv_velocities=(3.0, 1.0), delta=2.0,
+                bath=BathConfig(kind="ohmic", gamma0=0.2, cutoff=4.0, temperature=0.7,
+                                symmetric_cutoff=True),
+                mode="instantaneous", order=2, window_factor=30.0, solver="trajectories",
+                n_traj=7, seed=9, rtol=1e-5, atol=1e-6,
+            ),
+            gamma_values=(0.2, 0.3), output="x.csv",
+        )
+        default = SweepJob(base=sl.SweepConfig(inv_velocities=(1.0,)))
+        for got, ref in ((job, default), (job.base, default.base), (job.base.bath, default.base.bath)):
+            for f in fields(ref):
+                assert getattr(got, f.name) != getattr(ref, f.name), f.name
+        f1 = fig1_job(fig1)
+        assert f1 == Fig1Job(delta=2.0, v=0.5, order=5, window_factor=30.0, prefix="out/f")
+        default = Fig1Job(v=1.0)
+        assert all(getattr(f1, f.name) != getattr(default, f.name) for f in fields(Fig1Job))
+        # an absent key takes the default of the field it fills
+        minimal = sweep_job({"sweep": {"inv_v": "1"}})
+        assert minimal == SweepJob(base=sl.SweepConfig(inv_velocities=(1.0,)))
+        assert fig1_job({"fig1": {"v": "0.5"}}) == Fig1Job(v=0.5)
+        assert (Fig1Job(v=0.5).order, Fig1Job(v=0.5).window_factor) == (3, 25.0)
 
 
 class TestCLI:
@@ -471,6 +535,8 @@ class TestCLI:
             ["sweep.mode=superadiabatic", "bath.kind=ohmic", "bath.cutoff=0"],
             ["sweep.mode=superadiabatic", "bath.kind=dephasing", "bath.gamma0=nan"],
             ["sweep.mode=superadiabatic", "bath.kind=dephasing", "bath.gamma0=0.01,-1"],
+            ["sweep.mode=superadiabatic", "bath.kind=ohmic", "bath.symmetric_cutoff=maybe"],
+            ["sweep.order=2.5"],
         ):
             args = ["sweep", str(cfg)] + [a for o in overrides for a in ("--set", o)]
             assert cli_main(args) == 3, overrides
@@ -479,7 +545,7 @@ class TestCLI:
         fig1.write_text(f"[fig1]\nv = 0.5\n[output]\nprefix = {tmp_path / 'f1'}\n")
         for override in ("fig1.window_factor=0", "fig1.window_factor=-1",
                          "fig1.window_factor=nan", "fig1.window_factor=inf",
-                         "fig1.order=13", "fig1.v=nan", "model.delta=nan"):
+                         "fig1.order=13", "fig1.order=-1", "fig1.v=nan", "model.delta=nan"):
             assert cli_main(["fig1", str(fig1), "--set", override]) == 3, override
         assert not list(tmp_path.glob("f1*"))
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -59,7 +60,7 @@ def _real_generator_matches_assembly(n, seed, pointwise):
     frames, _ = np.linalg.qr(rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n)))
     energies = np.sort(rng.normal(size=(5, n)), axis=1)
     traj = sl.FrameTrajectory(np.linspace(-1.0, 1.0, 5), frames, energies, 0, H)
-    spec = sl.ohmic_spectrum(0.08, 5.0, 0.4, shift=lambda w: 0.02 * np.asarray(w))
+    spec = replace(sl.ohmic_spectrum(0.08, 5.0, 0.4), shift=lambda w: 0.02 * np.asarray(w))
     gen = sl.LindbladGenerator(traj, hermitian(), spec, H)
     basis = sl.model.operator_basis(n)
     assert np.array_equal(basis[0], np.eye(n) / math.sqrt(n))
@@ -151,7 +152,7 @@ class TestLindbladOps:
 
     def test_lamb_shift_diagonal_in_frame(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x)
-        spec = sl.ohmic_spectrum(0.1, 5.0, 0.5, shift=lambda w: 0.01 * np.asarray(w))
+        spec = replace(sl.ohmic_spectrum(0.1, 5.0, 0.5), shift=lambda w: 0.01 * np.asarray(w))
         gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
         U = traj.basis[0]
         shift_f = U.conj().T @ _shift(gen, 0.0) @ U
@@ -210,7 +211,7 @@ class TestMasterEquationRHS:
         ladder_traj = sl.superadiabatic_frames(
             ladder, 1, sl.adaptive_time_grid(ladder, -30.0, 30.0))
         ladder_coupling = np.diag([1.0, 0.0, -1.0]) + 0.3 * (np.eye(3, k=1) + np.eye(3, k=-1))
-        spec = sl.ohmic_spectrum(0.08, 5.0, 0.4, shift=lambda w: 0.02 * np.asarray(w))
+        spec = replace(sl.ohmic_spectrum(0.08, 5.0, 0.4), shift=lambda w: 0.02 * np.asarray(w))
         rng = np.random.default_rng(9)
         for H, traj, coupling in ((H, traj, sl.sigma_z), (ladder, ladder_traj, ladder_coupling)):
             gen = sl.LindbladGenerator(traj, coupling, spec, H)
@@ -239,7 +240,7 @@ class TestMasterEquationRHS:
         # dephasing and the shift act trivially on a basis state, and at
         # temperature zero there is no upward jump out of the ground state
         H, _, times, base, traj = lz_setup(3.0, order=2)
-        spec = sl.ohmic_spectrum(0.1, 5.0, 0.0, shift=lambda w: 0.03 * np.asarray(w))
+        spec = replace(sl.ohmic_spectrum(0.1, 5.0, 0.0), shift=lambda w: 0.03 * np.asarray(w))
         gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
         for t_probe in (-3.0, 0.0, 2.0):
             k = traj.index_at(t_probe)
@@ -298,7 +299,7 @@ class TestInstantaneousMode:
 
 def test_effective_hamiltonian_matches_ops():
     H, _, times, base, traj = lz_setup(2.0, order=1)
-    spec = sl.ohmic_spectrum(0.1, 5.0, 0.5, shift=lambda w: 0.01 * np.asarray(w))
+    spec = replace(sl.ohmic_spectrum(0.1, 5.0, 0.5), shift=lambda w: 0.01 * np.asarray(w))
     gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
     probes = np.array([-4.0, 0.0, 3.3])
     heff = gen.effective_hamiltonian(probes)

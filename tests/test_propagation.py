@@ -651,6 +651,24 @@ class TestConfigsAndValidators:
         with pytest.raises(sl.ParameterError):
             sl.propagation._edges(t0, t1, samples)
 
+    @pytest.mark.parametrize("engine", ["lindblad", "trajectories"])
+    def test_span_checked_against_frame_grid(self, engine):
+        gen, rho0 = _lz_coarse()
+        psi0 = gen.frames.basis[0, :, 0]
+
+        def solve(t0, t1):
+            if engine == "lindblad":
+                return sl.evolve_lindblad(gen, rho0, t0, t1)
+            return sl.evolve_trajectories(gen, psi0, t0, t1, sl.TrajectoryConfig(n_traj=2))
+
+        solve(-2.04, 2.04)  # within index_at's half cell (step 0.1) of the grid [-2, 2]
+        for t0, t1 in ((-2.5, 2.0), (-2.0, 2.2)):
+            with pytest.raises(sl.TimeDomainError) as err:
+                solve(t0, t1)
+            assert str(err.value) == (
+                f"[t0, t1] = [{t0!r}, {t1!r}] is not inside the frame grid [-2.0, 2.0]"
+            )
+
     def test_lindblad_rejects_nan_sample_time(self):
         gen, rho0 = _lz_coarse()
         with pytest.raises(sl.ParameterError):
@@ -682,13 +700,3 @@ def test_time_series_writers(tmp_path):
     ]
     assert len(lines) == 4 + len(times)
     assert lines[4] == "0,0,0,1"
-    dpath = tmp_path / "rho.csv"
-    sl.write_density_csv(dpath, times, rhos, header_lines=["case = rabi"])
-    lines = dpath.read_text().splitlines()
-    assert lines[:3] == [
-        "# superlind density-matrix time series",
-        "# case = rabi",
-        "t,re_00,im_00,re_01,im_01,re_10,im_10,re_11,im_11",
-    ]
-    assert lines[3] == "0,1,0,0,0,0,0,0,0"
-    assert len(lines) == 3 + len(times)
