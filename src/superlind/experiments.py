@@ -212,7 +212,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
     if cfg.mode == "closed":
         res = evolve_unitary(H, psi0, -t_final, t_final, cfg=icfg)
         p = abs(np.vdot(excited, res.state)) ** 2
-        return [record(0.0, p, abs(float(np.vdot(res.state, res.state).real) - 1.0), 0.0, 0.0)]
+        return [record(0.0, p, res.max_norm_drift, 0.0, 0.0)]
 
     frames = base if cfg.mode == "instantaneous" else traj
     rho0 = np.outer(psi0, psi0.conj())

@@ -28,7 +28,7 @@ from .errors import (
 )
 from ._output import write_table
 from .model import TimeDependentHamiltonian
-from .propagation import bloch_vector, evolve_unitary
+from .propagation import _matmul, bloch_vector, evolve_unitary
 
 J_MAX = 12  # highest super-adiabatic order built or recommended
 GAP_TOL_FACTOR = 1e-9
@@ -339,7 +339,7 @@ def superadiabatic_frames(
         frame_h[:, idx, idx] += level_vals   # exactly Hermitian, as anti is exactly anti-Hermitian
         level_vals, level_vecs = _eigh_grid(frame_h, times, f"super-adiabatic level {level}")
         level_vecs = _align_sweep(level_vecs, times)
-        lab = lab @ level_vecs
+        lab = _matmul(lab, level_vecs)
 
     lab = _align_sweep(lab, times)
     quasi = _quasi_energies(H, times, lab)

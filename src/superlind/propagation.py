@@ -19,6 +19,10 @@ renormalizes the edge states once, after the solve, since the Magnus
 exponent of -iH or of a Liouvillian preserves norm and trace up to rounding.
 Resolved sub-steps are exponentiated with the [9/9] Pade approximant,
 anything larger with scaled and squared [13/13].
+The exponential's products, the Magnus commutator and the pairwise fold use
+``_matmul``: broadcast products for complex stacks, 2-5 times faster than
+numpy's ``@`` at N = 2, and ``@`` for real ones, where it is the faster. The
+matvec ``q @ y`` and the Monte-Carlo table's one GEMM per step keep ``@``.
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
 for the whole ensemble, a block of steps at a time; it finds each jump time
 from the norms at the two ends of its step and handles the jumps of all
@@ -132,6 +136,7 @@ class IntegrationDiagnostics:
 class UnitaryResult:
     state: np.ndarray
     samples: np.ndarray | None = None
+    max_norm_drift: float = 0.0  # largest | ||psi||^2 - 1 | over the edges, before renormalizing
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,17 @@ def _of_dim(state: np.ndarray, dim: int) -> np.ndarray:
 # --------------------------------------------------------------------- core
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of small matrices; for complex ones the sum over the
+    inner index of broadcast products, as numpy's stacked ``@`` is slow there."""
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return a @ b
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of each matrix in an (M, d, d) stack.
 
@@ -197,26 +213,27 @@ def _expm(a: np.ndarray) -> np.ndarray:
     eye = np.eye(a.shape[-1])
     if norm.max() <= _THETA9:
         b = _PADE9
-        a2 = a @ a
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        a8 = a4 @ a4
-        u = a @ (b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        a2 = _matmul(a, a)
+        a4 = _matmul(a2, a2)
+        a6 = _matmul(a4, a2)
+        a8 = _matmul(a4, a4)
+        u = _matmul(a, b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
         v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
         return np.linalg.solve(v - u, v + u)
     squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
     a = a / (2.0 ** squarings)[:, None, None]
     b = _PADE13
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    a2 = _matmul(a, a)
+    a4 = _matmul(a2, a2)
+    a6 = _matmul(a4, a2)
+    u = _matmul(a, _matmul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+                + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (_matmul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
     for level in range(squarings.max()):
         sel = squarings > level
-        r[sel] = r[sel] @ r[sel]
+        r[sel] = _matmul(r[sel], r[sel])
     return r
 
 
@@ -224,7 +241,8 @@ def _magnus4(a1: np.ndarray, a2: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Fourth-order Magnus exponent of sub-steps of widths h, from A at their two
     Gauss nodes (Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151 (2009))."""
     h = h[:, None, None]
-    return (0.5 * h) * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h**2 * (a2 @ a1 - a1 @ a2)
+    commutator = _matmul(a2, a1) - _matmul(a1, a2)
+    return (0.5 * h) * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h**2 * commutator
 
 
 def _edges(t0, t1, sample_times, breakpoints=()):
@@ -294,7 +312,7 @@ def _march(generator, y0, edges, n):
             continue  # an unresolved pass only reports how far it is from resolved
         p = _expm(_magnus4(a[0], a[1], hc)).reshape(-1, m, d, d)
         while p.shape[1] > 1:
-            p = p[:, 1::2] @ p[:, 0::2]  # the later sub-step acts last
+            p = _matmul(p[:, 1::2], p[:, 0::2])  # the later sub-step acts last
         for block, q in enumerate(p[:, 0], start=lo // m):
             y = q @ y
             if (block + 1) * m % n == 0:
@@ -367,10 +385,12 @@ def evolve_unitary(
         return -1j * H.on_grid(times)
 
     raw, _, _ = _propagate(generator, psi0, edges, cfg)
-    states = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    states = raw / norms
     return UnitaryResult(
         state=states[-1],
         samples=states[at] if at.size else None,
+        max_norm_drift=float(np.max(np.abs(norms**2 - 1.0))),
     )
 
 

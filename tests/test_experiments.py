@@ -90,6 +90,22 @@ class TestRunSweep:
             assert -1e-7 <= r.p_ge <= 1.0 + 1e-7
             assert r.trace_error < 1e-8
 
+    def test_closed_trace_error_is_drift_before_renormalization(self, monkeypatch):
+        drifts = []
+
+        def spy(*args, _propagate=sl.propagation._propagate):
+            raw, steps, rejected = _propagate(*args)
+            drifts.append(float(np.max(np.abs(np.linalg.norm(raw, axis=1) ** 2 - 1.0))))
+            return raw, steps, rejected
+
+        monkeypatch.setattr(sl.propagation, "_propagate", spy)
+        with pytest.warns(sl.AdiabaticityWarning):
+            (record,) = sl.run_lz_sweep(_fast_cfg(inv_velocities=(1.0,)))
+        # the edge states drift by rounding, far above the few ulps by which
+        # the renormalized state's norm can miss 1
+        assert len(drifts) == 1 and drifts[0] > 1e-14
+        assert record.trace_error == pytest.approx(drifts[0], rel=0.05, abs=0.0)
+
     def test_adiabaticity_warning_on_fast_sweep(self):
         with pytest.warns(sl.AdiabaticityWarning):
             sl.run_lz_sweep(_fast_cfg(inv_velocities=(1.0,)))
@@ -273,7 +289,7 @@ class TestFig1:
         )
         assert dev_super < dev_inst
         for p in res.paths:
-            lines = open(p).read().splitlines()
+            lines = Path(p).read_text().splitlines()
             body = [ln for ln in lines if not ln.startswith("#")]
             assert body[0] == "t,x,y,z"
             assert len(body) == 1 + len(res.times)

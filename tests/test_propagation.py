@@ -1,7 +1,10 @@
 import math
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import superlind as sl
 
@@ -124,6 +127,26 @@ def _lz_coarse():
 
 
 class TestExponentialCore:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4]), lead=st.sampled_from([(5,), (1,), (3, 4), (2, 1)]),
+           real_b=st.booleans(), data=st.data())
+    def test_matmul_matches_numpy(self, n, lead, real_b, data):
+        def draw():
+            return data.draw(hnp.arrays(float, (*lead, n, n), elements=st.floats(
+                -1e3, 1e3, allow_subnormal=False)))
+
+        a = draw() + 1j * draw()
+        b = draw() if real_b else draw() + 1j * draw()
+        got = sl.propagation._matmul(a, b)
+        assert got.dtype == complex and got.shape == (*lead, n, n)
+        # the inner sum in another order; below the normal range rounding is
+        # absolute, hence the tiny term. Largest entries, as squares underflow
+        norms = np.abs(a).max(axis=(-2, -1)) * np.abs(b).max(axis=(-2, -1))
+        bound = 1e-14 * n * norms[..., None, None] + n * np.finfo(float).tiny
+        assert np.all(np.abs(got - a @ b) <= bound)
+        # real stacks (the coherence-vector generators) are numpy's @ itself
+        assert np.array_equal(sl.propagation._matmul(a.real, b.real), a.real @ b.real)
+
     def test_expm_matches_scipy(self):
         linalg = pytest.importorskip("scipy.linalg")
         theta9 = sl.propagation._THETA9
