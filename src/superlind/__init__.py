@@ -25,7 +25,6 @@ from .errors import (
 )
 from .model import (
     BathSpectrum,
-    CouplingOperator,
     LZParams,
     TimeDependentHamiltonian,
     dephasing_spectrum,

@@ -122,8 +122,8 @@ def check_determinism():
         warnings.simplefilter("ignore", AdiabaticityWarning)  # 1/v = 1 is fast
         a = Path(tmp) / "a.csv"
         b = Path(tmp) / "b.csv"
-        write_sweep_csv(a, run_lz_sweep(cfg), [cfg])
-        write_sweep_csv(b, run_lz_sweep(cfg), [cfg])
+        write_sweep_csv(a, run_lz_sweep(cfg), cfg)
+        write_sweep_csv(b, run_lz_sweep(cfg), cfg)
         same = a.read_bytes() == b.read_bytes()
     return "deterministic rerun", same, "byte-identical" if same else "outputs differ"
 

@@ -70,7 +70,7 @@ def _cmd_sweep(args) -> int:
     job = sweep_job(data)
     output = args.output or job.output
     records = run_sweep_curves(job.base, job.gamma_values)
-    write_sweep_csv(output, records, [job.base])
+    write_sweep_csv(output, records, job.base)
     print(f"wrote {len(records)} records to {output}")
     return 0
 

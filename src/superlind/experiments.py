@@ -128,10 +128,7 @@ class SweepRecord:
 
     inv_v: float
     p_ge: float
-    mode: str
     gamma0: float
-    temperature: float
-    order: int
     trace_error: float
     herm_error: float
     min_eigenvalue: float
@@ -203,9 +200,8 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
 
     def record(gamma0, p, trace_error, herm_error, min_eig):
         return SweepRecord(
-            inv_v=inv_v, p_ge=float(p), mode=cfg.mode,
-            gamma0=gamma0, temperature=cfg.bath.temperature if cfg.bath.kind == "ohmic" else 0.0,
-            order=cfg.order, trace_error=float(trace_error), herm_error=float(herm_error),
+            inv_v=inv_v, p_ge=float(p), gamma0=gamma0,
+            trace_error=float(trace_error), herm_error=float(herm_error),
             min_eigenvalue=float(min_eig), adiabaticity=report.global_max,
         )
 
@@ -239,7 +235,7 @@ def run_lz_sweep(cfg: SweepConfig, output=None) -> list:
     write them to a CSV file."""
     records = run_sweep_curves(cfg, (cfg.bath.gamma0,))
     if output is not None:
-        write_sweep_csv(output, records, [cfg])
+        write_sweep_csv(output, records, cfg)
     return records
 
 
@@ -256,29 +252,26 @@ def run_sweep_curves(base: SweepConfig, gamma_values) -> list:
     return records
 
 
-def write_sweep_csv(path, records, configs) -> None:
-    """Records to disk: `# key = value` metadata block, then CSV rows.
+def write_sweep_csv(path, records, cfg: SweepConfig) -> None:
+    """Records to disk: `# key = value` metadata block of ``cfg``, then CSV rows.
 
     Rows are sorted by (inv_v, gamma0). Runtimes are intentionally left
     out of the file so identical runs produce identical bytes.
     """
-    meta = []
-    if configs:
-        c = configs[0]
-        meta += [
-            f"delta = {fmt(c.delta)}",
-            f"mode = {c.mode}",
-            f"order = {c.order}",
-            f"window_factor = {fmt(c.window_factor)}",
-            f"bath_kind = {c.bath.kind}",
-            f"temperature = {fmt(c.bath.temperature)}",
-            f"cutoff = {fmt(c.bath.cutoff)}",
-            f"symmetric_cutoff = {fmt(c.bath.symmetric_cutoff)}",
-            f"solver = {c.solver}",
-            f"seed = {c.seed}",
-        ]
-        gammas = sorted({r.gamma0 for r in records})
-        meta.append("gamma0_curves = " + ", ".join(fmt(g) for g in gammas))
+    gammas = sorted({r.gamma0 for r in records})
+    meta = [
+        f"delta = {fmt(cfg.delta)}",
+        f"mode = {cfg.mode}",
+        f"order = {cfg.order}",
+        f"window_factor = {fmt(cfg.window_factor)}",
+        f"bath_kind = {cfg.bath.kind}",
+        f"temperature = {fmt(cfg.bath.temperature)}",
+        f"cutoff = {fmt(cfg.bath.cutoff)}",
+        f"symmetric_cutoff = {fmt(cfg.bath.symmetric_cutoff)}",
+        f"solver = {cfg.solver}",
+        f"seed = {cfg.seed}",
+        "gamma0_curves = " + ", ".join(fmt(g) for g in gammas),
+    ]
     columns = ["gamma0", "inv_v", "p_ge", "trace_error", "herm_error",
                "min_eigenvalue", "adiabaticity"]
     rows = (

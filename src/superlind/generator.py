@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, StateIntegrityError
 from .frames import FrameTrajectory
-from .model import (BathSpectrum, CouplingOperator, TimeDependentHamiltonian, coherence_vector,
+from .model import (BathSpectrum, TimeDependentHamiltonian, _require_hermitian, coherence_vector,
                     density_matrix, hermiticity_defect, operator_basis)
 
 HERMITICITY_INPUT_TOL = 1e-8
@@ -46,6 +46,7 @@ def _commutator_structure(n: int) -> np.ndarray:
 class LindbladGenerator:
     """Time-dependent master-equation right-hand side.
 
+    ``coupling`` is the checked Hermitian (N, N) array A, stored read-only.
     Immutable once built: all per-frame quantities (coupling matrix
     elements, transition frequencies, rates) are precomputed on the grid,
     so ``liouvillian`` and ``rhs`` are pure.
@@ -61,17 +62,18 @@ class LindbladGenerator:
     def __init__(
         self,
         frames: FrameTrajectory,
-        coupling: CouplingOperator | np.ndarray,
+        coupling: np.ndarray,
         spectrum: BathSpectrum,
         hamiltonian: TimeDependentHamiltonian | None = None,
     ):
-        if isinstance(coupling, np.ndarray):
-            coupling = CouplingOperator(coupling)
-        if coupling.dim != frames.dim:
+        coupling = _require_hermitian(coupling, "coupling operator").copy()
+        dim = coupling.shape[0]
+        if dim != frames.dim:
             raise DimensionError(
-                f"coupling is {coupling.dim}x{coupling.dim} but frames are "
+                f"coupling is {dim}x{dim} but frames are "
                 f"{frames.dim}-dimensional"
             )
+        coupling.setflags(write=False)
         self.frames = frames
         self.coupling = coupling
         self.spectrum = spectrum
@@ -86,8 +88,7 @@ class LindbladGenerator:
         ``jump_channels`` or the Monte-Carlo unraveling first reads them."""
         basis = self.frames.basis                      # (K, N, N)
         energies = self.frames.energies                # (K, N)
-        a_mat = self.coupling.matrix
-        abar = np.einsum("kia,ij,kjb->kab", basis.conj(), a_mat, basis)
+        abar = np.einsum("kia,ij,kjb->kab", basis.conj(), self.coupling, basis)
         omega = energies[:, None, :] - energies[:, :, None]   # w[a,b] = E_b - E_a
 
         g0 = float(np.asarray(self.spectrum.gamma(0.0)))
@@ -99,9 +100,10 @@ class LindbladGenerator:
 
         gam = np.asarray(self.spectrum.gamma(omega.ravel()), dtype=float)
         gam = gam.reshape(omega.shape)
-        if np.any(gam < -1e-15):
+        bad = ~np.isfinite(gam) | (gam < -1e-15)
+        if bad.any():
             raise ParameterError(
-                f"gamma(w) must be >= 0; found {float(gam.min())} on the grid"
+                f"gamma(w) must be finite and >= 0; found {float(gam[bad][0])} on the grid"
             )
         gam = np.clip(gam, 0.0, None)
         rate = gam * np.abs(abar) ** 2                 # (K, N, N)
@@ -114,6 +116,8 @@ class LindbladGenerator:
 
         s_vals = np.asarray(self.spectrum.shift(omega.ravel()), dtype=float)
         s_vals = s_vals.reshape(omega.shape)
+        if not np.isfinite(s_vals).all():
+            raise ParameterError("shift(w) must be finite on the grid")
         shift = np.einsum("kab->kb", s_vals * np.abs(abar) ** 2)
 
         # H_eff - H is diagonal in the frame basis, diag(shift - i/2 (ell^2 + total

@@ -1,4 +1,4 @@
-"""System models: driven Hamiltonians, coupling operators, bath spectra.
+"""System models: driven Hamiltonians and bath spectra.
 
 Units: hbar = k_B = 1 throughout. Energies and rates share one scale; for
 the avoided-crossing (Landau-Zener) model the gap ``delta`` sets it.
@@ -150,26 +150,6 @@ def lz_hamiltonian(params: LZParams) -> TimeDependentHamiltonian:
     return TimeDependentHamiltonian.affine(
         0.5 * np.array([[0.0, delta], [delta, 0.0]]), np.diag([-0.5 * v, 0.5 * v])
     )
-
-
-@dataclass(frozen=True)
-class CouplingOperator:
-    """Hermitian system operator through which the bath couples.
-
-    Dimensionless by convention; all rate scales live in the spectrum.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _require_hermitian(self.matrix, "coupling operator")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _zero_shift(w):

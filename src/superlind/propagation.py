@@ -17,8 +17,8 @@ by batched pairwise products before they touch the state, so Python runs
 once per edge, not once per sub-step. The core only propagates; each engine
 renormalizes the edge states once, after the solve, since the Magnus
 exponent of -iH or of a Liouvillian preserves norm and trace up to rounding.
-Resolved sub-steps are exponentiated with the [9/9] Pade approximant,
-anything larger with scaled and squared [13/13].
+Sub-steps are exponentiated with the [9/9] Pade approximant, scaled and
+squared where a matrix is above its range, each independently of its stack.
 The exponential's products, the Magnus commutator and the pairwise fold use
 ``_matmul``: broadcast products for complex stacks, 2-5 times faster than
 numpy's ``@`` at N = 2, and ``@`` for real ones, where it is the faster. The
@@ -55,19 +55,13 @@ _BLOCK_ENTRIES = 2**16  # ensemble state entries at a Monte-Carlo block's edges,
 # of its value: it halves for a bounded generator, stays put at a simple pole.
 _SHRINK = 0.9
 
-# Pade [9/9] and [13/13] coefficients of the scaling-and-squaring exponential,
-# scaled to a unit constant term so that exp(0) comes out as the identity exactly
+# Pade [9/9] coefficients of the scaling-and-squaring exponential, scaled to
+# a unit constant term so that exp(0) comes out as the identity exactly
 _PADE9 = np.array([
     17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
     2162160.0, 110880.0, 3960.0, 90.0, 1.0,
 ]) / 17643225600.0
-_PADE13 = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-]) / 64764752532480000.0
 _THETA9 = 2.097847961257068   # largest 1-norm the [9/9] approximant takes unscaled
-_THETA13 = 5.371920351148152  # the same for [13/13]
 STATE_NORM_TOL = 1e-8  # largest |norm - 1| an initial state vector may have
 
 
@@ -202,36 +196,26 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of each matrix in an (M, d, d) stack.
 
-    Pade approximants after Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005). When every 1-norm of the stack is at most theta_9 (so every
-    resolved sub-step of the exponential core, h ||A||_1 <= 1), the [9/9]
-    approximant is accurate to rounding as it stands: no scaling, one matrix
-    product fewer than [13/13]. Otherwise each matrix is halved until its
-    1-norm is at most theta_13, and its [13/13] approximant squared as often.
+    The [9/9] Pade approximant after Higham, SIAM J. Matrix Anal. Appl. 26,
+    1179 (2005), accurate to rounding up to the 1-norm theta_9, which bounds
+    every resolved sub-step of the exponential core (h ||A||_1 <= 1). Only a
+    matrix above it is halved until it is not, and its approximant squared as
+    often: each matrix's exponential is the same in any stack.
     """
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    eye = np.eye(a.shape[-1])
-    if norm.max() <= _THETA9:
-        b = _PADE9
-        a2 = _matmul(a, a)
-        a4 = _matmul(a2, a2)
-        a6 = _matmul(a4, a2)
-        a8 = _matmul(a4, a4)
-        u = _matmul(a, b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-        return np.linalg.solve(v - u, v + u)
-    squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
-    a = a / (2.0 ** squarings)[:, None, None]
-    b = _PADE13
+    scaled = norm.max() > _THETA9
+    if scaled:
+        squarings = np.ceil(np.log2(np.maximum(norm, _THETA9) / _THETA9)).astype(int)
+        a = a / (2.0 ** squarings)[:, None, None]
+    b, eye = _PADE9, np.eye(a.shape[-1])
     a2 = _matmul(a, a)
     a4 = _matmul(a2, a2)
     a6 = _matmul(a4, a2)
-    u = _matmul(a, _matmul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
-                + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (_matmul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    a8 = _matmul(a4, a4)
+    u = _matmul(a, b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     r = np.linalg.solve(v - u, v + u)
-    for level in range(squarings.max()):
+    for level in range(squarings.max() if scaled else 0):
         sel = squarings > level
         r[sel] = _matmul(r[sel], r[sel])
     return r

@@ -5,6 +5,7 @@ computed once per session and shared; every record they produce feeds the
 master-equation integrity criterion.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,14 @@ def _curve(records):
 
 
 def _run(cfg):
-    records = sl.run_lz_sweep(cfg)
+    # module fixtures run outside the per-test warning filter: the only
+    # warnings expected are the two adiabaticity ones of the fast 1/v = 1 point
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = sl.run_lz_sweep(cfg)
+    for w in caught:
+        assert issubclass(w.category, sl.AdiabaticityWarning), str(w.message)
+        assert "1/v = 1.0" in str(w.message), str(w.message)
     ALL_RECORDS.extend(records)
     return _curve(records)
 
@@ -110,8 +118,7 @@ def unraveling_runs():
     me = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -t_final, t_final)
     ALL_RECORDS.append(
         sl.SweepRecord(
-            inv_v=3.0, p_ge=excited_population(me.state, excited), mode="superadiabatic",
-            gamma0=0.05, temperature=0.5, order=4,
+            inv_v=3.0, p_ge=excited_population(me.state, excited), gamma0=0.05,
             trace_error=me.diagnostics.max_trace_drift,
             herm_error=me.diagnostics.max_hermiticity_drift,
             min_eigenvalue=me.diagnostics.min_eigenvalue,

@@ -243,8 +243,8 @@ class TestRunSweep:
 
 def _record(gamma0, p_ge):
     return SweepRecord(
-        inv_v=2.0, p_ge=p_ge, mode="superadiabatic", gamma0=gamma0, temperature=0.5,
-        order=4, trace_error=1e-12, herm_error=0.0, min_eigenvalue=-3e-9,
+        inv_v=2.0, p_ge=p_ge, gamma0=gamma0, trace_error=1e-12, herm_error=0.0,
+        min_eigenvalue=-3e-9,
         adiabaticity=0.25 / 3.0,
     )
 
@@ -255,7 +255,7 @@ def test_sweep_csv_exact_format(tmp_path):
         bath=BathConfig(kind="ohmic", gamma0=0.1, temperature=0.5),
     )
     out = tmp_path / "sweep.csv"
-    sl.write_sweep_csv(out, [_record(0.1, 0.2), _record(0.01, 0.125)], [cfg])
+    sl.write_sweep_csv(out, [_record(0.1, 0.2), _record(0.01, 0.125)], cfg)
     assert out.read_text().splitlines() == [
         "# superlind sweep",
         "# delta = 1",

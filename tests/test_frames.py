@@ -125,6 +125,45 @@ def _align_pair(prev, cur):
     return _align_sweep(np.stack([prev, cur]), np.array([0.0, 1.0]))
 
 
+def _flip_every_other(basis):
+    """Column 0 negated at every other grid point: negative step overlaps."""
+    out = basis.copy()
+    out[1::2, :, 0] *= -1.0
+    return out
+
+
+class TestValidate:
+    """``FrameTrajectory.validate`` on hand-broken copies of a valid trajectory."""
+
+    @staticmethod
+    def _broken(basis=None, energies=None):
+        H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
+        good = sl.instantaneous_frames(H, np.linspace(-2.0, 2.0, 41))
+        good.validate()
+        return sl.FrameTrajectory(good.times, good.basis if basis is None else basis(good.basis),
+                                  good.energies if energies is None else energies(good.energies),
+                                  order=0, hamiltonian=H)
+
+    @pytest.mark.parametrize("basis,energies,error,message", [
+        (lambda b: 1.001 * b, None, sl.ParameterError, "unitarity defect"),
+        (lambda b: b[:, :, ::-1], lambda e: e[:, ::-1], sl.ParameterError, "not sorted ascending"),
+        (None, lambda e: e + 1e-8, sl.ParameterError, "drifted by"),
+        (_flip_every_other, None, sl.GridError, "gauge smoothness"),
+    ], ids=["scaled-basis", "swapped-levels", "shifted-energies", "flipped-column"])
+    def test_each_failure(self, basis, energies, error, message):
+        with pytest.raises(error, match=message):
+            self._broken(basis, energies).validate()
+
+    def test_adiabatic_report_rejects_a_degenerate_pair(self):
+        def merge(energies):  # both levels equal at t = 0
+            out = energies.copy()
+            out[20] = 0.0
+            return out
+
+        with pytest.raises(sl.DegeneracyError, match="degenerate pair at t = 0.0"):
+            sl.adiabatic_report(self._broken(energies=merge))
+
+
 class TestSmoothGauge:
     def test_identity(self):
         _, _, _, base, _ = lz_setup(2.0)
@@ -324,6 +363,25 @@ def test_adaptive_time_grid_meets_conditions():
     traj = sl.instantaneous_frames(H, times)
     overlaps = np.einsum("kia,kia->ka", traj.basis[:-1].conj(), traj.basis[1:])
     assert np.min(np.abs(overlaps) ** 2) > 0.999
+
+
+def test_adaptive_time_grid_refines_a_bump_the_probe_misses(monkeypatch):
+    # the bump in H is narrower than the probe spacing, so the probe underestimates
+    # the motion and the built grid fails its check until it has been halved
+    H = sl.TimeDependentHamiltonian(
+        2, lambda t: 0.5 * sl.sigma_x + 0.3 * np.exp(-(t / 0.02) ** 2) * sl.sigma_z)
+    sizes, on_grid = [], H.on_grid
+    monkeypatch.setattr(H, "on_grid", lambda times: sizes.append(len(times)) or on_grid(times))
+    times = sl.adaptive_time_grid(H, -3.0, 3.0)
+    assert len(sizes) >= 3 and sizes[-1] == times.size == 2 * (sizes[-2] - 1) + 1
+    mats = H.on_grid(times)
+    min_gap = float(np.diff(np.linalg.eigvalsh(mats), axis=1).min())
+    assert np.max(np.linalg.norm(mats[1:] - mats[:-1], ord=2, axis=(1, 2))) <= 0.01 * min_gap
+
+
+def test_adaptive_time_grid_of_constant_hamiltonian_is_the_probe():
+    H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x + 0.2 * sl.sigma_z)
+    assert sl.adaptive_time_grid(H, 0.0, 10.0).size == sl.frames.GRID_INITIAL_POINTS == 129
 
 
 @pytest.mark.parametrize("t0,t1", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan),

@@ -187,6 +187,20 @@ class TestLindbladOps:
         with pytest.raises(sl.ParameterError):
             sl.LindbladGenerator(traj, sl.sigma_z, bad, H)
 
+    @pytest.mark.parametrize("which", ["gamma", "shift"])
+    def test_nonfinite_custom_rate_or_shift_rejected(self, which):
+        # a NaN here once made the master-equation solve double its sub-steps forever
+        H, _, _, _, traj = lz_setup(1.0)
+        rate = sl.ohmic_spectrum(0.1, 5.0, 0.5).gamma
+
+        def nan_above(f):
+            return lambda w: np.where(np.asarray(w) > 0.5, np.nan, f(w))
+
+        spectrum = (sl.BathSpectrum(nan_above(rate)) if which == "gamma"
+                    else sl.BathSpectrum(rate, nan_above(lambda w: 0.1 * np.asarray(w))))
+        with pytest.raises(sl.ParameterError, match=rf"{which}\(w\) must be finite"):
+            sl.LindbladGenerator(traj, sl.sigma_z, spectrum, H)
+
 
 class TestMasterEquationRHS:
     def test_trace_annihilation_and_hermiticity(self):

@@ -113,10 +113,20 @@ class TestLZHamiltonian:
         assert H(50.0)[0, 1] == H(50.0)[1, 0] == 0.5 + 50.0 * 0.5e-13
 
     def test_coupling_operator_checks(self):
-        op = sl.CouplingOperator(sl.sigma_z)
-        assert op.dim == 2
-        with pytest.raises(sl.ParameterError):
-            sl.CouplingOperator(np.array([[0, 1j], [1j, 0]]))
+        # the generator takes the coupling operator as an (N, N) array and checks it
+        H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
+        frames = sl.instantaneous_frames(H, np.linspace(-2.0, 2.0, 41))
+        spectrum = sl.dephasing_spectrum(0.1)
+        a = np.diag([1.0, -1.0]).astype(complex)
+        gen = sl.LindbladGenerator(frames, a, spectrum, H)
+        a[0, 0] = 2.0  # the generator holds a read-only copy
+        assert np.array_equal(gen.coupling, sl.sigma_z) and not gen.coupling.flags.writeable
+        with pytest.raises(sl.ParameterError, match="coupling operator is not Hermitian"):
+            sl.LindbladGenerator(frames, np.array([[0, 1j], [1j, 0]]), spectrum, H)
+        with pytest.raises(sl.DimensionError, match="coupling operator must be a square matrix"):
+            sl.LindbladGenerator(frames, np.ones((2, 3)), spectrum, H)
+        with pytest.raises(sl.DimensionError, match="coupling is 3x3 but frames are 2-dimensional"):
+            sl.LindbladGenerator(frames, np.eye(3), spectrum, H)
 
 
 class TestOhmicSpectrum:

@@ -159,8 +159,8 @@ class TestExponentialCore:
                 unit = a / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]   # 1-norms 1
                 # 1-norms from 1e-3 to ~1e3: the larger ones need squaring
                 wide = a * np.logspace(-3, 2, 6)[:, None, None]
-                # all at most theta_9: the [9/9] approximant, unscaled; any norm
-                # above it sends the whole stack to [13/13]
+                # all at most theta_9: the [9/9] approximant, unscaled; the
+                # norms above it are halved into range and squared back
                 below = np.array([1e-3, 0.1, 0.5, 0.9, 1 - 1e-9, 1 - 1e-12])[:, None, None]
                 above = np.array([1 + 1e-12, 1 + 1e-9, 1.1, 1.5, 2.0, 2.5])[:, None, None]
                 below, above = theta9 * below * unit, theta9 * above * unit
@@ -175,6 +175,20 @@ class TestExponentialCore:
                     scale = np.abs(want).max(axis=(1, 2))[:, None, None]
                     assert np.max(np.abs(got - want) / scale) < 1e-12
                     assert np.array_equal(got[-1], np.eye(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", [complex, float])
+    def test_expm_independent_of_stack(self, n, kind):
+        # one matrix above theta_9 must not change how the others are exponentiated
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=(40, n, n)) + 1j * rng.normal(size=(40, n, n))
+        a = z if kind is complex else z.real
+        norms = np.logspace(-2, 2, 40)[rng.permutation(40)]  # 1-norms 1e-2 to 1e2, shuffled
+        a = a / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None] * norms[:, None, None]
+        stack = sl.propagation._expm(a)
+        assert stack.dtype == a.dtype
+        assert np.array_equal(stack[:20], sl.propagation._expm(a[:20]))
+        assert np.array_equal(stack, np.stack([sl.propagation._expm(m[None])[0] for m in a]))
 
     @pytest.mark.parametrize("case", ["me_n_below_chunk", "unitary_n_above_chunk",
                                       "ladder_n_below_chunk", "ladder_n_above_chunk"])
@@ -309,6 +323,14 @@ class TestEvolveUnitary:
         )
         with pytest.raises(sl.StiffnessError):
             sl.evolve_unitary(H, np.array([1.0, 0.0], complex), 0.0, 1.0)
+
+    def test_tolerance_below_rounding_raises(self):
+        # doubling the sub-steps stops shrinking the error estimate long before it
+        # reaches 1e-16: the pass that fails to shrink it raises
+        H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
+        with pytest.raises(sl.StiffnessError, match="below rounding"):
+            sl.evolve_unitary(H, np.array([1.0, 0.0], complex), -5.0, 5.0,
+                              cfg=sl.IntegratorConfig(rtol=1e-14, atol=1e-16))
 
 
 class TestEvolveLindblad:
