@@ -193,11 +193,11 @@ def ohmic_spectrum(
     gamma(-w) = exp(-w/T) * gamma(w) exact.
     """
     if not np.isfinite(gamma0) or gamma0 < 0:
-        raise ParameterError(f"gamma0 must be >= 0, got {gamma0!r}")
+        raise ParameterError(f"gamma0 must be finite and >= 0, got {gamma0!r}")
     if not np.isfinite(cutoff) or cutoff <= 0:
-        raise ParameterError(f"cutoff must be > 0, got {cutoff!r}")
+        raise ParameterError(f"cutoff must be finite and > 0, got {cutoff!r}")
     if not np.isfinite(temperature) or temperature < 0:
-        raise ParameterError(f"temperature must be >= 0, got {temperature!r}")
+        raise ParameterError(f"temperature must be finite and >= 0, got {temperature!r}")
 
     def gamma(w):
         w_arr = np.asarray(w, dtype=float)
@@ -216,7 +216,10 @@ def ohmic_spectrum(
                     temperature * (1.0 + x / 2.0 + x * x / 12.0),
                     w_arr / -np.expm1(-x_safe),
                 )
-                val = gamma0 * thermal * decay
+                # e^{-w/cutoff} overflows far below zero, where thermal may round
+                # to 0: combine the exponents there, -w e^{x - w/cutoff} / -expm1(x)
+                joint = gamma0 * -w_arr * np.exp(x - arg / cutoff) / -np.expm1(x)
+                val = np.where(np.isinf(decay), joint, gamma0 * thermal * decay)
         val = np.maximum(val, 0.0)  # clamp -0.0 / rounding dust
         return float(val) if val.ndim == 0 else val
 
@@ -230,7 +233,7 @@ def dephasing_spectrum(gamma0: float) -> BathSpectrum:
     basis states but cannot exchange energy with the system.
     """
     if not np.isfinite(gamma0) or gamma0 < 0:
-        raise ParameterError(f"gamma0 must be >= 0, got {gamma0!r}")
+        raise ParameterError(f"gamma0 must be finite and >= 0, got {gamma0!r}")
 
     def gamma(w):
         w_arr = np.asarray(w, dtype=float)

@@ -17,12 +17,13 @@ by batched pairwise products before they touch the state, so Python runs
 once per edge, not once per sub-step. The core only propagates; each engine
 renormalizes the edge states once, after the solve, since the Magnus
 exponent of -iH or of a Liouvillian preserves norm and trace up to rounding.
-Sub-steps are exponentiated with the [9/9] Pade approximant, scaled and
-squared where a matrix is above its range, each independently of its stack.
-The exponential's products, the Magnus commutator and the pairwise fold use
-``_matmul``: broadcast products for complex stacks, 2-5 times faster than
-numpy's ``@`` at N = 2, and ``@`` for real ones, where it is the faster. The
-matvec ``q @ y`` and the Monte-Carlo table's one GEMM per step keep ``@``.
+Sub-steps are exponentiated in closed form for N = 2, else (N >= 3 and the
+real Liouvillians) with the [9/9] Pade approximant, scaled and squared where
+a matrix is above its range, each independently of its stack, 16384 matrix
+entries at a time. The Pade products, the Magnus commutator and the pairwise
+fold use ``_matmul``: broadcast products for complex stacks, 2-5 times faster
+than numpy's ``@`` at N = 2, and ``@`` for real ones, where it is the faster.
+The matvec ``q @ y`` and the Monte-Carlo table's one GEMM per step keep ``@``.
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
 for the whole ensemble, a block of steps at a time; it finds each jump time
 from the norms at the two ends of its step and handles the jumps of all
@@ -49,7 +50,7 @@ from ._output import write_table
 from .model import TimeDependentHamiltonian, coherence_vector, density_matrix, hermiticity_defect
 
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)  # Gauss-Legendre nodes on [0, 1]
-_CHUNK_ENTRIES = 2**12  # matrix entries in the stack of propagators held at once
+_CHUNK_ENTRIES = 2**14  # matrix entries in the stack of propagators held at once
 _BLOCK_ENTRIES = 2**16  # ensemble state entries at a Monte-Carlo block's edges, and of its table
 # Doubling the sub-steps must cut the largest h * ||A|| below this fraction
 # of its value: it halves for a bounded generator, stays put at a simple pole.
@@ -193,15 +194,40 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _expm2(a: np.ndarray) -> np.ndarray:
+    """exp of an (M, 2, 2) stack: e^mu (cosh s I + sinh(s)/s (A - mu I)), with
+    mu = tr A / 2, s^2 = -det(A - mu I) (Bernstein & So, IEEE TAC 38, 1228
+    (1993)). Both factors are entire in s^2, so the root's branch does not
+    matter; sinh(s)/s is 1 at s = 0. Where Re s > 1, e^(mu +- s) give both, as
+    cosh s can overflow where e^mu underflows."""
+    mu = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
+    half = 0.5 * (a[:, 0, 0] - a[:, 1, 1])
+    s = np.sqrt(half * half + a[:, 0, 1] * a[:, 1, 0] + 0j)  # principal root: Re s >= 0
+    big = s.real > 1.0
+    z, e = np.where(big, 0.0, s), np.exp(mu)
+    c = e * np.cosh(z)                                         # e^mu cosh s
+    q = np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0) * e  # e^mu sinh(s)/s
+    if big.any():
+        up, down = np.exp(mu[big] + s[big]), np.exp(mu[big] - s[big])
+        c[big], q[big] = 0.5 * (up + down), (up - down) / (2.0 * s[big])
+    r = np.empty((a.shape[0], 2, 2), dtype=complex)
+    r[:, 0, 0], r[:, 1, 1] = c + q * half, c - q * half
+    r[:, 0, 1], r[:, 1, 0] = q * a[:, 0, 1], q * a[:, 1, 0]
+    return r if np.iscomplexobj(a) else r.real
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of each matrix in an (M, d, d) stack.
 
-    The [9/9] Pade approximant after Higham, SIAM J. Matrix Anal. Appl. 26,
-    1179 (2005), accurate to rounding up to the 1-norm theta_9, which bounds
-    every resolved sub-step of the exponential core (h ||A||_1 <= 1). Only a
-    matrix above it is halved until it is not, and its approximant squared as
-    often: each matrix's exponential is the same in any stack.
+    ``_expm2`` for d = 2, else the [9/9] Pade approximant after Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179 (2005), accurate to rounding up to the
+    1-norm theta_9, which bounds every resolved sub-step of the exponential
+    core (h ||A||_1 <= 1). Only a matrix above it is halved until it is not,
+    and its approximant squared as often: each matrix's exponential is the
+    same in any stack.
     """
+    if a.shape[-1] == 2:
+        return _expm2(a)
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     scaled = norm.max() > _THETA9
     if scaled:

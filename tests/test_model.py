@@ -178,11 +178,30 @@ class TestOhmicSpectrum:
         assert spec.gamma(-30.0) == 0.0
         assert np.isfinite(spec.gamma(30.0))
 
+    def test_far_below_zero_frequency(self):
+        # e^{-w/cutoff} overflows below w = -709.78 cutoff, where the thermal
+        # factor rounds to 0: the rate underflows to 0 (T < cutoff) ...
+        spec = sl.ohmic_spectrum(0.1, 5.0, 0.5)
+        w = np.array([-5000.0, -3550.0, -3548.0, -1000.0])
+        assert spec.gamma(-5000.0) == 0.0
+        assert np.array_equal(spec.gamma(w), np.zeros(4))
+        # ... or stays finite, gamma0 |w| e^{|w|/cutoff} / (e^{|w|/T} - 1) (T > cutoff)
+        warm = sl.ohmic_spectrum(0.1, 1.0, 2.0)
+        for w in (-709.0, -710.0, -800.0):
+            log_want = math.log(0.1 * -w) - w + w / 2.0 - math.log1p(-math.exp(w / 2.0))
+            assert math.log(warm.gamma(w)) == pytest.approx(log_want, rel=1e-14)
+        # a frame gap of 5000 no longer puts NaN into the generator
+        H = sl.TimeDependentHamiltonian.constant(2500.0 * sl.sigma_z + 0.1 * sl.sigma_x)
+        traj = sl.instantaneous_frames(H, np.linspace(0.0, 1e-3, 5))
+        gen = sl.LindbladGenerator(traj, sl.sigma_x, spec, H)
+        assert np.all(np.isfinite(gen.liouvillian(np.array([5e-4]))))
+
     @pytest.mark.parametrize(
-        "args", [(-0.1, 5.0, 0.5), (0.1, 0.0, 0.5), (0.1, 5.0, -0.1)]
+        "args", [(-0.1, 5.0, 0.5), (0.1, 0.0, 0.5), (0.1, 5.0, -0.1),
+                 (math.inf, 5.0, 0.5), (0.1, math.inf, 0.5), (0.1, 5.0, math.inf)]
     )
     def test_invalid_params(self, args):
-        with pytest.raises(sl.ParameterError):
+        with pytest.raises(sl.ParameterError, match="must be finite and"):
             sl.ohmic_spectrum(*args)
 
 

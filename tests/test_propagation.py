@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -190,23 +191,62 @@ class TestExponentialCore:
         assert np.array_equal(stack[:20], sl.propagation._expm(a[:20]))
         assert np.array_equal(stack, np.stack([sl.propagation._expm(m[None])[0] for m in a]))
 
+    @pytest.mark.parametrize("kind", [complex, float])
+    def test_expm_2x2_exact_at_zero_and_nilpotent(self, kind):
+        # sinh(s)/s is 1 at s = 0: the identity and I + A, bit for bit
+        b = (2.5 - 1.5j) if kind is complex else 2.5
+        a = np.array([np.zeros((2, 2)), [[0.0, b], [0.0, 0.0]], [[0.0, 0.0], [b, 0.0]]], dtype=kind)
+        got = sl.propagation._expm(a)
+        assert got.dtype == kind
+        assert np.array_equal(got[0], np.eye(2))
+        assert np.array_equal(got[1:], np.eye(2) + a[1:])
+
+    def test_expm_2x2_far_apart_levels_stay_finite(self):
+        # levels 0 and -1600 or -2000, where e^mu underflows and cosh s
+        # overflows, and two levels near -1000, whose exponential underflows
+        linalg = pytest.importorskip("scipy.linalg")
+        a = np.array([[[-1600.0, 1.0], [0.0, 0.0]], [[-1000.0, 3.0], [2.0, -1000.0]],
+                      [[-1000.0, 1000.0], [1000.0, -1000.0]], [[0.0, 7.0], [0.0, -1600.0]]])
+        for stack in (a, a + 0j):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sl.propagation._expm(stack)
+            assert got.dtype == stack.dtype and np.all(np.isfinite(got))
+            # scipy squares 11 times here: 5e-14 off the exact 0.5 of the third
+            want = np.stack([linalg.expm(m + 0j) for m in stack])
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_expm_2x2_unitary(self):
+        # anti-Hermitian stacks at 1-norm <= 1, the unitary core's sub-steps
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+        a = 0.5j * (z + z.conj().swapaxes(1, 2))
+        a *= rng.uniform(0.0, 1.0, 500)[:, None, None] / np.abs(a).sum(axis=-2).max(axis=-1)[
+            :, None, None]
+        u = sl.propagation._expm(a)
+        assert np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(2))) < 1e-14
+
     @pytest.mark.parametrize("case", ["me_n_below_chunk", "unitary_n_above_chunk",
                                       "ladder_n_below_chunk", "ladder_n_above_chunk"])
     def test_march_matches_sequential_reference(self, case):
-        # block composition reorders only the rounding of the sub-step products
-        if case == "me_n_below_chunk":                # N^2 = 4: chunk 1024
+        # block composition reorders only the rounding of the sub-step products;
+        # the "above" cases take twice the chunk of their d, so they hold blocks
+        def above(d):
+            return 2 << (max(sl.propagation._CHUNK_ENTRIES // d**2, 1).bit_length() - 1)
+
+        if case == "me_n_below_chunk":                # d = N^2 = 4, n = 8 below its chunk
             gen, rho0 = _lz_coarse()
             mid = 0.5 * (gen.frames.times[:-1] + gen.frames.times[1:])
             edges = np.concatenate([[-2.0], mid, [2.0]])
             generator, y0, n = gen.liouvillian, sl.model.coherence_vector(rho0), 8
-        elif case == "unitary_n_above_chunk":         # d = 2: chunk 1024
+        elif case == "unitary_n_above_chunk":         # d = 2
             H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
             edges = np.array([-2.0, -0.5, 2.0])
-            y0, n = np.array([1.0, 0.0], complex), 2048
+            y0, n = np.array([1.0, 0.0], complex), above(2)
 
             def generator(times):
                 return -1j * H.on_grid(times)
-        else:                                         # N^2 = 9: chunk 4096 // 81 = 50 -> 32
+        else:                                         # d = N^2 = 9
             H = ladder_hamiltonian()
             base = sl.instantaneous_frames(H, sl.adaptive_time_grid(H, -12.0, -8.0))
             gen = sl.LindbladGenerator(base, np.diag([1.0, 0.0, -1.0]),
@@ -216,7 +256,7 @@ class TestExponentialCore:
             psi0 = base.basis[0, :, 0]
             y0 = sl.model.coherence_vector(np.outer(psi0, psi0.conj()))
             generator = gen.liouvillian
-            n = 8 if case == "ladder_n_below_chunk" else 128
+            n = 8 if case == "ladder_n_below_chunk" else above(9)
             edges = edges if n == 8 else edges[:6]
         worst, raw = sl.propagation._march(generator, y0, edges, n)
         assert worst <= 1.0
