@@ -141,8 +141,8 @@ class SweepRecord:
 
 def closed_lz_oracle(delta: float, v: float) -> float:
     """Closed-form asymptotic transition probability exp(-pi delta^2 / (2 v))."""
-    if delta <= 0 or v <= 0:
-        raise ParameterError("delta and v must be > 0")
+    if not (0 < delta < math.inf and 0 < v < math.inf):  # NaN fails too
+        raise ParameterError(f"delta and v must be finite and > 0, got {delta}, {v}")
     return math.exp(-math.pi * delta**2 / (2.0 * v))
 
 
@@ -269,6 +269,8 @@ def write_sweep_csv(path, records, cfg: SweepConfig) -> None:
         f"cutoff = {fmt(cfg.bath.cutoff)}",
         f"symmetric_cutoff = {fmt(cfg.bath.symmetric_cutoff)}",
         f"solver = {cfg.solver}",
+        f"rtol = {fmt(cfg.rtol)}",
+        f"atol = {fmt(cfg.atol)}",
         f"seed = {cfg.seed}",
         "gamma0_curves = " + ", ".join(fmt(g) for g in gammas),
     ]

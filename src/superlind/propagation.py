@@ -11,12 +11,14 @@ with A = -iH, the real Liouvillian of the coherence vector of rho, or
 unitary and master-equation engines step between the edges t0, t1 and the
 sample times, plus the frame midpoints for the master equation, so the
 snapped dissipator is constant between two edges. Each interval between
-edges is split into n equal sub-steps; n doubles until two passes agree
-within the tolerances. The sub-step propagators of an interval are composed
-by batched pairwise products before they touch the state, so Python runs
-once per edge, not once per sub-step. The core only propagates; each engine
-renormalizes the edge states once, after the solve, since the Magnus
-exponent of -iH or of a Liouvillian preserves norm and trace up to rounding.
+edges is split into n equal sub-steps, each within the range of the
+unscaled [9/9] Pade approximant; n doubles until the Richardson error
+estimate of two passes meets the tolerances. The sub-step propagators of an
+interval are composed by batched pairwise products before they touch the
+state, so Python runs once per edge, not once per sub-step. The core only
+propagates; each engine renormalizes the edge states once, after the solve,
+since the Magnus exponent of -iH or of a Liouvillian preserves norm and
+trace up to rounding.
 Sub-steps are exponentiated in closed form for N = 2, else (N >= 3 and the
 real Liouvillians) with the [9/9] Pade approximant, scaled and squared where
 a matrix is above its range, each independently of its stack, 16384 matrix
@@ -68,18 +70,20 @@ STATE_NORM_TOL = 1e-8  # largest |norm - 1| an initial state vector may have
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances of the exponential propagator.
+    """Tolerances of the exponential propagator, finite and > 0.
 
-    A solve is accepted once doubling its sub-steps moves the state at no
-    edge by more than atol + rtol * |state| (vector 2-norms).
+    A solve is accepted once the error estimate of its finer pass, a fifteenth
+    of how far doubling the sub-steps moved the state, is at no edge above
+    atol + rtol * |state| (vector 2-norms).
     """
 
     rtol: float = 1e-8
     atol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0):  # NaN fails too
-            raise ParameterError("tolerances must be > 0")
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):  # NaN fails too
+            raise ParameterError(
+                f"tolerances must be finite and > 0, got rtol = {self.rtol}, atol = {self.atol}")
 
 
 @dataclass(frozen=True)
@@ -222,9 +226,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     ``_expm2`` for d = 2, else the [9/9] Pade approximant after Higham, SIAM
     J. Matrix Anal. Appl. 26, 1179 (2005), accurate to rounding up to the
     1-norm theta_9, which bounds every resolved sub-step of the exponential
-    core (h ||A||_1 <= 1). Only a matrix above it is halved until it is not,
-    and its approximant squared as often: each matrix's exponential is the
-    same in any stack.
+    core (h ||A||_1 <= theta_9) but for its small commutator term. Only a
+    matrix above it is halved until it is not, and its approximant squared
+    as often: each matrix's exponential is the same in any stack.
     """
     if a.shape[-1] == 2:
         return _expm2(a)
@@ -302,7 +306,8 @@ def _march(generator, y0, edges, n):
     Python iterates once per block: once per edge when n <= chunk.
 
     Returns the largest h * ||A||_1 over the sub-step nodes and, when that is
-    at most 1 (every sub-step resolved), the states reached at the edges.
+    at most theta_9 (every sub-step resolved: in the range where the [9/9]
+    Pade approximant needs no scaling), the states reached at the edges.
     """
     widths = np.diff(edges)
     d = y0.size
@@ -318,7 +323,7 @@ def _march(generator, y0, edges, n):
         nodes = edges[step // n] + (step % n + _GAUSS[:, None]) * hc     # (2, C)
         a = generator(nodes.ravel()).reshape(2, hc.size, d, d)
         worst = max(worst, float(np.max(hc * np.abs(a).sum(axis=-2).max(axis=(0, -1)))))
-        if worst > 1.0:
+        if worst > _THETA9:
             continue  # an unresolved pass only reports how far it is from resolved
         p = _expm(_magnus4(a[0], a[1], hc)).reshape(-1, m, d, d)
         while p.shape[1] > 1:
@@ -327,7 +332,7 @@ def _march(generator, y0, edges, n):
             y = q @ y
             if (block + 1) * m % n == 0:
                 raw[(block + 1) * m // n] = y
-    return worst, raw if worst <= 1.0 else None
+    return worst, raw if worst <= _THETA9 else None
 
 
 def _propagate(generator, y0, edges, cfg):
@@ -335,9 +340,12 @@ def _propagate(generator, y0, edges, cfg):
 
     ``generator(times)`` returns the stack A(times), shape (M, d, d). Each
     interval between consecutive edges is split into n equal sub-steps, and
-    n doubles from 1. Only passes with every sub-step resolved are compared;
-    the first one that agrees with the previous resolved pass within
-    rtol/atol at every edge is accepted.
+    n doubles from 1. Only passes with every sub-step resolved are compared.
+    The first one whose error estimate against the previous resolved pass,
+    |raw - prev| / 15, is within atol + rtol |raw| at every edge is accepted
+    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.9). Where |raw - prev|
+    is below the pass's worst-case rounding, steps * eps * |raw|, it counts
+    in full, so a tolerance below rounding raises rather than passes.
 
     Returns the states reached at the edges, extrapolated from the last two
     passes, the number of sub-steps of the accepted pass, and the number of
@@ -357,12 +365,14 @@ def _propagate(generator, y0, edges, cfg):
             n *= 2
             continue
         if prev is not None:
-            err = float(np.max(np.linalg.norm(raw - prev, axis=1) / (
-                cfg.atol + cfg.rtol * np.linalg.norm(raw, axis=1)
-            )))
+            # the global error of the time-symmetric Magnus-4 step expands in
+            # h^4, h^6, ...: |raw - prev| / 15 estimates the error of raw, and
+            # one Richardson step removes the h^4 term. A change within the
+            # pass's rounding says nothing of that term, so it counts in full.
+            diff, size = np.linalg.norm(raw - prev, axis=1), np.linalg.norm(raw, axis=1)
+            est = np.where(diff < steps * np.finfo(float).eps * size, diff, diff / 15.0)
+            err = float(np.max(est / (cfg.atol + cfg.rtol * size)))
             if err <= 1.0:
-                # the global error of the time-symmetric Magnus-4 step expands
-                # in h^4, h^6, ...: one Richardson step removes the h^4 term
                 return raw + (raw - prev) / 15.0, steps, rejected
             if err >= prev_err:
                 raise StiffnessError(

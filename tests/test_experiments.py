@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
@@ -41,6 +44,13 @@ class TestClosedOracle:
             sl.closed_lz_oracle(0.0, 1.0)
         with pytest.raises(sl.ParameterError):
             sl.closed_lz_oracle(1.0, -2.0)
+
+    @pytest.mark.parametrize("delta,v", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+    ])
+    def test_non_finite_arguments(self, delta, v):
+        with pytest.raises(sl.ParameterError, match="finite"):
+            sl.closed_lz_oracle(delta, v)
 
 
 class TestSweepConfigValidation:
@@ -267,6 +277,8 @@ def test_sweep_csv_exact_format(tmp_path):
         "# cutoff = 5",
         "# symmetric_cutoff = false",
         "# solver = me",
+        "# rtol = 1e-08",
+        "# atol = 1e-10",
         "# seed = 0",
         "# gamma0_curves = 0.01, 0.1",
         "gamma0,inv_v,p_ge,trace_error,herm_error,min_eigenvalue,adiabaticity",
@@ -525,7 +537,7 @@ class TestCLI:
         assert cli_main(["sweep", str(bad)]) == 3
         assert cli_main(["sweep", str(tmp_path / "missing.cfg")]) == 3
 
-    def test_out_of_domain_value_exit_code(self, tmp_path):
+    def test_out_of_domain_value_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             "[sweep]\ninv_v = 1, 2\nwindow_factor = 3\n"
@@ -539,6 +551,7 @@ class TestCLI:
             ["solver.rtol=-1"],
             ["solver.atol=0"],
             ["solver.rtol=nan"],
+            ["solver.atol=inf"],
             ["sweep.mode=superadiabatic", "solver.method=trajectories", "solver.n_traj=0"],
             ["sweep.mode=superadiabatic", "solver.method=me", "solver.n_traj=0"],
             ["model.delta=nan"],
@@ -557,6 +570,10 @@ class TestCLI:
             args = ["sweep", str(cfg)] + [a for o in overrides for a in ("--set", o)]
             assert cli_main(args) == 3, overrides
         assert not (tmp_path / "y.csv").exists()
+        capsys.readouterr()
+        assert cli_main(["sweep", str(cfg), "--set", "solver.rtol=inf"]) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "y.csv").exists()
         fig1 = tmp_path / "fig1.cfg"
         fig1.write_text(f"[fig1]\nv = 0.5\n[output]\nprefix = {tmp_path / 'f1'}\n")
         for override in ("fig1.window_factor=0", "fig1.window_factor=-1",
@@ -570,6 +587,13 @@ class TestCLI:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 5
         assert all(line.startswith("[PASS] ") for line in lines), lines
+
+    def test_module_entry_point(self):
+        # `python -m superlind` from a source checkout, not an installed script
+        env = {**os.environ, "PYTHONPATH": str(Path(sl.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-m", "superlind", "--version"], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == f"superlind {sl.__version__}"
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:

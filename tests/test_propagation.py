@@ -82,15 +82,19 @@ def _sequential_jumps(gen, rng, psi_a, psi_b, t_a, t_b, h_eff, threshold, events
 
 def _projected_solve(generator, y0, edges, project, cfg=sl.IntegratorConfig()):
     """Reference solve that projects the state at every edge: sequential
-    passes with n doubling, compared from the first resolved one, then one
-    Richardson step; returns the projected edge states."""
+    passes with n doubling, compared from the first resolved one, accepted on
+    the Richardson error estimate |raw - prev| / 15 (in full where the change
+    is within the pass's rounding), then one Richardson step; returns the
+    projected edge states."""
     n, prev = 1, None
     while True:
         worst, raw = _sequential_march(generator, y0, edges, n, project)
-        if worst <= 1.0:
+        if worst <= sl.propagation._THETA9:
             if prev is not None:
-                scale = cfg.atol + cfg.rtol * np.linalg.norm(raw, axis=1)
-                if np.max(np.linalg.norm(raw - prev, axis=1) / scale) <= 1.0:
+                diff, size = np.linalg.norm(raw - prev, axis=1), np.linalg.norm(raw, axis=1)
+                rounding = n * (len(edges) - 1) * np.finfo(float).eps * size
+                est = np.where(diff < rounding, diff, diff / 15.0)
+                if np.max(est / (cfg.atol + cfg.rtol * size)) <= 1.0:
                     return np.array([project(y) for y in raw + (raw - prev) / 15.0])
             prev = raw
         n *= 2
@@ -316,6 +320,68 @@ class TestExponentialCore:
         second = sl.evolve_lindblad(gen, first.state, mid, 2.0)
         assert np.max(np.abs(whole.samples[0] - first.state)) < 1e-8
         assert np.max(np.abs(whole.state - second.state)) < 1e-8
+
+
+def _dop853(f, y0, edges):
+    """Reference states at ``edges`` of y' = f(t, y, a, b), one DOP853 solve
+    (rtol 1e-12, atol 1e-14) per interval [a, b] between consecutive edges."""
+    integrate = pytest.importorskip("scipy.integrate")
+    out = [y0]
+    for a, b in zip(edges[:-1], edges[1:]):
+        sol = integrate.solve_ivp(lambda t, y, a=a, b=b: f(t, y, a, b), (a, b), out[-1],
+                                  method="DOP853", rtol=1e-12, atol=1e-14)
+        out.append(sol.y[:, -1])
+    return np.array(out)
+
+
+class TestToleranceMet:
+    """Every state an accepted solve returns lies within atol + rtol |y| (vector
+    2-norms) of a tight DOP853 reference y, with atol = rtol / 100."""
+
+    @staticmethod
+    def _assert_within(got, want, rtol):
+        err = np.linalg.norm(got - want, axis=1)
+        assert np.all(err <= rtol / 100 + rtol * np.linalg.norm(want, axis=1))
+
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-8, 1e-10])
+    def test_unitary_lz(self, rtol):
+        H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
+        psi0 = np.array([1.0, 0.0], complex)
+        samples = np.linspace(-4.0, 4.0, 9)
+        res = sl.evolve_unitary(H, psi0, -5.0, 5.0, sample_times=samples,
+                                cfg=sl.IntegratorConfig(rtol=rtol, atol=rtol / 100))
+        want = _dop853(lambda t, y, a, b: -1j * (H(t) @ y), psi0,
+                       np.concatenate([[-5.0], samples, [5.0]]))
+        self._assert_within(np.concatenate([res.samples, [res.state]]), want[1:], rtol)
+
+    @pytest.mark.parametrize("case", ["lz_coarse", "ladder"])
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-8, 1e-10])
+    def test_lindblad(self, case, rtol):
+        # every frame midpoint is a sample; the reference holds the snapped
+        # dissipator of each cell between two of them
+        if case == "lz_coarse":
+            gen, rho0 = _lz_coarse()
+            t0, t1 = -2.0, 2.0
+        else:                                        # N = 3, a short window
+            H = ladder_hamiltonian()
+            base = sl.instantaneous_frames(H, sl.adaptive_time_grid(H, -12.0, -8.0))
+            gen = sl.LindbladGenerator(base, np.diag([1.0, 0.0, -1.0]),
+                                       sl.ohmic_spectrum(0.05, 5.0, 0.5), H)
+            psi0 = base.basis[0, :, 0]
+            rho0, t0, t1 = np.outer(psi0, psi0.conj()), -12.0, -8.0
+        times = gen.frames.times
+        mid = 0.5 * (times[:-1] + times[1:])
+        mid = mid[(mid > t0) & (mid < t1)]
+        eps = 1e-9 * gen.frames.step
+
+        def f(t, x, a, b):
+            return gen.liouvillian([min(max(t, a + eps), b - eps)])[0] @ x
+
+        want = _dop853(f, sl.model.coherence_vector(rho0), np.concatenate([[t0], mid, [t1]]))
+        res = sl.evolve_lindblad(gen, rho0, t0, t1, sample_times=mid,
+                                 cfg=sl.IntegratorConfig(rtol=rtol, atol=rtol / 100))
+        got = sl.model.coherence_vector(np.concatenate([res.samples, [res.state]]))
+        self._assert_within(got, want[1:], rtol)
 
 
 class TestEvolveUnitary:
@@ -707,6 +773,9 @@ class TestConfigsAndValidators:
             sl.IntegratorConfig(rtol=0.0)
         with pytest.raises(sl.ParameterError):
             sl.IntegratorConfig(atol=-1.0)
+        for bad in ({"rtol": math.inf}, {"atol": math.inf}, {"rtol": math.nan}, {"atol": math.nan}):
+            with pytest.raises(sl.ParameterError, match="finite"):
+                sl.IntegratorConfig(**bad)
 
     def test_trajectory_config_validation(self):
         with pytest.raises(sl.ParameterError):
