@@ -119,7 +119,7 @@ class FrameTrajectory:
         overlaps = _step_overlaps(self.basis)
         if np.any(overlaps.real < 0) or np.any(np.abs(overlaps.imag) >= 0.1):
             raise GridError("gauge smoothness violated between adjacent frames")
-        _check_step_overlaps(self)
+        _check_step_overlaps(self.times, overlaps)
 
 
 def _quasi_energies(
@@ -224,7 +224,7 @@ def instantaneous_frames(
     vals, vecs = _eigh_grid(H.on_grid(times), times, "instantaneous frames")
     vecs = _align_sweep(vecs, times)
     traj = FrameTrajectory(times, vecs, vals, order=0, hamiltonian=H)
-    _check_step_overlaps(traj)
+    _check_step_overlaps(traj.times, _step_overlaps(traj.basis))
     return traj
 
 
@@ -233,13 +233,13 @@ def _step_overlaps(basis: np.ndarray) -> np.ndarray:
     return np.einsum("kia,kia->ka", basis[:-1].conj(), basis[1:])
 
 
-def _check_step_overlaps(traj: FrameTrajectory) -> None:
-    o2 = np.abs(_step_overlaps(traj.basis)) ** 2
+def _check_step_overlaps(times: np.ndarray, overlaps: np.ndarray) -> None:
+    o2 = np.abs(overlaps) ** 2
     if np.any(o2 <= MIN_STEP_OVERLAP_SQ):
         k = int(np.argmin(np.min(o2, axis=1)))
         raise GridError(
             f"adjacent-frame overlap^2 {float(o2.min()):.4f} <= {MIN_STEP_OVERLAP_SQ} "
-            f"near t = {traj.times[k]}: refine the grid"
+            f"near t = {times[k]}: refine the grid"
         )
 
 
@@ -344,7 +344,7 @@ def superadiabatic_frames(
     lab = _align_sweep(lab, times)
     quasi = _quasi_energies(H, times, lab)
     traj = FrameTrajectory(times, lab, quasi, order=order, hamiltonian=H)
-    _check_step_overlaps(traj)
+    _check_step_overlaps(traj.times, _step_overlaps(traj.basis))
     return traj
 
 

@@ -28,8 +28,8 @@ than numpy's ``@`` at N = 2, and ``@`` for real ones, where it is the faster.
 The matvec ``q @ y`` and the Monte-Carlo table's one GEMM per step keep ``@``.
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
 for the whole ensemble, a block of steps at a time; it finds each jump time
-from the norms at the two ends of its step and handles the jumps of all
-steps of a block as one batch.
+from the norms at the two ends of its step, by a bisection that a Newton root
+predicts and one pass checks, and handles a block's jumps as one batch.
 """
 from __future__ import annotations
 
@@ -53,7 +53,9 @@ from .model import TimeDependentHamiltonian, coherence_vector, density_matrix, h
 
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)  # Gauss-Legendre nodes on [0, 1]
 _CHUNK_ENTRIES = 2**14  # matrix entries in the stack of propagators held at once
-_BLOCK_ENTRIES = 2**16  # ensemble state entries at a Monte-Carlo block's edges, and of its table
+_BLOCK_ENTRIES = 2**17  # ensemble state entries at a Monte-Carlo block's edges
+_TABLE_ENTRIES = 2**16  # entries of its table of step products
+_HALVES = 0.5 ** np.arange(1, 41)[:, None]  # the widths 2^-i of a jump time's bisection
 # Doubling the sub-steps must cut the largest h * ||A|| below this fraction
 # of its value: it halves for a bounded generator, stays put at a simple pole.
 _SHRINK = 0.9
@@ -88,7 +90,7 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Monte-Carlo unraveling controls: ensemble size, seed, record flag."""
+    """Monte-Carlo unraveling controls: ensemble size, seed in [0, 2^64), record flag."""
 
     n_traj: int
     seed: int = 0
@@ -100,6 +102,8 @@ class TrajectoryConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.n_traj < 1:
             raise ParameterError("n_traj must be >= 1")
+        if not 0 <= self.seed < 2**64:  # the Philox key's 64-bit word
+            raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -466,8 +470,36 @@ def evolve_lindblad(
 
 
 def _traj_rng(seed: int, index: int):
-    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    key = np.array([int(seed), index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _cubic(c, s):
+    """c0 + s (c1 + s (c2 + s c3)) for the coefficient rows c = (c0, c1, c2, c3)."""
+    return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
+
+
+def _crossing(c):
+    """The lo of 40 bisection levels of each cubic on [0, 1]: lo moves to the dyadic,
+    so exact, midpoint lo + 2^-i wherever the cubic is not < 0. The levels that the
+    bits of a Newton root predict are checked in one pass, and a row that the
+    prediction misses goes on level by level from the first it missed."""
+    s = np.full(c.shape[1], 0.5)
+    for _ in range(4):  # Newton, but for steps as long as [0, 1] (a zero slope among them)
+        g, slope = _cubic(c, s), c[1] + s * (2.0 * c[2] + 3.0 * s * c[3])
+        s = np.clip(s - np.divide(g, slope, out=np.zeros_like(g), where=abs(slope) > abs(g)), 0, 1)
+    lo = np.minimum(np.floor(s * 2.0**40), 2.0**40 - 1.0) * 0.5**40
+    mids = np.floor(lo / (2.0 * _HALVES)) * (2.0 * _HALVES) + _HALVES   # (40, m)
+    up = ~(_cubic(c, mids) < 0.0)
+    miss = up != (lo >= mids)
+    bad = np.flatnonzero(miss.any(axis=0))
+    first = np.argmax(miss[:, bad], axis=0)
+    at = mids[first, bad] - np.where(up[first, bad], 0.0, _HALVES[first, 0])
+    for i in range(first.min(initial=_HALVES.size) + 1, _HALVES.size):
+        mid = at + _HALVES[i]
+        at = np.where((i > first) & ~(_cubic(c[:, bad], mid) < 0.0), mid, at)
+    lo[bad] = at
+    return lo
 
 
 def _jumps(gen, cells, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
@@ -479,11 +511,12 @@ def _jumps(gen, cells, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
     There d||psi||^2/dt = -<psi, gamma psi> with gamma = i (H_eff - H_eff^dag)
     constant, so the step's ends give ||psi||^2 and its slope at both; each
     jump time is the threshold crossing of their cubic Hermite interpolant,
-    bisected for the whole batch at once. One Magnus-4 exponential per
-    trajectory reaches its jump, a channel drawn with probability ~ ||L psi||^2
-    acts, and another finishes the step. Trajectories whose survivor crosses
-    its fresh threshold again repeat this from their own jump time. Each
-    round makes one ``effective_hamiltonian`` and one ``_expm`` call.
+    found by ``_crossing`` to 2^-40 of the step, far below the interpolation
+    error. One Magnus-4 exponential per trajectory reaches its jump, a channel
+    drawn with probability ~ ||L psi||^2 acts, and another finishes the step.
+    Trajectories whose survivor crosses its fresh threshold again repeat this
+    from their own jump time. Each round makes one ``effective_hamiltonian``
+    and one ``_expm`` call.
 
     Returns the states at t_b and the new thresholds.
     """
@@ -500,13 +533,9 @@ def _jumps(gen, cells, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
         ends = np.stack([psi_a, psi_b])                                 # (2, m, N)
         f0, f1 = np.einsum("emi,emi->em", ends.conj(), ends).real
         d0, d1 = -h * np.einsum("emi,mij,emj->em", ends.conj(), gamma, ends).real
-        c2, c3 = 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1
-        # bisect [lo, lo + 2^-i]: every midpoint is dyadic, so exactly (lo + hi) / 2
-        lo, above = np.zeros(m), f0 - thresholds
-        for i in range(1, 41):  # 2^-40 of the step, far below the interpolation error
-            mid = lo + 0.5**i
-            lo = np.where(above + mid * (d0 + mid * (c2 + mid * c3)) < 0.0, lo, mid)
-        t_jump = t_a + (lo + 0.5**41) * h
+        cubic = np.stack([f0 - thresholds, d0, 3.0 * (f1 - f0) - 2.0 * d0 - d1,
+                          2.0 * (f0 - f1) + d0 + d1])
+        t_jump = t_a + (_crossing(cubic) + 0.5**41) * h
         widths = np.concatenate([t_jump - t_a, t_b - t_jump])          # to the jump, then on
         nodes = np.concatenate([t_a, t_jump]) + _GAUSS[:, None] * widths
         a = -1j * gen.effective_hamiltonian(nodes.ravel()).reshape(2, 2 * m, *h_eff.shape[1:])
@@ -547,9 +576,10 @@ def evolve_trajectories(
     trajectories advance in lockstep between the edges t0, t1 and the frame
     grid points and cell midpoints inside (t0, t1): two steps per frame cell,
     each propagated by the Magnus-4 exponential of the exponential core, with
-    both Gauss nodes strictly inside one cell, ``_BLOCK_ENTRIES`` ensemble
-    entries at a time. The step products between a block's edges, with no
-    inverse, give each trajectory's first crossing in it; ``_jumps`` takes
+    both Gauss nodes strictly inside one cell, a block of B steps at a time:
+    B M N ensemble entries within ``_BLOCK_ENTRIES`` and the block's table
+    within ``_TABLE_ENTRIES``. The step products between a block's edges, with
+    no inverse, give each trajectory's first crossing in it; ``_jumps`` takes
     all as one batch, and the jumped go on from the end of their step. A jump
     time is the threshold crossing of the cubic Hermite interpolant of
     ||psi||^2 between the ends of its step. Every trajectory consumes only its
@@ -569,7 +599,7 @@ def evolve_trajectories(
     psis = np.tile(psi0, (m, 1))
     events = [[] for _ in range(m)] if tcfg.record_jumps else None
 
-    block = max(min(_BLOCK_ENTRIES // (m * n), math.isqrt(_BLOCK_ENTRIES) // n - 1), 1)
+    block = max(min(_BLOCK_ENTRIES // (m * n), math.isqrt(_TABLE_ENTRIES) // n - 1), 1)
     for lo in range(0, widths.size, block):
         h = widths[lo:lo + block]
         b = h.size

@@ -554,6 +554,9 @@ class TestCLI:
             ["solver.atol=inf"],
             ["sweep.mode=superadiabatic", "solver.method=trajectories", "solver.n_traj=0"],
             ["sweep.mode=superadiabatic", "solver.method=me", "solver.n_traj=0"],
+            ["sweep.mode=superadiabatic", "solver.method=trajectories", "solver.seed=-1"],
+            ["sweep.mode=superadiabatic", "solver.method=trajectories",
+             "solver.seed=18446744073709551616"],
             ["model.delta=nan"],
             ["sweep.inv_v=nan"],
             ["sweep.order=13"],

@@ -5,7 +5,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 
 import superlind as sl
 
@@ -78,6 +78,38 @@ def _sequential_jumps(gen, rng, psi_a, psi_b, t_a, t_b, h_eff, threshold, events
         return _sequential_jumps(gen, rng, psi, psi_end, t_jump, t_b, h_eff, threshold, events,
                                  cascades, depth + 1)
     return psi_end, threshold
+
+
+def _literal_bisection(c):
+    """Reference for `_crossing`: the 40 levels of the jump-time bisection of the
+    cubics c0 + s (c1 + s (c2 + s c3)), one level at a time for the whole batch."""
+    lo = np.zeros(c.shape[1])
+    for i in range(1, 41):
+        mid = lo + 0.5**i
+        lo = np.where(c[0] + mid * (c[1] + mid * (c[2] + mid * c[3])) < 0.0, lo, mid)
+    return lo
+
+
+def _hermite(f0, f1, d0, d1, threshold):
+    """The coefficient rows of ||psi||^2 - threshold as `_jumps` forms them from the
+    squared norms f and scaled slopes d at the ends of a step."""
+    f0, f1, d0, d1 = (np.asarray(x, dtype=float) for x in (f0, f1, d0, d1))
+    return np.stack([f0 - threshold, d0, 3.0 * (f1 - f0) - 2.0 * d0 - d1,
+                     2.0 * (f0 - f1) + d0 + d1])
+
+
+@st.composite
+def _crossing_rows(draw):
+    """(f0, f1, d0, d1, threshold) with f0 >= threshold > f1: from random ends and
+    slopes, both signs, so some cubics turn inside the step, and from ends within
+    1e-16..1e-14 of the threshold, which puts the crossing that close to an end."""
+    threshold = draw(st.floats(1e-3, 1.0))
+    near = st.sampled_from([0.0, 1e-16, 3e-15, 1e-14])
+    f0 = threshold + draw(near | st.floats(0.0, 1.0)) * (1.0 - threshold)
+    f1 = threshold - draw(near.filter(bool) | st.floats(1e-16, 1.0)) * threshold
+    slope = st.sampled_from([0.0]) | st.floats(-5.0, 5.0) | st.floats(-1e-3, 0.0)
+    assume(f0 >= threshold > f1)
+    return f0, f1, draw(slope), draw(slope), threshold
 
 
 def _projected_solve(generator, y0, edges, project, cfg=sl.IntegratorConfig()):
@@ -640,6 +672,28 @@ class TestEvolveTrajectories:
         assert np.max(np.abs(got - want)) < 1e-12 * traj.step / 2
         assert np.max(np.abs(batched.state - reference.state)) < 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_crossing_rows(), min_size=1, max_size=6))
+    # f0 at the threshold, with and without d0 = 0; a dip below the threshold and
+    # back up inside the step (a zero slope at Newton's start is the next test's)
+    @example([(0.6, 0.2, 0.0, -0.3, 0.6), (0.6, 0.2, -0.3, 0.0, 0.6)])
+    @example([(1.0, 0.4, -4.0, 3.0, 0.5), (0.9, 0.1, 2.0, -5.0, 0.3)])
+    def test_jump_time_search_matches_literal_bisection(self, rows):
+        c = _hermite(*zip(*rows))
+        want = _literal_bisection(c)
+        assert sl.propagation._crossing(c).tobytes() == want.tobytes()
+
+    def test_jump_time_search_survives_a_missed_prediction(self):
+        # f = 0.75 - 2 (s - 1/2)^3 in the first row has a zero slope at 1/2, which
+        # stops Newton there, so the levels of 0.5 are predicted while the crossing
+        # lies near 0.79: the check must catch it at level 2, and the literal levels
+        # go on from there; the second row is predicted right
+        c = _hermite([1.0, 0.9], [0.5, 0.1], [-1.5, -0.1], [-1.5, -0.1], 0.7)
+        want = _literal_bisection(c)
+        assert want[0] != 0.5
+        assert sl.propagation._crossing(c).tobytes() == want.tobytes()
+        assert sl.propagation._crossing(c[:, 1:]).tobytes() == want[1:].tobytes()
+
     @pytest.mark.parametrize("bath, match", [
         (sl.dephasing_spectrum(0.0), "no jump channel is active"),
         (sl.ohmic_spectrum(0.2, 5.0, 0.0), "all jump weights vanish"),
@@ -658,21 +712,25 @@ class TestEvolveTrajectories:
                                   np.array([0.5]), None)
 
     def test_results_do_not_depend_on_block_length(self, monkeypatch):
-        # blocks of one lockstep step each against the default, here one block
+        # the default, here one block of all 40 lockstep steps, against blocks of
+        # one step each and against five blocks of eight
         gen, psi0, traj = _strong_bath_coarse()
         tcfg = sl.TrajectoryConfig(n_traj=200, seed=4, record_jumps=True)
         blocked = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
-        monkeypatch.setattr(sl.propagation, "_BLOCK_ENTRIES", 1)
-        stepwise = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
-        assert [[(e.target, e.source) for e in evs] for evs in blocked.jumps] == [
-            [(e.target, e.source) for e in evs] for evs in stepwise.jumps]
-        got = np.array([e.time for evs in blocked.jumps for e in evs])
-        want = np.array([e.time for evs in stepwise.jumps for e in evs])
-        # the two group the step products differently, so the rounding of a
-        # norm can move a jump time by one bisection quantum, 2^-40 of a
-        # lockstep step (half of traj.step), and that jump's successors with it
-        assert np.max(np.abs(got - want)) < 1e-12 * traj.step
-        assert np.max(np.abs(blocked.state - stepwise.state)) < 1e-12
+        for steps in (1, 8):
+            monkeypatch.setattr(sl.propagation, "_BLOCK_ENTRIES", steps * 200 * 2)
+            split = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
+            span = steps * traj.step / 2  # the time a block spans
+            assert len({int(e.time // span) for evs in split.jumps for e in evs}) > 1
+            assert [[(e.target, e.source) for e in evs] for evs in blocked.jumps] == [
+                [(e.target, e.source) for e in evs] for evs in split.jumps]
+            got = np.array([e.time for evs in blocked.jumps for e in evs])
+            want = np.array([e.time for evs in split.jumps for e in evs])
+            # the runs group the step products differently, so the rounding of a
+            # norm can move a jump time by one bisection quantum, 2^-40 of a
+            # lockstep step (half of traj.step), and that jump's successors with it
+            assert np.max(np.abs(got - want)) < 1e-12 * traj.step
+            assert np.max(np.abs(blocked.state - split.state)) < 1e-12
 
     def test_wrong_dimension_state_rejected(self, monkeypatch):
         gen, _ = _lz_coarse()
@@ -789,6 +847,12 @@ class TestConfigsAndValidators:
         with pytest.raises(sl.ParameterError, match="must be an integer"):
             sl.TrajectoryConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_trajectory_config_rejects_seeds_outside_64_bits(self, seed):
+        # a mask would alias them: -1 with 2**64 - 1, 2**64 with 0
+        with pytest.raises(sl.ParameterError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            sl.TrajectoryConfig(n_traj=2, seed=seed)
+
     def test_trajectory_config_accepts_numpy_integers(self):
         H, t_final, _, base, _ = lz_setup(2.0)
         gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.05), H)
@@ -796,6 +860,11 @@ class TestConfigsAndValidators:
         a = sl.evolve_trajectories(*args, sl.TrajectoryConfig(n_traj=np.int64(3), seed=np.int64(2)))
         b = sl.evolve_trajectories(*args, sl.TrajectoryConfig(n_traj=3, seed=2))
         assert np.array_equal(a.state, b.state)
+        # the largest seed, also as np.uint64, which np.int64 cannot hold
+        top = sl.evolve_trajectories(*args, sl.TrajectoryConfig(n_traj=3, seed=2**64 - 1))
+        same = sl.evolve_trajectories(*args, sl.TrajectoryConfig(n_traj=3, seed=np.uint64(2**64 - 1)))
+        assert np.array_equal(top.state, same.state)
+        assert not np.array_equal(top.state, a.state)
 
     @pytest.mark.parametrize("t0,t1,samples", [
         (-math.inf, 1.0, None), (0.0, math.inf, None), (math.nan, 1.0, None),
