@@ -28,6 +28,7 @@ from .generator import LindbladGenerator
 from .model import (
     BathSpectrum,
     LZParams,
+    _eigh,
     dephasing_spectrum,
     hermiticity_defect,
     lz_hamiltonian,
@@ -224,7 +225,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
             res = evolve_trajectories(gen, psi0, -t_final, t_final, tcfg)
             rho = res.state
             integrity = (abs(float(np.trace(rho).real) - 1.0), hermiticity_defect(rho),
-                         float(np.linalg.eigvalsh(rho).min()))
+                         float(_eigh(rho[None], vectors=False)[0, 0]))
         p = float(np.real(excited.conj() @ res.state @ excited))
         records.append(record(bath.gamma0, p, *integrity))
     return records

@@ -9,7 +9,7 @@ built by repeatedly diagonalizing the co-moving frame Hamiltonian
 
 which suppresses the residual oscillation of the true evolution around the
 basis by one power of the adiabatic parameter per level. Every spectral
-solve goes through ``_eigh``: closed form for N = 2, LAPACK for larger N.
+solve goes through ``model._eigh``: closed form for N = 2, LAPACK for larger N.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .errors import (
     TimeDomainError,
 )
 from ._output import write_table
-from .model import TimeDependentHamiltonian
+from .model import TimeDependentHamiltonian, _eigh
 from .propagation import _matmul, bloch_vector, evolve_unitary
 
 J_MAX = 12  # highest super-adiabatic order built or recommended
@@ -169,27 +169,6 @@ def _align_sweep(basis: np.ndarray, times: np.ndarray) -> np.ndarray:
     phases = -np.cumsum(np.angle(raw), axis=0)
     basis[1:] *= np.exp(1j * phases)[:, None, :]
     return basis
-
-
-def _eigh(mats: np.ndarray, vectors: bool = True):
-    """Ascending eigenvalues (and eigenvectors) of a (K, N, N) Hermitian stack,
-    read from the lower triangle as LAPACK does. For N = 2 one Jacobi rotation
-    is exact: levels (a+d)/2 -+ hypot((a-d)/2, |b|) with b = m[1, 0], angle
-    atan2(|b|, (a-d)/2) / 2. Larger N call LAPACK's ``eigh``, also for levels
-    alone: ``eigvalsh`` can lose 1e-5 where squared entries underflow."""
-    if mats.shape[-1] != 2:
-        return np.linalg.eigh(mats) if vectors else np.linalg.eigh(mats).eigenvalues
-    a, d, b = mats[:, 0, 0].real, mats[:, 1, 1].real, mats[:, 1, 0]
-    half, size = 0.5 * (a - d), np.abs(b)
-    mean, radius = 0.5 * (a + d), np.hypot(half, size)
-    vals = np.stack([mean - radius, mean + radius], axis=1)
-    if not vectors:
-        return vals
-    theta = 0.5 * np.arctan2(size, half)
-    c, s = np.cos(theta), np.sin(theta)
-    phase = np.divide(b, size, out=np.ones_like(b, dtype=complex), where=size > 0)
-    vecs = np.stack([-s * phase.conj(), c, c, s * phase], axis=1).reshape(-1, 2, 2)
-    return vals, vecs
 
 
 def _step_norms(mats: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .errors import DimensionError, ParameterError, StateIntegrityError
 from .frames import FrameTrajectory
 from .model import (BathSpectrum, TimeDependentHamiltonian, _require_hermitian, coherence_vector,
                     density_matrix, hermiticity_defect, operator_basis)
+from .propagation import _matmul
 
 HERMITICITY_INPUT_TOL = 1e-8
 _BUILD_ENTRIES = 2**14  # complex entries per temporary while a dissipator stack is built
@@ -69,10 +70,7 @@ class LindbladGenerator:
         coupling = _require_hermitian(coupling, "coupling operator").copy()
         dim = coupling.shape[0]
         if dim != frames.dim:
-            raise DimensionError(
-                f"coupling is {dim}x{dim} but frames are "
-                f"{frames.dim}-dimensional"
-            )
+            raise DimensionError(f"coupling is {dim}x{dim} but frames are {frames.dim}-dimensional")
         coupling.setflags(write=False)
         self.frames = frames
         self.coupling = coupling
@@ -94,12 +92,9 @@ class LindbladGenerator:
         g0 = float(np.asarray(self.spectrum.gamma(0.0)))
         if not g0 >= 0.0:
             raise ParameterError(f"gamma(0) = {g0!r} must be >= 0")
-        self._ell = math.sqrt(g0) * np.real(
-            np.einsum("kaa->ka", abar)
-        )                                              # (K, N), real
+        self._ell = math.sqrt(g0) * np.einsum("kaa->ka", abar).real   # (K, N)
 
-        gam = np.asarray(self.spectrum.gamma(omega.ravel()), dtype=float)
-        gam = gam.reshape(omega.shape)
+        gam = np.asarray(self.spectrum.gamma(omega.ravel()), dtype=float).reshape(omega.shape)
         bad = ~np.isfinite(gam) | (gam < -1e-15)
         if bad.any():
             raise ParameterError(
@@ -114,8 +109,7 @@ class LindbladGenerator:
         self._amp = np.sqrt(gam) * abar                # channel amplitudes
         self._amp[:, idx, idx] = 0.0
 
-        s_vals = np.asarray(self.spectrum.shift(omega.ravel()), dtype=float)
-        s_vals = s_vals.reshape(omega.shape)
+        s_vals = np.asarray(self.spectrum.shift(omega.ravel()), dtype=float).reshape(omega.shape)
         if not np.isfinite(s_vals).all():
             raise ParameterError("shift(w) must be finite on the grid")
         shift = np.einsum("kab->kb", s_vals * np.abs(abar) ** 2)
@@ -163,7 +157,8 @@ class LindbladGenerator:
         step = max(_BUILD_ENTRIES // n**4, 1)
         for cells in (slice(lo, lo + step) for lo in range(0, len(out), step)):
             u = self.frames.basis[cells][:, None]
-            c = (u.conj().swapaxes(-1, -2) @ operator_basis(n) @ u).reshape(-1, n * n, n * n)
+            c = _matmul(_matmul(u.conj().swapaxes(-1, -2), operator_basis(n)), u)  # C_a
+            c = c.reshape(-1, n * n, n * n)
             pops = c[:, :, :: n + 1].real
             out[cells] = ((c.conj() * c_ij[cells].reshape(-1, 1, n * n)) @ c.swapaxes(-1, -2)).real
             out[cells] += pops @ self._rate[cells] @ pops.swapaxes(-1, -2)

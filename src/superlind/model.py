@@ -39,6 +39,27 @@ def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -
     return m
 
 
+def _eigh(mats: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues (and eigenvectors) of a (K, N, N) Hermitian stack,
+    read from the lower triangle as LAPACK does. For N = 2 one Jacobi rotation
+    is exact: levels (a+d)/2 -+ hypot((a-d)/2, |b|) with b = m[1, 0], angle
+    atan2(|b|, (a-d)/2) / 2. Larger N call LAPACK's ``eigh``, also for levels
+    alone: ``eigvalsh`` can lose 1e-5 where squared entries underflow."""
+    if mats.shape[-1] != 2:
+        return np.linalg.eigh(mats) if vectors else np.linalg.eigh(mats).eigenvalues
+    a, d, b = mats[:, 0, 0].real, mats[:, 1, 1].real, mats[:, 1, 0]
+    half, size = 0.5 * (a - d), np.abs(b)
+    mean, radius = 0.5 * (a + d), np.hypot(half, size)
+    vals = np.stack([mean - radius, mean + radius], axis=1)
+    if not vectors:
+        return vals
+    theta = 0.5 * np.arctan2(size, half)
+    c, s = np.cos(theta), np.sin(theta)
+    phase = np.divide(b, size, out=np.ones_like(b, dtype=complex), where=size > 0)
+    vecs = np.stack([-s * phase.conj(), c, c, s * phase], axis=1).reshape(-1, 2, 2)
+    return vals, vecs
+
+
 @functools.cache
 def operator_basis(n: int) -> np.ndarray:
     """Orthonormal Hermitian basis of the N x N matrices, (N^2, N, N), read-only:

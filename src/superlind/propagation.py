@@ -7,25 +7,20 @@ vector is a complex (N,) array of unit norm, a density matrix a complex
 All three engines share one kernel for y' = A(t) y: the matrix exponential
 of a fourth-order Magnus exponent built from A at two Gauss nodes of a step,
 with A = -iH, the real Liouvillian of the coherence vector of rho, or
--iH_eff for the jump unraveling. The
-unitary and master-equation engines step between the edges t0, t1 and the
-sample times, plus the frame midpoints for the master equation, so the
-snapped dissipator is constant between two edges. Each interval between
-edges is split into n equal sub-steps, each within the range of the
-unscaled [9/9] Pade approximant; n doubles until the Richardson error
-estimate of two passes meets the tolerances. The sub-step propagators of an
-interval are composed by batched pairwise products before they touch the
-state, so Python runs once per edge, not once per sub-step. The core only
-propagates; each engine renormalizes the edge states once, after the solve,
-since the Magnus exponent of -iH or of a Liouvillian preserves norm and
-trace up to rounding.
-Sub-steps are exponentiated in closed form for N = 2, else (N >= 3 and the
-real Liouvillians) with the [9/9] Pade approximant, scaled and squared where
-a matrix is above its range, each independently of its stack, 16384 matrix
-entries at a time. The Pade products, the Magnus commutator and the pairwise
-fold use ``_matmul``: broadcast products for complex stacks, 2-5 times faster
-than numpy's ``@`` at N = 2, and ``@`` for real ones, where it is the faster.
-The matvec ``q @ y`` and the Monte-Carlo table's one GEMM per step keep ``@``.
+-iH_eff for the jump unraveling. The unitary and master-equation engines
+step between the edges t0, t1 and the sample times, plus the frame midpoints
+for the master equation, where the snapped dissipator changes. Each interval
+is split into n equal sub-steps of 1-norm at most theta_9; n doubles until
+the Richardson error estimate of two passes meets the tolerances. Batched
+pairwise products fold a chunk's sub-step propagators into one per interval,
+and a batched prefix scan those into the edge states: Python runs once per
+chunk, never once per edge or sub-step. Each engine renormalizes the edge
+states once, after the solve: the Magnus exponent of -iH or of a Liouvillian
+preserves norm and trace up to rounding. Sub-steps are exponentiated in
+closed form for N = 2, else by a degree-24 Taylor polynomial in products
+alone, scaled and squared above theta_9, each independently of its stack.
+All these products use ``_matmul``: broadcast products for complex stacks,
+2-5 times faster than numpy's ``@`` at N = 2, and ``@`` for real ones.
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
 for the whole ensemble, a block of steps at a time; it finds each jump time
 from the norms at the two ends of its step, by a bisection that a Newton root
@@ -33,6 +28,7 @@ predicts and one pass checks, and handles a block's jumps as one batch.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -49,7 +45,8 @@ from .errors import (
     TimeDomainError,
 )
 from ._output import write_table
-from .model import TimeDependentHamiltonian, coherence_vector, density_matrix, hermiticity_defect
+from .model import (TimeDependentHamiltonian, _eigh, coherence_vector, density_matrix,
+                    hermiticity_defect)
 
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)  # Gauss-Legendre nodes on [0, 1]
 _CHUNK_ENTRIES = 2**14  # matrix entries in the stack of propagators held at once
@@ -60,13 +57,11 @@ _HALVES = 0.5 ** np.arange(1, 41)[:, None]  # the widths 2^-i of a jump time's b
 # of its value: it halves for a bounded generator, stays put at a simple pole.
 _SHRINK = 0.9
 
-# Pade [9/9] coefficients of the scaling-and-squaring exponential, scaled to
-# a unit constant term so that exp(0) comes out as the identity exactly
-_PADE9 = np.array([
-    17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-    2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-]) / 17643225600.0
-_THETA9 = 2.097847961257068   # largest 1-norm the [9/9] approximant takes unscaled
+# 1/k! of the degree-24 Taylor exponential, row j its Paterson-Stockmeyer block k = 5j..5j+4
+_TAYLOR24 = np.array([1.0 / math.factorial(k) for k in range(25)]).reshape(5, 5)
+# largest 1-norm of a resolved sub-step, taken unscaled: the [9/9] Pade approximant's
+# (Higham 2005), where the Taylor remainder is theta^25/25!/(1 - theta/26) = 7.8e-18
+_THETA9 = 2.097847961257068
 STATE_NORM_TOL = 1e-8  # largest |norm - 1| an initial state vector may have
 
 
@@ -176,7 +171,7 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     if abs(tr - 1.0) > 1e-8:
         raise StateIntegrityError(f"density matrix trace {tr} != 1")
     rho = 0.5 * (rho + rho.conj().T) / tr.real
-    min_eig = float(np.linalg.eigvalsh(rho).min())
+    min_eig = float(_eigh(rho[None], vectors=False)[0, 0])
     if min_eig < -1e-7:
         raise StateIntegrityError(f"density matrix min eigenvalue {min_eig:.3e}")
     return rho
@@ -200,6 +195,14 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(1, a.shape[-1]):
         out += a[..., :, j, None] * b[..., None, j, :]
     return out
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """1-norm of each matrix of a (..., d, d) stack, its largest absolute column sum,
+    by loops over d: numpy's reductions over axes of length d cost 2-6 times more."""
+    b = np.abs(a)
+    cols = sum(b[..., i, :] for i in range(b.shape[-1]))
+    return functools.reduce(np.maximum, np.moveaxis(cols, -1, 0))
 
 
 def _expm2(a: np.ndarray) -> np.ndarray:
@@ -227,29 +230,29 @@ def _expm2(a: np.ndarray) -> np.ndarray:
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of each matrix in an (M, d, d) stack.
 
-    ``_expm2`` for d = 2, else the [9/9] Pade approximant after Higham, SIAM
-    J. Matrix Anal. Appl. 26, 1179 (2005), accurate to rounding up to the
-    1-norm theta_9, which bounds every resolved sub-step of the exponential
-    core (h ||A||_1 <= theta_9) but for its small commutator term. Only a
-    matrix above it is halved until it is not, and its approximant squared
-    as often: each matrix's exponential is the same in any stack.
+    ``_expm2`` for d = 2, else the degree-24 Taylor polynomial by Paterson &
+    Stockmeyer, SIAM J. Comput. 2, 60 (1973): A^2..A^5, then four Horner steps
+    in A^5 over elementwise block sums, 8 products and no solve. It is exact
+    to rounding up to the 1-norm theta_9, which bounds every resolved sub-step
+    (h ||A||_1 <= theta_9) but for its small commutator term. Only a matrix
+    above it is halved until it is not, and its polynomial squared as often:
+    each matrix's exponential is the same in any stack.
     """
     if a.shape[-1] == 2:
         return _expm2(a)
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    scaled = norm.max() > _THETA9
-    if scaled:
-        squarings = np.ceil(np.log2(np.maximum(norm, _THETA9) / _THETA9)).astype(int)
+    squarings = np.ceil(np.log2(np.maximum(_norm1(a), _THETA9) / _THETA9)).astype(int)
+    if squarings.any():
         a = a / (2.0 ** squarings)[:, None, None]
-    b, eye = _PADE9, np.eye(a.shape[-1])
-    a2 = _matmul(a, a)
-    a4 = _matmul(a2, a2)
-    a6 = _matmul(a4, a2)
-    a8 = _matmul(a4, a4)
-    u = _matmul(a, b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
-    for level in range(squarings.max() if scaled else 0):
+    powers = [np.eye(a.shape[-1]), a]
+    for _ in range(4):
+        powers.append(_matmul(powers[-1], a))                  # A^2 .. A^5
+    r = None
+    for c in _TAYLOR24[::-1]:
+        block = c[1] * a
+        for k in (2, 3, 4, 0):  # the identity last: exp(0) = I exactly, as c[0, 0] = 1
+            block += c[k] * powers[k]
+        r = block if r is None else np.add(block, _matmul(r, powers[5]), out=block)
+    for level in range(squarings.max()):
         sel = squarings > level
         r[sel] = _matmul(r[sel], r[sel])
     return r
@@ -304,14 +307,14 @@ def _march(generator, y0, edges, n):
 
     The sub-step propagators are built a chunk at a time, at most
     ``_CHUNK_ENTRIES`` matrix entries, from one generator call per chunk. The
-    chunk is a power of two, as is n, so each chunk holds whole blocks of
-    m = min(n, chunk) consecutive sub-steps of one interval. Each block is
-    folded into one propagator by log2(m) batched pairwise products, and
-    Python iterates once per block: once per edge when n <= chunk.
+    chunk is a power of two, as is n, so it holds whole blocks of m = min(n,
+    chunk) sub-steps of one interval. log2(m) batched pairwise products fold
+    each block into one propagator, and log2 of their number of batched
+    rounds (Hillis & Steele) into their prefix products, so one batched
+    matvec gives the state at every block end: Python runs once per chunk.
 
     Returns the largest h * ||A||_1 over the sub-step nodes and, when that is
-    at most theta_9 (every sub-step resolved: in the range where the [9/9]
-    Pade approximant needs no scaling), the states reached at the edges.
+    at most theta_9 (every sub-step resolved), the states at the edges.
     """
     widths = np.diff(edges)
     d = y0.size
@@ -326,16 +329,21 @@ def _march(generator, y0, edges, n):
         hc = widths[step // n] / n
         nodes = edges[step // n] + (step % n + _GAUSS[:, None]) * hc     # (2, C)
         a = generator(nodes.ravel()).reshape(2, hc.size, d, d)
-        worst = max(worst, float(np.max(hc * np.abs(a).sum(axis=-2).max(axis=(0, -1)))))
+        worst = max(worst, float(np.max(hc * np.maximum(*_norm1(a)))))
         if worst > _THETA9:
             continue  # an unresolved pass only reports how far it is from resolved
         p = _expm(_magnus4(a[0], a[1], hc)).reshape(-1, m, d, d)
         while p.shape[1] > 1:
             p = _matmul(p[:, 1::2], p[:, 0::2])  # the later sub-step acts last
-        for block, q in enumerate(p[:, 0], start=lo // m):
-            y = q @ y
-            if (block + 1) * m % n == 0:
-                raw[(block + 1) * m // n] = y
+        q, s = p[:, 0], 1
+        while s < len(q):
+            q[s:] = _matmul(q[s:], q[:-s])  # q[k]: blocks k down to max(k - 2s + 1, 0)
+            s *= 2
+        states = q @ y
+        ends = (lo // m + 1 + np.arange(len(q))) * m  # sub-steps done at each block end
+        done = ends % n == 0                           # the block ends an interval
+        raw[ends[done] // n] = states[done]
+        y = states[-1]
     return worst, raw if worst <= _THETA9 else None
 
 
@@ -445,7 +453,7 @@ def evolve_lindblad(
     raw, n_steps, n_rejected = _propagate(gen.liouvillian, coherence_vector(rho0), edges, cfg)
     raw = density_matrix(raw)
     rhos = raw / np.trace(raw, axis1=1, axis2=2).real[:, None, None]
-    min_eigs = np.linalg.eigvalsh(rhos).min(axis=1)
+    min_eigs = _eigh(rhos, vectors=False)[:, 0]
     k = int(np.argmin(min_eigs))
     diag = IntegrationDiagnostics(
         n_steps=n_steps,

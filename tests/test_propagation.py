@@ -154,13 +154,21 @@ def _strong_bath_coarse():
     return gen, traj.basis[0, :, 0], traj
 
 
-def _lz_coarse():
-    """Dephased LZ master equation (v = 1) on a 41-point grid over [-2, 2]."""
+def _lz_coarse(points=41):
+    """Dephased LZ master equation (v = 1) on a grid of ``points`` over [-2, 2]."""
     H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
-    base = sl.instantaneous_frames(H, np.linspace(-2.0, 2.0, 41))
+    base = sl.instantaneous_frames(H, np.linspace(-2.0, 2.0, points))
     gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
     psi0 = base.basis[0, :, 0]
     return gen, np.outer(psi0, psi0.conj())
+
+
+def _ladder_coarse():
+    """The ohmic three-level ladder's master equation over [-12, -8]."""
+    H = ladder_hamiltonian()
+    base = sl.instantaneous_frames(H, sl.adaptive_time_grid(H, -12.0, -8.0))
+    return sl.LindbladGenerator(base, np.diag([1.0, 0.0, -1.0]),
+                                sl.ohmic_spectrum(0.05, 5.0, 0.5), H)
 
 
 class TestExponentialCore:
@@ -183,6 +191,49 @@ class TestExponentialCore:
         assert np.all(np.abs(got - a @ b) <= bound)
         # real stacks (the coherence-vector generators) are numpy's @ itself
         assert np.array_equal(sl.propagation._matmul(a.real, b.real), a.real @ b.real)
+
+    @pytest.mark.parametrize("n, kind", [(3, complex), (4, float), (9, float), (9, complex)])
+    def test_expm_matches_40_digit_reference(self, n, kind):
+        # the degree-24 Taylor polynomial at half and all of theta_9, the largest
+        # 1-norm it takes unscaled. Random matrices, and +- column-stochastic ones,
+        # whose spectral radius is their 1-norm, so that their powers do not
+        # shrink: degree 20 would be 1e-14 to 1e-12 off on those at theta_9
+        mpmath = pytest.importorskip("mpmath")
+        theta9 = sl.propagation._THETA9
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=(3, n, n)) + (1j * rng.normal(size=(3, n, n)) if kind is complex else 0)
+        unit = z / np.abs(z).sum(axis=-2).max(axis=-1)[:, None, None]
+        stochastic = rng.uniform(size=(2, n, n))
+        stochastic /= stochastic.sum(axis=-2, keepdims=True)
+        sign = np.array([1.0, -1.0] if kind is float else [1j, np.exp(2.5j)])
+        unit = np.concatenate([unit, sign[:, None, None] * stochastic])
+        a = np.concatenate([0.5 * theta9 * unit, (1 - 1e-15) * theta9 * unit])
+        assert np.all(sl.propagation._norm1(a) <= theta9)
+        got = sl.propagation._expm(a)
+        with mpmath.workdps(40):
+            want = np.array([mpmath.expm(mpmath.matrix(m.tolist())).tolist() for m in a],
+                            dtype=complex)
+        assert got.dtype == kind
+        scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+        assert np.max(np.abs(got - want) / scale) < 2e-15
+
+    def test_expm_keeps_the_trace_row_exactly(self):
+        # a real Liouvillian's row 0 is zero, so every power's is, and the
+        # exponential's row 0 is e_0 bit for bit: the trace is conserved
+        theta9 = sl.propagation._THETA9
+        for gen in (_lz_coarse()[0], _ladder_coarse()):
+            a = gen.liouvillian(np.linspace(gen.frames.times[0], gen.frames.times[-1], 64))
+            assert not np.any(a[:, 0])
+            for scale in (theta9, 4.0 * theta9):  # unscaled, and squared twice
+                got = sl.propagation._expm(a * (scale / sl.propagation._norm1(a))[:, None, None])
+                assert np.all(got[:, 0] == np.eye(a.shape[-1])[0])
+
+    def test_norm1_matches_numpy(self):
+        rng = np.random.default_rng(5)
+        for shape in [(7, 2, 2), (2, 5, 4, 4), (3, 9, 9)]:
+            for a in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+                want = np.abs(a).sum(axis=-2).max(axis=-1)
+                assert np.array_equal(sl.propagation._norm1(a), want)
 
     def test_expm_matches_scipy(self):
         linalg = pytest.importorskip("scipy.linalg")
@@ -213,19 +264,21 @@ class TestExponentialCore:
                     assert np.max(np.abs(got - want) / scale) < 1e-12
                     assert np.array_equal(got[-1], np.eye(n))
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
     @pytest.mark.parametrize("kind", [complex, float])
     def test_expm_independent_of_stack(self, n, kind):
-        # one matrix above theta_9 must not change how the others are exponentiated
+        # one matrix above theta_9 must not change how the others are exponentiated,
+        # in a stack of 40 or of the march's chunk for this n
         rng = np.random.default_rng(n)
-        z = rng.normal(size=(40, n, n)) + 1j * rng.normal(size=(40, n, n))
-        a = z if kind is complex else z.real
-        norms = np.logspace(-2, 2, 40)[rng.permutation(40)]  # 1-norms 1e-2 to 1e2, shuffled
-        a = a / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None] * norms[:, None, None]
-        stack = sl.propagation._expm(a)
-        assert stack.dtype == a.dtype
-        assert np.array_equal(stack[:20], sl.propagation._expm(a[:20]))
-        assert np.array_equal(stack, np.stack([sl.propagation._expm(m[None])[0] for m in a]))
+        for size in (40, 1 << (sl.propagation._CHUNK_ENTRIES // n**2).bit_length() - 1):
+            z = rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n))
+            a = z if kind is complex else z.real
+            norms = np.logspace(-2, 2, size)[rng.permutation(size)]  # 1e-2 to 1e2, shuffled
+            a = a / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None] * norms[:, None, None]
+            stack = sl.propagation._expm(a)
+            assert stack.dtype == a.dtype
+            assert np.array_equal(stack[:20], sl.propagation._expm(a[:20]))
+            assert np.array_equal(stack, np.stack([sl.propagation._expm(m[None])[0] for m in a]))
 
     @pytest.mark.parametrize("kind", [complex, float])
     def test_expm_2x2_exact_at_zero_and_nilpotent(self, kind):
@@ -262,19 +315,22 @@ class TestExponentialCore:
         u = sl.propagation._expm(a)
         assert np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(2))) < 1e-14
 
-    @pytest.mark.parametrize("case", ["me_n_below_chunk", "unitary_n_above_chunk",
-                                      "ladder_n_below_chunk", "ladder_n_above_chunk"])
+    @pytest.mark.parametrize("case", ["me_n_below_chunk", "me_n1_many_chunks",
+                                      "unitary_n_above_chunk", "ladder_n_below_chunk",
+                                      "ladder_n_above_chunk"])
     def test_march_matches_sequential_reference(self, case):
-        # block composition reorders only the rounding of the sub-step products;
-        # the "above" cases take twice the chunk of their d, so they hold blocks
+        # block composition and the prefix scan reorder only the rounding of the
+        # sub-step products; the "above" cases take twice the chunk of their d, so
+        # they hold blocks, and "many_chunks" scans 1024 blocks, then 477
         def above(d):
             return 2 << (max(sl.propagation._CHUNK_ENTRIES // d**2, 1).bit_length() - 1)
 
-        if case == "me_n_below_chunk":                # d = N^2 = 4, n = 8 below its chunk
-            gen, rho0 = _lz_coarse()
+        if case.startswith("me_"):                    # d = N^2 = 4, n below its chunk of 1024
+            gen, rho0 = _lz_coarse(41 if case == "me_n_below_chunk" else 1501)
             mid = 0.5 * (gen.frames.times[:-1] + gen.frames.times[1:])
             edges = np.concatenate([[-2.0], mid, [2.0]])
-            generator, y0, n = gen.liouvillian, sl.model.coherence_vector(rho0), 8
+            generator, y0 = gen.liouvillian, sl.model.coherence_vector(rho0)
+            n = 8 if case == "me_n_below_chunk" else 1
         elif case == "unitary_n_above_chunk":         # d = 2
             H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
             edges = np.array([-2.0, -0.5, 2.0])
@@ -283,10 +339,8 @@ class TestExponentialCore:
             def generator(times):
                 return -1j * H.on_grid(times)
         else:                                         # d = N^2 = 9
-            H = ladder_hamiltonian()
-            base = sl.instantaneous_frames(H, sl.adaptive_time_grid(H, -12.0, -8.0))
-            gen = sl.LindbladGenerator(base, np.diag([1.0, 0.0, -1.0]),
-                                       sl.ohmic_spectrum(0.05, 5.0, 0.5), H)
+            gen = _ladder_coarse()
+            base = gen.frames
             mid = 0.5 * (base.times[:-1] + base.times[1:])
             edges = np.concatenate([[-12.0], mid, [-8.0]])
             psi0 = base.basis[0, :, 0]
