@@ -64,14 +64,9 @@ class BathConfig:
     def __post_init__(self):
         if self.kind not in ("none", "dephasing", "ohmic"):
             raise ParameterError(f"unknown bath kind {self.kind!r}")
-        if not 0 <= self.gamma0 < math.inf:
-            raise ParameterError(f"gamma0 must be finite and >= 0, got {self.gamma0!r}")
-        if not 0 < self.cutoff < math.inf:
-            raise ParameterError(f"cutoff must be finite and > 0, got {self.cutoff!r}")
-        if not 0 <= self.temperature < math.inf:
-            raise ParameterError(
-                f"temperature must be finite and >= 0, got {self.temperature!r}"
-            )
+        ohmic_spectrum(self.gamma0, self.cutoff, self.temperature)  # checks all three
+        if self.kind == "none" and self.gamma0 != 0:  # a row would carry a strength never applied
+            raise ParameterError(f"bath kind 'none' needs gamma0 = 0, got {self.gamma0!r}")
         if not isinstance(self.symmetric_cutoff, bool):
             raise ParameterError(f"symmetric_cutoff must be a bool, got {self.symmetric_cutoff!r}")
 
@@ -83,8 +78,8 @@ class BathConfig:
                 self.temperature,
                 symmetric_cutoff=self.symmetric_cutoff,
             )
-        # a zero-strength dephasing spectrum doubles as "no bath"
-        return dephasing_spectrum(self.gamma0 if self.kind == "dephasing" else 0.0)
+        # kind "none" has gamma0 = 0: a zero-strength dephasing spectrum is no bath
+        return dephasing_spectrum(self.gamma0)
 
 
 @dataclass(frozen=True)

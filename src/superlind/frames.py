@@ -172,12 +172,8 @@ def _align_sweep(basis: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def _step_norms(mats: np.ndarray) -> np.ndarray:
-    """||H_k+1 - H_k||_2 of a Hermitian stack: the largest |eigenvalue| of each step
-    for N = 2, else the SVD, as eigvalsh can lose 1e-5 where squared entries underflow."""
-    steps = mats[1:] - mats[:-1]
-    if mats.shape[-1] != 2:
-        return np.linalg.norm(steps, ord=2, axis=(1, 2))
-    return np.abs(_eigh(steps, vectors=False)).max(axis=1)
+    """||H_k+1 - H_k||_2 of a Hermitian stack: the largest |eigenvalue| of each step."""
+    return np.abs(_eigh(mats[1:] - mats[:-1], vectors=False)).max(axis=1)
 
 
 def _eigh_grid(mats: np.ndarray, times: np.ndarray, context: str):
@@ -359,10 +355,10 @@ def adaptive_time_grid(
     The step is chosen from a ``GRID_INITIAL_POINTS`` probe so that the
     per-step Hamiltonian motion stays below ``GRID_GAP_FRACTION`` of the
     minimal gap, which by Weyl and Davis-Kahan holds adjacent eigenvector
-    overlaps^2 above 1 - (0.01 / 0.99)^2, so only the levels are needed; for
-    N = 2 the norm of each step is its largest |eigenvalue|.
-    The condition is verified on the built grid, halved until it holds or
-    until it would exceed ``GRID_MAX_POINTS`` and ``GridError`` is raised.
+    overlaps^2 above 1 - (0.01 / 0.99)^2, so only the levels are needed; the
+    norm of each step is its largest |eigenvalue|. The condition is verified
+    on the built grid, halved until it holds or until it would exceed
+    ``GRID_MAX_POINTS`` and ``GridError`` is raised.
     """
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ParameterError(f"need finite t0 < t1, got {t0!r}, {t1!r}")

@@ -18,7 +18,6 @@ the dissipator is constant on each frame cell, between two grid midpoints.
 """
 from __future__ import annotations
 
-import math
 from functools import cache, cached_property
 
 import numpy as np
@@ -27,10 +26,9 @@ from .errors import DimensionError, ParameterError, StateIntegrityError
 from .frames import FrameTrajectory
 from .model import (BathSpectrum, TimeDependentHamiltonian, _require_hermitian, coherence_vector,
                     density_matrix, hermiticity_defect, operator_basis)
-from .propagation import _matmul
+from .propagation import _CHUNK_ENTRIES, _matmul
 
 HERMITICITY_INPUT_TOL = 1e-8
-_BUILD_ENTRIES = 2**14  # complex entries per temporary while a dissipator stack is built
 
 
 @cache
@@ -83,27 +81,24 @@ class LindbladGenerator:
         amplitudes, the frame-diagonal drift, the non-Hermitian drift
         addition, and the labels and activity mask of the channel stack,
         whose operators ``channels`` builds from these once, when
-        ``jump_channels`` or the Monte-Carlo unraveling first reads them."""
+        ``jump_channels`` or the Monte-Carlo unraveling first reads them. Every
+        rate is one ``gamma`` call on w_ab, checked finite and >= 0 once; the
+        dephasing amplitudes read gamma(0) off its diagonal, where w_aa = 0."""
         basis = self.frames.basis                      # (K, N, N)
         energies = self.frames.energies                # (K, N)
         abar = np.einsum("kia,ij,kjb->kab", basis.conj(), self.coupling, basis)
         omega = energies[:, None, :] - energies[:, :, None]   # w[a,b] = E_b - E_a
 
-        g0 = float(np.asarray(self.spectrum.gamma(0.0)))
-        if not g0 >= 0.0:
-            raise ParameterError(f"gamma(0) = {g0!r} must be >= 0")
-        self._ell = math.sqrt(g0) * np.einsum("kaa->ka", abar).real   # (K, N)
-
         gam = np.asarray(self.spectrum.gamma(omega.ravel()), dtype=float).reshape(omega.shape)
-        bad = ~np.isfinite(gam) | (gam < -1e-15)
+        bad = ~(np.isfinite(gam) & (gam >= 0.0))
         if bad.any():
             raise ParameterError(
                 f"gamma(w) must be finite and >= 0; found {float(gam[bad][0])} on the grid"
             )
-        gam = np.clip(gam, 0.0, None)
-        rate = gam * np.abs(abar) ** 2                 # (K, N, N)
         n = self.frames.dim
         idx = np.arange(n)
+        self._ell = np.sqrt(gam[:, idx, idx]) * np.einsum("kaa->ka", abar).real   # (K, N)
+        rate = gam * np.abs(abar) ** 2                 # (K, N, N)
         rate[:, idx, idx] = 0.0
         self._rate = rate
         self._amp = np.sqrt(gam) * abar                # channel amplitudes
@@ -154,7 +149,7 @@ class LindbladGenerator:
         n, d, ell = self.frames.dim, self._drift, self._ell
         c_ij = -1j * (d[:, :, None] - d[:, None, :].conj()) + ell[:, :, None] * ell[:, None, :]
         out = np.empty((len(self.frames), n * n, n * n))
-        step = max(_BUILD_ENTRIES // n**4, 1)
+        step = max(_CHUNK_ENTRIES // n**4, 1)
         for cells in (slice(lo, lo + step) for lo in range(0, len(out), step)):
             u = self.frames.basis[cells][:, None]
             c = _matmul(_matmul(u.conj().swapaxes(-1, -2), operator_basis(n)), u)  # C_a

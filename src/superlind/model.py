@@ -29,13 +29,13 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what} must be a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
-    if not defect <= tol:  # a NaN entry makes the defect NaN
-        raise ParameterError(f"{what} is not Hermitian (defect {defect:.3e} > {tol:.0e})")
+    if not defect <= HERMITICITY_TOL:  # a NaN entry makes the defect NaN
+        raise ParameterError(f"{what} is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
     return m
 
 
@@ -204,9 +204,11 @@ def ohmic_spectrum(
 ) -> BathSpectrum:
     """Ohmic rate gamma(w) = gamma0 * w * exp(-w/cutoff) / (1 - exp(-w/T)).
 
-    The w = 0 value is the analytic limit gamma0 * T. At temperature zero
-    the thermal factor degenerates to a step: gamma0 * w * exp(-w/cutoff)
-    for w > 0, zero otherwise.
+    One expression for either sign of w: gamma0 |w| / (1 - exp(-|w|/T)) *
+    exp(min(w, 0)/T - w/cutoff), nonnegative by construction and gamma0 T at
+    w = 0 (the analytic limit). Both exponents are summed before exponentiating,
+    so neither tail overflows alone. At temperature zero the thermal factor
+    degenerates to a step: gamma0 * w * exp(-w/cutoff) for w > 0, zero otherwise.
 
     By default the exponential cutoff is applied literally (argument -w/cutoff
     for either sign of w), which breaks thermal detailed balance by a factor
@@ -222,26 +224,17 @@ def ohmic_spectrum(
 
     def gamma(w):
         w_arr = np.asarray(w, dtype=float)
-        arg = np.abs(w_arr) if symmetric_cutoff else w_arr
+        size = np.abs(w_arr)
+        arg = size if symmetric_cutoff else w_arr
         with np.errstate(over="ignore", invalid="ignore"):
-            decay = np.exp(-arg / cutoff)
             if temperature == 0.0:
-                val = np.where(w_arr > 0.0, gamma0 * w_arr * decay, 0.0)
+                val = np.where(w_arr > 0.0, gamma0 * w_arr * np.exp(-arg / cutoff), 0.0)
             else:
-                x = w_arr / temperature
-                small = np.abs(x) < 1e-8
-                x_safe = np.where(small, 1.0, x)
-                # w / (1 - e^{-w/T}) -> T near w = 0; series keeps it smooth
-                thermal = np.where(
-                    small,
-                    temperature * (1.0 + x / 2.0 + x * x / 12.0),
-                    w_arr / -np.expm1(-x_safe),
-                )
-                # e^{-w/cutoff} overflows far below zero, where thermal may round
-                # to 0: combine the exponents there, -w e^{x - w/cutoff} / -expm1(x)
-                joint = gamma0 * -w_arr * np.exp(x - arg / cutoff) / -np.expm1(x)
-                val = np.where(np.isinf(decay), joint, gamma0 * thermal * decay)
-        val = np.maximum(val, 0.0)  # clamp -0.0 / rounding dust
+                x = size / temperature
+                thermal = np.divide(size, -np.expm1(-x), out=np.full_like(x, temperature),
+                                    where=x > 0)
+                val = gamma0 * thermal * np.exp(np.minimum(w_arr, 0.0) / temperature
+                                                - arg / cutoff)
         return float(val) if val.ndim == 0 else val
 
     return BathSpectrum(gamma)

@@ -70,6 +70,18 @@ class TestSweepConfigValidation:
         with pytest.raises(sl.ParameterError):
             BathConfig(kind="lorentzian")
 
+    def test_no_bath_takes_no_strength(self):
+        # rows of a bath-free solve would otherwise carry a strength never applied
+        with pytest.raises(sl.ParameterError, match="bath kind 'none' needs gamma0 = 0, got 0.5"):
+            BathConfig(kind="none", gamma0=0.5)
+        cfg = _fast_cfg(mode="superadiabatic", order=2, inv_velocities=(3.0,))
+        for mode in ("superadiabatic", "closed"):  # as the command line rejects it
+            with pytest.raises(sl.ParameterError, match="bath kind 'none'"):
+                sl.run_sweep_curves(replace(cfg, mode=mode), gamma_values=(0.0, 0.5))
+        (record,) = sl.run_sweep_curves(cfg, gamma_values=(0.0,))
+        (dephased,) = sl.run_lz_sweep(replace(cfg, bath=BathConfig(kind="dephasing")))
+        assert record.gamma0 == 0.0 and record.p_ge == dephased.p_ge
+
     @pytest.mark.parametrize("flag", ["false", 0, None])
     def test_symmetric_cutoff_must_be_bool(self, flag):
         # a truthy string would select the symmetric cutoff
@@ -145,7 +157,8 @@ class TestRunSweep:
         assert all(w.filename == __file__ for w in above)
 
     def test_closed_sweep_runs_once_for_all_gammas(self):
-        records = sl.run_sweep_curves(_fast_cfg(), gamma_values=(0.0, 0.01, 0.1))
+        cfg = _fast_cfg(bath=BathConfig(kind="dephasing"))
+        records = sl.run_sweep_curves(cfg, gamma_values=(0.0, 0.01, 0.1))
         assert [(r.inv_v, r.gamma0) for r in records] == [(1.0, 0.0), (2.0, 0.0)]
 
     def test_curves_share_one_build_per_point(self, monkeypatch):
@@ -584,6 +597,15 @@ class TestCLI:
                          "fig1.order=13", "fig1.order=-1", "fig1.v=nan", "model.delta=nan"):
             assert cli_main(["fig1", str(fig1), "--set", override]) == 3, override
         assert not list(tmp_path.glob("f1*"))
+
+    def test_no_bath_with_strength_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG_TEXT.format(out=tmp_path / "y.csv"))
+        for mode in ("superadiabatic", "closed"):
+            args = ["sweep", str(cfg), "--set", f"sweep.mode={mode}", "--set", "bath.gamma0=0,0.5"]
+            assert cli_main(args) == 3
+            assert "bath kind 'none' needs gamma0 = 0, got 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "y.csv").exists()
 
     def test_check_suite_passes(self, capsys):
         assert cli_main(["check"]) == 0

@@ -6,6 +6,8 @@ import pytest
 import superlind as sl
 from superlind.model import hermiticity_defect
 
+_EPS = np.finfo(float).eps
+
 
 class TestLZHamiltonian:
     def test_crossing_matrix(self):
@@ -195,6 +197,36 @@ class TestOhmicSpectrum:
         traj = sl.instantaneous_frames(H, np.linspace(0.0, 1e-3, 5))
         gen = sl.LindbladGenerator(traj, sl.sigma_x, spec, H)
         assert np.all(np.isfinite(gen.liouvillian(np.array([5e-4]))))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("temperature", [0.02, 0.3, 0.5, 2.0])
+    def test_matches_40_digit_rate(self, temperature, symmetric):
+        # relative error within rounding of the exponent |w|/T + |w|/cutoff,
+        # wherever the rate is a normal float
+        mpmath = pytest.importorskip("mpmath")
+        gamma0, cutoff = 0.1, 5.0
+        w = np.concatenate([np.linspace(-50.0, 50.0, 1001),
+                            [1e-9, -1e-9, 1e-6, -1e-6, 1e-300, -1e-300, -709.0, -710.0, -800.0]])
+        got = sl.ohmic_spectrum(gamma0, cutoff, temperature, symmetric_cutoff=symmetric).gamma(w)
+        with mpmath.workdps(40):
+            checked = 0
+            for wi, gi in zip(w, got):
+                x = mpmath.mpf(float(wi))
+                arg = abs(x) if symmetric else x
+                thermal = x / -mpmath.expm1(-x / temperature) if x else temperature
+                want = gamma0 * thermal * mpmath.exp(-arg / cutoff)
+                if want < np.finfo(float).tiny:
+                    continue
+                bound = 8 * _EPS * (1 + abs(wi) / temperature + abs(wi) / cutoff)
+                assert abs(gi - want) <= bound * want, (wi, gi, want)
+                checked += 1
+        assert checked > 500
+
+    def test_subnormal_tail(self):
+        # 0.1 * 14.5 * exp(-14.5/0.02 + 14.5/5) = 3.6e-314 is subnormal: it stays there, not 0
+        spec = sl.ohmic_spectrum(0.1, 5.0, 0.02)
+        assert 0.0 < spec.gamma(-14.5) < np.finfo(float).tiny
+        assert spec.gamma(np.array([-14.5]))[0] == spec.gamma(-14.5)
 
     @pytest.mark.parametrize(
         "args", [(-0.1, 5.0, 0.5), (0.1, 0.0, 0.5), (0.1, 5.0, -0.1),
