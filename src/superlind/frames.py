@@ -70,9 +70,10 @@ class FrameTrajectory:
         order: int,
         hamiltonian: TimeDependentHamiltonian,
     ):
-        self.times = _checked_grid(times)
-        self.basis = np.asarray(basis, dtype=complex)
-        self.energies = np.asarray(energies, dtype=float)
+        # copies: the caller's arrays keep their flags, and its later writes do not reach these
+        self.times = np.array(_checked_grid(times))
+        self.basis = np.array(basis, dtype=complex)
+        self.energies = np.array(energies, dtype=float)
         self.order = int(order)
         self.hamiltonian = hamiltonian
         for arr in (self.times, self.basis, self.energies):

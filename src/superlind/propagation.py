@@ -24,7 +24,8 @@ All these products use ``_matmul``: broadcast products for complex stacks,
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
 for the whole ensemble, a block of steps at a time; it finds each jump time
 from the norms at the two ends of its step, by a bisection that a Newton root
-predicts and one pass checks, and handles a block's jumps as one batch.
+predicts and one pass checks, and handles a block's jumps as one batch. One
+array kernel computes the ensemble's numpy Philox streams, one per trajectory.
 """
 from __future__ import annotations
 
@@ -50,9 +51,13 @@ from .model import (TimeDependentHamiltonian, _eigh, coherence_vector, density_m
 
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)  # Gauss-Legendre nodes on [0, 1]
 _CHUNK_ENTRIES = 2**14  # matrix entries in the stack of propagators held at once
-_BLOCK_ENTRIES = 2**17  # ensemble state entries at a Monte-Carlo block's edges
+_BLOCK_ENTRIES = 2**18  # ensemble state entries at a Monte-Carlo block's edges
 _TABLE_ENTRIES = 2**16  # entries of its table of step products
 _HALVES = 0.5 ** np.arange(1, 41)[:, None]  # the widths 2^-i of a jump time's bisection
+_STREAM_WORDS = 32  # random words per trajectory drawn at first, doubled when one runs out
+# Philox4x64-10's multipliers and key bumps (Salmon, Moraes, Dror & Shaw, SC'11)
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 # Doubling the sub-steps must cut the largest h * ||A|| below this fraction
 # of its value: it halves for a bounded generator, stays put at a simple pole.
 _SHRINK = 0.9
@@ -477,9 +482,45 @@ def evolve_lindblad(
 # ----------------------------------------------- Monte-Carlo unraveling
 
 
-def _traj_rng(seed: int, index: int):
-    key = np.array([int(seed), index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _mulhilo(a, b):
+    """High and low words of the 128-bit products of uint64 arrays, from 32-bit halves."""
+    a0, a1, b0, b1 = a & 0xFFFFFFFF, a >> 32, b & 0xFFFFFFFF, b >> 32
+    mid = a1 * b0 + ((a0 * b0) >> 32)  # below 2^64, as is the next sum
+    return a1 * b1 + (mid >> 32) + (((mid & 0xFFFFFFFF) + a0 * b1) >> 32), a * b
+
+
+def _philox(seed, rows, blocks):
+    """Words of Philox4x64-10 keyed by (seed, row) at the counter blocks ``blocks``, 4 a block:
+    row i's words are numpy's ``Philox(key=[seed, i]).random_raw()``, whose counter starts
+    at block 1. uint64 arrays wrap silently, as the rounds want. Shape (rows, 4 blocks)."""
+    key = [np.full((rows.size, 1), seed, dtype=np.uint64), rows.astype(np.uint64)[:, None]]
+    zero = np.zeros((rows.size, blocks.size), dtype=np.uint64)
+    x = [zero + blocks.astype(np.uint64), zero, zero, zero]
+    for _ in range(10):
+        (hi0, lo0), (hi1, lo1) = _mulhilo(_PHILOX_M[0], x[0]), _mulhilo(_PHILOX_M[1], x[2])
+        x = [hi1 ^ x[1] ^ key[0], lo1, hi0 ^ x[3] ^ key[1], lo0]
+        key = [key[0] + _PHILOX_W[0], key[1] + _PHILOX_W[1]]
+    return np.stack(x, axis=-1).reshape(rows.size, -1)
+
+
+class _Streams:
+    """The ensemble's counter-based random streams, drawn in bulk: trajectory i takes
+    the doubles of numpy's ``Generator(Philox(key=[seed, i])).random()`` in order,
+    from one (M, W) word buffer that doubles when a trajectory runs out."""
+
+    def __init__(self, seed: int, m: int):
+        self.seed, self.rows, self.taken = int(seed), np.arange(m), np.zeros(m, dtype=int)
+        self.words = _philox(self.seed, self.rows, np.arange(1, _STREAM_WORDS // 4 + 1))
+
+    def draw(self, rows, k):
+        """The next k doubles of each of the distinct trajectories ``rows``, (rows, k)."""
+        at = self.taken[rows, None] + np.arange(k)
+        w = self.words.shape[1]
+        if at.max() >= w:  # k <= w: one doubling always suffices
+            more = _philox(self.seed, self.rows, np.arange(w // 4 + 1, w // 2 + 1))
+            self.words = np.concatenate([self.words, more], axis=1)
+        self.taken[rows] += k
+        return (self.words[rows[:, None], at] >> 11) * 2.0**-53  # as numpy's random()
 
 
 def _cubic(c, s):
@@ -510,21 +551,22 @@ def _crossing(c):
     return lo
 
 
-def _jumps(gen, cells, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
+def _jumps(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
     """Handle the norm-threshold crossings of a batch of trajectories, each in
     its own lockstep step [t_a, t_b], which lies in its frame cell ``cells``.
 
-    ``rngs``, ``events`` (or None) and the rows of every array belong to the
-    crossing trajectories. ``h_eff`` is each one's drift anywhere in its cell.
-    There d||psi||^2/dt = -<psi, gamma psi> with gamma = i (H_eff - H_eff^dag)
-    constant, so the step's ends give ||psi||^2 and its slope at both; each
-    jump time is the threshold crossing of their cubic Hermite interpolant,
-    found by ``_crossing`` to 2^-40 of the step, far below the interpolation
-    error. One Magnus-4 exponential per trajectory reaches its jump, a channel
-    drawn with probability ~ ||L psi||^2 acts, and another finishes the step.
+    ``rows`` are the crossing trajectories' indices in ``streams``; ``events`` (or
+    None) and the rows of every array belong to them. ``h_eff`` is each one's
+    drift anywhere in its cell. There d||psi||^2/dt = -<psi, gamma psi> with
+    gamma = i (H_eff - H_eff^dag) constant, so the step's ends give ||psi||^2
+    and its slope at both; each jump time is the threshold crossing of their
+    cubic Hermite interpolant, found by ``_crossing`` to 2^-40 of the step, far
+    below the interpolation error. One Magnus-4 exponential per trajectory
+    reaches its jump, a channel drawn with probability ~ ||L psi||^2 acts, and
+    another finishes the step; each jump draws the pick, then its new threshold.
     Trajectories whose survivor crosses its fresh threshold again repeat this
-    from their own jump time. Each round makes one ``effective_hamiltonian``
-    and one ``_expm`` call.
+    from their own jump time. Each round makes one ``effective_hamiltonian``,
+    one ``_expm`` and one ``streams.draw`` call.
 
     Returns the states at t_b and the new thresholds.
     """
@@ -533,7 +575,7 @@ def _jumps(gen, cells, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
     channels, labels = gen.channels[cells], gen.channel_labels        # (M, C, N, N)
     gamma = 1j * (h_eff - h_eff.conj().swapaxes(1, 2))
     out, out_thr = psi_b.copy(), thresholds.copy()
-    todo = np.arange(len(rngs))
+    todo = np.arange(rows.size)
     for _round in range(65):  # the first crossings and at most 64 re-crossings
         if not todo.size:
             return out, out_thr
@@ -552,7 +594,7 @@ def _jumps(gen, cells, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
         cum = np.cumsum(np.einsum("mci,mci->mc", kicked.conj(), kicked).real, axis=1)
         if not np.all(cum[:, -1] > 0.0):
             raise SuperlindError("norm decayed but all jump weights vanish")
-        draws = np.array([rngs[i].random(2) for i in todo.tolist()])  # pick, new threshold
+        draws = streams.draw(rows[todo], 2)  # the pick, then the new threshold
         # the first channel whose cumulative weight exceeds u: never a zero-weight one
         picks = np.argmax(cum > (draws[:, 0] * cum[:, -1])[:, None], axis=1)
         psi = kicked[np.arange(m), picks]
@@ -591,8 +633,9 @@ def evolve_trajectories(
     all as one batch, and the jumped go on from the end of their step. A jump
     time is the threshold crossing of the cubic Hermite interpolant of
     ||psi||^2 between the ends of its step. Every trajectory consumes only its
-    own counter-based random stream keyed by (seed, trajectory index), so an
-    ensemble is exactly reproducible for a given seed, whatever the block.
+    own counter-based random stream, numpy's ``Philox(key=[seed, index])``, drawn
+    in bulk for the ensemble, so an ensemble is exactly reproducible for a given
+    seed, whatever the block.
     """
     psi0 = _of_dim(check_state_vector(psi0), gen.frames.dim)
     times = gen.frames.times
@@ -602,8 +645,8 @@ def evolve_trajectories(
     cells = gen.frames.index_at(edges[:-1] + 0.5 * widths)
 
     m, n = tcfg.n_traj, psi0.size
-    rngs = [_traj_rng(tcfg.seed, i) for i in range(m)]
-    thresholds = np.array([rng.uniform() for rng in rngs])
+    streams = _Streams(tcfg.seed, m)
+    thresholds = streams.draw(np.arange(m), 1)[:, 0]
     psis = np.tile(psi0, (m, 1))
     events = [[] for _ in range(m)] if tcfg.record_jumps else None
 
@@ -632,7 +675,7 @@ def evolve_trajectories(
             todo, start = todo[c[hit]], first[hit]
             j = lo + start - 1  # the step of each crossing
             psi, thresholds[todo] = _jumps(
-                gen, cells[j], [rngs[i] for i in todo], ends[hit, start - 1], ends[hit, start],
+                gen, cells[j], streams, todo, ends[hit, start - 1], ends[hit, start],
                 edges[j], edges[j + 1], heff[0, start - 1], thresholds[todo],
                 [events[i] for i in todo] if events is not None else None,
             )

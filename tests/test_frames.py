@@ -119,6 +119,24 @@ class TestInstantaneousFrames:
         with pytest.raises(sl.TimeDomainError, match="nan"):
             base.index_at(np.array([0.0, np.nan]))
 
+    def test_callers_arrays_stay_writable_and_apart(self):
+        # every trajectory holds read-only arrays of its own: the caller's grid,
+        # basis and energies keep their flags, and writing to them later leaves it be
+        H = sl.lz_hamiltonian(sl.LZParams(v=0.5, delta=1.0))
+        times = sl.adaptive_time_grid(H, -50.0, 50.0)
+        base = sl.instantaneous_frames(H, times)
+        basis, energies = base.basis.copy(), base.energies.copy()
+        built = sl.FrameTrajectory(times, basis, energies, 0, H)
+        trajs = [base, built, sl.superadiabatic_frames(H, 1, times),
+                 sl.superadiabatic_frames(H, 1, times, base=base)]
+        kept = [(t.times.copy(), t.basis.copy(), t.energies.copy()) for t in trajs]
+        times[0], basis[0], energies[0] = -50.0, 0.0, 0.0
+        times[:] = 7.0
+        for traj, arrays in zip(trajs, kept):
+            for arr, before in zip((traj.times, traj.basis, traj.energies), arrays):
+                assert not arr.flags.writeable
+                assert np.array_equal(arr, before)
+
 
 def _align_pair(prev, cur):
     """Gauge-fix the two-frame stack (prev, cur) on a unit-step grid."""

@@ -80,6 +80,11 @@ def _sequential_jumps(gen, rng, psi_a, psi_b, t_a, t_b, h_eff, threshold, events
     return psi_end, threshold
 
 
+def _numpy_stream(seed, index):
+    """numpy's own generator of trajectory ``index``'s random stream."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
 def _literal_bisection(c):
     """Reference for `_crossing`: the 40 levels of the jump-time bisection of the
     cubics c0 + s (c1 + s (c2 + s c3)), one level at a time for the whole batch."""
@@ -665,7 +670,7 @@ class TestEvolveTrajectories:
         res = sl.evolve_trajectories(gen, psi0, -t_final, t_final,
                                      sl.TrajectoryConfig(n_traj=m, seed=0))
         first = np.array([events[0].time for events in res.jumps])
-        thresholds = [sl.propagation._traj_rng(0, i).uniform() for i in range(m)]
+        thresholds = [_numpy_stream(0, i).uniform() for i in range(m)]
         times = traj.times
         edges = np.concatenate([[-t_final], 0.5 * (times[:-1] + times[1:]), [t_final]])
         eps = 1e-9 * traj.step
@@ -708,17 +713,25 @@ class TestEvolveTrajectories:
         gen, psi0, traj = _strong_bath_coarse()
         tcfg = sl.TrajectoryConfig(n_traj=200, seed=4)
         batched = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
-        cascades = [0]
+        cascades, rngs = [0], {}
 
-        def sequential(gen, cells, rngs, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
-            done = [_sequential_jumps(gen, rngs[i], psi_a[i], psi_b[i], t_a[i], t_b[i], h_eff[i],
-                                      thresholds[i], events[i], cascades)
-                    for i in range(len(rngs))]
+        def sequential(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds,
+                       events):
+            # numpy's own generator of each trajectory, past its first threshold
+            for i in rows.tolist():
+                if i not in rngs:
+                    rngs[i] = _numpy_stream(tcfg.seed, i)
+                    rngs[i].uniform()
+            done = [_sequential_jumps(gen, rngs[i], psi_a[k], psi_b[k], t_a[k], t_b[k], h_eff[k],
+                                      thresholds[k], events[k], cascades)
+                    for k, i in enumerate(rows.tolist())]
             return np.array([psi for psi, _ in done]), np.array([thr for _, thr in done])
 
         monkeypatch.setattr(sl.propagation, "_jumps", sequential)
         reference = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
         assert cascades[0] > 0
+        # a threshold, then two words a jump: some trajectory read past the first buffer
+        assert 1 + 2 * max(map(len, reference.jumps)) > sl.propagation._STREAM_WORDS
         assert [[(e.target, e.source) for e in evs] for evs in batched.jumps] == [
             [(e.target, e.source) for e in evs] for evs in reference.jumps]
         got = np.array([e.time for evs in batched.jumps for e in evs])
@@ -761,9 +774,9 @@ class TestEvolveTrajectories:
         gen = sl.LindbladGenerator(traj, sl.sigma_x, bath, H)
         ground = traj.basis[0, :, :1].T
         with pytest.raises(sl.SuperlindError, match=match):
-            sl.propagation._jumps(gen, np.array([0]), [sl.propagation._traj_rng(0, 0)], ground,
-                                  0.5 * ground, np.array([0.0]), np.array([0.05]), H(0.0)[None],
-                                  np.array([0.5]), None)
+            sl.propagation._jumps(gen, np.array([0]), sl.propagation._Streams(0, 1), np.array([0]),
+                                  ground, 0.5 * ground, np.array([0.0]), np.array([0.05]),
+                                  H(0.0)[None], np.array([0.5]), None)
 
     def test_results_do_not_depend_on_block_length(self, monkeypatch):
         # the default, here one block of all 40 lockstep steps, against blocks of
@@ -848,6 +861,39 @@ class TestEvolveTrajectories:
         assert all(0.0 < e.time < 80.0 for e in events)
         # only the de-excitation channel exists at zero temperature
         assert {(e.target, e.source) for e in events} == {(0, 1)}
+
+
+class TestRandomStreams:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 40), min_size=1, max_size=12))
+    @example(0, [40, 0, 3])
+    @example(2**64 - 1, [16])
+    def test_bulk_draws_match_numpy_generators(self, seed, jumps):
+        # trajectory i draws its first threshold, then two doubles in each of its
+        # jumps[i] rounds, as the ensemble does; 16 jumps or more cross a doubling
+        assume(1 + 2 * max(jumps) > sl.propagation._STREAM_WORDS)
+        streams = sl.propagation._Streams(seed, len(jumps))
+        got = [[x] for x in streams.draw(np.arange(len(jumps)), 1)]
+        for r in range(max(jumps)):
+            rows = np.flatnonzero(np.array(jumps) > r)[::(-1) ** r]  # every other round reversed
+            for i, x in zip(rows, streams.draw(rows, 2)):
+                got[i].append(x)
+        for i, n in enumerate(jumps):
+            rng = _numpy_stream(seed, i)
+            want = [np.array([rng.uniform()])] + [rng.random(2) for _ in range(n)]
+            assert np.concatenate(got[i]).tobytes() == np.concatenate(want).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+           st.integers(1, 12))
+    @example(0, [0, 2**64 - 1], 1)
+    @example(2**64 - 1, [0, 2**64 - 1], 3)
+    def test_kernel_words_match_numpy_philox(self, seed, indices, blocks):
+        words = sl.propagation._philox(seed, np.array(indices, dtype=np.uint64),
+                                       np.arange(1, blocks + 1))
+        for i, row in zip(indices, words):
+            raw = np.random.Philox(key=np.array([seed, i], dtype=np.uint64)).random_raw(4 * blocks)
+            assert row.tobytes() == raw.tobytes()
 
 
 class TestBlochVector:
