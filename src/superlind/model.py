@@ -93,17 +93,20 @@ def density_matrix(x: np.ndarray) -> np.ndarray:
 class TimeDependentHamiltonian:
     """An N x N Hermitian matrix-valued function of time.
 
-    Wraps an evaluator ``t -> matrix``, each of whose stacks ``on_grid``
-    checks once for shape and hermiticity, or, built with ``affine``, the
-    broadcast h0 + t * h1, exactly Hermitian at every t by construction and
-    so not re-checked. ``H(t)`` is a stack of one.
+    Wraps an evaluator ``t -> matrix`` of t alone, called with Python floats,
+    or, built with ``affine``, the broadcast h0 + t * h1, exactly Hermitian at
+    every t by construction and so not re-checked. ``on_grid`` checks an
+    evaluator's stack once for shape and hermiticity and keeps the last one,
+    read-only, to return again for the same times bit for bit: a grid that
+    several stages read is evaluated once. ``H(t)`` is a stack of one.
     """
 
     def __init__(self, dim: int, evaluator: Callable[[float], np.ndarray]):
         if dim < 2:
             raise DimensionError(f"dimension must be >= 2, got {dim}")
         self.dim = int(dim)
-        self._stack = lambda times: self._checked([evaluator(t) for t in times], times)
+        self._evaluator = evaluator
+        self._last = (None, None)  # the bytes of the last times evaluated, and their stack
 
     @classmethod
     def affine(cls, h0: np.ndarray, h1: np.ndarray) -> "TimeDependentHamiltonian":
@@ -115,7 +118,7 @@ class TimeDependentHamiltonian:
             raise DimensionError(f"h0 is {h0.shape} but h1 is {h1.shape}")
         h0, h1 = (0.5 * (h + h.conj().T) for h in (h0, h1))
         H = cls(h0.shape[0], None)  # checks the dimension; the broadcast replaces the evaluator
-        H._stack = lambda times: h0 + np.asarray(times, dtype=float)[:, None, None] * h1
+        H._stack = lambda times: h0 + times[:, None, None] * h1
         return H
 
     @classmethod
@@ -126,10 +129,24 @@ class TimeDependentHamiltonian:
         return self.on_grid([t])[0]
 
     def on_grid(self, times) -> np.ndarray:
-        """H at each of ``times``, shape (M, N, N)."""
+        """H at each of a 1-d sequence of ``times``, shape (M, N, N)."""
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise ParameterError(f"times must be a 1-d sequence, got shape {times.shape}")
         return self._stack(times)
 
+    def _stack(self, times: np.ndarray) -> np.ndarray:
+        key = times.tobytes()
+        last_key, last = self._last
+        if key != last_key:
+            last = self._checked([self._evaluator(t) for t in times.tolist()], times)
+            last.setflags(write=False)
+            self._last = key, last
+        return last
+
     def _checked(self, mats, times) -> np.ndarray:
+        if not mats:
+            return np.empty((0, self.dim, self.dim), dtype=complex)
         try:
             mats = np.asarray(mats, dtype=complex)
         except ValueError:

@@ -13,12 +13,13 @@ for the master equation, where the snapped dissipator changes. Each interval
 is split into n equal sub-steps of 1-norm at most theta_9; n doubles until
 the Richardson error estimate of two passes meets the tolerances. Batched
 pairwise products fold a chunk's sub-step propagators into one per interval,
-and a batched prefix scan those into the edge states: Python runs once per
-chunk, never once per edge or sub-step. Each engine renormalizes the edge
-states once, after the solve: the Magnus exponent of -iH or of a Liouvillian
-preserves norm and trace up to rounding. Sub-steps are exponentiated in
-closed form for N = 2, else by a degree-24 Taylor polynomial in products
-alone, scaled and squared above theta_9, each independently of its stack.
+and a work-efficient (Brent-Kung) prefix scan those into the edge states, in
+about two products per interval: Python runs once per chunk, never once per
+edge or sub-step. Each engine renormalizes the edge states once, after the
+solve: the Magnus exponent of -iH or of a Liouvillian preserves norm and
+trace up to rounding. Sub-steps are exponentiated in closed form for N = 2,
+else by a degree-24 Taylor polynomial in products alone, scaled and squared
+above theta_9, each independently of its stack.
 All these products use ``_matmul``: broadcast products for complex stacks,
 2-5 times faster than numpy's ``@`` at N = 2, and ``@`` for real ones.
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
@@ -307,16 +308,41 @@ def _check_span(frames, t0, t1) -> None:
         ) from None
 
 
+def _chunk(d: int) -> int:
+    """Sub-steps per chunk of ``_march`` for a d x d generator: ``_CHUNK_ENTRIES`` / d^2
+    rounded to the nearest power of two, so a chunk holds within sqrt(2) of that many
+    entries (d = 2: 4096, d = 4: 1024, d = 9: 256)."""
+    return 1 << max(round(math.log2(_CHUNK_ENTRIES / d**2)), 0)
+
+
+def _scan(q: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products q[k] <- q[k] ... q[0] of a stack, in place, the
+    later factor acting last: a Brent-Kung up-sweep and down-sweep over strided
+    views (Brent & Kung, IEEE Trans. Comput. C-31, 260 (1982)), log2 len(q)
+    batched rounds each, fewer than 2 len(q) pairwise products in all, for any
+    length."""
+    s = 1
+    while 2 * s <= len(q):  # q[k] with k + 1 a multiple of 2s: the 2s factors ending at k
+        hi = q[2 * s - 1::2 * s]
+        hi[:] = _matmul(hi, q[s - 1::2 * s][:len(hi)])
+        s *= 2
+    while s > 1:            # q[k] with k + 1 an odd multiple of s: joined to the prefix before
+        s //= 2
+        hi = q[3 * s - 1::2 * s]
+        hi[:] = _matmul(hi, q[2 * s - 1::2 * s][:len(hi)])
+    return q
+
+
 def _march(generator, y0, edges, n):
     """One pass of n Magnus-4 sub-steps per interval between consecutive edges.
 
-    The sub-step propagators are built a chunk at a time, at most
-    ``_CHUNK_ENTRIES`` matrix entries, from one generator call per chunk. The
-    chunk is a power of two, as is n, so it holds whole blocks of m = min(n,
-    chunk) sub-steps of one interval. log2(m) batched pairwise products fold
-    each block into one propagator, and log2 of their number of batched
-    rounds (Hillis & Steele) into their prefix products, so one batched
-    matvec gives the state at every block end: Python runs once per chunk.
+    The sub-step propagators are built a chunk at a time, ``_chunk(d)`` of them,
+    from one generator call per chunk. The chunk is a power of two, as is n, so
+    it holds whole blocks of m = min(n, chunk) sub-steps of one interval.
+    log2(m) batched pairwise products fold each block into one propagator, and
+    ``_scan`` those into their prefix products, about two per block, so one
+    batched matvec gives the state at every block end: Python runs once per
+    chunk. The last chunk may hold any number of blocks.
 
     Returns the largest h * ||A||_1 over the sub-step nodes and, when that is
     at most theta_9 (every sub-step resolved), the states at the edges.
@@ -326,7 +352,7 @@ def _march(generator, y0, edges, n):
     raw = np.empty((edges.size, d), dtype=y0.dtype)
     raw[0] = y = y0
     worst = 0.0
-    chunk = 1 << (max(_CHUNK_ENTRIES // d**2, 1).bit_length() - 1)
+    chunk = _chunk(d)
     m = min(n, chunk)
     total = n * widths.size
     for lo in range(0, total, chunk):
@@ -340,13 +366,9 @@ def _march(generator, y0, edges, n):
         p = _expm(_magnus4(a[0], a[1], hc)).reshape(-1, m, d, d)
         while p.shape[1] > 1:
             p = _matmul(p[:, 1::2], p[:, 0::2])  # the later sub-step acts last
-        q, s = p[:, 0], 1
-        while s < len(q):
-            q[s:] = _matmul(q[s:], q[:-s])  # q[k]: blocks k down to max(k - 2s + 1, 0)
-            s *= 2
-        states = q @ y
-        ends = (lo // m + 1 + np.arange(len(q))) * m  # sub-steps done at each block end
-        done = ends % n == 0                           # the block ends an interval
+        states = _scan(p[:, 0]) @ y
+        ends = (lo // m + 1 + np.arange(len(states))) * m  # sub-steps done at each block end
+        done = ends % n == 0                                # the block ends an interval
         raw[ends[done] // n] = states[done]
         y = states[-1]
     return worst, raw if worst <= _THETA9 else None

@@ -397,6 +397,30 @@ def test_adaptive_time_grid_refines_a_bump_the_probe_misses(monkeypatch):
     assert np.max(np.linalg.norm(mats[1:] - mats[:-1], ord=2, axis=(1, 2))) <= 0.01 * min_gap
 
 
+def test_frame_pipeline_evaluates_each_grid_once():
+    # the probe, each candidate grid and the accepted one are evaluated once: the
+    # frames, the quasi-energies and validate() reuse the accepted grid's stack
+    calls = []
+
+    def evaluate(t):
+        calls.append(t)
+        return 0.5 * sl.sigma_x + 0.3 * np.exp(-(t / 0.02) ** 2) * sl.sigma_z
+
+    H = sl.TimeDependentHamiltonian(2, evaluate)
+    times = sl.adaptive_time_grid(H, -3.0, 3.0)
+    base = sl.instantaneous_frames(H, times)
+    sl.superadiabatic_frames(H, 2, times, base=base).validate()
+    base.validate()
+    # each grid is increasing, so a new one starts where t falls
+    starts = [0] + [k for k in range(1, len(calls)) if calls[k] < calls[k - 1]] + [len(calls)]
+    grids = [np.array(calls[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+    assert len(grids) >= 3  # the probe misses the bump, so one candidate is refined
+    assert np.array_equal(grids[0], np.linspace(-3.0, 3.0, sl.frames.GRID_INITIAL_POINTS))
+    for coarse, fine in zip(grids[1:-1], grids[2:]):
+        assert fine.size == 2 * (coarse.size - 1) + 1
+    assert np.array_equal(grids[-1], times)
+
+
 def test_adaptive_time_grid_of_constant_hamiltonian_is_the_probe():
     H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x + 0.2 * sl.sigma_z)
     assert sl.adaptive_time_grid(H, 0.0, 10.0).size == sl.frames.GRID_INITIAL_POINTS == 129

@@ -83,6 +83,49 @@ class TestLZHamiltonian:
         with pytest.raises(sl.ParameterError, match="h0 is not Hermitian"):
             sl.TimeDependentHamiltonian.affine(np.diag([np.nan, 0.0]), np.eye(2))
 
+    @pytest.mark.parametrize("pointwise", [True, False])
+    def test_on_grid_takes_a_1d_sequence(self, pointwise):
+        h = 0.5 * np.asarray(sl.sigma_x)
+        H = (sl.TimeDependentHamiltonian(2, lambda t: h + t * sl.sigma_z) if pointwise
+             else sl.TimeDependentHamiltonian.affine(h, sl.sigma_z))
+        for empty in ([], np.array([])):
+            stack = H.on_grid(empty)
+            assert stack.shape == (0, 2, 2) and stack.dtype == complex
+        for times, shape in ((0.5, r"\(\)"), (np.array(0.5), r"\(\)"),
+                             ([[0.0], [1.0]], r"\(2, 1\)")):
+            with pytest.raises(sl.ParameterError, match=f"1-d sequence, got shape {shape}"):
+                H.on_grid(times)
+        np.testing.assert_array_equal(H.on_grid((1.0, 2.0)), [h + sl.sigma_z, h + 2 * sl.sigma_z])
+
+    def test_pointwise_grid_evaluated_once(self):
+        # the stack of the last times evaluated is returned again, read-only, while
+        # the times are bit for bit the same; the evaluator sees Python floats
+        calls = []
+
+        def evaluate(t):
+            calls.append(t)
+            return np.array([[t, 1.0], [1.0, -t]], dtype=complex)
+
+        H = sl.TimeDependentHamiltonian(2, evaluate)
+        times = np.linspace(-1.0, 1.0, 9)
+        first = H.on_grid(times)
+        assert calls == times.tolist() and all(type(t) is float for t in calls)
+        again = H.on_grid(list(times))                    # equal times, any sequence: a hit
+        assert again is first and len(calls) == 9
+        with pytest.raises(ValueError, match="read-only"):
+            again[0, 0, 0] = 7.0
+        nudged = times.copy()
+        nudged[4] = np.nextafter(nudged[4], 1.0)          # one ulp apart, same length: a miss
+        H.on_grid(nudged)
+        assert len(calls) == 18 and calls[-5] == nudged[4] != times[4]
+        miss = H.on_grid(times)
+        assert len(calls) == 27 and miss is not first
+        assert np.array_equal(miss, first) and np.array_equal(miss, H.on_grid(times))
+        assert len(calls) == 27
+        H.on_grid([0.0])
+        H.on_grid([-0.0])                                 # equal to 0.0, but not in its bits
+        assert len(calls) == 29 and math.copysign(1.0, calls[-1]) == -1.0
+
     def test_affine_lz_matches_pointwise_formula(self):
         rng = np.random.default_rng(11)
         for v in (0.3, 1.0 / 2.02, 1.0 / 3.0, 2.5):

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -176,6 +177,20 @@ def _ladder_coarse():
                                 sl.ohmic_spectrum(0.05, 5.0, 0.5), H)
 
 
+@functools.cache
+def _march_problem(d):
+    """A generator of size d x d (2: closed LZ, 4: dephased LZ, 9: the ladder),
+    an initial state and the span of times it may be called on."""
+    if d == 2:
+        H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
+        return (lambda times: -1j * H.on_grid(times)), np.array([1.0, 0.0], complex), (-2.0, 2.0)
+    gen = _lz_coarse()[0] if d == 4 else _ladder_coarse()
+    psi0 = gen.frames.basis[0, :, 0]
+    times = gen.frames.times
+    y0 = sl.model.coherence_vector(np.outer(psi0, psi0.conj()))
+    return gen.liouvillian, y0, (float(times[0]), float(times[-1]))
+
+
 class TestExponentialCore:
     @settings(max_examples=200, deadline=None)
     @given(n=st.sampled_from([2, 3, 4]), lead=st.sampled_from([(5,), (1,), (3, 4), (2, 1)]),
@@ -275,7 +290,7 @@ class TestExponentialCore:
         # one matrix above theta_9 must not change how the others are exponentiated,
         # in a stack of 40 or of the march's chunk for this n
         rng = np.random.default_rng(n)
-        for size in (40, 1 << (sl.propagation._CHUNK_ENTRIES // n**2).bit_length() - 1):
+        for size in (40, sl.propagation._chunk(n)):
             z = rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n))
             a = z if kind is complex else z.real
             norms = np.logspace(-2, 2, size)[rng.permutation(size)]  # 1e-2 to 1e2, shuffled
@@ -328,7 +343,7 @@ class TestExponentialCore:
         # sub-step products; the "above" cases take twice the chunk of their d, so
         # they hold blocks, and "many_chunks" scans 1024 blocks, then 477
         def above(d):
-            return 2 << (max(sl.propagation._CHUNK_ENTRIES // d**2, 1).bit_length() - 1)
+            return 2 * sl.propagation._chunk(d)
 
         if case.startswith("me_"):                    # d = N^2 = 4, n below its chunk of 1024
             gen, rho0 = _lz_coarse(41 if case == "me_n_below_chunk" else 1501)
@@ -357,6 +372,60 @@ class TestExponentialCore:
         assert worst <= 1.0
         _, want = _sequential_march(generator, y0, edges, n)
         assert np.max(np.abs(raw - want)) < 1e-13
+
+    @pytest.mark.parametrize("blocks", [1, 3, 5, 7, 129])
+    def test_march_ragged_last_chunk(self, blocks):
+        # one sub-step per interval at d = 9: a full chunk of blocks, then a last
+        # chunk of 1 to 129, whose scan runs on strided views of any length
+        generator, y0, (t0, t1) = _march_problem(9)
+        edges = np.linspace(t0, t1, sl.propagation._chunk(9) + blocks + 1)
+        worst, raw = sl.propagation._march(generator, y0, edges, 1)
+        assert worst <= 1.0
+        _, want = _sequential_march(generator, y0, edges, 1)
+        assert np.max(np.abs(raw - want)) < 1e-13
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.sampled_from([2, 4, 9]), n=st.sampled_from([1, 2, 4]),
+           blocks=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+    def test_march_matches_sequential_reference_on_random_edges(self, d, n, blocks, seed):
+        # random edge sets with n below every chunk, so each interval is one block:
+        # up to 600 blocks, one chunk or several, the last ragged, and some
+        # intervals of zero width
+        generator, y0, (t0, t1) = _march_problem(d)
+        rng = np.random.default_rng(seed)
+        inner = np.sort(rng.uniform(t0, t1, blocks - 1))
+        inner[rng.uniform(size=inner.size) < 0.05] = t0  # repeated edges
+        edges = np.sort(np.concatenate([[t0], inner, [t1]]))
+        worst, raw = sl.propagation._march(generator, y0, edges, n)
+        assume(worst <= sl.propagation._THETA9)
+        _, want = _sequential_march(generator, y0, edges, n)
+        assert np.max(np.abs(raw - want)) < 1e-13
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 7, 8, 64, 129, 255, 256, 600])
+    def test_scan_prefix_products_in_at_most_two_per_matrix(self, length, monkeypatch):
+        # permutation matrices multiply exactly and do not commute, so the scan must
+        # equal the sequential products bit for bit, in the right order
+        rng = np.random.default_rng(length)
+        q = np.eye(5)[[rng.permutation(5) for _ in range(length)]].swapaxes(1, 2).copy()
+        want, acc = [], np.eye(5)
+        for m in q:
+            acc = m @ acc
+            want.append(acc)
+        products, matmul = [], sl.propagation._matmul  # pairwise products of each round
+        monkeypatch.setattr(sl.propagation, "_matmul",
+                            lambda a, b: products.append(len(a)) or matmul(a, b))
+        got = sl.propagation._scan(q)
+        assert got is q and np.array_equal(got, want)
+        assert sum(products) <= 2 * length
+        assert len(products) <= 2 * (length.bit_length() - 1)
+
+    def test_chunk_is_the_nearest_power_of_two(self):
+        # within sqrt(2) of _CHUNK_ENTRIES matrix entries, for every d the engines use
+        for d in range(2, 17):
+            c = sl.propagation._chunk(d)
+            assert c & (c - 1) == 0
+            assert abs(math.log2(c * d * d / sl.propagation._CHUNK_ENTRIES)) <= 0.5
+        assert [sl.propagation._chunk(d) for d in (2, 4, 9)] == [4096, 1024, 256]
 
     @pytest.mark.parametrize("engine", ["lindblad", "unitary"])
     def test_projecting_once_matches_projecting_every_edge(self, engine):
