@@ -272,11 +272,8 @@ def write_sweep_csv(path, records, cfg: SweepConfig) -> None:
     ]
     columns = ["gamma0", "inv_v", "p_ge", "trace_error", "herm_error",
                "min_eigenvalue", "adiabaticity"]
-    rows = (
-        (r.gamma0, r.inv_v, r.p_ge, r.trace_error, r.herm_error, r.min_eigenvalue,
-         r.adiabaticity)
-        for r in sorted(records, key=lambda r: (r.inv_v, r.gamma0))
-    )
+    rows = ([getattr(r, c) for c in columns]
+            for r in sorted(records, key=lambda r: (r.inv_v, r.gamma0)))
     write_table(path, ["superlind sweep", *meta], columns, rows)
 
 

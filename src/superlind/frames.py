@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     TimeDomainError,
 )
-from ._output import write_table
+from ._output import BLOCK_ROWS, write_blocks
 from .model import TimeDependentHamiltonian, _eigh
 from .propagation import _matmul, bloch_vector, evolve_unitary
 
@@ -395,7 +395,10 @@ def adaptive_time_grid(
 
 
 def write_frames_csv(traj: FrameTrajectory, path) -> None:
-    """Dump a trajectory as CSV: t, order, level, energy (+ x, y, z for N=2)."""
+    """Dump a trajectory as CSV: t, order, level, energy (+ x, y, z for N=2).
+
+    The bytes `write_table` writes, one `%` call per block of rows; each time
+    is formatted once per point, and `order` and `level` are template text."""
     comments = ["superlind frame trajectory", f"order = {traj.order}", f"points = {len(traj)}"]
     columns = ["t", "order", "level", "energy"]
     bloch = ()
@@ -405,7 +408,11 @@ def write_frames_csv(traj: FrameTrajectory, path) -> None:
         # x, y, z of the projector onto column a, each of shape (K, 2)
         bloch = bloch_vector(np.einsum("kia,kja->kaij", traj.basis, traj.basis.conj()))
     k, n = traj.energies.shape
-    rows = np.column_stack([np.repeat(traj.times, n), np.full(k * n, traj.order),
-                            np.tile(np.arange(n), k), traj.energies.ravel(),
-                            *(c.ravel() for c in bloch)]).tolist()
-    write_table(path, comments, columns, rows)
+    values = np.stack([traj.energies, *bloch], axis=2)  # (K, N, columns - 3)
+    cells = ",".join(["%.12g"] * values.shape[2])
+    # a point's rows are t + rest[0] + t + rest[1] + ... = t + t.join(rest)
+    rest = [f",{traj.order:.12g},{a},{cells}\n" for a in range(n)]
+    per, times = max(BLOCK_ROWS // n, 1), (("%.12g\n" * k) % tuple(traj.times.tolist())).split()
+    blocks = ("".join([t + t.join(rest) for t in times[i:i + per]])
+              % tuple(values[i:i + per].ravel().tolist()) for i in range(0, k, per))
+    write_blocks(path, comments, columns, blocks)

@@ -730,5 +730,5 @@ def write_bloch_csv(path, times, rhos, header_lines=()) -> None:
     """Time series of 2x2 states as t, x, y, z rows."""
     comments = ["superlind bloch time series", *header_lines,
                 "convention: x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11"]
-    rows = zip(times, *bloch_vector(rhos))
+    rows = np.column_stack([times, *bloch_vector(rhos)])
     write_table(path, comments, ["t", "x", "y", "z"], rows)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import superlind as sl
 
-from lzutil import ladder_hamiltonian, lz_setup, random_density
+from lzutil import excited_population, excited_state, ladder_hamiltonian, lz_setup, random_density
 
 
 def _constant_traj(matrix, t1=10.0, n=201):
@@ -328,3 +328,27 @@ def test_effective_hamiltonian_matches_ops():
         total = sum(L.conj().T @ L for _, L in gen.jump_channels(t))
         expected = gen.hamiltonian(t) + shift - 0.5j * total
         assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_outputs_ignore_frame_column_phases():
+    """Random per-point column phases of the order-4 LZ frames at 1/v = 2 move
+    the master-equation P and a 200-trajectory Monte-Carlo P at a fixed seed by
+    at most 1e-13, with a dephasing bath and with an ohmic one: the dissipator,
+    the jump operators and psi0's global phase are gauge-invariant."""
+    H, t_final, _, _, traj = lz_setup(2.0, order=4)
+    phases = np.exp(1j * np.random.default_rng(29).uniform(-np.pi, np.pi, (len(traj), 2)))
+    turned = sl.FrameTrajectory(traj.times, traj.basis * phases[:, None, :], traj.energies,
+                                traj.order, H)
+    excited = excited_state(H, t_final)
+    tcfg = sl.TrajectoryConfig(n_traj=200, seed=5, record_jumps=False)
+    for spectrum in (sl.dephasing_spectrum(0.1), sl.ohmic_spectrum(0.1, 5.0, 0.5)):
+        probabilities = []
+        for frames in (traj, turned):
+            gen = sl.LindbladGenerator(frames, sl.sigma_z, spectrum, H)
+            psi0 = frames.basis[0, :, 0]
+            me = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -t_final, t_final)
+            mc = sl.evolve_trajectories(gen, psi0, -t_final, t_final, tcfg)
+            probabilities.append([excited_population(r.state, excited) for r in (me, mc)])
+        (me0, mc0), (me1, mc1) = probabilities
+        assert 0.0 < mc0 < 1.0
+        assert abs(me1 - me0) <= 1e-13 and abs(mc1 - mc0) <= 1e-13
