@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 
 HERMITICITY_TOL = 1e-12
-_LEVELS3_CHUNK = 1024
 
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -44,12 +43,9 @@ def _eigh(mats: np.ndarray, vectors: bool = True):
     """Ascending eigenvalues (and eigenvectors) of a (K, N, N) Hermitian stack,
     read from the lower triangle as LAPACK does. For N = 2 one Jacobi rotation
     is exact: levels (a+d)/2 -+ hypot((a-d)/2, |b|) with b = m[1, 0], angle
-    atan2(|b|, (a-d)/2) / 2; finite N = 3 levels alone by `_levels3`. Else LAPACK's
-    ``eigh``, also for levels alone: ``eigvalsh`` can lose 1e-5 to underflow."""
+    atan2(|b|, (a-d)/2) / 2. Larger N call LAPACK's ``eigh``, also for levels
+    alone: ``eigvalsh`` can lose 1e-5 where squared entries underflow."""
     if mats.shape[-1] != 2:
-        if mats.shape[-1] == 3 and not vectors and np.isfinite(mats).all():
-            chunks = range(0, max(len(mats), 1), _LEVELS3_CHUNK)  # bounds the temporaries
-            return np.concatenate([_levels3(mats[i:i + _LEVELS3_CHUNK]) for i in chunks])
         return np.linalg.eigh(mats) if vectors else np.linalg.eigh(mats).eigenvalues
     a, d, b = mats[:, 0, 0].real, mats[:, 1, 1].real, mats[:, 1, 0]
     half, size = 0.5 * (a - d), np.abs(b)
@@ -62,44 +58,6 @@ def _eigh(mats: np.ndarray, vectors: bool = True):
     phase = np.divide(b, size, out=np.ones_like(b, dtype=complex), where=size > 0)
     vecs = np.stack([-s * phase.conj(), c, c, s * phase], axis=1).reshape(-1, 2, 2)
     return vals, vecs
-
-
-def _levels3(mats: np.ndarray) -> np.ndarray:
-    """Levels of a (K, 3, 3) Hermitian stack by deflation of B = sA - qI (s a power
-    of two, q the mean level): the outlying level by Cardano's trigonometric form,
-    its vector by the row of adj(B - level) with the largest diagonal entry (the
-    largest cross product of two rows), the pair by the 2x2 form on its complement."""
-    d, low = np.diagonal(mats, axis1=1, axis2=2).real, mats[:, [1, 2, 2], [0, 0, 1]]
-    big = np.maximum(np.abs(d).max(axis=1), np.abs(low).max(axis=1))
-    scale = np.ldexp(1.0, np.clip(-np.frexp(big)[1], -1000, 1000))
-    d, (x, y, z) = d * scale[:, None], (low * scale[:, None]).T  # b10, b20, b21
-    q = d.sum(axis=1) / 3.0
-    a0, a1, a2 = (d - q[:, None]).T
-    xx, yy, zz = (c.real ** 2 + c.imag ** 2 for c in (x, y, z))
-    p = np.sqrt((a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (xx + yy + zz)) / 6.0)
-    det = a0 * a1 * a2 + 2.0 * (x.conj() * y * z.conj()).real - a0 * zz - a1 * yy - a2 * xx
-    r = np.divide(det, 2.0 * p ** 3, out=np.zeros_like(p), where=p ** 3 > 0)
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    iso = 2.0 * p * np.cos(np.where(phi < np.pi / 6, phi, phi + 2.0 * np.pi / 3.0))
-    m0, m1, m2 = a0 - iso, a1 - iso, a2 - iso
-    xc, yc, zc = x.conj(), y.conj(), z.conj()
-    adj = np.array([[m1 * m2 - zz, zc * y - x * m2, x * z - m1 * y],  # row i: r_i+1 × r_i+2
-                    [z * yc - m2 * xc, m0 * m2 - yy, y * xc - m0 * z],
-                    [xc * zc - yc * m1, yc * x - m0 * zc, m0 * m1 - xx]])
-    k = np.arange(len(mats))
-    v = adj[np.abs(adj[[0, 1, 2], [0, 1, 2]]).argmax(axis=0), :, k]
-    size = np.linalg.norm(v, axis=1)[:, None]
-    v = np.where(size > 0, v / np.where(size > 0, size, 1.0), [1.0, 0.0, 0.0])  # B = 0: e_0
-    j = np.abs(v).argmin(axis=1)
-    u = np.eye(3)[j] - v * v[k, j].conj()[:, None]  # e_j minus its v part
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    w = (v[:, [1, 2, 0]] * u[:, [2, 0, 1]] - v[:, [2, 0, 1]] * u[:, [1, 2, 0]]).conj()
-    b = np.array([[a0, xc, yc], [x, a1, zc], [y, z, a2]])
-    bu, bw = np.einsum("ijk,kj->ki", b, u), np.einsum("ijk,kj->ki", b, w)
-    c00, c10, c11 = (np.einsum("ki,ki->k", e.conj(), f) for e, f in ((u, bu), (w, bu), (w, bw)))
-    pair = _eigh(np.stack([c00, c10, c10, c11], axis=1).reshape(-1, 2, 2), vectors=False)
-    vals = np.sort(np.concatenate([iso[:, None], pair], axis=1), axis=1)
-    return (vals + q[:, None]) / scale[:, None]
 
 
 @functools.cache

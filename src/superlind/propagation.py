@@ -161,7 +161,7 @@ def check_state_vector(psi: np.ndarray) -> np.ndarray:
     if psi.ndim != 1:
         raise DimensionError(f"state vector must be 1-d, got shape {psi.shape}")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > STATE_NORM_TOL:
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:  # NaN-safe, and before psi / norm
         raise StateIntegrityError(f"state vector norm {norm} != 1")
     return psi / norm
 
@@ -171,14 +171,14 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
     herm = hermiticity_defect(rho)
-    if herm > 1e-10:
+    if not herm <= 1e-10:  # NaN-safe: a NaN entry makes the defect NaN
         raise StateIntegrityError(f"density matrix hermiticity defect {herm:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-8:
+    if not abs(tr - 1.0) <= 1e-8:
         raise StateIntegrityError(f"density matrix trace {tr} != 1")
     rho = 0.5 * (rho + rho.conj().T) / tr.real
     min_eig = float(_eigh(rho[None], vectors=False)[0, 0])
-    if min_eig < -1e-7:
+    if not min_eig >= -1e-7:
         raise StateIntegrityError(f"density matrix min eigenvalue {min_eig:.3e}")
     return rho
 
@@ -413,7 +413,7 @@ def _propagate(generator, y0, edges, cfg):
             err = float(np.max(est / (cfg.atol + cfg.rtol * size)))
             if err <= 1.0:
                 return raw + (raw - prev) / 15.0, steps, rejected
-            if err >= prev_err:
+            if not err < prev_err:  # a NaN estimate raises too
                 raise StiffnessError(
                     f"{steps} sub-steps did not shrink the error estimate "
                     f"({err:.3g} x tolerance): rtol/atol are below rounding"

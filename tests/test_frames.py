@@ -484,49 +484,15 @@ class TestClosedFormEigh:
     @settings(max_examples=50, deadline=None)
     @given(entries=hnp.arrays(float, (2, 4, 3, 3), elements=st.floats(-1e3, 1e3)))
     def test_larger_n_is_lapack(self, entries):
-        """With eigenvectors N = 3 is LAPACK's ``eigh`` bit for bit, and so are
-        the levels alone of N = 4; the levels alone of N = 3 take `_levels3`."""
+        """N = 3 and N = 4 are LAPACK's ``eigh`` bit for bit, with eigenvectors
+        and for the levels alone."""
         mats = _hermitian(entries[0] + 1j * entries[1])
         vals, vecs = _eigh(mats)
         ref_vals, ref_vecs = np.linalg.eigh(mats)
         assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
-        scale = np.abs(mats).max(axis=(1, 2))[:, None]
-        assert np.all(np.abs(_eigh(mats, vectors=False) - ref_vals) <= 16 * _EPS * scale)
+        assert np.array_equal(_eigh(mats, vectors=False), ref_vals)
         big = np.pad(mats, ((0, 0), (0, 1), (0, 1))) + np.diag([0.0, 0.0, 0.0, 7.0])
         assert np.array_equal(_eigh(big, vectors=False), np.linalg.eigh(big).eigenvalues)
-
-    def test_three_level_levels_match_lapack(self):
-        """`_levels3` within 16 eps max|A| of LAPACK's ``eigh`` on random stacks,
-        tiny and huge ones, degenerate and near-degenerate pairs (the steps of the
-        ladder), near-pure density matrices, and zero and scalar matrices."""
-        rng = np.random.default_rng(11)
-        k = 2000
-
-        def random(size):
-            return _hermitian(rng.standard_normal((k, 3, 3)) + 1j * rng.standard_normal((k, 3, 3))) * size
-
-        def with_levels(levels):
-            q, _ = np.linalg.qr(rng.standard_normal((k, 3, 3)) + 1j * rng.standard_normal((k, 3, 3)))
-            return np.einsum("kia,ka,kja->kij", q, levels, q.conj())
-
-        a, b = rng.standard_normal(k), rng.standard_normal(k)
-        steps = np.zeros((k, 3, 3), dtype=complex)
-        steps[:, 0, 0] = steps[:, 2, 2] = 1e-3 * a
-        stacks = {
-            "random": random(1.0), "tiny": random(1e-170), "huge": random(1e150),
-            "degenerate": with_levels(np.stack([a, a, b], axis=1)),
-            "near-degenerate": with_levels(np.stack([a, a + 1e-9 * b, b], axis=1)),
-            "near-pure": with_levels(np.stack([1 - 1e-12 * a**2, 5e-13 * a**2, 5e-13 * a**2], axis=1)),
-            "ladder-steps": steps,
-            "zero": np.zeros((4, 3, 3), dtype=complex),
-            "scalar": np.eye(3) * rng.standard_normal((k, 1, 1)),
-        }
-        for name, mats in stacks.items():
-            vals, ref = _eigh(mats, vectors=False), np.linalg.eigh(mats).eigenvalues
-            scale = np.abs(mats).max(axis=(1, 2))[:, None]
-            assert np.all(np.diff(vals, axis=1) >= 0), name
-            assert np.all(np.abs(vals - ref) <= 16 * _EPS * scale), name
-        assert np.array_equal(_eigh(np.zeros((2, 3, 3)), vectors=False), np.zeros((2, 3)))
 
     def test_larger_n_levels_survive_underflow(self):
         # squared entries of 1e-159 underflow; eigvalsh then returns +-1.49999836

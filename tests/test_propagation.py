@@ -494,6 +494,31 @@ def _dop853(f, y0, edges):
     return np.array(out)
 
 
+def _lz_propagator(v, t0, t1):
+    """Exact U(t1, t0) of H = 0.5 [[-v t, 1], [1, v t]] at 30 digits. With
+    tau = sqrt(v) t and g = 1 / (2 sqrt(v)), the Weber functions
+    c1 = D_{i g^2}(+-e^{-i pi/4} tau) and c2 = (i dc1/dtau + tau c1 / 2) / g give
+    two independent solutions (c1, c2) (Zener, Proc. R. Soc. A 137, 696 (1932));
+    U = Y(tau1) Y(tau0)^-1 of the matrix Y whose columns they are."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        root = mpmath.sqrt(v)
+        g, rot = 1 / (2 * root), mpmath.expjpi(-0.25)
+        nu = 1j * g**2
+
+        def solutions(t):
+            tau, columns = root * t, []
+            for a in (rot, -rot):
+                d = mpmath.pcfd(nu, a * tau)
+                # dc1/dtau = a D'(a tau), with D'(z) = z D(z) / 2 - D_{nu+1}(z)
+                slope = a * (a * tau / 2 * d - mpmath.pcfd(nu + 1, a * tau))
+                columns.append([d, (1j * slope + tau * d / 2) / g])
+            return mpmath.matrix(columns).T
+
+        u = solutions(t1) * solutions(t0) ** -1
+        return np.array(u.tolist(), dtype=complex)
+
+
 class TestToleranceMet:
     """Every state an accepted solve returns lies within atol + rtol |y| (vector
     2-norms) of a tight DOP853 reference y, with atol = rtol / 100."""
@@ -513,6 +538,17 @@ class TestToleranceMet:
         want = _dop853(lambda t, y, a, b: -1j * (H(t) @ y), psi0,
                        np.concatenate([[-5.0], samples, [5.0]]))
         self._assert_within(np.concatenate([res.samples, [res.state]]), want[1:], rtol)
+
+    @pytest.mark.parametrize("inv_v", [1.0, 2.0, 4.0, 6.0])
+    def test_unitary_lz_exact_propagator(self, inv_v):
+        """The closed LZ solve from the order-4 frame at -25/v to +25/v, against
+        the exact propagator of the parabolic-cylinder solutions."""
+        H, t_final, _, _, traj = lz_setup(inv_v, order=4)
+        psi0 = traj.basis[0, :, 0]
+        cfg = sl.IntegratorConfig()
+        res = sl.evolve_unitary(H, psi0, -t_final, t_final, cfg=cfg)
+        want = _lz_propagator(1.0 / inv_v, -t_final, t_final) @ psi0
+        assert np.linalg.norm(res.state - want) <= cfg.atol + cfg.rtol * np.linalg.norm(want)
 
     @pytest.mark.parametrize("case", ["lz_coarse", "ladder"])
     @pytest.mark.parametrize("rtol", [1e-6, 1e-8, 1e-10])
@@ -1073,6 +1109,28 @@ class TestConfigsAndValidators:
             sl.check_density_matrix(np.array([[1.2, 0.0], [0.0, -0.2]], complex))
         ok = sl.check_density_matrix(np.diag([0.25, 0.75]).astype(complex))
         assert np.allclose(ok, np.diag([0.25, 0.75]))
+
+    @pytest.mark.parametrize("engine", ["unitary", "lindblad", "trajectories"])
+    def test_nan_initial_state_raises(self, engine):
+        gen, _ = _lz_coarse()
+        psi0 = np.array([math.nan, 0.0], complex)
+        with pytest.raises(sl.StateIntegrityError):
+            if engine == "unitary":
+                sl.evolve_unitary(gen.hamiltonian, psi0, -1.0, 1.0)
+            elif engine == "lindblad":
+                sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -1.0, 1.0)
+            else:
+                sl.evolve_trajectories(gen, psi0, -1.0, 1.0, sl.TrajectoryConfig(n_traj=4, seed=0))
+
+    def test_nan_state_ends_the_doubling(self):
+        # a NaN error estimate fails every comparison, so only a guard written
+        # as "not shrinking" stops n from doubling forever
+        def zero(times):
+            return np.zeros((len(times), 2, 2), complex)
+
+        with pytest.raises(sl.StiffnessError):
+            sl.propagation._propagate(zero, np.array([math.nan, 0.0], complex),
+                                      np.array([0.0, 1.0]), sl.IntegratorConfig())
 
 
 def test_time_series_writers(tmp_path):

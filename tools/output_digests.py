@@ -12,7 +12,9 @@ directory that it removes. Covered:
 - `superlind fig1 configs/fig1.cfg` (three Bloch CSVs);
 - `superlind spectrum --gamma0 0.1 --wc 5 --wmin -50 --wmax 50 --n 1001`;
 - `write_frames_csv` of the order-0 and recommended-order frames of LZ at
-  1/v = 1.5, 2, 5 and 12, and of the 3-level ladder at orders 0, 4 and 12.
+  1/v = 1.5, 2, 5 and 12, and of the 3-level ladder at orders 0, 4 and 12;
+- `repr` of the 3-level ladder's master-equation P (`spec.ladder_p()`), the
+  one N = 3 solve.
 """
 from __future__ import annotations
 
@@ -70,6 +72,8 @@ def _outputs(out: Path):
         name = f"frames-ladder-order{order}.csv"
         sl.write_frames_csv(traj, out / name)
         yield name, out / name
+    (out / "ladder-p.txt").write_text(repr(spec.ladder_p()))
+    yield "ladder-p.txt", out / "ladder-p.txt"
 
 
 def main_digests() -> None:
