@@ -10,6 +10,12 @@ built by repeatedly diagonalizing the co-moving frame Hamiltonian
 which suppresses the residual oscillation of the true evolution around the
 basis by one power of the adiabatic parameter per level. Every spectral
 solve goes through ``model._eigh``: closed form for N = 2, LAPACK for larger N.
+
+Inside this module frame stacks are entries-major, ``(N, N, K)`` with the
+grid index innermost and contiguous: numpy's ``einsum`` is several times
+faster when the axis it keeps, not the one it sums, is innermost. A stack is
+converted once on the way in (``_entries``) and once on the way out;
+``FrameTrajectory.basis`` and ``frame_couplings`` stay ``(K, N, N)``.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ from .errors import (
 )
 from ._output import BLOCK_ROWS, write_blocks
 from .model import TimeDependentHamiltonian, _eigh
-from .propagation import _matmul, bloch_vector, evolve_unitary
+from .propagation import bloch_vector, evolve_unitary
 
 J_MAX = 12  # highest super-adiabatic order built or recommended
 GAP_TOL_FACTOR = 1e-9
@@ -72,8 +78,8 @@ class FrameTrajectory:
     ):
         # copies: the caller's arrays keep their flags, and its later writes do not reach these
         self.times = np.array(_checked_grid(times))
-        self.basis = np.array(basis, dtype=complex)
-        self.energies = np.array(energies, dtype=float)
+        self.basis = np.array(basis, dtype=complex, order="C")
+        self.energies = np.array(energies, dtype=float, order="C")
         self.order = int(order)
         self.hamiltonian = hamiltonian
         for arr in (self.times, self.basis, self.energies):
@@ -107,27 +113,34 @@ class FrameTrajectory:
 
     def validate(self) -> None:
         """Re-check the trajectory invariants; raises on violation."""
-        gram = np.einsum("kia,kib->kab", self.basis.conj(), self.basis)
-        worst = float(np.max(np.abs(gram - np.eye(self.dim))))
-        if worst > UNITARITY_TOL:
+        basis = _entries(self.basis)
+        gram = np.einsum("iak,ibk->abk", basis.conj(), basis)
+        worst = float(np.max(np.abs(gram - np.eye(self.dim)[:, :, None])))
+        if not worst <= UNITARITY_TOL:
             raise ParameterError(f"frame unitarity defect {worst:.3e} > {UNITARITY_TOL:.0e}")
-        if np.any(np.diff(self.energies, axis=1) < 0):
+        if not np.all(np.diff(self.energies, axis=1) >= 0):
             raise ParameterError("quasi-energies are not sorted ascending")
-        recomputed = _quasi_energies(self.hamiltonian, self.times, self.basis)
+        recomputed = _quasi_energies(self.hamiltonian, self.times, basis)
         drift = float(np.max(np.abs(recomputed - self.energies)))
-        if drift > ENERGY_TOL:
+        if not drift <= ENERGY_TOL:
             raise ParameterError(f"stored quasi-energies drifted by {drift:.3e}")
-        overlaps = _step_overlaps(self.basis)
+        overlaps = _step_overlaps(basis)
         if np.any(overlaps.real < 0) or np.any(np.abs(overlaps.imag) >= 0.1):
             raise GridError("gauge smoothness violated between adjacent frames")
         _check_step_overlaps(self.times, overlaps)
 
 
+def _entries(stack: np.ndarray) -> np.ndarray:
+    """A (K, N, N) stack as a contiguous entries-major (N, N, K) array."""
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+
+
 def _quasi_energies(
     H: TimeDependentHamiltonian, times: np.ndarray, basis: np.ndarray
 ) -> np.ndarray:
-    """<phi_a | H(t_k) | phi_a> for every grid point k and column a."""
-    return np.einsum("kia,kij,kja->ka", basis.conj(), H.on_grid(times), basis).real
+    """<phi_a | H(t_k) | phi_a> for every grid point k and column a of an
+    (N, N, K) frame stack, as a (K, N) array."""
+    return np.einsum("iak,ijk,jak->ka", basis.conj(), _entries(H.on_grid(times)), basis).real
 
 
 @dataclass(frozen=True)
@@ -153,22 +166,21 @@ def _reference_phase(basis_k: np.ndarray) -> np.ndarray:
 
 
 def _align_sweep(basis: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Fix k=0 by the reference convention, then phase-chain forward so each
-    adjacent same-index overlap is real positive."""
-    basis = basis.copy()
-    basis[0] = _reference_phase(basis[0])
+    """Gauge-fix an (N, N, K) frame stack in place and return it: k=0 by the reference
+    convention, then phase-chain forward so each adjacent same-index overlap is real positive."""
+    basis[..., 0] = _reference_phase(basis[..., 0])
     raw = _step_overlaps(basis)
     mags = np.abs(raw)
-    if np.any(mags < MIN_ALIGN_OVERLAP):
-        bad = np.min(mags, axis=1)
+    if not np.all(mags >= MIN_ALIGN_OVERLAP):
+        bad = np.min(mags, axis=0)
         k = int(np.argmin(bad))
         raise GridError(
             f"adjacent-frame overlap {bad[k]:.3f} < {MIN_ALIGN_OVERLAP} near "
             f"t = {times[k + 1]}: grid too coarse"
         )
     # column phases accumulate: psi_k = psi_0 - sum_{j<=k} arg(raw_j)
-    phases = -np.cumsum(np.angle(raw), axis=0)
-    basis[1:] *= np.exp(1j * phases)[:, None, :]
+    phases = -np.cumsum(np.angle(raw), axis=1)
+    basis[..., 1:] *= np.exp(1j * phases)
     return basis
 
 
@@ -184,7 +196,7 @@ def _eigh_grid(mats: np.ndarray, times: np.ndarray, context: str):
     gap_tol = GAP_TOL_FACTOR * spread
     gaps = np.diff(vals, axis=1)
     min_gap = float(gaps.min())
-    if min_gap < gap_tol or min_gap <= 0.0:
+    if not (min_gap >= gap_tol and min_gap > 0.0):
         k = int(np.argmin(gaps.min(axis=1)))
         raise DegeneracyError(
             f"{context}: levels within {min_gap:.3e} (tol {gap_tol:.3e}) at t = {times[k]}"
@@ -198,21 +210,20 @@ def instantaneous_frames(
     """Order-0 trajectory: sorted eigenframes of H on the grid, gauge-fixed."""
     times = _checked_grid(times)
     vals, vecs = _eigh_grid(H.on_grid(times), times, "instantaneous frames")
-    vecs = _align_sweep(vecs, times)
-    traj = FrameTrajectory(times, vecs, vals, order=0, hamiltonian=H)
-    _check_step_overlaps(traj.times, _step_overlaps(traj.basis))
-    return traj
+    basis = _align_sweep(_entries(vecs), times)
+    _check_step_overlaps(times, _step_overlaps(basis))
+    return FrameTrajectory(times, np.moveaxis(basis, -1, 0), vals, order=0, hamiltonian=H)
 
 
 def _step_overlaps(basis: np.ndarray) -> np.ndarray:
-    """<phi_a(t_k) | phi_a(t_k+1)> for every grid step k and column a, (K-1, N)."""
-    return np.einsum("kia,kia->ka", basis[:-1].conj(), basis[1:])
+    """<phi_a(t_k) | phi_a(t_k+1)> for every column a and grid step k, (N, K-1)."""
+    return np.einsum("iak,iak->ak", basis[..., :-1].conj(), basis[..., 1:])
 
 
 def _check_step_overlaps(times: np.ndarray, overlaps: np.ndarray) -> None:
     o2 = np.abs(overlaps) ** 2
-    if np.any(o2 <= MIN_STEP_OVERLAP_SQ):
-        k = int(np.argmin(np.min(o2, axis=1)))
+    if not np.all(o2 > MIN_STEP_OVERLAP_SQ):
+        k = int(np.argmin(np.min(o2, axis=0)))
         raise GridError(
             f"adjacent-frame overlap^2 {float(o2.min()):.4f} <= {MIN_STEP_OVERLAP_SQ} "
             f"near t = {times[k]}: refine the grid"
@@ -220,13 +231,13 @@ def _check_step_overlaps(times: np.ndarray, overlaps: np.ndarray) -> None:
 
 
 def _differentiate(stack: np.ndarray, h: float) -> np.ndarray:
-    """d/dt of a (K, N, N) stack: central inside, 2nd-order one-sided at ends."""
-    if stack.shape[0] < 3:
+    """d/dt of an (N, N, K) stack: central inside, 2nd-order one-sided at ends."""
+    if stack.shape[-1] < 3:
         raise GridError("need at least three grid points to differentiate frames")
     d = np.empty_like(stack)
-    d[1:-1] = (stack[2:] - stack[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * stack[0] + 4.0 * stack[1] - stack[2]) / (2.0 * h)
-    d[-1] = (3.0 * stack[-1] - 4.0 * stack[-2] + stack[-3]) / (2.0 * h)
+    d[..., 1:-1] = (stack[..., 2:] - stack[..., :-2]) / (2.0 * h)
+    d[..., 0] = (-3.0 * stack[..., 0] + 4.0 * stack[..., 1] - stack[..., 2]) / (2.0 * h)
+    d[..., -1] = (3.0 * stack[..., -1] - 4.0 * stack[..., -2] + stack[..., -3]) / (2.0 * h)
     return d
 
 
@@ -237,7 +248,12 @@ def frame_couplings(basis: np.ndarray, step: float) -> np.ndarray:
     ``step``. Anti-Hermitian up to the finite-difference error O(step^2);
     the diagonal vanishes to the same order under the smooth gauge.
     """
-    return np.einsum("kia,kib->kab", basis.conj(), _differentiate(basis, step))
+    return np.ascontiguousarray(np.moveaxis(_couplings(_entries(basis), step), -1, 0))
+
+
+def _couplings(basis: np.ndarray, h: float) -> np.ndarray:
+    """``frame_couplings`` of an (N, N, K) frame stack, as K[a, b, k]."""
+    return np.einsum("iak,ibk->abk", basis.conj(), _differentiate(basis, h))
 
 
 def adiabatic_report(traj: FrameTrajectory) -> AdiabaticReport:
@@ -248,16 +264,18 @@ def adiabatic_report(traj: FrameTrajectory) -> AdiabaticReport:
     """
     if traj.order != 0:
         raise ParameterError("adiabatic report is defined on order-0 trajectories")
-    couplings = frame_couplings(traj.basis, traj.step)
-    n = traj.dim
-    off = ~np.eye(n, dtype=bool)
-    gaps = traj.energies[:, None, :] - traj.energies[:, :, None]
-    gaps_off = np.abs(gaps[:, off])
-    if np.any(gaps_off == 0.0):
-        k = int(np.argmin(np.min(gaps_off, axis=1)))
-        raise DegeneracyError(f"degenerate pair at t = {traj.times[k]}")
-    samples = np.max(np.abs(couplings[:, off]) / gaps_off, axis=1)
+    couplings = _couplings(_entries(traj.basis), traj.step)
+    off = ~np.eye(traj.dim, dtype=bool)
+    levels = traj.energies.T
+    gaps_off = np.abs(levels[None, :, :] - levels[:, None, :])[off]
+    if not np.all(gaps_off > 0.0):
+        k = int(np.argmin(np.min(gaps_off, axis=0)))
+        gap = float(np.min(gaps_off[:, k]))
+        raise DegeneracyError(f"degenerate pair at t = {traj.times[k]} (gap {gap:.3e})")
+    samples = np.max(np.abs(couplings[off]) / gaps_off, axis=0)
     global_max = float(samples.max())
+    if math.isnan(global_max):
+        raise ParameterError("adiabatic parameter is NaN: the frames are not finite")
     if global_max < 1e-12:
         order = 0
     else:
@@ -302,26 +320,31 @@ def superadiabatic_frames(
         return traj0
 
     h = traj0.step
-    level_vecs = traj0.basis            # frame-local rotation of the current level
+    # frame-local rotation of the current level, and the cumulative lab-frame basis
+    level_vecs = lab = _entries(traj0.basis)
     level_vals = traj0.energies
-    lab = traj0.basis                   # cumulative lab-frame basis
     n = traj0.dim
     idx = np.arange(n)
     for level in range(1, order + 1):
-        coupling = frame_couplings(level_vecs, h)
-        anti = 0.5 * (coupling - np.conj(np.transpose(coupling, (0, 2, 1))))
-        anti[:, idx, idx] = 0.0
+        coupling = _couplings(level_vecs, h)
+        anti = 0.5 * (coupling - np.conj(np.transpose(coupling, (1, 0, 2))))
+        anti[idx, idx] = 0.0
         frame_h = -1j * anti
-        frame_h[:, idx, idx] += level_vals   # exactly Hermitian, as anti is exactly anti-Hermitian
-        level_vals, level_vecs = _eigh_grid(frame_h, times, f"super-adiabatic level {level}")
-        level_vecs = _align_sweep(level_vecs, times)
-        lab = _matmul(lab, level_vecs)
+        frame_h[idx, idx] += level_vals.T   # exactly Hermitian, as anti is exactly anti-Hermitian
+        del coupling, anti  # a stack each: freed before the solve and the product
+        level_vals, level_vecs = _eigh_grid(np.moveaxis(frame_h, -1, 0), times,
+                                            f"super-adiabatic level {level}")
+        level_vecs = _align_sweep(_entries(level_vecs), times)
+        # lab @ level_vecs as _matmul forms it: broadcast products summed in j order
+        product = lab[:, 0, None] * level_vecs[0]
+        for j in range(1, n):
+            product += lab[:, j, None] * level_vecs[j]
+        lab = product
 
     lab = _align_sweep(lab, times)
-    quasi = _quasi_energies(H, times, lab)
-    traj = FrameTrajectory(times, lab, quasi, order=order, hamiltonian=H)
-    _check_step_overlaps(traj.times, _step_overlaps(traj.basis))
-    return traj
+    _check_step_overlaps(times, _step_overlaps(lab))
+    return FrameTrajectory(times, np.moveaxis(lab, -1, 0), _quasi_energies(H, times, lab),
+                           order=order, hamiltonian=H)
 
 
 def residual_oscillation(

@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 
 import superlind as sl
 from superlind.frames import (
-    _align_sweep, _eigh, _quasi_energies, _reference_phase, _step_norms,
+    _align_sweep, _check_step_overlaps, _eigh, _eigh_grid, _entries, _quasi_energies,
+    _reference_phase, _step_norms,
 )
 
-from lzutil import ladder_hamiltonian, lz_setup
+from lzutil import ladder_hamiltonian, lz_hamiltonian, lz_setup
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +50,20 @@ class TestInstantaneousFrames:
         base.validate()
         gram = np.einsum("kia,kib->kab", base.basis.conj(), base.basis)
         assert np.max(np.abs(gram - np.eye(2))) < 1e-10
-        recomputed = _quasi_energies(base.hamiltonian, base.times, base.basis)
+        recomputed = _quasi_energies(base.hamiltonian, base.times, _entries(base.basis))
         assert np.max(np.abs(recomputed - base.energies)) < 1e-10
 
     def test_degenerate_spectrum_rejected(self):
         H = sl.TimeDependentHamiltonian.constant(np.eye(2, dtype=complex))
         with pytest.raises(sl.DegeneracyError):
             sl.instantaneous_frames(H, np.linspace(0.0, 1.0, 11))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nan_levels_rejected(self, n):
+        mats = np.tile(np.diag(np.arange(n, dtype=complex)), (5, 1, 1))
+        mats[3, 0, 0] = np.nan
+        with pytest.raises(sl.DegeneracyError, match="levels within nan .* at t = 3.0"):
+            _eigh_grid(mats, np.arange(5.0), "test")
 
     def test_coarse_grid_rejected(self):
         H = sl.lz_hamiltonian(sl.LZParams(v=5.0, delta=0.2))
@@ -139,8 +147,8 @@ class TestInstantaneousFrames:
 
 
 def _align_pair(prev, cur):
-    """Gauge-fix the two-frame stack (prev, cur) on a unit-step grid."""
-    return _align_sweep(np.stack([prev, cur]), np.array([0.0, 1.0]))
+    """Gauge-fix the two-frame stack (prev, cur) on a unit-step grid; (2, N, N)."""
+    return np.moveaxis(_align_sweep(np.stack([prev, cur], axis=-1), np.array([0.0, 1.0])), -1, 0)
 
 
 def _flip_every_other(basis):
@@ -148,6 +156,15 @@ def _flip_every_other(basis):
     out = basis.copy()
     out[1::2, :, 0] *= -1.0
     return out
+
+
+def _nan_at(k):
+    """A copy of the array with a NaN row at grid point k."""
+    def broken(arr):
+        out = arr.copy()
+        out[k, 0] = np.nan
+        return out
+    return broken
 
 
 class TestValidate:
@@ -167,10 +184,26 @@ class TestValidate:
         (lambda b: b[:, :, ::-1], lambda e: e[:, ::-1], sl.ParameterError, "not sorted ascending"),
         (None, lambda e: e + 1e-8, sl.ParameterError, "drifted by"),
         (_flip_every_other, None, sl.GridError, "gauge smoothness"),
-    ], ids=["scaled-basis", "swapped-levels", "shifted-energies", "flipped-column"])
+        (_nan_at(20), None, sl.ParameterError, "unitarity defect nan"),
+        (None, _nan_at(20), sl.ParameterError, "not sorted ascending"),
+    ], ids=["scaled-basis", "swapped-levels", "shifted-energies", "flipped-column",
+            "nan-basis-row", "nan-energies"])
     def test_each_failure(self, basis, energies, error, message):
         with pytest.raises(error, match=message):
             self._broken(basis, energies).validate()
+
+    def test_nan_quasi_energy_drift_raises(self, monkeypatch):
+        traj = self._broken()
+        nan_grid = np.full((len(traj), 2, 2), np.nan, dtype=complex)
+        monkeypatch.setattr(traj.hamiltonian, "on_grid", lambda times: nan_grid)
+        with pytest.raises(sl.ParameterError, match="drifted by nan"):
+            traj.validate()
+
+    def test_adiabatic_report_rejects_nan_energies(self):
+        with pytest.raises(sl.DegeneracyError, match=r"pair at t = 0.0 \(gap nan\)"):
+            sl.adiabatic_report(self._broken(energies=_nan_at(20)))
+        with pytest.raises(sl.ParameterError, match="adiabatic parameter is NaN"):
+            sl.adiabatic_report(self._broken(basis=_nan_at(20)))
 
     def test_adiabatic_report_rejects_a_degenerate_pair(self):
         def merge(energies):  # both levels equal at t = 0
@@ -222,6 +255,17 @@ class TestSmoothGauge:
         _, _, _, base, _ = lz_setup(2.0)
         with pytest.raises(sl.GridError):
             _align_pair(base.basis[0], base.basis[-1])
+
+    def test_nan_frame_rejected(self):
+        _, _, _, base, _ = lz_setup(2.0)
+        with pytest.raises(sl.GridError, match="overlap nan"):
+            _align_pair(base.basis[100], np.full((2, 2), np.nan, dtype=complex))
+
+    def test_nan_step_overlap_rejected(self):
+        overlaps = np.ones((2, 4), dtype=complex)
+        overlaps[1, 2] = np.nan
+        with pytest.raises(sl.GridError, match=r"overlap\^2 nan .* near t = 2.0"):
+            _check_step_overlaps(np.arange(5.0), overlaps)
 
 
 class TestFrameCouplings:
@@ -305,6 +349,76 @@ class TestAdiabaticParameter:
         traj1 = sl.superadiabatic_frames(H, 1, times, base=base)
         with pytest.raises(sl.ParameterError):
             sl.adiabatic_report(traj1)
+
+
+def _literal_couplings(basis, h):
+    """Reference for `frame_couplings`: the derivative and the contraction on the
+    (K, N, N) stack."""
+    d = np.empty_like(basis)
+    d[1:-1] = (basis[2:] - basis[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * basis[0] + 4.0 * basis[1] - basis[2]) / (2.0 * h)
+    d[-1] = (3.0 * basis[-1] - 4.0 * basis[-2] + basis[-3]) / (2.0 * h)
+    return np.einsum("kia,kib->kab", basis.conj(), d)
+
+
+def _literal_align(basis):
+    """Reference for `_align_sweep` on the (K, N, N) stack."""
+    basis = basis.copy()
+    basis[0] = _reference_phase(basis[0])
+    raw = np.einsum("kia,kia->ka", basis[:-1].conj(), basis[1:])
+    phases = -np.cumsum(np.angle(raw), axis=0)
+    basis[1:] *= np.exp(1j * phases)[:, None, :]
+    return basis
+
+
+def _literal_levels(H, times, order):
+    """Reference for `superadiabatic_frames`: the (K, N, N) stack-layout level loop.
+    Yields (basis, energies, report samples) at orders 0 to ``order``; the samples
+    are those of the order-0 frames."""
+    vals, vecs = _eigh(H.on_grid(times))
+    level_vecs = lab = _literal_align(vecs)
+    level_vals, h, n = vals, times[1] - times[0], vals.shape[1]
+    off, idx = ~np.eye(n, dtype=bool), np.arange(n)
+    gaps = np.abs((vals[:, None, :] - vals[:, :, None])[:, off])
+    samples = np.max(np.abs(_literal_couplings(lab, h)[:, off]) / gaps, axis=1)
+    yield lab, vals, samples
+    for _ in range(order):
+        coupling = _literal_couplings(level_vecs, h)
+        anti = 0.5 * (coupling - np.conj(np.transpose(coupling, (0, 2, 1))))
+        anti[:, idx, idx] = 0.0
+        frame_h = -1j * anti
+        frame_h[:, idx, idx] += level_vals
+        level_vals, level_vecs = _eigh(frame_h)
+        level_vecs = _literal_align(level_vecs)
+        lab = sl.propagation._matmul(lab, level_vecs)
+        basis = _literal_align(lab)
+        quasi = np.einsum("kia,kij,kja->ka", basis.conj(), H.on_grid(times), basis).real
+        yield basis, quasi, samples
+
+
+@pytest.mark.parametrize("H,t_final,orders", [
+    *[(lz_hamiltonian(inv_v), 25.0 * inv_v, None) for inv_v in (1.5, 2.0, 5.0, 12.0)],
+    (ladder_hamiltonian(), 150.0, (4, 12)),
+], ids=["lz-1.5", "lz-2", "lz-5", "lz-12", "ladder"])
+def test_frames_match_literal_stack_layout_bit_for_bit(H, t_final, orders):
+    """The entries-major frames equal the (K, N, N) level loop they replaced, bit
+    for bit: the layout moved, not a single rounding. LZ at every order up to the
+    recommended one, the ladder at orders 4 and 12."""
+    times = sl.adaptive_time_grid(H, -t_final, t_final)
+    base = sl.instantaneous_frames(H, times)
+    report = sl.adiabatic_report(base)
+    orders = range(report.recommended_order + 1) if orders is None else orders
+    for order, (basis, energies, samples) in enumerate(_literal_levels(H, times, max(orders))):
+        if order == 0:
+            assert np.array_equal(report.samples, samples)
+        if order not in orders:
+            continue
+        traj = sl.superadiabatic_frames(H, order, times, base=base)
+        assert np.array_equal(traj.basis, basis) and np.array_equal(traj.energies, energies)
+        assert traj.basis.flags.c_contiguous and traj.energies.flags.c_contiguous
+        couplings = sl.frame_couplings(traj.basis, traj.step)
+        assert couplings.flags.c_contiguous
+        assert np.array_equal(couplings, _literal_couplings(basis, traj.step))
 
 
 class TestSuperadiabaticFrames:

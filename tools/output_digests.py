@@ -12,7 +12,8 @@ directory that it removes. Covered:
 - `superlind fig1 configs/fig1.cfg` (three Bloch CSVs);
 - `superlind spectrum --gamma0 0.1 --wc 5 --wmin -50 --wmax 50 --n 1001`;
 - `write_frames_csv` of the order-0 and recommended-order frames of LZ at
-  1/v = 1.5, 2, 5 and 12, and of the 3-level ladder at orders 0, 4 and 12;
+  every 1/v of the `frames-scan` workload (1.5, 2, ..., 12), and of the
+  3-level ladder at orders 0, 4 and 12;
 - `repr` of the 3-level ladder's master-equation P (`spec.ladder_p()`), the
   one N = 3 solve.
 """
@@ -61,7 +62,7 @@ def _outputs(out: Path):
     _cli("spectrum", "--gamma0", "0.1", "--wc", "5", "--wmin", "-50", "--wmax", "50",
          "--n", "1001", "--output", str(out / "spectrum.csv"))
     yield "spectrum.csv", out / "spectrum.csv"
-    for inv_v in (1.5, 2.0, 5.0, 12.0):
+    for inv_v in spec.FRAMES_INV_V:
         H, _, traj = spec.lz_frames(inv_v)
         for t in (sl.instantaneous_frames(H, traj.times), traj):
             name = f"frames-lz-{inv_v:g}-order{t.order}.csv"
