@@ -48,7 +48,6 @@ from .frames import (
 from .generator import LindbladGenerator
 from .propagation import (
     IntegratorConfig,
-    JumpEvent,
     TrajectoryConfig,
     bloch_vector,
     check_density_matrix,

@@ -104,7 +104,7 @@ def check_propagation():
     lind = evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -6.0, 6.0)
     mc = evolve_trajectories(gen, psi0, -6.0, 6.0, TrajectoryConfig(n_traj=4, seed=0))
     diff, mc_diff = (float(np.max(np.abs(r.state - rho_uni))) for r in (lind, mc))
-    jumps = sum(map(len, mc.jumps))
+    jumps = len(mc.jumps)
     x, y, z = bloch_vector(rho_uni)
     ok = max(diff, mc_diff) < 1e-7 and jumps == 0 and abs(x * x + y * y + z * z - 1.0) < 1e-8
     return "closed-limit propagation", ok, (f"gamma=0 deviation {diff:.1e} (master equation), "

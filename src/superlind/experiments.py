@@ -28,9 +28,7 @@ from .generator import LindbladGenerator
 from .model import (
     BathSpectrum,
     LZParams,
-    _eigh,
     dephasing_spectrum,
-    hermiticity_defect,
     lz_hamiltonian,
     ohmic_spectrum,
     sigma_z,
@@ -64,11 +62,10 @@ class BathConfig:
     def __post_init__(self):
         if self.kind not in ("none", "dephasing", "ohmic"):
             raise ParameterError(f"unknown bath kind {self.kind!r}")
-        ohmic_spectrum(self.gamma0, self.cutoff, self.temperature)  # checks all three
+        ohmic_spectrum(self.gamma0, self.cutoff, self.temperature,  # checks all four
+                       symmetric_cutoff=self.symmetric_cutoff)
         if self.kind == "none" and self.gamma0 != 0:  # a row would carry a strength never applied
             raise ParameterError(f"bath kind 'none' needs gamma0 = 0, got {self.gamma0!r}")
-        if not isinstance(self.symmetric_cutoff, bool):
-            raise ParameterError(f"symmetric_cutoff must be a bool, got {self.symmetric_cutoff!r}")
 
     def spectrum(self) -> BathSpectrum:
         if self.kind == "ohmic":
@@ -94,9 +91,9 @@ class SweepConfig:
     window_factor: float = 25.0
     solver: str = "me"
     n_traj: int = 1000
-    seed: int = 0
-    rtol: float = 1e-8
-    atol: float = 1e-10
+    seed: int = TrajectoryConfig.seed
+    rtol: float = IntegratorConfig.rtol
+    atol: float = IntegratorConfig.atol
 
     def __post_init__(self):
         object.__setattr__(self, "inv_velocities", tuple(float(x) for x in self.inv_velocities))
@@ -194,35 +191,29 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
     icfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol)
     excited = _excited_readout(H, t_final)
 
-    def record(gamma0, p, trace_error, herm_error, min_eig):
+    def record(gamma0, p, d):
         return SweepRecord(
             inv_v=inv_v, p_ge=float(p), gamma0=gamma0,
-            trace_error=float(trace_error), herm_error=float(herm_error),
-            min_eigenvalue=float(min_eig), adiabaticity=report.global_max,
+            trace_error=d.max_trace_drift, herm_error=d.max_hermiticity_drift,
+            min_eigenvalue=d.min_eigenvalue, adiabaticity=report.global_max,
         )
 
     if cfg.mode == "closed":
         res = evolve_unitary(H, psi0, -t_final, t_final, cfg=icfg)
-        p = abs(np.vdot(excited, res.state)) ** 2
-        return [record(0.0, p, res.max_norm_drift, 0.0, 0.0)]
+        return [record(0.0, abs(np.vdot(excited, res.state)) ** 2, res.diagnostics)]
 
     frames = base if cfg.mode == "instantaneous" else traj
     rho0 = np.outer(psi0, psi0.conj())
-    tcfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=cfg.seed, record_jumps=False)
+    tcfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=cfg.seed)
     records = []
     for bath in baths:
         gen = LindbladGenerator(frames, sigma_z, bath.spectrum(), H)
         if cfg.solver == "me":
             res = evolve_lindblad(gen, rho0, -t_final, t_final, cfg=icfg)
-            d = res.diagnostics
-            integrity = (d.max_trace_drift, d.max_hermiticity_drift, d.min_eigenvalue)
         else:
             res = evolve_trajectories(gen, psi0, -t_final, t_final, tcfg)
-            rho = res.state
-            integrity = (abs(float(np.trace(rho).real) - 1.0), hermiticity_defect(rho),
-                         float(_eigh(rho[None], vectors=False)[0, 0]))
         p = float(np.real(excited.conj() @ res.state @ excited))
-        records.append(record(bath.gamma0, p, *integrity))
+        records.append(record(bath.gamma0, p, res.diagnostics))
     return records
 
 

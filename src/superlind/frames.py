@@ -306,13 +306,13 @@ def superadiabatic_frames(
     diag(previous level's frequencies) - i K, rotates the eigenvectors back
     to the lab frame and re-fixes the gauge. Quasi-energies of the result
     are recomputed against the original H(t). ``base`` may supply a
-    pre-built order-0 trajectory on the same grid.
+    pre-built order-0 trajectory of this H on the same grid.
     """
     check_order(order)
     times = np.asarray(times, dtype=float)
     if base is not None:
-        if base.order != 0 or not np.array_equal(base.times, times):
-            raise ParameterError("base must be an order-0 trajectory on the same grid")
+        if base.order != 0 or base.hamiltonian is not H or not np.array_equal(base.times, times):
+            raise ParameterError("base must be an order-0 trajectory of H on the same grid")
         traj0 = base
     else:
         traj0 = instantaneous_frames(H, times)

@@ -238,6 +238,8 @@ def ohmic_spectrum(
         raise ParameterError(f"cutoff must be finite and > 0, got {cutoff!r}")
     if not np.isfinite(temperature) or temperature < 0:
         raise ParameterError(f"temperature must be finite and >= 0, got {temperature!r}")
+    if not isinstance(symmetric_cutoff, bool):  # a truthy string would pick the symmetric branch
+        raise ParameterError(f"symmetric_cutoff must be a bool, got {symmetric_cutoff!r}")
 
     def gamma(w):
         w_arr = np.asarray(w, dtype=float)

@@ -25,8 +25,10 @@ All these products use ``_matmul``: broadcast products for complex stacks,
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
 for the whole ensemble, a block of steps at a time; it finds each jump time
 from the norms at the two ends of its step, by a bisection that a Newton root
-predicts and one pass checks, and handles a block's jumps as one batch. One
-array kernel computes the ensemble's numpy Philox streams, one per trajectory.
+predicts and one pass checks, and handles a block's jumps as one batch, each
+recorded as a row of one array. One array kernel computes the ensemble's numpy
+Philox streams, one per trajectory. Every engine reports its
+``IntegrationDiagnostics``.
 """
 from __future__ import annotations
 
@@ -91,11 +93,10 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Monte-Carlo unraveling controls: ensemble size, seed in [0, 2^64), record flag."""
+    """Monte-Carlo unraveling controls: ensemble size and seed in [0, 2^64)."""
 
     n_traj: int
     seed: int = 0
-    record_jumps: bool = True
 
     def __post_init__(self):
         for name, value in (("n_traj", self.n_traj), ("seed", self.seed)):
@@ -107,26 +108,21 @@ class TrajectoryConfig:
             raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    """One quantum jump: channel (target, source); (-1, -1) is dephasing."""
-
-    time: float
-    target: int
-    source: int
+# one row per quantum jump; channel (target, source), (-1, -1) for dephasing
+_JUMP_DTYPE = np.dtype([("trajectory", int), ("time", float), ("target", int), ("source", int)])
 
 
 @dataclass
 class IntegrationDiagnostics:
-    """What a master-equation solve did.
+    """What a solve did: the same five numbers from every engine.
 
     ``n_steps`` counts the sub-steps of the accepted pass and ``n_rejected``
-    those of the resolved coarser passes discarded before it. The drifts are
-    the largest over the edges of the trace and hermiticity drift accumulated
-    from rho0, before the one renormalization of the returned states: rounding
-    alone, since the core marches real coherence vectors under a generator with
-    a zero trace row. The minimum eigenvalue, over the returned states, is the
-    meaningful integrity number.
+    those of the resolved passes discarded before it; the Monte-Carlo engine
+    counts its lockstep steps and rejects none. The drifts are the largest over
+    the edges of the trace (unitary: squared norm) and hermiticity drift before
+    the one renormalization, rounding alone; the minimum eigenvalue, over the
+    returned states, is the meaningful integrity number. A pure state reports
+    0 for both; the Monte-Carlo engine all three of the rho it returns.
     """
 
     n_steps: int = 0
@@ -139,21 +135,22 @@ class IntegrationDiagnostics:
 @dataclass(frozen=True)
 class UnitaryResult:
     state: np.ndarray
+    diagnostics: IntegrationDiagnostics
     samples: np.ndarray | None = None
-    max_norm_drift: float = 0.0  # largest | ||psi||^2 - 1 | over the edges, before renormalizing
 
 
 @dataclass(frozen=True)
 class LindbladResult:
     state: np.ndarray
-    diagnostics: IntegrationDiagnostics | None = None
+    diagnostics: IntegrationDiagnostics
     samples: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class TrajectoryResult:
     state: np.ndarray
-    jumps: list | None = None
+    diagnostics: IntegrationDiagnostics
+    jumps: np.ndarray  # every jump, a _JUMP_DTYPE row each, by trajectory and then time
 
 
 def check_state_vector(psi: np.ndarray) -> np.ndarray:
@@ -443,13 +440,15 @@ def evolve_unitary(
     def generator(times):
         return -1j * H.on_grid(times)
 
-    raw, _, _ = _propagate(generator, psi0, edges, cfg)
+    raw, n_steps, n_rejected = _propagate(generator, psi0, edges, cfg)
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     states = raw / norms
     return UnitaryResult(
         state=states[-1],
+        diagnostics=IntegrationDiagnostics(
+            n_steps=n_steps, n_rejected=n_rejected,
+            max_trace_drift=float(np.max(np.abs(norms**2 - 1.0)))),
         samples=states[at] if at.size else None,
-        max_norm_drift=float(np.max(np.abs(norms**2 - 1.0))),
     )
 
 
@@ -573,13 +572,13 @@ def _crossing(c):
     return lo
 
 
-def _jumps(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds, events):
+def _jumps(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds):
     """Handle the norm-threshold crossings of a batch of trajectories, each in
     its own lockstep step [t_a, t_b], which lies in its frame cell ``cells``.
 
-    ``rows`` are the crossing trajectories' indices in ``streams``; ``events`` (or
-    None) and the rows of every array belong to them. ``h_eff`` is each one's
-    drift anywhere in its cell. There d||psi||^2/dt = -<psi, gamma psi> with
+    ``rows`` are the crossing trajectories' indices in ``streams``; the rows of
+    every array belong to them. ``h_eff`` is each one's drift anywhere in its
+    cell. There d||psi||^2/dt = -<psi, gamma psi> with
     gamma = i (H_eff - H_eff^dag) constant, so the step's ends give ||psi||^2
     and its slope at both; each jump time is the threshold crossing of their
     cubic Hermite interpolant, found by ``_crossing`` to 2^-40 of the step, far
@@ -590,17 +589,18 @@ def _jumps(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds,
     from their own jump time. Each round makes one ``effective_hamiltonian``,
     one ``_expm`` and one ``streams.draw`` call.
 
-    Returns the states at t_b and the new thresholds.
+    Returns the states at t_b, the new thresholds and the jumps, ``_JUMP_DTYPE``
+    rows in the order made: a trajectory's own in time order.
     """
     if not gen.active_channels[cells].any(axis=1).all():
         raise SuperlindError("norm decayed but no jump channel is active")
-    channels, labels = gen.channels[cells], gen.channel_labels        # (M, C, N, N)
+    channels, labels = gen.channels[cells], np.array(gen.channel_labels)  # (M, C, N, N)
     gamma = 1j * (h_eff - h_eff.conj().swapaxes(1, 2))
     out, out_thr = psi_b.copy(), thresholds.copy()
-    todo = np.arange(rows.size)
+    todo, record = np.arange(rows.size), []
     for _round in range(65):  # the first crossings and at most 64 re-crossings
         if not todo.size:
-            return out, out_thr
+            return out, out_thr, np.concatenate(record)
         m, h = todo.size, t_b - t_a
         ends = np.stack([psi_a, psi_b])                                 # (2, m, N)
         f0, f1 = np.einsum("emi,emi->em", ends.conj(), ends).real
@@ -621,9 +621,10 @@ def _jumps(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds,
         picks = np.argmax(cum > (draws[:, 0] * cum[:, -1])[:, None], axis=1)
         psi = kicked[np.arange(m), picks]
         psi /= np.sqrt(np.einsum("mi,mi->m", psi.conj(), psi).real)[:, None]
-        if events is not None:
-            for i, t, c in zip(todo.tolist(), t_jump.tolist(), picks.tolist()):
-                events[i].append(JumpEvent(time=t, target=labels[c][0], source=labels[c][1]))
+        jumps = np.empty(m, dtype=_JUMP_DTYPE)
+        jumps["trajectory"], jumps["time"] = rows[todo], t_jump
+        jumps["target"], jumps["source"] = labels[picks].T
+        record.append(jumps)
         psi_end = np.einsum("mij,mj->mi", props[m:], psi)
         thresholds = draws[:, 1]
         out[todo], out_thr[todo] = psi_end, thresholds
@@ -657,7 +658,7 @@ def evolve_trajectories(
     ||psi||^2 between the ends of its step. Every trajectory consumes only its
     own counter-based random stream, numpy's ``Philox(key=[seed, index])``, drawn
     in bulk for the ensemble, so an ensemble is exactly reproducible for a given
-    seed, whatever the block.
+    seed, whatever the block. Each batch of jumps adds its rows to the record.
     """
     psi0 = _of_dim(check_state_vector(psi0), gen.frames.dim)
     times = gen.frames.times
@@ -670,7 +671,7 @@ def evolve_trajectories(
     streams = _Streams(tcfg.seed, m)
     thresholds = streams.draw(np.arange(m), 1)[:, 0]
     psis = np.tile(psi0, (m, 1))
-    events = [[] for _ in range(m)] if tcfg.record_jumps else None
+    record = [np.empty(0, dtype=_JUMP_DTYPE)]
 
     block = max(min(_BLOCK_ENTRIES // (m * n), math.isqrt(_TABLE_ENTRIES) // n - 1), 1)
     for lo in range(0, widths.size, block):
@@ -696,11 +697,11 @@ def evolve_trajectories(
                 break
             todo, start = todo[c[hit]], first[hit]
             j = lo + start - 1  # the step of each crossing
-            psi, thresholds[todo] = _jumps(
+            psi, thresholds[todo], jumps = _jumps(
                 gen, cells[j], streams, todo, ends[hit, start - 1], ends[hit, start],
                 edges[j], edges[j + 1], heff[0, start - 1], thresholds[todo],
-                [events[i] for i in todo] if events is not None else None,
             )
+            record.append(jumps)
 
     norms = np.linalg.norm(psis, axis=1)
     if np.any(norms <= 0):
@@ -708,7 +709,12 @@ def evolve_trajectories(
     psis = psis / norms[:, None]
     rho = np.einsum("mi,mj->ij", psis, psis.conj()) / m
     rho = 0.5 * (rho + rho.conj().T)
-    return TrajectoryResult(state=rho, jumps=events)
+    jumps = np.concatenate(record)  # a trajectory's in time order, which the stable sort keeps
+    diag = IntegrationDiagnostics(
+        n_steps=widths.size, max_trace_drift=abs(float(np.trace(rho).real) - 1.0),
+        max_hermiticity_drift=hermiticity_defect(rho),
+        min_eigenvalue=float(_eigh(rho[None], vectors=False)[0, 0]))
+    return TrajectoryResult(rho, diag, jumps[np.argsort(jumps["trajectory"], kind="stable")])
 
 
 # ------------------------------------------------------------------- misc

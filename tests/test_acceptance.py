@@ -129,7 +129,7 @@ def unraveling_runs():
     for m in (250, 1000, 4000):
         res = sl.evolve_trajectories(
             gen, psi0, -t_final, t_final,
-            sl.TrajectoryConfig(n_traj=m, seed=2025, record_jumps=False),
+            sl.TrajectoryConfig(n_traj=m, seed=2025),
         )
         ensembles[m] = res.state
     return me.state, ensembles, excited

@@ -84,9 +84,11 @@ class TestSweepConfigValidation:
 
     @pytest.mark.parametrize("flag", ["false", 0, None])
     def test_symmetric_cutoff_must_be_bool(self, flag):
-        # a truthy string would select the symmetric cutoff
-        with pytest.raises(sl.ParameterError, match="symmetric_cutoff must be a bool"):
-            BathConfig(kind="ohmic", gamma0=0.01, symmetric_cutoff=flag)
+        # a truthy string would select the symmetric cutoff, in the config and in the library
+        for build in (lambda: BathConfig(kind="ohmic", gamma0=0.01, symmetric_cutoff=flag),
+                      lambda: sl.ohmic_spectrum(0.1, 5.0, 0.5, symmetric_cutoff=flag)):
+            with pytest.raises(sl.ParameterError, match="symmetric_cutoff must be a bool"):
+                build()
 
     @pytest.mark.parametrize("build", [
         lambda: _fast_cfg(order=2.5),
@@ -182,7 +184,8 @@ class TestRunSweep:
         # the record's range check sees the computed P, not a clipped one
         def solve(H, psi0, t0, t1, cfg=None, sample_times=None):
             _, vecs = np.linalg.eigh(H(t1))
-            return sl.propagation.UnitaryResult(state=math.sqrt(1.5) * vecs[:, -1])
+            return sl.propagation.UnitaryResult(state=math.sqrt(1.5) * vecs[:, -1],
+                                                diagnostics=sl.propagation.IntegrationDiagnostics())
 
         monkeypatch.setattr(experiments, "evolve_unitary", solve)
         with pytest.raises(sl.ParameterError, match="transition probability 1.49"):

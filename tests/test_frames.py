@@ -462,6 +462,11 @@ class TestSuperadiabaticFrames:
         other = sl.instantaneous_frames(H, times[: len(times) // 2])
         with pytest.raises(sl.ParameterError):
             sl.superadiabatic_frames(H, 1, times, base=other)
+        # the frames of another Hamiltonian on the same grid: at order 0 they were returned as is
+        foreign = sl.instantaneous_frames(sl.lz_hamiltonian(sl.LZParams(v=0.3, delta=1.0)), times)
+        for order in (0, 1):
+            with pytest.raises(sl.ParameterError, match="order-0 trajectory of H"):
+                sl.superadiabatic_frames(H, order, times, base=foreign)
 
     def test_base_on_nearby_grid_rejected(self, lz_slow):
         # same size, ends 1e-6 apart: the frames would be labelled with the wrong times

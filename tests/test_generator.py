@@ -345,7 +345,7 @@ def test_outputs_ignore_frame_column_phases():
     cases = [(*lz, sl.dephasing_spectrum(0.1)), (*lz, sl.ohmic_spectrum(0.1, 5.0, 0.5)),
              (ladder, 150.0, ladder_traj, np.diag([1.0, 0.0, -1.0]), ground,
               sl.ohmic_spectrum(0.05, 5.0, 0.5))]
-    tcfg = sl.TrajectoryConfig(n_traj=200, seed=5, record_jumps=False)
+    tcfg = sl.TrajectoryConfig(n_traj=200, seed=5)
     for H, t_final, traj, coupling, target, spectrum in cases:
         angles = np.random.default_rng(29).uniform(-np.pi, np.pi, (len(traj), traj.dim))
         phases = np.exp(1j * angles)

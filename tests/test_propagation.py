@@ -42,8 +42,9 @@ def _sequential_jumps(gen, rng, psi_a, psi_b, t_a, t_b, h_eff, threshold, events
                       depth=0):
     """Reference for `_jumps`: one trajectory's crossing inside [t_a, t_b],
     handled alone, with channels from ``jump_channels`` at the step's middle
-    and the pick by ``searchsorted``. Counts each re-crossing in
-    ``cascades[0]``; returns the state at t_b and the new threshold."""
+    and the pick by ``searchsorted``. Appends each jump's (time, target, source)
+    to ``events`` and counts each re-crossing in ``cascades[0]``; returns the
+    state at t_b and the new threshold."""
     if depth > 64:
         raise sl.StiffnessError("jump cascade did not terminate within one step")
     h = t_b - t_a
@@ -70,8 +71,7 @@ def _sequential_jumps(gen, rng, psi_a, psi_b, t_a, t_b, h_eff, threshold, events
     label, op = channels[min(pick, len(channels) - 1)]
     psi = op @ psi
     psi = psi / np.linalg.norm(psi)
-    if events is not None:
-        events.append(sl.JumpEvent(time=float(t_jump), target=label[0], source=label[1]))
+    events.append((float(t_jump), label[0], label[1]))
     threshold = rng.uniform()
     psi_end = rest @ psi
     if float(np.vdot(psi_end, psi_end).real) < threshold:
@@ -608,6 +608,20 @@ class TestEvolveUnitary:
         assert np.max(np.abs(norms - 1.0)) < 1e-10
         assert np.allclose(res.samples[0], base.basis[0, :, 0])
 
+    def test_diagnostics_count_power_of_two_sub_steps(self):
+        # 21 intervals: -t_final, the 20 sample times (the first of them -t_final
+        # again, an interval of zero width), t_final; every pass splits each into
+        # the same power of two of sub-steps
+        H, t_final, times, base, _ = lz_setup(2.0)
+        samples = times[:: len(times) // 20][:20]
+        d = sl.evolve_unitary(H, base.basis[0, :, 0], -t_final, t_final,
+                              sample_times=samples).diagnostics
+        n = d.n_steps // 21
+        assert d.n_steps == 21 * n and n > 1 and n & (n - 1) == 0
+        assert d.n_rejected % 21 == 0 and d.n_rejected < d.n_steps
+        assert 0.0 <= d.max_trace_drift < 1e-8
+        assert d.max_hermiticity_drift == d.min_eigenvalue == 0.0  # a pure state
+
     def test_unnormalized_input_rejected(self):
         H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x)
         with pytest.raises(sl.StateIntegrityError):
@@ -755,7 +769,7 @@ class TestEvolveTrajectories:
             gen, psi0, -t_final, t_final, sl.TrajectoryConfig(n_traj=3, seed=5)
         )
         uni = sl.evolve_unitary(H, psi0, -t_final, t_final)
-        assert all(len(j) == 0 for j in res.jumps)
+        assert res.jumps.size == 0 and res.jumps.dtype == sl.propagation._JUMP_DTYPE
         rho_uni = np.outer(uni.state, uni.state.conj())
         assert np.max(np.abs(res.state - rho_uni)) < 1e-6
         excited = excited_state(H, t_final)
@@ -774,7 +788,9 @@ class TestEvolveTrajectories:
         m = 30
         res = sl.evolve_trajectories(gen, psi0, -t_final, t_final,
                                      sl.TrajectoryConfig(n_traj=m, seed=0))
-        first = np.array([events[0].time for events in res.jumps])
+        jumped, at = np.unique(res.jumps["trajectory"], return_index=True)
+        assert jumped.tolist() == list(range(m))
+        first = res.jumps["time"][at]  # each trajectory's jumps are in time order
         thresholds = [_numpy_stream(0, i).uniform() for i in range(m)]
         times = traj.times
         edges = np.concatenate([[-t_final], 0.5 * (times[:-1] + times[1:]), [t_final]])
@@ -810,7 +826,7 @@ class TestEvolveTrajectories:
         me = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -150.0, 150.0)
         m = 500
         mc = sl.evolve_trajectories(gen, psi0, -150.0, 150.0,
-                                    sl.TrajectoryConfig(n_traj=m, seed=0, record_jumps=False))
+                                    sl.TrajectoryConfig(n_traj=m, seed=0))
         p_me, p_mc = (1.0 - excited_population(r.state, ground) for r in (me, mc))
         assert abs(p_mc - p_me) < 4.0 * math.sqrt(p_me * (1.0 - p_me) / m)
 
@@ -820,27 +836,29 @@ class TestEvolveTrajectories:
         batched = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
         cascades, rngs = [0], {}
 
-        def sequential(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds,
-                       events):
+        def sequential(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds):
             # numpy's own generator of each trajectory, past its first threshold
             for i in rows.tolist():
                 if i not in rngs:
                     rngs[i] = _numpy_stream(tcfg.seed, i)
                     rngs[i].uniform()
+            events = [[] for _ in rows.tolist()]
             done = [_sequential_jumps(gen, rngs[i], psi_a[k], psi_b[k], t_a[k], t_b[k], h_eff[k],
                                       thresholds[k], events[k], cascades)
                     for k, i in enumerate(rows.tolist())]
-            return np.array([psi for psi, _ in done]), np.array([thr for _, thr in done])
+            jumps = np.array([(i, *e) for i, evs in zip(rows.tolist(), events) for e in evs],
+                             dtype=sl.propagation._JUMP_DTYPE)
+            return np.array([psi for psi, _ in done]), np.array([thr for _, thr in done]), jumps
 
         monkeypatch.setattr(sl.propagation, "_jumps", sequential)
         reference = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
         assert cascades[0] > 0
         # a threshold, then two words a jump: some trajectory read past the first buffer
-        assert 1 + 2 * max(map(len, reference.jumps)) > sl.propagation._STREAM_WORDS
-        assert [[(e.target, e.source) for e in evs] for evs in batched.jumps] == [
-            [(e.target, e.source) for e in evs] for evs in reference.jumps]
-        got = np.array([e.time for evs in batched.jumps for e in evs])
-        want = np.array([e.time for evs in reference.jumps for e in evs])
+        most = np.bincount(reference.jumps["trajectory"]).max()  # the busiest trajectory's jumps
+        assert 1 + 2 * most > sl.propagation._STREAM_WORDS
+        for name in ("trajectory", "target", "source"):
+            assert np.array_equal(batched.jumps[name], reference.jumps[name])
+        got, want = batched.jumps["time"], reference.jumps["time"]
         assert np.max(np.abs(got - want)) < 1e-12 * traj.step / 2
         assert np.max(np.abs(batched.state - reference.state)) < 1e-12
 
@@ -881,23 +899,22 @@ class TestEvolveTrajectories:
         with pytest.raises(sl.SuperlindError, match=match):
             sl.propagation._jumps(gen, np.array([0]), sl.propagation._Streams(0, 1), np.array([0]),
                                   ground, 0.5 * ground, np.array([0.0]), np.array([0.05]),
-                                  H(0.0)[None], np.array([0.5]), None)
+                                  H(0.0)[None], np.array([0.5]))
 
     def test_results_do_not_depend_on_block_length(self, monkeypatch):
         # the default, here one block of all 40 lockstep steps, against blocks of
         # one step each and against five blocks of eight
         gen, psi0, traj = _strong_bath_coarse()
-        tcfg = sl.TrajectoryConfig(n_traj=200, seed=4, record_jumps=True)
+        tcfg = sl.TrajectoryConfig(n_traj=200, seed=4)
         blocked = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
         for steps in (1, 8):
             monkeypatch.setattr(sl.propagation, "_BLOCK_ENTRIES", steps * 200 * 2)
             split = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
             span = steps * traj.step / 2  # the time a block spans
-            assert len({int(e.time // span) for evs in split.jumps for e in evs}) > 1
-            assert [[(e.target, e.source) for e in evs] for evs in blocked.jumps] == [
-                [(e.target, e.source) for e in evs] for evs in split.jumps]
-            got = np.array([e.time for evs in blocked.jumps for e in evs])
-            want = np.array([e.time for evs in split.jumps for e in evs])
+            assert np.unique(split.jumps["time"] // span).size > 1
+            for name in ("trajectory", "target", "source"):
+                assert np.array_equal(blocked.jumps[name], split.jumps[name])
+            got, want = blocked.jumps["time"], split.jumps["time"]
             # the runs group the step products differently, so the rounding of a
             # norm can move a jump time by one bisection quantum, 2^-40 of a
             # lockstep step (half of traj.step), and that jump's successors with it
@@ -922,9 +939,7 @@ class TestEvolveTrajectories:
         c = sl.evolve_trajectories(gen, psi0, -t_final, t_final,
                                    sl.TrajectoryConfig(n_traj=20, seed=8))
         assert np.array_equal(a.state, b.state)
-        assert [[e.time for e in traj] for traj in a.jumps] == [
-            [e.time for e in traj] for traj in b.jumps
-        ]
+        assert a.jumps.tobytes() == b.jumps.tobytes()
         assert not np.array_equal(a.state, c.state)
 
     def test_jump_records_correlate_with_excitation(self):
@@ -938,20 +953,34 @@ class TestEvolveTrajectories:
         res = sl.evolve_trajectories(
             gen, psi0, -t_final, t_final, sl.TrajectoryConfig(n_traj=150, seed=17)
         )
-        assert all(len(j) > 0 for j in res.jumps)
+        assert np.array_equal(np.unique(res.jumps["trajectory"]), np.arange(150))
         p_mc = excited_population(res.state, excited)
         closed = sl.evolve_unitary(H, psi0, -t_final, t_final)
         p_closed = excited_population(closed.state, excited)
         assert p_mc > 2.0 * p_closed
 
-    def test_record_flag_off(self):
-        H, t_final, _, base, _ = lz_setup(2.0)
-        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.05), H)
-        res = sl.evolve_trajectories(
-            gen, base.basis[0, :, 0], -t_final, t_final,
-            sl.TrajectoryConfig(n_traj=4, seed=1, record_jumps=False),
-        )
-        assert res.jumps is None
+    def test_jump_record_dtype_and_order(self):
+        gen, psi0, traj = _strong_bath_coarse()
+        jumps = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, sl.TrajectoryConfig(n_traj=50)).jumps
+        assert jumps.dtype == np.dtype([("trajectory", int), ("time", float),
+                                        ("target", int), ("source", int)])
+        assert np.all(np.diff(jumps["trajectory"]) >= 0)
+        same = np.diff(jumps["trajectory"]) == 0
+        assert same.any() and np.all(np.diff(jumps["time"])[same] > 0)  # time order within one
+        assert set(np.unique(jumps["trajectory"])) <= set(range(50))
+        labels = set(zip(jumps["target"].tolist(), jumps["source"].tolist()))
+        assert labels <= set(gen.channel_labels) and (-1, -1) in labels and len(labels) > 1
+
+    def test_diagnostics_match_returned_state(self):
+        # 21 grid points over [0, 10]: 20 cells of two lockstep steps each
+        gen, psi0, traj = _strong_bath_coarse()
+        res = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, sl.TrajectoryConfig(n_traj=40, seed=2))
+        rho, d = res.state, res.diagnostics
+        assert d.n_steps == 2 * (len(traj) - 1) == 40 and d.n_rejected == 0
+        assert d.max_trace_drift == abs(float(np.trace(rho).real) - 1.0)
+        assert d.max_hermiticity_drift == sl.model.hermiticity_defect(rho)
+        assert d.min_eigenvalue == float(sl.model._eigh(rho[None], vectors=False)[0, 0])
+        assert d.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(rho)[0], abs=1e-14)
 
     def test_jump_event_fields(self):
         H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x)
@@ -961,11 +990,11 @@ class TestEvolveTrajectories:
         exc = traj.basis[0, :, 1]
         res = sl.evolve_trajectories(gen, exc, 0.0, 80.0,
                                      sl.TrajectoryConfig(n_traj=8, seed=3))
-        events = [e for traj_events in res.jumps for e in traj_events]
-        assert events, "zero-temperature decay must produce jumps"
-        assert all(0.0 < e.time < 80.0 for e in events)
+        events = res.jumps
+        assert events.size, "zero-temperature decay must produce jumps"
+        assert np.all((0.0 < events["time"]) & (events["time"] < 80.0))
         # only the de-excitation channel exists at zero temperature
-        assert {(e.target, e.source) for e in events} == {(0, 1)}
+        assert set(zip(events["target"].tolist(), events["source"].tolist())) == {(0, 1)}
 
 
 class TestRandomStreams:

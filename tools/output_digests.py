@@ -15,7 +15,8 @@ directory that it removes. Covered:
   every 1/v of the `frames-scan` workload (1.5, 2, ..., 12), and of the
   3-level ladder at orders 0, 4 and 12;
 - `repr` of the 3-level ladder's master-equation P (`spec.ladder_p()`), the
-  one N = 3 solve.
+  one N = 3 solve;
+- the stdout of `superlind check`, the invariant suite's lines.
 """
 from __future__ import annotations
 
@@ -37,11 +38,13 @@ from superlind.cli import main  # noqa: E402
 import spec  # noqa: E402  (perfbench's workload models)
 
 
-def _cli(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def _cli(*argv: str) -> str:
+    """Run the CLI; return what it printed."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = main(list(argv))
     if code != 0:
         raise SystemExit(f"superlind {' '.join(argv)} exited {code}")
+    return stdout.getvalue()
 
 
 def _outputs(out: Path):
@@ -75,6 +78,8 @@ def _outputs(out: Path):
         yield name, out / name
     (out / "ladder-p.txt").write_text(repr(spec.ladder_p()))
     yield "ladder-p.txt", out / "ladder-p.txt"
+    (out / "check.txt").write_text(_cli("check"))
+    yield "check.txt", out / "check.txt"
 
 
 def main_digests() -> None:
