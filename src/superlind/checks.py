@@ -80,7 +80,7 @@ def check_frames():
 def check_generator():
     H, times = _lz_setup()
     traj = instantaneous_frames(H, times)
-    gen = LindbladGenerator(traj, sigma_z, ohmic_spectrum(0.05, 5.0, 0.5), H)
+    gen = LindbladGenerator(traj, sigma_z, ohmic_spectrum(0.05, 5.0, 0.5))
     rng = np.random.default_rng(11)
     m = rng.normal(size=(100, 2, 2)) + 1j * rng.normal(size=(100, 2, 2))
     rhos, points = m @ m.conj().swapaxes(1, 2), rng.uniform(times[0], times[-1], size=100)
@@ -97,7 +97,7 @@ def check_propagation():
     H = lz_hamiltonian(LZParams(v=0.5, delta=1.0))
     times = np.linspace(-6, 6, 601)
     traj = instantaneous_frames(H, times)
-    gen = LindbladGenerator(traj, sigma_z, dephasing_spectrum(0.0), H)
+    gen = LindbladGenerator(traj, sigma_z, dephasing_spectrum(0.0))
     psi0 = traj.basis[0, :, 0]
     uni = evolve_unitary(H, psi0, -6.0, 6.0)
     rho_uni = np.outer(uni.state, uni.state.conj())

@@ -96,7 +96,10 @@ class SweepConfig:
     atol: float = IntegratorConfig.atol
 
     def __post_init__(self):
-        object.__setattr__(self, "inv_velocities", tuple(float(x) for x in self.inv_velocities))
+        inv_vs = self.inv_velocities
+        if isinstance(inv_vs, (str, bytes)) or not np.iterable(inv_vs):
+            raise ParameterError(f"inv_velocities must be a sequence of numbers, got {inv_vs!r}")
+        object.__setattr__(self, "inv_velocities", tuple(float(x) for x in inv_vs))
         if not self.inv_velocities:
             raise ParameterError("need at least one inverse velocity")
         if not all(0 < x < math.inf for x in self.inv_velocities):
@@ -207,7 +210,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
     tcfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=cfg.seed)
     records = []
     for bath in baths:
-        gen = LindbladGenerator(frames, sigma_z, bath.spectrum(), H)
+        gen = LindbladGenerator(frames, sigma_z, bath.spectrum())
         if cfg.solver == "me":
             res = evolve_lindblad(gen, rho0, -t_final, t_final, cfg=icfg)
         else:

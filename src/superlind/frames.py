@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     DegeneracyError,
+    DimensionError,
     GridError,
     OrderCapError,
     ParameterError,
@@ -65,7 +66,9 @@ class FrameTrajectory:
 
     ``basis[k, :, a]`` is basis vector ``a`` at ``times[k]``; ``energies``
     are the quasi-energies <phi|H|phi> against the source Hamiltonian.
-    Instances are read-only after construction and safe to share.
+    ``basis`` must be (K, N, N) and ``energies`` (K, N), with K grid points
+    and N = ``hamiltonian.dim``; ``DimensionError`` otherwise. Instances are
+    read-only after construction and safe to share.
     """
 
     def __init__(
@@ -80,6 +83,10 @@ class FrameTrajectory:
         self.times = np.array(_checked_grid(times))
         self.basis = np.array(basis, dtype=complex, order="C")
         self.energies = np.array(energies, dtype=float, order="C")
+        k, n = self.times.size, hamiltonian.dim
+        if self.basis.shape != (k, n, n) or self.energies.shape != (k, n):
+            raise DimensionError(f"{k} grid points and N = {n} need a {(k, n, n)} basis and "
+                                 f"{(k, n)} energies, got {self.basis.shape}, {self.energies.shape}")
         self.order = int(order)
         self.hamiltonian = hamiltonian
         for arr in (self.times, self.basis, self.energies):
@@ -347,21 +354,18 @@ def superadiabatic_frames(
                            order=order, hamiltonian=H)
 
 
-def residual_oscillation(
-    H: TimeDependentHamiltonian,
-    traj: FrameTrajectory,
-) -> float:
+def residual_oscillation(traj: FrameTrajectory) -> float:
     """Oscillation amplitude of the exact evolution around the basis.
 
     Starts in the trajectory's ground column at the first grid time, evolves
-    unitarily across the grid, and returns the amplitude
+    unitarily under the trajectory's H across the grid, and returns the amplitude
     sqrt(max_t [1 - |<ground(t)|psi(t)>|^2]) of the leakage out of the
     instantaneous ground column. Scales like A^(j+1) for an order-j basis
     with adiabatic parameter A.
     """
     psi0 = traj.basis[0, :, 0]
     result = evolve_unitary(
-        H, psi0, float(traj.times[0]), float(traj.times[-1]),
+        traj.hamiltonian, psi0, float(traj.times[0]), float(traj.times[-1]),
         sample_times=traj.times,
     )
     overlaps = np.einsum("ki,ki->k", traj.basis[:, :, 0].conj(), result.samples)

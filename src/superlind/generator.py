@@ -56,6 +56,10 @@ class LindbladGenerator:
     order. ``active_channels`` (K, C) flags the nonzero ones; an inactive
     operator is exactly zero. All three are read-only; the stack is built
     once, on first use.
+
+    H, read as ``hamiltonian``, is the frames' own: the jump operators act between
+    the frames of the H that drives the state. A fourth argument may only repeat it;
+    it remains as ``perfbench/spec.py`` passes H, and goes when that call drops it.
     """
 
     def __init__(
@@ -69,12 +73,17 @@ class LindbladGenerator:
         dim = coupling.shape[0]
         if dim != frames.dim:
             raise DimensionError(f"coupling is {dim}x{dim} but frames are {frames.dim}-dimensional")
+        if hamiltonian is not None and hamiltonian is not frames.hamiltonian:
+            raise ParameterError("hamiltonian must be the frames' own H")
         coupling.setflags(write=False)
         self.frames = frames
         self.coupling = coupling
         self.spectrum = spectrum
-        self.hamiltonian = hamiltonian if hamiltonian is not None else frames.hamiltonian
         self._precompute()
+
+    @property
+    def hamiltonian(self) -> TimeDependentHamiltonian:
+        return self.frames.hamiltonian
 
     def _precompute(self) -> None:
         """Per-frame arrays, read-only: dephasing amplitudes, rates, channel

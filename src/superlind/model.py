@@ -121,10 +121,6 @@ class TimeDependentHamiltonian:
         H._stack = lambda times: h0 + times[:, None, None] * h1
         return H
 
-    @classmethod
-    def constant(cls, matrix: np.ndarray) -> "TimeDependentHamiltonian":
-        return cls.affine(matrix, np.zeros(np.shape(matrix)))
-
     def __call__(self, t: float) -> np.ndarray:
         return self.on_grid([t])[0]
 
@@ -212,6 +208,13 @@ class BathSpectrum:
     shift: Callable = field(default=_zero_shift)
 
 
+def _check_scalars(**params) -> None:
+    """ParameterError naming the first parameter that is a string or an array of ndim >= 1."""
+    for name, value in params.items():
+        if isinstance(value, (str, bytes)) or np.ndim(value) >= 1:
+            raise ParameterError(f"{name} must be a real scalar, got {value!r}")
+
+
 def ohmic_spectrum(
     gamma0: float,
     cutoff: float,
@@ -232,6 +235,7 @@ def ohmic_spectrum(
     exp(2w/cutoff). ``symmetric_cutoff=True`` uses -|w|/cutoff instead, making
     gamma(-w) = exp(-w/T) * gamma(w) exact.
     """
+    _check_scalars(gamma0=gamma0, cutoff=cutoff, temperature=temperature)
     if not np.isfinite(gamma0) or gamma0 < 0:
         raise ParameterError(f"gamma0 must be finite and >= 0, got {gamma0!r}")
     if not np.isfinite(cutoff) or cutoff <= 0:
@@ -265,6 +269,7 @@ def dephasing_spectrum(gamma0: float) -> BathSpectrum:
     Models a static or very slow environment: it damps coherences between
     basis states but cannot exchange energy with the system.
     """
+    _check_scalars(gamma0=gamma0)
     if not np.isfinite(gamma0) or gamma0 < 0:
         raise ParameterError(f"gamma0 must be finite and >= 0, got {gamma0!r}")
 

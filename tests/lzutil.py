@@ -19,6 +19,11 @@ def lz_setup(inv_v, order=0, delta=1.0, window=25.0):
     return H, t_final, times, base, traj
 
 
+def constant_hamiltonian(matrix):
+    """H(t) = matrix at every t: the affine H with a zero slope."""
+    return sl.TimeDependentHamiltonian.affine(matrix, np.zeros(np.shape(matrix)))
+
+
 def ladder_hamiltonian(v=0.25, delta=1.0):
     """Three levels with two separated avoided crossings, at t = -10 and t = +10:
     diag(v (t + 10) / 2, 0, v (t - 10) / 2) plus (delta / 2) nearest-neighbour

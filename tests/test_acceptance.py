@@ -110,9 +110,7 @@ def warm_ohmic_curve():
 def unraveling_runs():
     """ME reference and trajectory ensembles at 1/v = 3, T = 0.5, g0 = 0.05."""
     H, t_final, times, base, traj = lz_setup(3.0, order=4)
-    gen = sl.LindbladGenerator(
-        traj, sl.sigma_z, sl.ohmic_spectrum(0.05, 5.0, 0.5), H
-    )
+    gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.05, 5.0, 0.5))
     psi0 = traj.basis[0, :, 0]
     excited = excited_state(H, t_final)
     me = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -t_final, t_final)
@@ -262,7 +260,7 @@ def test_criterion_8_superadiabatic_scaling():
         amps = []
         for j in range(4):
             traj = sl.superadiabatic_frames(H, j, times, base=base)
-            amps.append(sl.residual_oscillation(H, traj))
+            amps.append(sl.residual_oscillation(traj))
         amplitudes[inv_v] = amps
     decreasing = all(
         amps[j] > amps[j + 1] for amps in amplitudes.values() for j in range(3)
@@ -296,8 +294,8 @@ def test_criterion_9_property_suite(tmp_path):
         order=0, hamiltonian=H,
     )
     spec = sl.ohmic_spectrum(0.1, 5.0, 0.5)
-    gen_a = sl.LindbladGenerator(base, sl.sigma_z, spec, H)
-    gen_b = sl.LindbladGenerator(rephased, sl.sigma_z, spec, H)
+    gen_a = sl.LindbladGenerator(base, sl.sigma_z, spec)
+    gen_b = sl.LindbladGenerator(rephased, sl.sigma_z, spec)
     for _ in range(20):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = m @ m.conj().T

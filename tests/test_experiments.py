@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -61,6 +62,10 @@ class TestSweepConfigValidation:
     def test_bad_inverse_velocity(self):
         with pytest.raises(sl.ParameterError):
             _fast_cfg(inv_velocities=(1.0, -2.0))
+        # a string or bytes once swept its characters ("12" as 1.0 and 2.0, b"12" as 49 and 50)
+        for bad in ("12", b"12", "2.5", 2.0):
+            with pytest.raises(sl.ParameterError, match=f"got {re.escape(repr(bad))}$"):
+                _fast_cfg(inv_velocities=bad)
 
     def test_window_floor(self):
         with pytest.raises(sl.ParameterError):

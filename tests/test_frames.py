@@ -10,7 +10,7 @@ from superlind.frames import (
     _reference_phase, _step_norms,
 )
 
-from lzutil import ladder_hamiltonian, lz_hamiltonian, lz_setup
+from lzutil import constant_hamiltonian, ladder_hamiltonian, lz_hamiltonian, lz_setup
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ class TestInstantaneousFrames:
         )
 
     def test_constant_hamiltonian_frames_identical(self):
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x + 0.2 * sl.sigma_z)
+        H = constant_hamiltonian(0.5 * sl.sigma_x + 0.2 * sl.sigma_z)
         traj = sl.instantaneous_frames(H, np.linspace(0.0, 5.0, 41))
         assert np.max(np.abs(traj.basis - traj.basis[0])) < 1e-12
 
@@ -54,7 +54,7 @@ class TestInstantaneousFrames:
         assert np.max(np.abs(recomputed - base.energies)) < 1e-10
 
     def test_degenerate_spectrum_rejected(self):
-        H = sl.TimeDependentHamiltonian.constant(np.eye(2, dtype=complex))
+        H = constant_hamiltonian(np.eye(2, dtype=complex))
         with pytest.raises(sl.DegeneracyError):
             sl.instantaneous_frames(H, np.linspace(0.0, 1.0, 11))
 
@@ -87,6 +87,18 @@ class TestInstantaneousFrames:
             sl.instantaneous_frames(H, np.array(times))
         with pytest.raises(sl.ParameterError, match="finite"):
             sl.FrameTrajectory(times, np.zeros((3, 2, 2)), np.zeros((3, 2)), 0, H)
+
+    @pytest.mark.parametrize(
+        "basis, energies, H",
+        [((400, 2, 2), (801, 2), lz_hamiltonian(1.0)), ((801, 2, 2), (400, 2), lz_hamiltonian(1.0)),
+         ((801, 2, 2), (801, 2), ladder_hamiltonian()), ((801,), (801, 2), lz_hamiltonian(1.0))],
+        ids=["short-basis", "short-energies", "3-level-H", "1-d-basis"],
+    )
+    def test_array_shapes_checked_against_grid_and_H(self, basis, energies, H):
+        # a short basis once failed only inside a solve, the validator or the CSV writer
+        times = np.linspace(-8.0, 8.0, 801)
+        with pytest.raises(sl.DimensionError, match=r"^801 grid points and N = \d need a"):
+            sl.FrameTrajectory(times, np.zeros(basis), np.zeros(energies), 0, H)
 
     def test_index_at(self, lz_slow):
         _, t_final, times, base, _ = lz_slow
@@ -270,7 +282,7 @@ class TestSmoothGauge:
 
 class TestFrameCouplings:
     def test_constant_hamiltonian_zero(self):
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x + 0.2 * sl.sigma_z)
+        H = constant_hamiltonian(0.5 * sl.sigma_x + 0.2 * sl.sigma_z)
         traj = sl.instantaneous_frames(H, np.linspace(0.0, 5.0, 41))
         for k in (0, 20, 40):
             assert np.max(np.abs(sl.frame_couplings(traj.basis, traj.step)[k])) < 1e-12
@@ -331,7 +343,7 @@ class TestAdiabaticParameter:
         assert abs(base.times[k_star]) <= 2 * base.step
 
     def test_constant_hamiltonian_clamps_to_zero(self):
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x)
+        H = constant_hamiltonian(0.5 * sl.sigma_x)
         traj = sl.instantaneous_frames(H, np.linspace(0.0, 4.0, 33))
         report = sl.adiabatic_report(traj)
         assert report.global_max < 1e-12
@@ -428,7 +440,7 @@ class TestSuperadiabaticFrames:
         assert traj is base
 
     def test_constant_hamiltonian_any_order(self):
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x + 0.1 * sl.sigma_z)
+        H = constant_hamiltonian(0.5 * sl.sigma_x + 0.1 * sl.sigma_z)
         times = np.linspace(0.0, 5.0, 81)
         base = sl.instantaneous_frames(H, times)
         traj = sl.superadiabatic_frames(H, 3, times, base=base)
@@ -478,14 +490,14 @@ class TestSuperadiabaticFrames:
 
 class TestResidualOscillation:
     def test_constant_hamiltonian_silent(self):
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x)
+        H = constant_hamiltonian(0.5 * sl.sigma_x)
         traj = sl.instantaneous_frames(H, np.linspace(0.0, 10.0, 201))
-        assert sl.residual_oscillation(H, traj) < 1e-6
+        assert sl.residual_oscillation(traj) < 1e-6
 
     def test_first_order_beats_instantaneous(self):
         H, _, times, base, traj1 = lz_setup(5.0, order=1)  # A = 0.1
-        amp0 = sl.residual_oscillation(H, base)
-        amp1 = sl.residual_oscillation(H, traj1)
+        amp0 = sl.residual_oscillation(base)
+        amp1 = sl.residual_oscillation(traj1)
         assert amp1 < amp0
 
 
@@ -541,7 +553,7 @@ def test_frame_pipeline_evaluates_each_grid_once():
 
 
 def test_adaptive_time_grid_of_constant_hamiltonian_is_the_probe():
-    H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x + 0.2 * sl.sigma_z)
+    H = constant_hamiltonian(0.5 * sl.sigma_x + 0.2 * sl.sigma_z)
     assert sl.adaptive_time_grid(H, 0.0, 10.0).size == sl.frames.GRID_INITIAL_POINTS == 129
 
 

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 
 import superlind as sl
 
-from lzutil import excited_population, excited_state, ladder_hamiltonian, lz_setup, random_density
+from lzutil import (constant_hamiltonian, excited_population, excited_state, ladder_hamiltonian,
+                    lz_hamiltonian, lz_setup, random_density)
 
 
 def _constant_traj(matrix, t1=10.0, n=201):
-    H = sl.TimeDependentHamiltonian.constant(matrix)
+    H = constant_hamiltonian(matrix)
     return H, sl.instantaneous_frames(H, np.linspace(0.0, t1, n))
 
 
@@ -61,7 +62,7 @@ def _real_generator_matches_assembly(n, seed, pointwise):
     energies = np.sort(rng.normal(size=(5, n)), axis=1)
     traj = sl.FrameTrajectory(np.linspace(-1.0, 1.0, 5), frames, energies, 0, H)
     spec = replace(sl.ohmic_spectrum(0.08, 5.0, 0.4), shift=lambda w: 0.02 * np.asarray(w))
-    gen = sl.LindbladGenerator(traj, hermitian(), spec, H)
+    gen = sl.LindbladGenerator(traj, hermitian(), spec)
     basis = sl.model.operator_basis(n)
     assert np.array_equal(basis[0], np.eye(n) / math.sqrt(n))
     assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
@@ -83,7 +84,7 @@ class TestLindbladOps:
         # jump operators and the dephasing operator is sqrt(gamma(0)) sigma_z
         H, traj = _constant_traj(0.5 * sl.sigma_z)
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.5)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec)
         [(label, dephasing)] = gen.jump_channels(1.0)
         assert label == (-1, -1)
         g0 = spec.gamma(0.0)
@@ -94,7 +95,7 @@ class TestLindbladOps:
         # de-excitation channel carries rate gamma(gap)
         H, traj = _constant_traj(0.5 * sl.sigma_x)
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.5)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec)
         assert np.max(np.abs(_dephasing(gen, 2.0))) < 1e-12
         jumps = _jumps(gen, 2.0)
         down = jumps[(0, 1)]
@@ -107,12 +108,12 @@ class TestLindbladOps:
 
     def test_zero_temperature_kills_upward_jumps(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.0), H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.0))
         assert set(_jumps(gen, 0.0)) == {(0, 1)}
 
     def test_jump_rank_one_and_frame_structure(self):
         H, _, times, base, traj = lz_setup(3.0, order=2)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5), H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5))
         k = traj.index_at(1.7)
         U = traj.basis[k]
         deph_f = U.conj().T @ _dephasing(gen, 1.7) @ U
@@ -132,7 +133,7 @@ class TestLindbladOps:
             H, _, _, _, traj = lz_setup(3.0, order=2)
             coupling = sl.sigma_z
             spec = sl.ohmic_spectrum(0.1, 5.0, 0.5 if case == "lz_warm" else 0.0)
-        gen = sl.LindbladGenerator(traj, coupling, spec, H)
+        gen = sl.LindbladGenerator(traj, coupling, spec)
         seen = set()
         for k, t in enumerate(traj.times):
             u = traj.basis[k]
@@ -153,7 +154,7 @@ class TestLindbladOps:
     def test_lamb_shift_diagonal_in_frame(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x)
         spec = replace(sl.ohmic_spectrum(0.1, 5.0, 0.5), shift=lambda w: 0.01 * np.asarray(w))
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec)
         U = traj.basis[0]
         shift_f = U.conj().T @ _shift(gen, 0.0) @ U
         assert np.max(np.abs(shift_f - np.diag(np.diag(shift_f)))) < 1e-12
@@ -163,12 +164,12 @@ class TestLindbladOps:
 
     def test_spectrum_without_shift_gives_no_shift(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5), H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5))
         assert np.max(np.abs(_shift(gen, 0.0))) == 0.0
 
     def test_zero_spectrum_disables_dissipator(self):
         H, _, times, base, traj = lz_setup(2.0)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.0), H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.0))
         assert gen.jump_channels(0.0) == []
         assert np.max(np.abs(gen.effective_hamiltonian([0.0])[0] - gen.hamiltonian(0.0))) == 0.0
         rho = random_density(np.random.default_rng(0))
@@ -177,7 +178,7 @@ class TestLindbladOps:
 
     def test_time_outside_grid(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x, t1=5.0)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.1))
         with pytest.raises(sl.TimeDomainError):
             gen.jump_channels(6.0)
 
@@ -185,7 +186,7 @@ class TestLindbladOps:
         H, traj = _constant_traj(0.5 * sl.sigma_x)
         bad = sl.BathSpectrum(lambda w: np.asarray(w, dtype=float))
         with pytest.raises(sl.ParameterError):
-            sl.LindbladGenerator(traj, sl.sigma_z, bad, H)
+            sl.LindbladGenerator(traj, sl.sigma_z, bad)
 
     @pytest.mark.parametrize("which", ["gamma", "shift"])
     def test_nonfinite_custom_rate_or_shift_rejected(self, which):
@@ -199,13 +200,13 @@ class TestLindbladOps:
         spectrum = (sl.BathSpectrum(nan_above(rate)) if which == "gamma"
                     else sl.BathSpectrum(rate, nan_above(lambda w: 0.1 * np.asarray(w))))
         with pytest.raises(sl.ParameterError, match=rf"{which}\(w\) must be finite"):
-            sl.LindbladGenerator(traj, sl.sigma_z, spectrum, H)
+            sl.LindbladGenerator(traj, sl.sigma_z, spectrum)
 
 
 class TestMasterEquationRHS:
     def test_trace_annihilation_and_hermiticity(self):
         H, _, times, base, traj = lz_setup(3.0, order=1)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5), H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5))
         rng = np.random.default_rng(42)
         for _ in range(100):
             rho = random_density(rng)
@@ -228,7 +229,7 @@ class TestMasterEquationRHS:
         spec = replace(sl.ohmic_spectrum(0.08, 5.0, 0.4), shift=lambda w: 0.02 * np.asarray(w))
         rng = np.random.default_rng(9)
         for H, traj, coupling in ((H, traj, sl.sigma_z), (ladder, ladder_traj, ladder_coupling)):
-            gen = sl.LindbladGenerator(traj, coupling, spec, H)
+            gen = sl.LindbladGenerator(traj, coupling, spec)
             for _ in range(20):
                 rho = random_density(rng, traj.dim)
                 t = rng.uniform(traj.times[0], traj.times[-1])
@@ -243,8 +244,8 @@ class TestMasterEquationRHS:
             order=0, hamiltonian=H,
         )
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.5)
-        gen_a = sl.LindbladGenerator(base, sl.sigma_z, spec, H)
-        gen_b = sl.LindbladGenerator(rephased, sl.sigma_z, spec, H)
+        gen_a = sl.LindbladGenerator(base, sl.sigma_z, spec)
+        gen_b = sl.LindbladGenerator(rephased, sl.sigma_z, spec)
         for _ in range(10):
             rho = random_density(rng)
             t = rng.uniform(times[0], times[-1])
@@ -255,7 +256,7 @@ class TestMasterEquationRHS:
         # temperature zero there is no upward jump out of the ground state
         H, _, times, base, traj = lz_setup(3.0, order=2)
         spec = replace(sl.ohmic_spectrum(0.1, 5.0, 0.0), shift=lambda w: 0.03 * np.asarray(w))
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec)
         for t_probe in (-3.0, 0.0, 2.0):
             k = traj.index_at(t_probe)
             ground = traj.basis[k, :, 0]
@@ -269,7 +270,7 @@ class TestMasterEquationRHS:
         # identity coupling gives L0 proportional to the identity: no effect
         H, traj = _constant_traj(0.5 * sl.sigma_x)
         gen = sl.LindbladGenerator(traj, np.eye(2, dtype=complex),
-                                   sl.dephasing_spectrum(0.2), H)
+                                   sl.dephasing_spectrum(0.2))
         rng = np.random.default_rng(1)
         for _ in range(5):
             rho = random_density(rng)
@@ -280,7 +281,7 @@ class TestMasterEquationRHS:
         beta = 2.0  # T = 0.5
         H, traj = _constant_traj(0.5 * sl.sigma_x)
         spec = sl.ohmic_spectrum(0.1, 5.0, 1.0 / beta, symmetric_cutoff=True)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec)
         # e^{-beta H} for H = sigma_x / 2, normalized
         thermal = np.cosh(beta / 2) * np.eye(2) - np.sinh(beta / 2) * np.array(
             [[0.0, 1.0], [1.0, 0.0]]
@@ -290,7 +291,7 @@ class TestMasterEquationRHS:
 
     def test_non_hermitian_input_rejected(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.1))
         bad = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
         with pytest.raises(sl.StateIntegrityError):
             gen.rhs(bad, 0.0)
@@ -303,8 +304,8 @@ class TestInstantaneousMode:
         times = traj0.times
         traj2 = sl.superadiabatic_frames(H, 2, times, base=traj0)
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.5)
-        gen = sl.LindbladGenerator(traj2, sl.sigma_z, spec, H)
-        inst = sl.LindbladGenerator(traj0, sl.sigma_z, spec, H)
+        gen = sl.LindbladGenerator(traj2, sl.sigma_z, spec)
+        inst = sl.LindbladGenerator(traj0, sl.sigma_z, spec)
         rng = np.random.default_rng(8)
         for _ in range(5):
             rho = random_density(rng)
@@ -314,7 +315,7 @@ class TestInstantaneousMode:
 def test_effective_hamiltonian_matches_ops():
     H, _, times, base, traj = lz_setup(2.0, order=1)
     spec = replace(sl.ohmic_spectrum(0.1, 5.0, 0.5), shift=lambda w: 0.01 * np.asarray(w))
-    gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
+    gen = sl.LindbladGenerator(traj, sl.sigma_z, spec)
     probes = np.array([-4.0, 0.0, 3.3])
     heff = gen.effective_hamiltonian(probes)
     assert heff.shape == (3, 2, 2)
@@ -328,6 +329,26 @@ def test_effective_hamiltonian_matches_ops():
         total = sum(L.conj().T @ L for _, L in gen.jump_channels(t))
         expected = gen.hamiltonian(t) + shift - 0.5j * total
         assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("order", [0, 4])
+def test_generator_takes_its_frames_hamiltonian(order):
+    """The H of the master equation is the frames' H: a fourth argument may only
+    repeat it, by identity as ``superadiabatic_frames`` checks its base, and
+    leaves every output bit for bit the same."""
+    H, _, times, _, traj = lz_setup(2.0, order=order)
+    spec = sl.ohmic_spectrum(0.1, 5.0, 0.5)
+    for other in (lz_hamiltonian(3.0), lz_hamiltonian(2.0)):  # another LZ model, an equal copy
+        with pytest.raises(sl.ParameterError, match="hamiltonian must be the frames' own H"):
+            sl.LindbladGenerator(traj, sl.sigma_z, spec, other)
+    implied, repeated = (sl.LindbladGenerator(traj, sl.sigma_z, spec, h) for h in (None, H))
+    assert implied.hamiltonian is repeated.hamiltonian is H
+    with pytest.raises(AttributeError):
+        implied.hamiltonian = lz_hamiltonian(3.0)
+    points = np.linspace(times[0], times[-1], 37)
+    assert np.array_equal(implied.liouvillian(points), repeated.liouvillian(points))
+    assert np.array_equal(implied.effective_hamiltonian(points),
+                          repeated.effective_hamiltonian(points))
 
 
 def test_outputs_ignore_frame_column_phases():
@@ -353,7 +374,7 @@ def test_outputs_ignore_frame_column_phases():
                                     traj.order, H)
         probabilities = []
         for frames in (traj, turned):
-            gen = sl.LindbladGenerator(frames, coupling, spectrum, H)
+            gen = sl.LindbladGenerator(frames, coupling, spectrum)
             psi0 = frames.basis[0, :, 0]
             me = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -t_final, t_final)
             mc = sl.evolve_trajectories(gen, psi0, -t_final, t_final, tcfg)

@@ -6,6 +6,8 @@ import pytest
 import superlind as sl
 from superlind.model import hermiticity_defect
 
+from lzutil import constant_hamiltonian
+
 _EPS = np.finfo(float).eps
 
 
@@ -163,15 +165,15 @@ class TestLZHamiltonian:
         frames = sl.instantaneous_frames(H, np.linspace(-2.0, 2.0, 41))
         spectrum = sl.dephasing_spectrum(0.1)
         a = np.diag([1.0, -1.0]).astype(complex)
-        gen = sl.LindbladGenerator(frames, a, spectrum, H)
+        gen = sl.LindbladGenerator(frames, a, spectrum)
         a[0, 0] = 2.0  # the generator holds a read-only copy
         assert np.array_equal(gen.coupling, sl.sigma_z) and not gen.coupling.flags.writeable
         with pytest.raises(sl.ParameterError, match="coupling operator is not Hermitian"):
-            sl.LindbladGenerator(frames, np.array([[0, 1j], [1j, 0]]), spectrum, H)
+            sl.LindbladGenerator(frames, np.array([[0, 1j], [1j, 0]]), spectrum)
         with pytest.raises(sl.DimensionError, match="coupling operator must be a square matrix"):
-            sl.LindbladGenerator(frames, np.ones((2, 3)), spectrum, H)
+            sl.LindbladGenerator(frames, np.ones((2, 3)), spectrum)
         with pytest.raises(sl.DimensionError, match="coupling is 3x3 but frames are 2-dimensional"):
-            sl.LindbladGenerator(frames, np.eye(3), spectrum, H)
+            sl.LindbladGenerator(frames, np.eye(3), spectrum)
 
 
 class TestOhmicSpectrum:
@@ -236,9 +238,9 @@ class TestOhmicSpectrum:
             log_want = math.log(0.1 * -w) - w + w / 2.0 - math.log1p(-math.exp(w / 2.0))
             assert math.log(warm.gamma(w)) == pytest.approx(log_want, rel=1e-14)
         # a frame gap of 5000 no longer puts NaN into the generator
-        H = sl.TimeDependentHamiltonian.constant(2500.0 * sl.sigma_z + 0.1 * sl.sigma_x)
+        H = constant_hamiltonian(2500.0 * sl.sigma_z + 0.1 * sl.sigma_x)
         traj = sl.instantaneous_frames(H, np.linspace(0.0, 1e-3, 5))
-        gen = sl.LindbladGenerator(traj, sl.sigma_x, spec, H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_x, spec)
         assert np.all(np.isfinite(gen.liouvillian(np.array([5e-4]))))
 
     @pytest.mark.parametrize("symmetric", [False, True])
@@ -273,10 +275,15 @@ class TestOhmicSpectrum:
 
     @pytest.mark.parametrize(
         "args", [(-0.1, 5.0, 0.5), (0.1, 0.0, 0.5), (0.1, 5.0, -0.1),
-                 (math.inf, 5.0, 0.5), (0.1, math.inf, 0.5), (0.1, 5.0, math.inf)]
+                 (math.inf, 5.0, 0.5), (0.1, math.inf, 0.5), (0.1, 5.0, math.inf),
+                 (np.array([0.1, 0.2]), 5.0, 0.5), (0.1, np.array([5.0, 6.0]), 0.5),
+                 (0.1, 5.0, np.array([0.5])), ("0.1", 5.0, 0.5), (0.1, b"5", 0.5)]
     )
     def test_invalid_params(self, args):
-        with pytest.raises(sl.ParameterError, match="must be finite and"):
+        # an array once failed on numpy's ambiguous truth value, or broadcast into every rate
+        scalars = all(isinstance(a, float) for a in args)
+        with pytest.raises(sl.ParameterError,
+                           match="must be finite and" if scalars else "must be a real scalar"):
             sl.ohmic_spectrum(*args)
 
 
@@ -295,6 +302,11 @@ class TestDephasingSpectrum:
     def test_negative_strength_rejected(self):
         with pytest.raises(sl.ParameterError):
             sl.dephasing_spectrum(-1e-3)
+
+    @pytest.mark.parametrize("gamma0", [np.array([0.1, 0.2]), np.array([0.1]), "0.1", b"0.1"])
+    def test_non_scalar_strength_rejected(self, gamma0):
+        with pytest.raises(sl.ParameterError, match="gamma0 must be a real scalar"):
+            sl.dephasing_spectrum(gamma0)
 
 
 def test_custom_spectrum_passthrough():

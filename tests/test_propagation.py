@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 import superlind as sl
 
 from lzutil import (
+    constant_hamiltonian,
     excited_population,
     excited_state,
     ladder_hamiltonian,
@@ -154,9 +155,9 @@ def _never(*args, **kwargs):
 def _strong_bath_coarse():
     """A strong warm bath on a 21-point grid: several jumps share a lockstep
     step, and some trajectories cross again after a jump in one step."""
-    H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x + 0.3 * sl.sigma_z)
+    H = constant_hamiltonian(0.5 * sl.sigma_x + 0.3 * sl.sigma_z)
     traj = sl.instantaneous_frames(H, np.linspace(0.0, 10.0, 21))
-    gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(1.0, 5.0, 1.0), H)
+    gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(1.0, 5.0, 1.0))
     return gen, traj.basis[0, :, 0], traj
 
 
@@ -164,7 +165,7 @@ def _lz_coarse(points=41):
     """Dephased LZ master equation (v = 1) on a grid of ``points`` over [-2, 2]."""
     H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
     base = sl.instantaneous_frames(H, np.linspace(-2.0, 2.0, points))
-    gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
+    gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.1))
     psi0 = base.basis[0, :, 0]
     return gen, np.outer(psi0, psi0.conj())
 
@@ -174,7 +175,7 @@ def _ladder_coarse():
     H = ladder_hamiltonian()
     base = sl.instantaneous_frames(H, sl.adaptive_time_grid(H, -12.0, -8.0))
     return sl.LindbladGenerator(base, np.diag([1.0, 0.0, -1.0]),
-                                sl.ohmic_spectrum(0.05, 5.0, 0.5), H)
+                                sl.ohmic_spectrum(0.05, 5.0, 0.5))
 
 
 @functools.cache
@@ -562,7 +563,7 @@ class TestToleranceMet:
             H = ladder_hamiltonian()
             base = sl.instantaneous_frames(H, sl.adaptive_time_grid(H, -12.0, -8.0))
             gen = sl.LindbladGenerator(base, np.diag([1.0, 0.0, -1.0]),
-                                       sl.ohmic_spectrum(0.05, 5.0, 0.5), H)
+                                       sl.ohmic_spectrum(0.05, 5.0, 0.5))
             psi0 = base.basis[0, :, 0]
             rho0, t0, t1 = np.outer(psi0, psi0.conj()), -12.0, -8.0
         times = gen.frames.times
@@ -583,7 +584,7 @@ class TestToleranceMet:
 class TestEvolveUnitary:
     def test_rabi_half_period(self):
         # H = (delta/2) sigma_x for a time pi/delta maps (1,0) to (0,-i)
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x)
+        H = constant_hamiltonian(0.5 * sl.sigma_x)
         res = sl.evolve_unitary(H, np.array([1.0, 0.0], complex), 0.0, math.pi)
         target = np.array([0.0, -1.0j])
         assert abs(np.vdot(target, res.state)) == pytest.approx(1.0, abs=1e-9)
@@ -623,12 +624,12 @@ class TestEvolveUnitary:
         assert d.max_hermiticity_drift == d.min_eigenvalue == 0.0  # a pure state
 
     def test_unnormalized_input_rejected(self):
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x)
+        H = constant_hamiltonian(0.5 * sl.sigma_x)
         with pytest.raises(sl.StateIntegrityError):
             sl.evolve_unitary(H, np.array([1.0, 1.0], complex), 0.0, 1.0)
 
     def test_wrong_dimension_state_rejected(self, monkeypatch):
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x)
+        H = constant_hamiltonian(0.5 * sl.sigma_x)
         monkeypatch.setattr(H, "on_grid", _never)
         with pytest.raises(sl.DimensionError, match="dimension 3, the model 2"):
             sl.evolve_unitary(H, np.array([1.0, 0.0, 0.0], complex), 0.0, 1.0)
@@ -652,7 +653,7 @@ class TestEvolveUnitary:
 class TestEvolveLindblad:
     def test_closed_limit_matches_unitary(self):
         H, t_final, _, base, _ = lz_setup(2.0)
-        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.0), H)
+        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.0))
         psi0 = base.basis[0, :, 0]
         uni = sl.evolve_unitary(H, psi0, -t_final, t_final)
         lind = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -t_final, t_final)
@@ -662,11 +663,11 @@ class TestEvolveLindblad:
     def test_frozen_frame_relaxation_rate(self):
         # static transverse Hamiltonian, zero-temperature bath: the excited
         # population decays exponentially at rate gamma(gap)
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x)
+        H = constant_hamiltonian(0.5 * sl.sigma_x)
         times = np.linspace(0.0, 30.0, 301)
         traj = sl.instantaneous_frames(H, times)
         spec = sl.ohmic_spectrum(0.1, 5.0, 0.0)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec, H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, spec)
         exc = traj.basis[0, :, 1]
         res = sl.evolve_lindblad(
             gen, np.outer(exc, exc.conj()), 0.0, 30.0,
@@ -679,7 +680,7 @@ class TestEvolveLindblad:
 
     def test_integrity_diagnostics(self):
         H, t_final, _, base, traj = lz_setup(2.0, order=2)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5), H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5))
         psi0 = traj.basis[0, :, 0]
         res = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -t_final, t_final)
         d = res.diagnostics
@@ -713,7 +714,7 @@ class TestEvolveLindblad:
 
     def test_positivity_violation_detected(self):
         # a drift that is not of Lindblad form pumps coherence without bound
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_z)
+        H = constant_hamiltonian(0.5 * sl.sigma_z)
         times = np.linspace(0.0, 50.0, 501)
         traj = sl.instantaneous_frames(H, times)
 
@@ -735,7 +736,7 @@ class TestEvolveLindblad:
         # window; a tight tolerance must still complete and converge
         H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
         base = sl.instantaneous_frames(H, sl.adaptive_time_grid(H, -10.0, 10.0))
-        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
+        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.1))
         psi0 = base.basis[0, :, 0]
         rho0 = np.outer(psi0, psi0.conj())
         excited = excited_state(H, 10.0)
@@ -755,7 +756,7 @@ class TestEvolveLindblad:
 
     def test_invalid_initial_state_rejected(self):
         H, _, _, base, _ = lz_setup(2.0)
-        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.0), H)
+        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.0))
         with pytest.raises(sl.StateIntegrityError):
             sl.evolve_lindblad(gen, np.diag([0.9, 0.9]).astype(complex), -1.0, 1.0)
 
@@ -763,7 +764,7 @@ class TestEvolveLindblad:
 class TestEvolveTrajectories:
     def test_no_bath_matches_unitary_for_any_ensemble(self):
         H, t_final, _, base, _ = lz_setup(2.0)
-        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.0), H)
+        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.0))
         psi0 = base.basis[0, :, 0]
         res = sl.evolve_trajectories(
             gen, psi0, -t_final, t_final, sl.TrajectoryConfig(n_traj=3, seed=5)
@@ -783,7 +784,7 @@ class TestEvolveTrajectories:
         # alone and jumps where ||psi||^2 crosses its first random draw
         integrate = pytest.importorskip("scipy.integrate")
         H, t_final, _, _, traj = lz_setup(3.0, order=4)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5), H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5))
         psi0 = traj.basis[0, :, 0]
         m = 30
         res = sl.evolve_trajectories(gen, psi0, -t_final, t_final,
@@ -820,7 +821,7 @@ class TestEvolveTrajectories:
         times = sl.adaptive_time_grid(H, -150.0, 150.0)
         traj = sl.superadiabatic_frames(H, 4, times)
         gen = sl.LindbladGenerator(traj, np.diag([1.0, 0.0, -1.0]),
-                                   sl.ohmic_spectrum(0.05, 5.0, 0.5), H)
+                                   sl.ohmic_spectrum(0.05, 5.0, 0.5))
         psi0 = traj.basis[0, :, 0]
         ground = np.linalg.eigh(H(150.0))[1][:, 0]
         me = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -150.0, 150.0)
@@ -892,9 +893,9 @@ class TestEvolveTrajectories:
         # a crossing in the ground state: no channel at all, or only the
         # downward one, which annihilates it (H and frames are diagonal, so
         # its weight is exactly zero)
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_z)
+        H = constant_hamiltonian(0.5 * sl.sigma_z)
         traj = sl.instantaneous_frames(H, np.linspace(0.0, 1.0, 11))
-        gen = sl.LindbladGenerator(traj, sl.sigma_x, bath, H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_x, bath)
         ground = traj.basis[0, :, :1].T
         with pytest.raises(sl.SuperlindError, match=match):
             sl.propagation._jumps(gen, np.array([0]), sl.propagation._Streams(0, 1), np.array([0]),
@@ -930,7 +931,7 @@ class TestEvolveTrajectories:
 
     def test_seed_reproducibility(self):
         H, t_final, _, base, _ = lz_setup(2.0)
-        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5), H)
+        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5))
         psi0 = base.basis[0, :, 0]
         a = sl.evolve_trajectories(gen, psi0, -t_final, t_final,
                                    sl.TrajectoryConfig(n_traj=20, seed=7))
@@ -947,7 +948,7 @@ class TestEvolveTrajectories:
         # adiabatic path; averaging over jump times leaves the ensemble far
         # more excited than the jump-free closed evolution
         H, t_final, _, base, _ = lz_setup(4.0)
-        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.1), H)
+        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.1))
         psi0 = base.basis[0, :, 0]
         excited = excited_state(H, t_final)
         res = sl.evolve_trajectories(
@@ -983,10 +984,10 @@ class TestEvolveTrajectories:
         assert d.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(rho)[0], abs=1e-14)
 
     def test_jump_event_fields(self):
-        H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x)
+        H = constant_hamiltonian(0.5 * sl.sigma_x)
         times = np.linspace(0.0, 80.0, 801)
         traj = sl.instantaneous_frames(H, times)
-        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.2, 5.0, 0.0), H)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.2, 5.0, 0.0))
         exc = traj.basis[0, :, 1]
         res = sl.evolve_trajectories(gen, exc, 0.0, 80.0,
                                      sl.TrajectoryConfig(n_traj=8, seed=3))
@@ -1089,7 +1090,7 @@ class TestConfigsAndValidators:
 
     def test_trajectory_config_accepts_numpy_integers(self):
         H, t_final, _, base, _ = lz_setup(2.0)
-        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.05), H)
+        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.05))
         args = (gen, base.basis[0, :, 0], -t_final, t_final)
         a = sl.evolve_trajectories(*args, sl.TrajectoryConfig(n_traj=np.int64(3), seed=np.int64(2)))
         b = sl.evolve_trajectories(*args, sl.TrajectoryConfig(n_traj=3, seed=2))
@@ -1163,7 +1164,7 @@ class TestConfigsAndValidators:
 
 
 def test_time_series_writers(tmp_path):
-    H = sl.TimeDependentHamiltonian.constant(0.5 * sl.sigma_x)
+    H = constant_hamiltonian(0.5 * sl.sigma_x)
     psi0 = np.array([1.0, 0.0], complex)
     times = np.linspace(0.0, 2.0, 5)
     res = sl.evolve_unitary(H, psi0, 0.0, 2.0, sample_times=times)

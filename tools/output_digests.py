@@ -16,6 +16,8 @@ directory that it removes. Covered:
   3-level ladder at orders 0, 4 and 12;
 - `repr` of the 3-level ladder's master-equation P (`spec.ladder_p()`), the
   one N = 3 solve;
+- `repr` of `residual_oscillation` of the `configs/fig1.cfg` frames (order 3,
+  v = 0.25), a unitary solve under the frames' own H;
 - the stdout of `superlind check`, the invariant suite's lines.
 """
 from __future__ import annotations
@@ -34,6 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import superlind as sl  # noqa: E402
 from superlind.cli import main  # noqa: E402
+from superlind.config import fig1_job, read_config  # noqa: E402
 
 import spec  # noqa: E402  (perfbench's workload models)
 
@@ -78,6 +81,12 @@ def _outputs(out: Path):
         yield name, out / name
     (out / "ladder-p.txt").write_text(repr(spec.ladder_p()))
     yield "ladder-p.txt", out / "ladder-p.txt"
+    job = fig1_job(read_config(ROOT / "configs" / "fig1.cfg"))
+    H = sl.lz_hamiltonian(sl.LZParams(v=job.v, delta=job.delta))
+    t_final = job.window_factor * job.delta / job.v
+    traj = sl.superadiabatic_frames(H, job.order, sl.adaptive_time_grid(H, -t_final, t_final))
+    (out / "fig1-residual.txt").write_text(repr(sl.residual_oscillation(traj)))
+    yield "fig1-residual.txt", out / "fig1-residual.txt"
     (out / "check.txt").write_text(_cli("check"))
     yield "check.txt", out / "check.txt"
 
