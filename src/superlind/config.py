@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import configparser
 import inspect
-import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .experiments import BathConfig, SweepConfig, run_fig1
-from .frames import check_order
-from .model import LZParams
+from .experiments import BathConfig, SweepConfig, check_fig1, run_fig1
 
 
 def read_config(path) -> dict:
@@ -166,10 +163,7 @@ def fig1_job(data: dict) -> Fig1Job:
     """Validate fig1 config data and build the job description."""
     job = Fig1Job(**_read(data, _FIG1_KEYS, ("fig1.v",), "fig1"))
     try:
-        LZParams(v=job.v, delta=job.delta)
-        check_order(job.order)
-        if not 0 < job.window_factor < math.inf:
-            raise ValueError(f"fig1.window_factor must be finite and > 0, got {job.window_factor}")
+        check_fig1(job.delta, job.v, job.order, job.window_factor)
     except ValueError as exc:
         raise ConfigError(f"invalid fig1 config: {exc}") from exc
     return job

@@ -1,8 +1,10 @@
-"""Exception hierarchy and warning categories.
+"""Exception hierarchy, warning categories and the scalar-parameter rule.
 
 Every error carries an ``exit_code`` used by the command line interface, so
 that each failure class maps to a stable, documented process exit status.
 """
+import math
+import numbers
 import os
 import sys
 
@@ -70,6 +72,36 @@ class StiffnessError(SuperlindError):
     """
 
     exit_code = 7
+
+
+def check_real(name: str, value, low: float | None = None, *, inclusive: bool = False) -> float:
+    """``value`` as a float; ParameterError naming ``name`` unless it is a real scalar (a
+    Python or numpy int or float, no bool) and, given ``low``, finite and > ``low``, or
+    >= ``low`` if ``inclusive``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real scalar, got {value!r}")
+    x, op = float(value), ">=" if inclusive else ">"
+    if low is not None and not (math.isfinite(x) and (x >= low if inclusive else x > low)):
+        raise ParameterError(f"{name} must be finite and {op} {low:g}, got {value!r}")
+    return x
+
+
+def check_ends(t0, t1) -> tuple:
+    """Real scalars ``t0, t1`` as floats; ParameterError unless finite with t0 < t1."""
+    t0, t1 = check_real("t0", t0), check_real("t1", t1)
+    if not -math.inf < t0 < t1 < math.inf:  # NaN fails too
+        raise ParameterError(f"need finite t0 < t1, got t0 = {t0!r}, t1 = {t1!r}")
+    return t0, t1
+
+
+def check_integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int; ParameterError naming ``name`` unless it is a Python or numpy
+    integer, no bool, and, given ``low``, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 class AdiabaticityWarning(UserWarning):

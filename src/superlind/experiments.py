@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._output import fmt, write_table
-from .errors import AdiabaticityWarning, ParameterError, WindowWarning, caller_stacklevel
+from .errors import (AdiabaticityWarning, ParameterError, WindowWarning, caller_stacklevel,
+                     check_real)
 from .frames import (
     adaptive_time_grid,
     adiabatic_report,
@@ -99,20 +100,17 @@ class SweepConfig:
         inv_vs = self.inv_velocities
         if isinstance(inv_vs, (str, bytes)) or not np.iterable(inv_vs):
             raise ParameterError(f"inv_velocities must be a sequence of numbers, got {inv_vs!r}")
-        object.__setattr__(self, "inv_velocities", tuple(float(x) for x in inv_vs))
+        object.__setattr__(self, "inv_velocities", tuple(
+            check_real(f"inv_velocities[{i}]", x, 0) for i, x in enumerate(inv_vs)))
         if not self.inv_velocities:
             raise ParameterError("need at least one inverse velocity")
-        if not all(0 < x < math.inf for x in self.inv_velocities):
-            raise ParameterError("all inverse velocities must be finite and > 0")
-        if not 0 < self.delta < math.inf:
-            raise ParameterError("delta must be finite and > 0")
+        check_real("delta", self.delta, 0)
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.solver not in SOLVERS:
             raise ParameterError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         check_order(self.order)
-        if not 10 <= self.window_factor < math.inf:
-            raise ParameterError("window_factor must be >= 10 (window must dwarf the crossing)")
+        check_real("window_factor", self.window_factor, 10, inclusive=True)  # dwarfs the crossing
         # the solver configs check the tolerances, the ensemble size and the seed
         IntegratorConfig(rtol=self.rtol, atol=self.atol)
         TrajectoryConfig(n_traj=self.n_traj, seed=self.seed)
@@ -137,8 +135,7 @@ class SweepRecord:
 
 def closed_lz_oracle(delta: float, v: float) -> float:
     """Closed-form asymptotic transition probability exp(-pi delta^2 / (2 v))."""
-    if not (0 < delta < math.inf and 0 < v < math.inf):  # NaN fails too
-        raise ParameterError(f"delta and v must be finite and > 0, got {delta}, {v}")
+    delta, v = check_real("delta", delta, 0), check_real("v", v, 0)
     return math.exp(-math.pi * delta**2 / (2.0 * v))
 
 
@@ -154,7 +151,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
     The model, grid, frames, warnings, initial and readout states are built
     once and shared by every bath strength.
     """
-    baths = [replace(cfg.bath, gamma0=float(g)) for g in gamma_values]  # checked before any solve
+    baths = [replace(cfg.bath, gamma0=g) for g in gamma_values]  # checked before any solve
     v = 1.0 / inv_v
     t_final = cfg.window_factor * cfg.delta / v
     H = lz_hamiltonian(LZParams(v=v, delta=cfg.delta))
@@ -280,6 +277,13 @@ class Fig1Result:
     paths: tuple
 
 
+def check_fig1(delta, v, order, window_factor) -> None:
+    """Raise ParameterError unless ``run_fig1``'s model, order and window lie in their domains."""
+    LZParams(v=v, delta=delta)
+    check_order(order)
+    check_real("window_factor", window_factor, 0)
+
+
 def run_fig1(
     delta: float,
     v: float,
@@ -290,6 +294,7 @@ def run_fig1(
     """Three Bloch paths across the crossing: instantaneous ground state,
     order-j ground state, and the actual unitary evolution of the initial
     ground state. Written as one CSV per path when a prefix is given."""
+    check_fig1(delta, v, order, window_factor)
     H = lz_hamiltonian(LZParams(v=v, delta=delta))
     t_final = window_factor * delta / v
     times = adaptive_time_grid(H, -t_final, t_final)

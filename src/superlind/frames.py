@@ -20,7 +20,6 @@ converted once on the way in (``_entries``) and once on the way out;
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,8 @@ from .errors import (
     OrderCapError,
     ParameterError,
     TimeDomainError,
+    check_ends,
+    check_integer,
 )
 from ._output import BLOCK_ROWS, write_blocks
 from .model import TimeDependentHamiltonian, _eigh
@@ -87,7 +88,7 @@ class FrameTrajectory:
         if self.basis.shape != (k, n, n) or self.energies.shape != (k, n):
             raise DimensionError(f"{k} grid points and N = {n} need a {(k, n, n)} basis and "
                                  f"{(k, n)} energies, got {self.basis.shape}, {self.energies.shape}")
-        self.order = int(order)
+        self.order = check_order(order)
         self.hamiltonian = hamiltonian
         for arr in (self.times, self.basis, self.energies):
             arr.setflags(write=False)
@@ -291,13 +292,13 @@ def adiabatic_report(traj: FrameTrajectory) -> AdiabaticReport:
     return AdiabaticReport(samples=samples, global_max=global_max, recommended_order=order)
 
 
-def check_order(order) -> None:
-    """Raise ParameterError unless the super-adiabatic order is an integer in
-    [0, J_MAX]: OrderCapError above the cap."""
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
-        raise ParameterError(f"order must be an integer >= 0, got {order!r}")
+def check_order(order) -> int:
+    """The super-adiabatic order as an int; ParameterError unless it is an
+    integer in [0, J_MAX], OrderCapError above the cap."""
+    order = check_integer("order", order, 0)
     if order > J_MAX:
         raise OrderCapError(f"order {order} exceeds cap {J_MAX}")
+    return order
 
 
 def superadiabatic_frames(
@@ -388,8 +389,7 @@ def adaptive_time_grid(
     on the built grid, halved until it holds or until it would exceed
     ``GRID_MAX_POINTS`` and ``GridError`` is raised.
     """
-    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-        raise ParameterError(f"need finite t0 < t1, got {t0!r}, {t1!r}")
+    t0, t1 = check_ends(t0, t1)
 
     def spectrum(times):
         """Minimal gap and largest per-step ||H_k+1 - H_k||_2."""

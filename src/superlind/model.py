@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, check_integer, check_real
 
 HERMITICITY_TOL = 1e-12
 
@@ -102,9 +102,9 @@ class TimeDependentHamiltonian:
     """
 
     def __init__(self, dim: int, evaluator: Callable[[float], np.ndarray]):
-        if dim < 2:
+        self.dim = check_integer("dimension", dim)
+        if self.dim < 2:
             raise DimensionError(f"dimension must be >= 2, got {dim}")
-        self.dim = int(dim)
         self._evaluator = evaluator
         self._last = (None, None)  # the bytes of the last times evaluated, and their stack
 
@@ -170,8 +170,7 @@ class LZParams:
 
     def __post_init__(self):
         for name, value in (("v", self.v), ("delta", self.delta)):
-            if not np.isfinite(value) or value <= 0:
-                raise ParameterError(f"LZParams.{name} must be finite and > 0, got {value!r}")
+            check_real(f"LZParams.{name}", value, 0)
 
 
 def lz_hamiltonian(params: LZParams) -> TimeDependentHamiltonian:
@@ -208,13 +207,6 @@ class BathSpectrum:
     shift: Callable = field(default=_zero_shift)
 
 
-def _check_scalars(**params) -> None:
-    """ParameterError naming the first parameter that is a string or an array of ndim >= 1."""
-    for name, value in params.items():
-        if isinstance(value, (str, bytes)) or np.ndim(value) >= 1:
-            raise ParameterError(f"{name} must be a real scalar, got {value!r}")
-
-
 def ohmic_spectrum(
     gamma0: float,
     cutoff: float,
@@ -235,13 +227,9 @@ def ohmic_spectrum(
     exp(2w/cutoff). ``symmetric_cutoff=True`` uses -|w|/cutoff instead, making
     gamma(-w) = exp(-w/T) * gamma(w) exact.
     """
-    _check_scalars(gamma0=gamma0, cutoff=cutoff, temperature=temperature)
-    if not np.isfinite(gamma0) or gamma0 < 0:
-        raise ParameterError(f"gamma0 must be finite and >= 0, got {gamma0!r}")
-    if not np.isfinite(cutoff) or cutoff <= 0:
-        raise ParameterError(f"cutoff must be finite and > 0, got {cutoff!r}")
-    if not np.isfinite(temperature) or temperature < 0:
-        raise ParameterError(f"temperature must be finite and >= 0, got {temperature!r}")
+    gamma0 = check_real("gamma0", gamma0, 0, inclusive=True)
+    cutoff = check_real("cutoff", cutoff, 0)
+    temperature = check_real("temperature", temperature, 0, inclusive=True)
     if not isinstance(symmetric_cutoff, bool):  # a truthy string would pick the symmetric branch
         raise ParameterError(f"symmetric_cutoff must be a bool, got {symmetric_cutoff!r}")
 
@@ -269,13 +257,11 @@ def dephasing_spectrum(gamma0: float) -> BathSpectrum:
     Models a static or very slow environment: it damps coherences between
     basis states but cannot exchange energy with the system.
     """
-    _check_scalars(gamma0=gamma0)
-    if not np.isfinite(gamma0) or gamma0 < 0:
-        raise ParameterError(f"gamma0 must be finite and >= 0, got {gamma0!r}")
+    gamma0 = check_real("gamma0", gamma0, 0, inclusive=True)
 
     def gamma(w):
         w_arr = np.asarray(w, dtype=float)
-        val = np.where(w_arr == 0.0, float(gamma0), 0.0)
+        val = np.where(w_arr == 0.0, gamma0, 0.0)
         return float(val) if val.ndim == 0 else val
 
     return BathSpectrum(gamma)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,9 @@ from .errors import (
     StiffnessError,
     SuperlindError,
     TimeDomainError,
+    check_ends,
+    check_integer,
+    check_real,
 )
 from ._output import write_table
 from .model import (TimeDependentHamiltonian, _eigh, coherence_vector, density_matrix,
@@ -86,9 +88,8 @@ class IntegratorConfig:
     atol: float = 1e-10
 
     def __post_init__(self):
-        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):  # NaN fails too
-            raise ParameterError(
-                f"tolerances must be finite and > 0, got rtol = {self.rtol}, atol = {self.atol}")
+        check_real("rtol", self.rtol, 0)
+        check_real("atol", self.atol, 0)
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,8 @@ class TrajectoryConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value in (("n_traj", self.n_traj), ("seed", self.seed)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.n_traj < 1:
-            raise ParameterError("n_traj must be >= 1")
-        if not 0 <= self.seed < 2**64:  # the Philox key's 64-bit word
+        check_integer("n_traj", self.n_traj, 1)
+        if not 0 <= check_integer("seed", self.seed) < 2**64:  # the Philox key's 64-bit word
             raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
@@ -275,8 +272,7 @@ def _edges(t0, t1, sample_times, breakpoints=()):
     Also returns the index of each sample time among the edges. Repeated
     edges need no merging: the interval between them has zero width.
     """
-    if not -math.inf < t0 < t1 < math.inf:  # NaN fails too
-        raise ParameterError(f"need finite t0 < t1, got t0 = {t0!r}, t1 = {t1!r}")
+    t0, t1 = check_ends(t0, t1)
     s = np.asarray(() if sample_times is None else sample_times, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ParameterError("sample_times must be finite")
