@@ -4,7 +4,6 @@ Subcommands:
   sweep <config>     transition-probability sweep, CSV output
   fig1 <config>      Bloch paths of the basis choices and the true evolution
   spectrum           tabulate an ohmic rate function
-  check              run the built-in invariant suite
 
 `--set section.key=value` overrides any config entry. Exit codes: 0 ok,
 2 usage, 3 config validation, 4 parameter domain, 5 degeneracy, 6 grid,
@@ -60,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--n", type=int, default=201)
     spectrum.add_argument("--symmetric-cutoff", action="store_true")
     spectrum.add_argument("--output", help="write CSV here instead of stdout")
-
-    sub.add_parser("check", help="run the built-in invariant suite")
     return parser
 
 
@@ -104,13 +101,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_check(_args) -> int:
-    from .checks import run_all
-
-    failures = run_all()
-    return 0 if failures == 0 else 1
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -123,7 +113,6 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
         "fig1": _cmd_fig1,
         "spectrum": _cmd_spectrum,
-        "check": _cmd_check,
     }
     try:
         return handlers[args.command](args)

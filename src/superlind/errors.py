@@ -80,7 +80,10 @@ def check_real(name: str, value, low: float | None = None, *, inclusive: bool = 
     >= ``low`` if ``inclusive``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{name} must be a real scalar, got {value!r}")
-    x, op = float(value), ">=" if inclusive else ">"
+    try:
+        x, op = float(value), ">=" if inclusive else ">"
+    except OverflowError:  # an int or Fraction beyond it, whose repr can pass the digit limit
+        raise ParameterError(f"{name} must be within the float range") from None
     if low is not None and not (math.isfinite(x) and (x >= low if inclusive else x > low)):
         raise ParameterError(f"{name} must be finite and {op} {low:g}, got {value!r}")
     return x

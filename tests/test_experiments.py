@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import superlind as sl
-from superlind import config, experiments
+from superlind import cli, config, experiments
 from superlind.cli import main as cli_main
 from superlind.config import Fig1Job, SweepJob, apply_overrides, fig1_job, read_config, sweep_job
 from superlind.experiments import BathConfig, SweepRecord
@@ -615,12 +616,6 @@ class TestCLI:
             assert "bath kind 'none' needs gamma0 = 0, got 0.5" in capsys.readouterr().err
         assert not (tmp_path / "y.csv").exists()
 
-    def test_check_suite_passes(self, capsys):
-        assert cli_main(["check"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 5
-        assert all(line.startswith("[PASS] ") for line in lines), lines
-
     def test_module_entry_point(self):
         # `python -m superlind` from a source checkout, not an installed script
         env = {**os.environ, "PYTHONPATH": str(Path(sl.__file__).resolve().parents[1])}
@@ -629,6 +624,20 @@ class TestCLI:
         assert out.stdout.strip() == f"superlind {sl.__version__}"
 
     def test_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["no-such-command"])
-        assert exc.value.code == 2
+        # `check`, the removed invariant suite, is an unknown command like any other
+        for command in ("no-such-command", "check"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([command])
+            assert exc.value.code == 2
+
+    def test_documented_commands_are_the_parser_commands(self):
+        # the README's command block and the module docstring of `cli` name
+        # exactly the subcommands that the parser knows
+        parser = cli._build_parser()
+        commands = set(next(action.choices for action in parser._actions
+                            if isinstance(action, argparse._SubParsersAction)))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## Command line\n", 1)[1].split("```")[1]
+        assert set(re.findall(r"^superlind (\S+)", block, re.M)) == commands
+        listing = cli.__doc__.split("Subcommands:\n", 1)[1].split("\n\n")[0]
+        assert set(re.findall(r"^  (\S+)", listing, re.M)) == commands

@@ -333,14 +333,14 @@ class TestFrameCouplings:
 
 class TestAdiabaticParameter:
     def test_crossing_value_and_global_max(self):
-        v = 0.2
-        _, _, _, base, _ = lz_setup(1.0 / v)
-        k0 = base.index_at(0.0)
-        report = sl.adiabatic_report(base)
-        assert report.samples[k0] == pytest.approx(v / 2.0, rel=1e-3)
-        assert report.global_max == pytest.approx(v / 2.0, rel=1e-3)
-        k_star = int(np.argmax(report.samples))
-        assert abs(base.times[k_star]) <= 2 * base.step
+        for v in (0.2, 0.5):
+            _, _, _, base, _ = lz_setup(1.0 / v)
+            k0 = base.index_at(0.0)
+            report = sl.adiabatic_report(base)
+            assert report.samples[k0] == pytest.approx(v / 2.0, rel=1e-3)
+            assert report.global_max == pytest.approx(v / 2.0, rel=1e-3)
+            k_star = int(np.argmax(report.samples))
+            assert abs(base.times[k_star]) <= 2 * base.step
 
     def test_constant_hamiltonian_clamps_to_zero(self):
         H = constant_hamiltonian(0.5 * sl.sigma_x)
@@ -461,6 +461,11 @@ class TestSuperadiabaticFrames:
     def test_invariants_hold_at_order_four(self):
         _, _, _, _, traj = lz_setup(3.0, order=4)
         traj.validate()
+        # and at orders 0 and 2 on a uniform grid (v = 0.5)
+        H, times = lz_hamiltonian(2.0), np.linspace(-8.0, 8.0, 801)
+        base = sl.instantaneous_frames(H, times)
+        base.validate()
+        sl.superadiabatic_frames(H, 2, times, base=base).validate()
 
     def test_order_cap_and_negative_order(self, lz_slow):
         H, _, times, base, _ = lz_slow

@@ -6,6 +6,7 @@ in range) raises ParameterError naming the parameter; Python and numpy
 numbers of the right kind pass.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,15 +76,17 @@ INTEGER = [
 ]
 NOT_REAL = [None, "1", b"1", 1 + 0j, True, np.bool_(True), math.nan, math.inf, np.array([1.0])]
 NOT_INTEGER = NOT_REAL + [2.5, 4.7, -1]
+BEYOND_FLOAT = [10**400, Fraction(10**400)]  # real scalars that float() cannot hold
 
 
 def _cells(rows, values):
-    return [pytest.param(call, name, value, id=f"{entry}.{name}-{value!r}")
+    # an id keeps the first 24 characters of a repr; 10**400 has 401 digits
+    return [pytest.param(call, name, value, id=f"{entry}.{name}-{value!r:.24}")
             for entry, name, call, _ in rows for value in values]
 
 
 @pytest.mark.parametrize("call, name, value",
-                         _cells(REAL, NOT_REAL) + _cells(INTEGER, NOT_INTEGER))
+                         _cells(REAL, NOT_REAL + BEYOND_FLOAT) + _cells(INTEGER, NOT_INTEGER))
 def test_rejected_with_the_parameter_named(call, name, value):
     with pytest.raises(sl.ParameterError) as info:
         call(value)

@@ -650,15 +650,24 @@ class TestEvolveUnitary:
                               cfg=sl.IntegratorConfig(rtol=1e-14, atol=1e-16))
 
 
+def _closed_limit_cases():
+    """(H, window edge, frames) for LZ at v = 0.5: the adaptive grid of the
+    standard window, and instantaneous frames on a uniform grid over [-6, 6]."""
+    H, t_final, _, base, _ = lz_setup(2.0)
+    uniform = sl.instantaneous_frames(H, np.linspace(-6.0, 6.0, 601))
+    return (H, t_final, base), (H, 6.0, uniform)
+
+
 class TestEvolveLindblad:
     def test_closed_limit_matches_unitary(self):
-        H, t_final, _, base, _ = lz_setup(2.0)
-        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.0))
-        psi0 = base.basis[0, :, 0]
-        uni = sl.evolve_unitary(H, psi0, -t_final, t_final)
-        lind = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -t_final, t_final)
-        diff = np.max(np.abs(lind.state - np.outer(uni.state, uni.state.conj())))
-        assert diff < 5e-6
+        for (H, t_final, frames), bound in zip(_closed_limit_cases(), (5e-6, 1e-7)):
+            gen = sl.LindbladGenerator(frames, sl.sigma_z, sl.dephasing_spectrum(0.0))
+            psi0 = frames.basis[0, :, 0]
+            uni = sl.evolve_unitary(H, psi0, -t_final, t_final)
+            lind = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -t_final, t_final)
+            rho_uni = np.outer(uni.state, uni.state.conj())
+            assert np.max(np.abs(lind.state - rho_uni)) < bound
+            assert abs(np.sum(np.square(sl.bloch_vector(rho_uni))) - 1.0) < 1e-8
 
     def test_frozen_frame_relaxation_rate(self):
         # static transverse Hamiltonian, zero-temperature bath: the excited
@@ -763,21 +772,22 @@ class TestEvolveLindblad:
 
 class TestEvolveTrajectories:
     def test_no_bath_matches_unitary_for_any_ensemble(self):
-        H, t_final, _, base, _ = lz_setup(2.0)
-        gen = sl.LindbladGenerator(base, sl.sigma_z, sl.dephasing_spectrum(0.0))
-        psi0 = base.basis[0, :, 0]
-        res = sl.evolve_trajectories(
-            gen, psi0, -t_final, t_final, sl.TrajectoryConfig(n_traj=3, seed=5)
-        )
-        uni = sl.evolve_unitary(H, psi0, -t_final, t_final)
-        assert res.jumps.size == 0 and res.jumps.dtype == sl.propagation._JUMP_DTYPE
-        rho_uni = np.outer(uni.state, uni.state.conj())
-        assert np.max(np.abs(res.state - rho_uni)) < 1e-6
-        excited = excited_state(H, t_final)
-        assert abs(
-            excited_population(res.state, excited)
-            - excited_population(rho_uni, excited)
-        ) < 1e-4
+        ensembles = ((3, 5, 1e-6), (4, 0, 1e-7))  # n_traj, seed, bound
+        for (H, t_final, frames), (n_traj, seed, bound) in zip(_closed_limit_cases(), ensembles):
+            gen = sl.LindbladGenerator(frames, sl.sigma_z, sl.dephasing_spectrum(0.0))
+            psi0 = frames.basis[0, :, 0]
+            res = sl.evolve_trajectories(
+                gen, psi0, -t_final, t_final, sl.TrajectoryConfig(n_traj=n_traj, seed=seed)
+            )
+            uni = sl.evolve_unitary(H, psi0, -t_final, t_final)
+            assert res.jumps.size == 0 and res.jumps.dtype == sl.propagation._JUMP_DTYPE
+            rho_uni = np.outer(uni.state, uni.state.conj())
+            assert np.max(np.abs(res.state - rho_uni)) < bound
+            excited = excited_state(H, t_final)
+            assert abs(
+                excited_population(res.state, excited)
+                - excited_population(rho_uni, excited)
+            ) < 1e-4
 
     def test_first_jump_times_match_dop853_oracle(self):
         # before its first jump a trajectory drifts under the snapped H_eff

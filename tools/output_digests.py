@@ -17,8 +17,7 @@ directory that it removes. Covered:
 - `repr` of the 3-level ladder's master-equation P (`spec.ladder_p()`), the
   one N = 3 solve;
 - `repr` of `residual_oscillation` of the `configs/fig1.cfg` frames (order 3,
-  v = 0.25), a unitary solve under the frames' own H;
-- the stdout of `superlind check`, the invariant suite's lines.
+  v = 0.25), a unitary solve under the frames' own H.
 """
 from __future__ import annotations
 
@@ -87,8 +86,6 @@ def _outputs(out: Path):
     traj = sl.superadiabatic_frames(H, job.order, sl.adaptive_time_grid(H, -t_final, t_final))
     (out / "fig1-residual.txt").write_text(repr(sl.residual_oscillation(traj)))
     yield "fig1-residual.txt", out / "fig1-residual.txt"
-    (out / "check.txt").write_text(_cli("check"))
-    yield "check.txt", out / "check.txt"
 
 
 def main_digests() -> None:
