@@ -74,18 +74,27 @@ class StiffnessError(SuperlindError):
     exit_code = 7
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message, in at most 40 characters."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past Python's 4300-digit limit, or a Fraction of one
+        return f"<{type(value).__name__} too large to print>"
+    return text if len(text) <= 40 else f"{text[:18]}...{text[-19:]}"
+
+
 def check_real(name: str, value, low: float | None = None, *, inclusive: bool = False) -> float:
     """``value`` as a float; ParameterError naming ``name`` unless it is a real scalar (a
     Python or numpy int or float, no bool) and, given ``low``, finite and > ``low``, or
     >= ``low`` if ``inclusive``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ParameterError(f"{name} must be a real scalar, got {value!r}")
+        raise ParameterError(f"{name} must be a real scalar, got {shown(value)}")
     try:
         x, op = float(value), ">=" if inclusive else ">"
     except OverflowError:  # an int or Fraction beyond it, whose repr can pass the digit limit
         raise ParameterError(f"{name} must be within the float range") from None
     if low is not None and not (math.isfinite(x) and (x >= low if inclusive else x > low)):
-        raise ParameterError(f"{name} must be finite and {op} {low:g}, got {value!r}")
+        raise ParameterError(f"{name} must be finite and {op} {low:g}, got {shown(value)}")
     return x
 
 
@@ -101,9 +110,9 @@ def check_integer(name: str, value, low: int | None = None) -> int:
     """``value`` as an int; ParameterError naming ``name`` unless it is a Python or numpy
     integer, no bool, and, given ``low``, >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
+        raise ParameterError(f"{name} must be an integer, got {shown(value)}")
     if low is not None and value < low:
-        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise ParameterError(f"{name} must be an integer >= {low}, got {shown(value)}")
     return int(value)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._output import fmt, write_table
 from .errors import (AdiabaticityWarning, ParameterError, WindowWarning, caller_stacklevel,
-                     check_real)
+                     check_real, shown)
 from .frames import (
     adaptive_time_grid,
     adiabatic_report,
@@ -66,7 +66,7 @@ class BathConfig:
         ohmic_spectrum(self.gamma0, self.cutoff, self.temperature,  # checks all four
                        symmetric_cutoff=self.symmetric_cutoff)
         if self.kind == "none" and self.gamma0 != 0:  # a row would carry a strength never applied
-            raise ParameterError(f"bath kind 'none' needs gamma0 = 0, got {self.gamma0!r}")
+            raise ParameterError(f"bath kind 'none' needs gamma0 = 0, got {shown(self.gamma0)}")
 
     def spectrum(self) -> BathSpectrum:
         if self.kind == "ohmic":
@@ -99,7 +99,7 @@ class SweepConfig:
     def __post_init__(self):
         inv_vs = self.inv_velocities
         if isinstance(inv_vs, (str, bytes)) or not np.iterable(inv_vs):
-            raise ParameterError(f"inv_velocities must be a sequence of numbers, got {inv_vs!r}")
+            raise ParameterError(f"inv_velocities must be a sequence of numbers, got {shown(inv_vs)}")
         object.__setattr__(self, "inv_velocities", tuple(
             check_real(f"inv_velocities[{i}]", x, 0) for i, x in enumerate(inv_vs)))
         if not self.inv_velocities:

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, check_integer, check_real
+from .errors import DimensionError, ParameterError, check_integer, check_real, shown
 
 HERMITICITY_TOL = 1e-12
 
@@ -231,7 +231,7 @@ def ohmic_spectrum(
     cutoff = check_real("cutoff", cutoff, 0)
     temperature = check_real("temperature", temperature, 0, inclusive=True)
     if not isinstance(symmetric_cutoff, bool):  # a truthy string would pick the symmetric branch
-        raise ParameterError(f"symmetric_cutoff must be a bool, got {symmetric_cutoff!r}")
+        raise ParameterError(f"symmetric_cutoff must be a bool, got {shown(symmetric_cutoff)}")
 
     def gamma(w):
         w_arr = np.asarray(w, dtype=float)

@@ -23,11 +23,11 @@ above theta_9, each independently of its stack.
 All these products use ``_matmul``: broadcast products for complex stacks,
 2-5 times faster than numpy's ``@`` at N = 2, and ``@`` for real ones.
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
-for the whole ensemble, a block of steps at a time; it finds each jump time
-from the norms at the two ends of its step, by a bisection that a Newton root
-predicts and one pass checks, and handles a block's jumps as one batch, each
-recorded as a row of one array. One array kernel computes the ensemble's numpy
-Philox streams, one per trajectory. Every engine reports its
+for the whole ensemble, and walks each trajectory over a binary-lifting table
+of a block's step products to the step of its first crossing. There a bisection
+that a Newton root predicts and one pass checks finds its jump time; a block's
+jumps are handled as one batch, each a row of one array. One array kernel
+computes the ensemble's numpy Philox streams. Every engine reports its
 ``IntegrationDiagnostics``.
 """
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .errors import (
     check_ends,
     check_integer,
     check_real,
+    shown,
 )
 from ._output import write_table
 from .model import (TimeDependentHamiltonian, _eigh, coherence_vector, density_matrix,
@@ -56,8 +57,7 @@ from .model import (TimeDependentHamiltonian, _eigh, coherence_vector, density_m
 
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)  # Gauss-Legendre nodes on [0, 1]
 _CHUNK_ENTRIES = 2**14  # matrix entries in the stack of propagators held at once
-_BLOCK_ENTRIES = 2**18  # ensemble state entries at a Monte-Carlo block's edges
-_TABLE_ENTRIES = 2**16  # entries of its table of step products
+_TABLE_ENTRIES = 2**16  # B log2(B) N^2: a Monte-Carlo block's lifting table of step products
 _HALVES = 0.5 ** np.arange(1, 41)[:, None]  # the widths 2^-i of a jump time's bisection
 _STREAM_WORDS = 32  # random words per trajectory drawn at first, doubled when one runs out
 # Philox4x64-10's multipliers and key bumps (Salmon, Moraes, Dror & Shaw, SC'11)
@@ -102,7 +102,7 @@ class TrajectoryConfig:
     def __post_init__(self):
         check_integer("n_traj", self.n_traj, 1)
         if not 0 <= check_integer("seed", self.seed) < 2**64:  # the Philox key's 64-bit word
-            raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
+            raise ParameterError(f"seed must lie in [0, 2**64), got {shown(self.seed)}")
 
 
 # one row per quantum jump; channel (target, source), (-1, -1) for dephasing
@@ -630,31 +630,34 @@ def _jumps(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds)
     raise StiffnessError("jump cascade did not terminate within one step")
 
 
-def evolve_trajectories(
-    gen,
-    psi0: np.ndarray,
-    t0: float,
-    t1: float,
-    tcfg: TrajectoryConfig,
-) -> TrajectoryResult:
+def _walk(lift: list, at: np.ndarray, psi: np.ndarray, thresholds: np.ndarray):
+    """Walk each psi from block edge ``at`` over ``lift[l][s]``, the 2^l steps from edge s,
+    longest first, taking a span if ||psi||^2 stays >= the threshold. ||psi||^2 never grows,
+    so the (edges, states) returned are those just before the first crossing, or at the end."""
+    for level in range(len(lift) - 1, -1, -1):
+        nxt = np.einsum("mij,mj->mi", lift[level][np.minimum(at, len(lift[level]) - 1)], psi)
+        ok = np.einsum("mi,mi->m", nxt.conj(), nxt).real >= thresholds
+        ok &= at + 2**level <= len(lift[0])
+        at, psi = np.where(ok, at + 2**level, at), np.where(ok[:, None], nxt, psi)
+    return at, psi
+
+
+def evolve_trajectories(gen, psi0: np.ndarray, t0: float, t1: float,
+                        tcfg: TrajectoryConfig) -> TrajectoryResult:
     """Jump unraveling of the master equation, averaged over an ensemble.
 
     Pure states drift under H_eff = H + H_shift - (i/2) sum L^dag L without
     renormalization; a trajectory jumps when its squared norm falls below a
     uniform threshold, with channel probabilities ~ ||L psi||^2. All
     trajectories advance in lockstep between the edges t0, t1 and the frame
-    grid points and cell midpoints inside (t0, t1): two steps per frame cell,
-    each propagated by the Magnus-4 exponential of the exponential core, with
-    both Gauss nodes strictly inside one cell, a block of B steps at a time:
-    B M N ensemble entries within ``_BLOCK_ENTRIES`` and the block's table
-    within ``_TABLE_ENTRIES``. The step products between a block's edges, with
-    no inverse, give each trajectory's first crossing in it; ``_jumps`` takes
-    all as one batch, and the jumped go on from the end of their step. A jump
-    time is the threshold crossing of the cubic Hermite interpolant of
-    ||psi||^2 between the ends of its step. Every trajectory consumes only its
-    own counter-based random stream, numpy's ``Philox(key=[seed, index])``, drawn
-    in bulk for the ensemble, so an ensemble is exactly reproducible for a given
-    seed, whatever the block. Each batch of jumps adds its rows to the record.
+    grid points and cell midpoints inside (t0, t1), two Magnus-4 steps per
+    frame cell, a block of B steps at a time: ``_walk`` takes each trajectory
+    over the block's binary-lifting table of step products (B log2(B) N^2
+    entries within ``_TABLE_ENTRIES``, no inverse) to the step of its first
+    crossing, and ``_jumps`` takes all crossings as one batch. Every trajectory
+    consumes only its own counter-based random stream, numpy's
+    ``Philox(key=[seed, index])``, so an ensemble is exactly reproducible for a
+    given seed, whatever the block.
     """
     psi0 = _of_dim(check_state_vector(psi0), gen.frames.dim)
     times = gen.frames.times
@@ -669,35 +672,26 @@ def evolve_trajectories(
     psis = np.tile(psi0, (m, 1))
     record = [np.empty(0, dtype=_JUMP_DTYPE)]
 
-    block = max(min(_BLOCK_ENTRIES // (m * n), math.isqrt(_TABLE_ENTRIES) // n - 1), 1)
+    block = 1 << max(k for k in range(31) if (k << k) * n * n <= _TABLE_ENTRIES)
     for lo in range(0, widths.size, block):
         h = widths[lo:lo + block]
-        b = h.size
-        nodes = edges[lo:lo + b] + _GAUSS[:, None] * h                    # (2, B)
-        heff = gen.effective_hamiltonian(nodes.ravel()).reshape(2, b, n, n)
-        # table[k, :, s]: the steps' product from block edge s to edge k >= s, one GEMM per k
-        table = np.tile(np.eye(n, dtype=complex)[:, None], (b + 1, 1, b + 1, 1))
-        for k, p in enumerate(_expm(_magnus4(-1j * heff[0], -1j * heff[1], h))):
-            table[k + 1, :, :k + 1] = (p @ table[k, :, :k + 1].reshape(n, -1)).reshape(n, -1, n)
-        todo, start, psi = np.arange(m), np.zeros(m, dtype=int), psis  # psi is at edge start
+        nodes = edges[lo:lo + h.size] + _GAUSS[:, None] * h                 # (2, B)
+        heff = gen.effective_hamiltonian(nodes.ravel()).reshape(2, h.size, n, n)
+        lift = [_expm(_magnus4(-1j * heff[0], -1j * heff[1], h))]
+        for span in (2**level for level in range(h.size.bit_length() - 1)):
+            lift.append(_matmul(lift[-1][span:], lift[-1][:-span]))  # the later span acts last
+        todo, at = np.arange(m), np.zeros(m, dtype=int)  # each at its block edge ``at``
         while True:
-            end = np.einsum("mij,mj->mi", table[-1, :, start], psi)  # advanced index first
-            # ||psi||^2 never grows: only those below threshold at the block end crossed
-            c = np.flatnonzero(np.einsum("mi,mi->m", end.conj(), end).real < thresholds[todo])
-            ends = np.einsum("kimj,mj->mki", table[:, :, start[c]], psi[c])  # (P, B + 1, N)
-            below = np.einsum("mki,mki->mk", ends.conj(), ends).real < thresholds[todo[c], None]
-            first = np.argmax(below & (np.arange(b + 1) > start[c, None]), axis=1)  # 0: none
-            psis[todo] = end  # after reading psi[c]: psi is psis in the first round
-            hit = np.flatnonzero(first)
-            if not hit.size:
+            at, psis[todo] = _walk(lift, at, psis[todo], thresholds[todo])
+            todo, at = todo[at < h.size], at[at < h.size]  # each crossed in step ``at``
+            if not todo.size:
                 break
-            todo, start = todo[c[hit]], first[hit]
-            j = lo + start - 1  # the step of each crossing
-            psi, thresholds[todo], jumps = _jumps(
-                gen, cells[j], streams, todo, ends[hit, start - 1], ends[hit, start],
-                edges[j], edges[j + 1], heff[0, start - 1], thresholds[todo],
-            )
+            j, psi = lo + at, psis[todo]
+            psis[todo], thresholds[todo], jumps = _jumps(
+                gen, cells[j], streams, todo, psi, np.einsum("mij,mj->mi", lift[0][at], psi),
+                edges[j], edges[j + 1], heff[0, at], thresholds[todo])
             record.append(jumps)
+            at += 1
 
     norms = np.linalg.norm(psis, axis=1)
     if np.any(norms <= 0):

@@ -77,6 +77,17 @@ INTEGER = [
 NOT_REAL = [None, "1", b"1", 1 + 0j, True, np.bool_(True), math.nan, math.inf, np.array([1.0])]
 NOT_INTEGER = NOT_REAL + [2.5, 4.7, -1]
 BEYOND_FLOAT = [10**400, Fraction(10**400)]  # real scalars that float() cannot hold
+# (entry point, parameter, call with the value, a value whose repr passes Python's
+# 4300-digit limit for int-to-str conversion, so no message can print it)
+BEYOND_DIGITS = [
+    ("TrajectoryConfig", "n_traj", lambda x: sl.TrajectoryConfig(n_traj=x), -10**5000),
+    ("TrajectoryConfig", "seed", lambda x: sl.TrajectoryConfig(n_traj=2, seed=x), 10**5000),
+    ("LZParams", "v", lambda x: sl.LZParams(x, 1.0), Fraction(-(10**5000 + 1), 10**5000)),
+    ("SweepConfig", "inv_velocities", lambda x: _sweep(inv_velocities=x), 10**5000),
+    ("BathConfig", "gamma0", lambda x: sl.BathConfig(gamma0=x), Fraction(10**5000 + 1, 10**5000)),
+    ("ohmic_spectrum", "symmetric_cutoff",
+     lambda x: sl.ohmic_spectrum(0.1, 5.0, 0.5, symmetric_cutoff=x), 10**5000),
+]
 
 
 def _cells(rows, values):
@@ -86,11 +97,14 @@ def _cells(rows, values):
 
 
 @pytest.mark.parametrize("call, name, value",
-                         _cells(REAL, NOT_REAL + BEYOND_FLOAT) + _cells(INTEGER, NOT_INTEGER))
+                         _cells(REAL, NOT_REAL + BEYOND_FLOAT) + _cells(INTEGER, NOT_INTEGER)
+                         + [pytest.param(call, name, value, id=f"{entry}.{name}-beyond-digits")
+                            for entry, name, call, value in BEYOND_DIGITS])
 def test_rejected_with_the_parameter_named(call, name, value):
     with pytest.raises(sl.ParameterError) as info:
         call(value)
     assert name in str(info.value)
+    assert len(str(info.value)) < 120  # the value shown in at most 40 characters
 
 
 @pytest.mark.parametrize("call, valid, kind", [

@@ -161,6 +161,36 @@ def _strong_bath_coarse():
     return gen, traj.basis[0, :, 0], traj
 
 
+def _walk_case(steps, at, psi, thresholds):
+    """A lifting walk's inputs as arrays: a block's (B, N, N) step stack, and
+    start edges, states and thresholds of the trajectories."""
+    return (np.asarray(steps, dtype=complex), np.asarray(at), np.asarray(psi, dtype=complex),
+            np.asarray(thresholds, dtype=float))
+
+
+@st.composite
+def _walks(draw):
+    """Random contractive 2x2 or 3x3 steps, B = 1..20 of them (so B = 1 and ragged
+    blocks occur), and trajectories at random start edges, with thresholds at or
+    below their squared norm there and far from it at every later edge, past
+    rounding."""
+    n, b, m = draw(st.sampled_from([2, 3])), draw(st.integers(1, 20)), draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0)
+    raw = draw(hnp.arrays(float, (2, b, n, n), elements=unit))
+    steps = raw[0] + 1j * raw[1]
+    shrink = draw(hnp.arrays(float, b, elements=st.floats(0.5, 1.0)))
+    steps *= (shrink / np.maximum(np.linalg.norm(steps, ord=2, axis=(1, 2)), 1.0))[:, None, None]
+    at = draw(hnp.arrays(int, m, elements=st.integers(0, b)))
+    psi = draw(hnp.arrays(float, (m, n), elements=unit)) + 0j
+    fractions = draw(hnp.arrays(float, m, elements=st.floats(0.0, 1.0)))
+    thresholds = fractions * np.einsum("mi,mi->m", psi.conj(), psi).real
+    for s, y, thr in zip(at, psi, thresholds):
+        for step in steps[s:]:
+            y = step @ y
+            assume(abs(np.vdot(y, y).real - thr) > 1e-9)
+    return _walk_case(steps, at, psi, thresholds)
+
+
 def _lz_coarse(points=41):
     """Dephased LZ master equation (v = 1) on a grid of ``points`` over [-2, 2]."""
     H = sl.lz_hamiltonian(sl.LZParams(v=1.0, delta=1.0))
@@ -842,12 +872,16 @@ class TestEvolveTrajectories:
         assert abs(p_mc - p_me) < 4.0 * math.sqrt(p_me * (1.0 - p_me) / m)
 
     def test_batched_jumps_match_sequential_reference(self, monkeypatch):
+        # every batch of crossings that the run hands to _jumps is handled again,
+        # one trajectory at a time, by the reference on the same inputs and compared
+        # call by call: end to end, a jump time that rounding moved by one bisection
+        # quantum would move its successors too
         gen, psi0, traj = _strong_bath_coarse()
         tcfg = sl.TrajectoryConfig(n_traj=200, seed=4)
-        batched = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
-        cascades, rngs = [0], {}
+        batched, cascades, rngs, calls = sl.propagation._jumps, [0], {}, [0]
 
-        def sequential(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds):
+        def checked(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds):
+            got = batched(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds)
             # numpy's own generator of each trajectory, past its first threshold
             for i in rows.tolist():
                 if i not in rngs:
@@ -857,21 +891,24 @@ class TestEvolveTrajectories:
             done = [_sequential_jumps(gen, rngs[i], psi_a[k], psi_b[k], t_a[k], t_b[k], h_eff[k],
                                       thresholds[k], events[k], cascades)
                     for k, i in enumerate(rows.tolist())]
-            jumps = np.array([(i, *e) for i, evs in zip(rows.tolist(), events) for e in evs],
-                             dtype=sl.propagation._JUMP_DTYPE)
-            return np.array([psi for psi, _ in done]), np.array([thr for _, thr in done]), jumps
+            want = np.array([(i, *e) for i, evs in zip(rows.tolist(), events) for e in evs],
+                            dtype=sl.propagation._JUMP_DTYPE)
+            psi, thr, jumps = got
+            jumps = jumps[np.argsort(jumps["trajectory"], kind="stable")]  # rounds, then rows
+            for name in ("trajectory", "target", "source"):
+                assert np.array_equal(jumps[name], want[name])
+            assert np.max(np.abs(jumps["time"] - want["time"])) < 1e-12 * traj.step / 2
+            assert np.max(np.abs(psi - np.array([p for p, _ in done]))) < 1e-12
+            assert thr.tobytes() == np.array([t for _, t in done]).tobytes()
+            calls[0] += 1
+            return got
 
-        monkeypatch.setattr(sl.propagation, "_jumps", sequential)
-        reference = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
-        assert cascades[0] > 0
+        monkeypatch.setattr(sl.propagation, "_jumps", checked)
+        res = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
+        assert calls[0] > 0 and cascades[0] > 0
         # a threshold, then two words a jump: some trajectory read past the first buffer
-        most = np.bincount(reference.jumps["trajectory"]).max()  # the busiest trajectory's jumps
+        most = np.bincount(res.jumps["trajectory"]).max()  # the busiest trajectory's jumps
         assert 1 + 2 * most > sl.propagation._STREAM_WORDS
-        for name in ("trajectory", "target", "source"):
-            assert np.array_equal(batched.jumps[name], reference.jumps[name])
-        got, want = batched.jumps["time"], reference.jumps["time"]
-        assert np.max(np.abs(got - want)) < 1e-12 * traj.step / 2
-        assert np.max(np.abs(batched.state - reference.state)) < 1e-12
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_crossing_rows(), min_size=1, max_size=6))
@@ -914,13 +951,25 @@ class TestEvolveTrajectories:
 
     def test_results_do_not_depend_on_block_length(self, monkeypatch):
         # the default, here one block of all 40 lockstep steps, against blocks of
-        # one step each and against five blocks of eight
+        # one step each and against five blocks of eight, set by the lifting
+        # budget B log2(B) N^2
         gen, psi0, traj = _strong_bath_coarse()
         tcfg = sl.TrajectoryConfig(n_traj=200, seed=4)
+        walk, blocks = sl.propagation._walk, set()
+
+        def recorded(lift, *args):
+            blocks.add(len(lift[0]))  # the steps of the walk's block
+            return walk(lift, *args)
+
+        monkeypatch.setattr(sl.propagation, "_walk", recorded)
         blocked = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
+        assert blocks == {40}
         for steps in (1, 8):
-            monkeypatch.setattr(sl.propagation, "_BLOCK_ENTRIES", steps * 200 * 2)
+            blocks.clear()
+            entries = steps * (steps.bit_length() - 1) * 4  # B log2(B) N^2 at B = steps
+            monkeypatch.setattr(sl.propagation, "_TABLE_ENTRIES", entries)
             split = sl.evolve_trajectories(gen, psi0, 0.0, 10.0, tcfg)
+            assert blocks == {steps}
             span = steps * traj.step / 2  # the time a block spans
             assert np.unique(split.jumps["time"] // span).size > 1
             for name in ("trajectory", "target", "source"):
@@ -931,6 +980,32 @@ class TestEvolveTrajectories:
             # lockstep step (half of traj.step), and that jump's successors with it
             assert np.max(np.abs(got - want)) < 1e-12 * traj.step
             assert np.max(np.abs(blocked.state - split.state)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(_walks())
+    # B = 1 with one trajectory crossing in its step and one not; a ragged block of
+    # B = 5 (spans 1, 2 and 4) with starts at 0, inside and at its end
+    @example(_walk_case([[[0.5, 0.0], [0.0, 0.9]]], [0, 0], [[1.0, 0.0], [0.0, 1.0]],
+                        [0.5, 0.5]))
+    @example(_walk_case([np.diag([0.9, 0.8])] * 5, [0, 2, 5, 0],
+                        [[1.0, 0.0], [0.0, 0.6], [0.3, 0.0], [0.6, 0.8]], [0.6, 0.2, 0.01, 0.1]))
+    def test_lifting_walk_stops_before_the_first_crossing(self, case):
+        steps, at, psi, thresholds = case
+        b = len(steps)
+        want = []
+        for s, y, thr in zip(at, psi, thresholds):  # edge by edge: the first crossing, or none
+            first = next((k for k in range(s + 1, b + 1)
+                          if np.vdot(y := steps[k - 1] @ y, y).real < thr), b + 1)
+            want.append(first - 1)
+        # lift[l][s]: the product of the 2^l steps from edge s, the later acting last
+        lift = [np.array([functools.reduce(lambda p, q: q @ p, steps[s:s + 2**level])
+                          for s in range(b - 2**level + 1)]) for level in range(b.bit_length())]
+        got, states = sl.propagation._walk(lift, at, psi, thresholds)
+        assert got.tolist() == want
+        for s, k, y, state in zip(at, got, psi, states):  # the state at the edge reached
+            for step in steps[s:k]:
+                y = step @ y
+            assert np.allclose(state, y, rtol=0, atol=1e-12)
 
     def test_wrong_dimension_state_rejected(self, monkeypatch):
         gen, _ = _lz_coarse()

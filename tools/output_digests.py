@@ -9,6 +9,10 @@ directory that it removes. Covered:
 
 - `superlind sweep` on `configs/fig2a|fig2b|fig3a|fig3b.cfg` and on
   `perfbench/configs/*.cfg` (`sweep-mc.cfg` at seeds 0, 1 and 2);
+- the jump identities of each `sweep-mc.cfg` solve: the int64 bytes of the
+  `(trajectory, target, source)` columns of `evolve_trajectories(...).jumps`,
+  so that a change which moves a jump time by rounding alone still shows that
+  the ensemble made the same jumps;
 - `superlind fig1 configs/fig1.cfg` (three Bloch CSVs);
 - `superlind spectrum --gamma0 0.1 --wc 5 --wmin -50 --wmax 50 --n 1001`;
 - `write_frames_csv` of the order-0 and recommended-order frames of LZ at
@@ -33,7 +37,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+
 import superlind as sl  # noqa: E402
+from superlind import experiments  # noqa: E402
 from superlind.cli import main  # noqa: E402
 from superlind.config import fig1_job, read_config  # noqa: E402
 
@@ -49,6 +56,22 @@ def _cli(*argv: str) -> str:
     return stdout.getvalue()
 
 
+@contextlib.contextmanager
+def _trajectory_results():
+    """Collect the result of every `evolve_trajectories` call of the sweep harness."""
+    results, solve = [], experiments.evolve_trajectories
+
+    def recorded(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    experiments.evolve_trajectories = recorded
+    try:
+        yield results
+    finally:
+        experiments.evolve_trajectories = solve
+
+
 def _outputs(out: Path):
     """Write every covered output under `out`; yield (name, path) pairs."""
     for name in ("fig2a", "fig2b", "fig3a", "fig3b"):
@@ -59,8 +82,13 @@ def _outputs(out: Path):
         for seed in seeds:
             name = cfg.stem if seed is None else f"{cfg.stem}-seed{seed}"
             extra = () if seed is None else ("--set", f"solver.seed={seed}")
-            _cli("sweep", str(cfg), "--output", str(out / f"{name}.csv"), *extra)
+            with _trajectory_results() as results:
+                _cli("sweep", str(cfg), "--output", str(out / f"{name}.csv"), *extra)
             yield f"{name}.csv", out / f"{name}.csv"
+            for k, res in enumerate(results):
+                ids = np.stack([res.jumps[c] for c in ("trajectory", "target", "source")], axis=1)
+                (out / f"{name}-jumps{k}.bin").write_bytes(ids.astype(np.int64).tobytes())
+                yield f"{name}-jumps{k}.bin", out / f"{name}-jumps{k}.bin"
     _cli("fig1", str(ROOT / "configs" / "fig1.cfg"), "--set", f"output.prefix={out / 'fig1'}")
     for path in ("instantaneous", "superadiabatic", "evolution"):
         yield f"fig1_{path}.csv", out / f"fig1_{path}.csv"
