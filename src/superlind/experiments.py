@@ -124,7 +124,6 @@ class SweepRecord:
     p_ge: float
     gamma0: float
     trace_error: float
-    herm_error: float
     min_eigenvalue: float
     adiabaticity: float
 
@@ -194,8 +193,8 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
     def record(gamma0, p, d):
         return SweepRecord(
             inv_v=inv_v, p_ge=float(p), gamma0=gamma0,
-            trace_error=d.max_trace_drift, herm_error=d.max_hermiticity_drift,
-            min_eigenvalue=d.min_eigenvalue, adiabaticity=report.global_max,
+            trace_error=d.max_trace_drift, min_eigenvalue=d.min_eigenvalue,
+            adiabaticity=report.global_max,
         )
 
     if cfg.mode == "closed":
@@ -261,8 +260,7 @@ def write_sweep_csv(path, records, cfg: SweepConfig) -> None:
         f"seed = {cfg.seed}",
         "gamma0_curves = " + ", ".join(fmt(g) for g in gammas),
     ]
-    columns = ["gamma0", "inv_v", "p_ge", "trace_error", "herm_error",
-               "min_eigenvalue", "adiabaticity"]
+    columns = ["gamma0", "inv_v", "p_ge", "trace_error", "min_eigenvalue", "adiabaticity"]
     rows = ([getattr(r, c) for c in columns]
             for r in sorted(records, key=lambda r: (r.inv_v, r.gamma0)))
     write_table(path, ["superlind sweep", *meta], columns, rows)

@@ -91,19 +91,19 @@ class LindbladGenerator:
         addition, and the labels and activity mask of the channel stack,
         whose operators ``channels`` builds from these once, when
         ``jump_channels`` or the Monte-Carlo unraveling first reads them. Every
-        rate is one ``gamma`` call on w_ab, checked finite and >= 0 once; the
+        rate is one ``gamma`` call on w_ab, checked real, finite and >= 0; the
         dephasing amplitudes read gamma(0) off its diagonal, where w_aa = 0."""
         basis = self.frames.basis                      # (K, N, N)
         energies = self.frames.energies                # (K, N)
         abar = np.einsum("kia,ij,kjb->kab", basis.conj(), self.coupling, basis)
         omega = energies[:, None, :] - energies[:, :, None]   # w[a,b] = E_b - E_a
 
-        gam = np.asarray(self.spectrum.gamma(omega.ravel()), dtype=float).reshape(omega.shape)
-        bad = ~(np.isfinite(gam) & (gam >= 0.0))
-        if bad.any():
-            raise ParameterError(
-                f"gamma(w) must be finite and >= 0; found {float(gam[bad][0])} on the grid"
-            )
+        gam, s_vals = (np.asarray(f(omega)) for f in (self.spectrum.gamma, self.spectrum.shift))
+        for name, v in (("gamma", gam), ("shift", s_vals)):
+            if v.shape != omega.shape or v.dtype.kind not in "iuf" or not np.isfinite(v).all():
+                raise ParameterError(f"{name}(w) must be finite real values of w's shape")
+        if (gam < 0.0).any():
+            raise ParameterError(f"gamma(w) must be >= 0; found {float(gam.min())} on the grid")
         n = self.frames.dim
         idx = np.arange(n)
         self._ell = np.sqrt(gam[:, idx, idx]) * np.einsum("kaa->ka", abar).real   # (K, N)
@@ -113,9 +113,6 @@ class LindbladGenerator:
         self._amp = np.sqrt(gam) * abar                # channel amplitudes
         self._amp[:, idx, idx] = 0.0
 
-        s_vals = np.asarray(self.spectrum.shift(omega.ravel()), dtype=float).reshape(omega.shape)
-        if not np.isfinite(s_vals).all():
-            raise ParameterError("shift(w) must be finite on the grid")
         shift = np.einsum("kab->kb", s_vals * np.abs(abar) ** 2)
 
         # H_eff - H is diagonal in the frame basis, diag(shift - i/2 (ell^2 + total
@@ -154,7 +151,8 @@ class LindbladGenerator:
         (K, N^2, N^2), built on first use, a chunk of frames at a time. In the
         frame basis U it maps rho_ij to c_ij rho_ij + delta_ij sum_l rate_il rho_ll,
         c_ij = -i (drift_i - drift_j^*) + ell_i ell_j, so with C_a = U^dag B_a U,
-        D_ab = sum_ij (C_a)_ij^* c_ij (C_b)_ij + (C_a)_ii rate_ij (C_b)_jj."""
+        D_ab = sum_ij (C_a)_ij^* c_ij (C_b)_ij + (C_a)_ii rate_ij (C_b)_jj.
+        Row 0, the trace, vanishes in Lindblad form; StateIntegrityError if above 1e-12 ||D||_1."""
         n, d, ell = self.frames.dim, self._drift, self._ell
         c_ij = -1j * (d[:, :, None] - d[:, None, :].conj()) + ell[:, :, None] * ell[:, None, :]
         out = np.empty((len(self.frames), n * n, n * n))
@@ -166,7 +164,11 @@ class LindbladGenerator:
             pops = c[:, :, :: n + 1].real
             out[cells] = ((c.conj() * c_ij[cells].reshape(-1, 1, n * n)) @ c.swapaxes(-1, -2)).real
             out[cells] += pops @ self._rate[cells] @ pops.swapaxes(-1, -2)
-        out[:, 0] = 0.0  # the trace is conserved
+            ok = np.abs(out[cells, 0]).max(1) <= 1e-12 * np.abs(out[cells]).sum(1).max(1)
+            if not ok.all():  # a NaN fails, an all-zero D passes
+                t = float(self.frames.times[cells][np.argmin(ok)])
+                raise StateIntegrityError(f"dissipator trace row above 1e-12 ||D||_1 at t = {t!r}")
+        out[:, 0] = 0.0
         out.setflags(write=False)
         return out
 

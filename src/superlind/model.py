@@ -199,8 +199,8 @@ class BathSpectrum:
     >= 0 everywhere for a completely positive master equation); ``shift(w)``
     is the corresponding energy-shift function, identically zero unless the
     caller supplies one. Both accept scalars or arrays. Build one directly
-    for a user-defined spectrum; the generator re-checks every rate it
-    evaluates.
+    for a user-defined spectrum; the generator calls each once on an array
+    and checks that it returns finite real values of that array's shape.
     """
 
     gamma: Callable

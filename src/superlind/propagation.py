@@ -111,21 +111,19 @@ _JUMP_DTYPE = np.dtype([("trajectory", int), ("time", float), ("target", int), (
 
 @dataclass
 class IntegrationDiagnostics:
-    """What a solve did: the same five numbers from every engine.
+    """What a solve did: the same four numbers from every engine.
 
     ``n_steps`` counts the sub-steps of the accepted pass and ``n_rejected``
     those of the resolved passes discarded before it; the Monte-Carlo engine
-    counts its lockstep steps and rejects none. The drifts are the largest over
-    the edges of the trace (unitary: squared norm) and hermiticity drift before
-    the one renormalization, rounding alone; the minimum eigenvalue, over the
-    returned states, is the meaningful integrity number. A pure state reports
-    0 for both; the Monte-Carlo engine all three of the rho it returns.
+    counts its lockstep steps and rejects none. The trace drift (unitary: of
+    the squared norm) is the largest over the edges, before the one
+    renormalization; the minimum eigenvalue over the edge states, 0 for a pure
+    state, is the meaningful integrity number. Monte-Carlo: both of its rho.
     """
 
     n_steps: int = 0
     n_rejected: int = 0
     max_trace_drift: float = 0.0
-    max_hermiticity_drift: float = 0.0
     min_eigenvalue: float = 0.0
 
 
@@ -273,9 +271,13 @@ def _edges(t0, t1, sample_times, breakpoints=()):
     edges need no merging: the interval between them has zero width.
     """
     t0, t1 = check_ends(t0, t1)
-    s = np.asarray(() if sample_times is None else sample_times, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ParameterError("sample_times must be finite")
+    try:
+        s = np.asarray(() if sample_times is None else sample_times)
+    except ValueError:  # a ragged sequence
+        s = np.empty((0, 0))
+    if s.ndim != 1 or s.dtype.kind not in "iuf" or not np.all(np.isfinite(s)):
+        raise ParameterError("sample_times must be a 1-d sequence of finite reals")
+    s = s.astype(float)
     if s.size and np.any(np.diff(s) < 0):
         raise ParameterError("sample_times must be ascending")
     tol = 1e-12 * (t1 - t0)
@@ -460,9 +462,9 @@ def evolve_lindblad(
 
     The core marches the real coherence vector of rho between edges at the
     sample times and the frame midpoints, where the dissipator changes. Real
-    coordinates are Hermitian states, and a zero trace row keeps the trace to
-    rounding, so the two drifts in the diagnostics are structural; the states
-    are trace-normalized once, after the solve. Positivity, the meaningful
+    coordinates are Hermitian states, and a zero trace row (the dissipator's is
+    checked, then zeroed) keeps the trace to rounding; the states are
+    trace-normalized once, after the solve. Positivity, the meaningful
     integrity number, is monitored (never forced); below -1e-5 it aborts,
     since the Magnus exponent is not of Lindblad form when H changes in a cell.
     """
@@ -481,7 +483,6 @@ def evolve_lindblad(
         n_steps=n_steps,
         n_rejected=n_rejected,
         max_trace_drift=float(np.max(np.abs(np.trace(raw, axis1=1, axis2=2) - 1.0))),
-        max_hermiticity_drift=float(np.max(hermiticity_defect(raw))),
         min_eigenvalue=float(min_eigs[k]),
     )
     if diag.min_eigenvalue < -1e-5:
@@ -702,7 +703,6 @@ def evolve_trajectories(gen, psi0: np.ndarray, t0: float, t1: float,
     jumps = np.concatenate(record)  # a trajectory's in time order, which the stable sort keeps
     diag = IntegrationDiagnostics(
         n_steps=widths.size, max_trace_drift=abs(float(np.trace(rho).real) - 1.0),
-        max_hermiticity_drift=hermiticity_defect(rho),
         min_eigenvalue=float(_eigh(rho[None], vectors=False)[0, 0]))
     return TrajectoryResult(rho, diag, jumps[np.argsort(jumps["trajectory"], kind="stable")])
 

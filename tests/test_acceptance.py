@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The sweep curves are
-computed once per session and shared; every record they produce feeds the
-master-equation integrity criterion.
+computed once per session and shared; every record they produce, and every
+state the three engines return to them, feeds the integrity criterion.
 """
 import math
 import warnings
@@ -17,6 +17,8 @@ from lzutil import excited_population, excited_state, lz_setup
 
 DELTA = 1.0
 ALL_RECORDS = []
+ALL_STATES = []  # every state an engine returned: a vector of the unitary solve, else rho
+ENGINES = ("evolve_unitary", "evolve_lindblad", "evolve_trajectories")
 
 
 def _criterion(num, name, ok, detail):
@@ -29,11 +31,22 @@ def _curve(records):
     return {r.inv_v: r for r in records}
 
 
+def _kept(solve):
+    """``solve``, keeping the state of each result it returns in ALL_STATES."""
+    def kept(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        ALL_STATES.append(res.state)
+        return res
+    return kept
+
+
 def _run(cfg):
     # module fixtures run outside the per-test warning filter: the only
     # warnings expected are the two adiabaticity ones of the fast 1/v = 1 point
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("always")
+        for name in ENGINES:
+            mp.setattr(sl.experiments, name, _kept(getattr(sl.experiments, name)))
         records = sl.run_lz_sweep(cfg)
     for w in caught:
         assert issubclass(w.category, sl.AdiabaticityWarning), str(w.message)
@@ -118,11 +131,11 @@ def unraveling_runs():
         sl.SweepRecord(
             inv_v=3.0, p_ge=excited_population(me.state, excited), gamma0=0.05,
             trace_error=me.diagnostics.max_trace_drift,
-            herm_error=me.diagnostics.max_hermiticity_drift,
             min_eigenvalue=me.diagnostics.min_eigenvalue,
             adiabaticity=1.0 / 6.0,
         )
     )
+    ALL_STATES.append(me.state)
     ensembles = {}
     for m in (250, 1000, 4000):
         res = sl.evolve_trajectories(
@@ -130,6 +143,7 @@ def unraveling_runs():
             sl.TrajectoryConfig(n_traj=m, seed=2025),
         )
         ensembles[m] = res.state
+        ALL_STATES.append(res.state)
     return me.state, ensembles, excited
 
 
@@ -227,13 +241,17 @@ def test_criterion_6_integrity_suite(
     cold_ohmic_curves, warm_ohmic_curve, unraveling_runs,
 ):
     worst_tr = max(r.trace_error for r in ALL_RECORDS)
-    worst_h = max(r.herm_error for r in ALL_RECORDS)
+    rhos = [np.outer(s, s.conj()) if s.ndim == 1 else s for s in ALL_STATES]
+    worst_h = max(sl.model.hermiticity_defect(rho) for rho in rhos)
     worst_eig = min(r.min_eigenvalue for r in ALL_RECORDS)
-    ok = worst_tr < 1e-8 and worst_h < 1e-10 and worst_eig >= -1e-7
+    # each record has its engine's state; the unraveling runs add three ensembles
+    ok = (worst_tr < 1e-8 and worst_h < 1e-10 and worst_eig >= -1e-7
+          and len(rhos) == len(ALL_RECORDS) + 3)
     _criterion(
         6, "state integrity over all runs", ok,
         f"{len(ALL_RECORDS)} runs: trace drift {worst_tr:.1e} (< 1e-8), "
-        f"hermiticity {worst_h:.1e} (< 1e-10), min eigenvalue {worst_eig:.1e} (>= -1e-7)",
+        f"hermiticity {worst_h:.1e} (< 1e-10) of {len(rhos)} returned states, "
+        f"min eigenvalue {worst_eig:.1e} (>= -1e-7)",
     )
 
 

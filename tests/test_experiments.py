@@ -266,8 +266,7 @@ class TestRunSweep:
         assert any("mode = superadiabatic" in m for m in meta)
         body = [ln for ln in lines if not ln.startswith("#")]
         assert body[0].split(",") == [
-            "gamma0", "inv_v", "p_ge", "trace_error", "herm_error",
-            "min_eigenvalue", "adiabaticity",
+            "gamma0", "inv_v", "p_ge", "trace_error", "min_eigenvalue", "adiabaticity",
         ]
         values = [ln.split(",") for ln in body[1:]]
         assert [float(v[1]) for v in values] == [1.0, 2.0]
@@ -275,7 +274,7 @@ class TestRunSweep:
 
 def _record(gamma0, p_ge):
     return SweepRecord(
-        inv_v=2.0, p_ge=p_ge, gamma0=gamma0, trace_error=1e-12, herm_error=0.0,
+        inv_v=2.0, p_ge=p_ge, gamma0=gamma0, trace_error=1e-12,
         min_eigenvalue=-3e-9,
         adiabaticity=0.25 / 3.0,
     )
@@ -303,10 +302,23 @@ def test_sweep_csv_exact_format(tmp_path):
         "# atol = 1e-10",
         "# seed = 0",
         "# gamma0_curves = 0.01, 0.1",
-        "gamma0,inv_v,p_ge,trace_error,herm_error,min_eigenvalue,adiabaticity",
-        "0.01,2,0.125,1e-12,0,-3e-09,0.0833333333333",
-        "0.1,2,0.2,1e-12,0,-3e-09,0.0833333333333",
+        "gamma0,inv_v,p_ge,trace_error,min_eigenvalue,adiabaticity",
+        "0.01,2,0.125,1e-12,-3e-09,0.0833333333333",
+        "0.1,2,0.2,1e-12,-3e-09,0.0833333333333",
     ]
+
+
+def test_documented_columns_are_the_sweep_csv_header(tmp_path):
+    # README's "Output format" lists the sweep CSV's columns in order, and
+    # every field of a record is one of them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Output format\n", 1)[1].split("\n### ", 1)[0]
+    listing = section.split("these columns, in order", 1)[1].split("\n\n")[1]
+    out = tmp_path / "sweep.csv"
+    sl.write_sweep_csv(out, [_record(0.1, 0.2)], sl.SweepConfig(inv_velocities=(2.0,)))
+    header = next(ln for ln in out.read_text().splitlines() if not ln.startswith("#"))
+    assert re.findall(r"^- `(\w+)`:", listing, re.M) == header.split(",")
+    assert set(header.split(",")) == {f.name for f in fields(SweepRecord)}
 
 
 class TestFig1:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -48,7 +49,8 @@ def _unraveled_rhs(gen, rho, t):
 def _real_generator_matches_assembly(n, seed, pointwise):
     """``liouvillian`` of a random N-level model, with random frames, equals
     Tr(B_a L(B_b)) of the operator assembly L in an orthonormal Hermitian
-    basis B; it is real and its trace row is exactly zero."""
+    basis B; it is real and its trace row is exactly zero. Building it passes
+    the dissipator's trace-row check."""
     rng = np.random.default_rng(seed)
 
     def hermitian():
@@ -168,6 +170,7 @@ class TestLindbladOps:
         assert np.max(np.abs(_shift(gen, 0.0))) == 0.0
 
     def test_zero_spectrum_disables_dissipator(self):
+        # its all-zero dissipator passes the trace-row check that ``rhs`` builds it through
         H, _, times, base, traj = lz_setup(2.0)
         gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.dephasing_spectrum(0.0))
         assert gen.jump_channels(0.0) == []
@@ -188,17 +191,20 @@ class TestLindbladOps:
         with pytest.raises(sl.ParameterError):
             sl.LindbladGenerator(traj, sl.sigma_z, bad)
 
-    @pytest.mark.parametrize("which", ["gamma", "shift"])
-    def test_nonfinite_custom_rate_or_shift_rejected(self, which):
-        # a NaN here once made the master-equation solve double its sub-steps forever
+    @pytest.mark.parametrize("which, spoil", [
+        pytest.param(which, spoil, id=which if spoil == "nan" else f"{which}-{spoil}")
+        for spoil in ("nan", "complex", "scalar", "none") for which in ("gamma", "shift")])
+    def test_nonfinite_custom_rate_or_shift_rejected(self, which, spoil):
+        # a NaN here once made the master-equation solve double its sub-steps forever;
+        # a complex value was once cut to its real part, a scalar or None failed a reshape
         H, _, _, _, traj = lz_setup(1.0)
         rate = sl.ohmic_spectrum(0.1, 5.0, 0.5).gamma
-
-        def nan_above(f):
-            return lambda w: np.where(np.asarray(w) > 0.5, np.nan, f(w))
-
-        spectrum = (sl.BathSpectrum(nan_above(rate)) if which == "gamma"
-                    else sl.BathSpectrum(rate, nan_above(lambda w: 0.1 * np.asarray(w))))
+        spoiled = {"nan": lambda f: lambda w: np.where(np.asarray(w) > 0.5, np.nan, f(w)),
+                   "complex": lambda f: lambda w: f(w) + 0.05j,
+                   "scalar": lambda f: lambda w: 0.1,
+                   "none": lambda f: lambda w: None}[spoil]
+        spectrum = (sl.BathSpectrum(spoiled(rate)) if which == "gamma"
+                    else sl.BathSpectrum(rate, spoiled(lambda w: 0.1 * np.asarray(w))))
         with pytest.raises(sl.ParameterError, match=rf"{which}\(w\) must be finite"):
             sl.LindbladGenerator(traj, sl.sigma_z, spectrum)
 
@@ -218,22 +224,40 @@ class TestMasterEquationRHS:
     def test_matches_explicit_operator_assembly(self):
         # rhs equals the master equation rebuilt from the operators that the
         # Monte-Carlo unraveling uses (Dalibard, Castin, Molmer, PRL 68, 580
-        # (1992)), on the LZ model, on a three-level ladder, and, entry by
-        # entry of the real generator, on random models of 2, 3 and 4 levels
+        # (1992)), on the LZ model and a three-level ladder at orders 0-4, and,
+        # entry by entry of the real generator, on random models of 2, 3 and 4
+        # levels; each of these dissipators passes the trace-row check of its build
         _real_generator_matches_assembly()
-        H, _, _, _, traj = lz_setup(2.0, order=1)
         ladder = ladder_hamiltonian()
-        ladder_traj = sl.superadiabatic_frames(
-            ladder, 1, sl.adaptive_time_grid(ladder, -30.0, 30.0))
         ladder_coupling = np.diag([1.0, 0.0, -1.0]) + 0.3 * (np.eye(3, k=1) + np.eye(3, k=-1))
-        spec = replace(sl.ohmic_spectrum(0.08, 5.0, 0.4), shift=lambda w: 0.02 * np.asarray(w))
+        shifted = replace(sl.ohmic_spectrum(0.08, 5.0, 0.4), shift=lambda w: 0.02 * np.asarray(w))
+        spectra = (shifted, sl.ohmic_spectrum(0.1, 5.0, 0.02), sl.ohmic_spectrum(0.1, 5.0, 0.5),
+                   sl.dephasing_spectrum(0.1))
         rng = np.random.default_rng(9)
-        for H, traj, coupling in ((H, traj, sl.sigma_z), (ladder, ladder_traj, ladder_coupling)):
-            gen = sl.LindbladGenerator(traj, coupling, spec)
-            for _ in range(20):
-                rho = random_density(rng, traj.dim)
-                t = rng.uniform(traj.times[0], traj.times[-1])
-                assert np.max(np.abs(gen.rhs(rho, t) - _unraveled_rhs(gen, rho, t))) < 1e-12
+        for order in range(5):
+            lz_traj = lz_setup(2.0, order=order)[-1]
+            ladder_traj = sl.superadiabatic_frames(
+                ladder, order, sl.adaptive_time_grid(ladder, -30.0, 30.0))
+            for traj, coupling in ((lz_traj, sl.sigma_z), (ladder_traj, ladder_coupling)):
+                for spec in spectra:
+                    gen = sl.LindbladGenerator(traj, coupling, spec)
+                    for _ in range(20):
+                        rho = random_density(rng, traj.dim)
+                        t = rng.uniform(traj.times[0], traj.times[-1])
+                        assert np.max(np.abs(gen.rhs(rho, t) - _unraveled_rhs(gen, rho, t))) < 1e-12
+
+    @pytest.mark.parametrize("spoil, cell", [("halved gain", 0), ("nan", 3)])
+    def test_unbalanced_trace_row_raises_naming_the_cell(self, spoil, cell):
+        # half of each level's gain no longer balances the loss of the others, and
+        # a NaN fails the check too; the build raises at the first such cell
+        H, _, _, _, traj = lz_setup(6.0, order=4)
+        gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.1, 5.0, 0.5))
+        gen._rate = (0.5 * gen._rate if spoil == "halved gain" else
+                     np.where(np.arange(len(traj))[:, None, None] == cell, np.nan, gen._rate))
+        at = re.escape(f"at t = {float(traj.times[cell])!r}") + "$"
+        with pytest.raises(sl.StateIntegrityError, match=at) as info:
+            gen.liouvillian([0.0])
+        assert info.value.exit_code == 7
 
     def test_frame_gauge_invariance(self):
         rng = np.random.default_rng(4)

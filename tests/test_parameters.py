@@ -3,7 +3,8 @@
 Each row is an entry point and one of its scalar parameters. A value that is
 not a finite real scalar in range (for an integer parameter, not an integer
 in range) raises ParameterError naming the parameter; Python and numpy
-numbers of the right kind pass.
+numbers of the right kind pass. The ``sample_times`` of the two solves that
+take them follow the same rule for a 1-d sequence of finite reals.
 """
 import math
 from fractions import Fraction
@@ -89,6 +90,16 @@ BEYOND_DIGITS = [
      lambda x: sl.ohmic_spectrum(0.1, 5.0, 0.5, symmetric_cutoff=x), 10**5000),
 ]
 
+# (entry point, call with sample_times inside [-1, 1])
+SAMPLE_TIMES = [
+    ("evolve_unitary", lambda x: sl.evolve_unitary(H, PSI0, -1.0, 1.0, sample_times=x)),
+    ("evolve_lindblad", lambda x: sl.evolve_lindblad(GEN, RHO0, -1.0, 1.0, sample_times=x)),
+]
+NOT_TIMES = [[0.5 + 1j], np.array([0.5 + 0j]), "abc", 0.5, np.float64(0.5), [[0.5]],
+             [[0.5], 0.75], [True], [None], ["0.5"], [math.nan], [-math.inf]]
+TIMES_ACCEPTED = [None, [], (), [0.5], (-0.5, 0, 0.5), np.array([0.5]), np.array([0, 1]),
+                  [np.float64(0.5), np.int64(1)]]
+
 
 def _cells(rows, values):
     # an id keeps the first 24 characters of a repr; 10**400 has 401 digits
@@ -127,3 +138,18 @@ def test_order_above_the_cap_stays_an_order_cap_error():
                   lambda: sl.FrameTrajectory(TIMES, FRAMES.basis, FRAMES.energies, 13, H)):
         with pytest.raises(sl.OrderCapError):
             build()
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{entry}.sample_times-{value!r:.24}")
+    for entry, call in SAMPLE_TIMES for value in NOT_TIMES])
+def test_sample_times_rejected_with_the_parameter_named(call, value):
+    with pytest.raises(sl.ParameterError, match="sample_times must be a 1-d sequence of finite"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{entry}.sample_times-{value!r:.24}")
+    for entry, call in SAMPLE_TIMES for value in TIMES_ACCEPTED])
+def test_sample_times_of_python_and_numpy_reals_accepted(call, value):
+    call(value)

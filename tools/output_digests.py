@@ -3,7 +3,10 @@
     python tools/output_digests.py > digests.txt
 
 Run it in two checkouts and diff the two listings: an empty diff shows that
-a change kept every output byte-identical. It imports the `superlind` and
+a change kept every output byte-identical. Every sweep CSV also gets one line
+per column, `sha256  name.csv:column`, the digest of that column's values one
+a line: a change that drops, adds or moves a column shows every other column
+byte-identical in the listing itself. It imports the `superlind` and
 `perfbench` of the checkout it lives in and writes into a temporary
 directory that it removes. Covered:
 
@@ -116,11 +119,23 @@ def _outputs(out: Path):
     yield "fig1-residual.txt", out / "fig1-residual.txt"
 
 
+def _columns(text: str):
+    """(header, values one a line) of each column of a sweep CSV's table."""
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    for j, column in enumerate(rows[0]):
+        yield column, "\n".join(row[j] for row in rows[1:])
+
+
 def main_digests() -> None:
     warnings.simplefilter("ignore", sl.AdiabaticityWarning)  # fig2/fig3 reach 1/v = 1 on purpose
     with tempfile.TemporaryDirectory() as tmp:
         for name, path in _outputs(Path(tmp)):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}", flush=True)
+            data = path.read_bytes()
+            print(f"{hashlib.sha256(data).hexdigest()}  {name}", flush=True)
+            if data.startswith(b"# superlind sweep\n"):
+                for column, values in _columns(data.decode()):
+                    print(f"{hashlib.sha256(values.encode()).hexdigest()}  {name}:{column}",
+                          flush=True)
             os.remove(path)
 
 
