@@ -15,7 +15,7 @@ import configparser
 import inspect
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, check_distinct
 from .experiments import BathConfig, SweepConfig, check_fig1, run_fig1
 
 
@@ -132,6 +132,7 @@ def sweep_job(data: dict) -> SweepJob:
         base = SweepConfig(bath=BathConfig(gamma0=gammas[0], **bath), **values)
         for g in gammas[1:]:  # every curve's bath, before any curve is solved
             replace(base.bath, gamma0=g)
+        check_distinct("gamma0", gammas)
     except ValueError as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc
     return SweepJob(base=base, **job)

@@ -116,6 +116,15 @@ def check_integer(name: str, value, low: int | None = None) -> int:
     return int(value)
 
 
+def check_distinct(name: str, values) -> None:
+    """ParameterError naming ``name`` and the first repeated value among checked ``values``."""
+    seen = set()
+    for x in values:
+        if x in seen:
+            raise ParameterError(f"{name} holds {shown(x)} twice")
+        seen.add(x)
+
+
 class AdiabaticityWarning(UserWarning):
     """Drive too fast for the adiabatic expansion to be trustworthy."""
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._output import fmt, write_table
 from .errors import (AdiabaticityWarning, ParameterError, WindowWarning, caller_stacklevel,
-                     check_real, shown)
+                     check_distinct, check_real, shown)
 from .frames import (
     adaptive_time_grid,
     adiabatic_report,
@@ -104,6 +104,7 @@ class SweepConfig:
             check_real(f"inv_velocities[{i}]", x, 0) for i, x in enumerate(inv_vs)))
         if not self.inv_velocities:
             raise ParameterError("need at least one inverse velocity")
+        check_distinct("inv_velocities", self.inv_velocities)
         check_real("delta", self.delta, 0)
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -138,25 +139,24 @@ def closed_lz_oracle(delta: float, v: float) -> float:
     return math.exp(-math.pi * delta**2 / (2.0 * v))
 
 
-def _excited_readout(H, t_final: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(H(t_final))
-    return vecs[:, -1]
+def _lz_point(delta: float, v: float, order: int, window_factor: float):
+    """LZ at (delta, v), the window edge T = window_factor * delta / v, and the order-0
+    and order-j frames on the adaptive grid of [-T, T], whose ends are exactly -T and T."""
+    H = lz_hamiltonian(LZParams(v=v, delta=delta))
+    t_final = window_factor * delta / v
+    times = adaptive_time_grid(H, -t_final, t_final)
+    base = instantaneous_frames(H, times)
+    return H, t_final, base, superadiabatic_frames(H, order, times, base=base)
 
 
-def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
-    """Records at one inverse velocity: one per bath strength, or one in
-    closed mode, which ignores the bath.
+def _sweep_point(cfg: SweepConfig, inv_v: float, baths) -> list:
+    """Records at one inverse velocity: one per bath, or one in closed mode,
+    which ignores the bath.
 
     The model, grid, frames, warnings, initial and readout states are built
-    once and shared by every bath strength.
+    once and shared by every bath.
     """
-    baths = [replace(cfg.bath, gamma0=g) for g in gamma_values]  # checked before any solve
-    v = 1.0 / inv_v
-    t_final = cfg.window_factor * cfg.delta / v
-    H = lz_hamiltonian(LZParams(v=v, delta=cfg.delta))
-    times = adaptive_time_grid(H, -t_final, t_final)
-
-    base = instantaneous_frames(H, times)
+    H, t_final, base, traj = _lz_point(cfg.delta, 1.0 / inv_v, cfg.order, cfg.window_factor)
     report = adiabatic_report(base)
     if report.global_max > ADIABATICITY_WARN_THRESHOLD:
         warnings.warn(
@@ -175,10 +175,8 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
             stacklevel=caller_stacklevel(),
         )
 
-    traj = superadiabatic_frames(H, cfg.order, times, base=base)
     psi0 = traj.basis[0, :, 0]
-    excited0 = _excited_readout(H, -t_final)
-    leak0 = abs(np.vdot(excited0, psi0)) ** 2
+    leak0 = abs(np.vdot(base.basis[0, :, -1], psi0)) ** 2
     if leak0 > WINDOW_WARN_POPULATION:
         warnings.warn(
             f"initial excited population {leak0:.2e} at 1/v = {inv_v}: "
@@ -188,7 +186,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, gamma_values) -> list:
         )
 
     icfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol)
-    excited = _excited_readout(H, t_final)
+    excited = base.basis[-1, :, -1]
 
     def record(gamma0, p, d):
         return SweepRecord(
@@ -232,8 +230,9 @@ def run_sweep_curves(base: SweepConfig, gamma_values) -> list:
     Each inverse velocity builds its grid and frames once for all curves; a
     closed sweep ignores the bath, so it runs once whatever the strengths.
     """
-    gamma_values = tuple(gamma_values)
-    records = [r for x in sorted(base.inv_velocities) for r in _sweep_point(base, x, gamma_values)]
+    baths = [replace(base.bath, gamma0=g) for g in gamma_values]  # checked before any solve
+    check_distinct("gamma0", [bath.gamma0 for bath in baths])
+    records = [r for x in sorted(base.inv_velocities) for r in _sweep_point(base, x, baths)]
     records.sort(key=lambda r: (r.inv_v, r.gamma0))
     return records
 
@@ -255,6 +254,7 @@ def write_sweep_csv(path, records, cfg: SweepConfig) -> None:
         f"cutoff = {fmt(cfg.bath.cutoff)}",
         f"symmetric_cutoff = {fmt(cfg.bath.symmetric_cutoff)}",
         f"solver = {cfg.solver}",
+        f"n_traj = {cfg.n_traj}",
         f"rtol = {fmt(cfg.rtol)}",
         f"atol = {fmt(cfg.atol)}",
         f"seed = {cfg.seed}",
@@ -293,12 +293,8 @@ def run_fig1(
     order-j ground state, and the actual unitary evolution of the initial
     ground state. Written as one CSV per path when a prefix is given."""
     check_fig1(delta, v, order, window_factor)
-    H = lz_hamiltonian(LZParams(v=v, delta=delta))
-    t_final = window_factor * delta / v
-    times = adaptive_time_grid(H, -t_final, t_final)
-    base = instantaneous_frames(H, times)
-    traj = superadiabatic_frames(H, order, times, base=base)
-    res = evolve_unitary(H, traj.basis[0, :, 0], -t_final, t_final, sample_times=times)
+    H, t_final, base, traj = _lz_point(delta, v, order, window_factor)
+    res = evolve_unitary(H, traj.basis[0, :, 0], -t_final, t_final, sample_times=base.times)
 
     paths_rho = [
         np.einsum("ki,kj->kij", states, states.conj())
@@ -316,10 +312,10 @@ def run_fig1(
         )
         header = [f"delta = {fmt(delta)}", f"v = {fmt(v)}", f"order = {order}"]
         for name, rhos in zip(names, paths_rho):
-            write_bloch_csv(name, times, rhos, header_lines=header)
+            write_bloch_csv(name, base.times, rhos, header_lines=header)
         paths = names
     return Fig1Result(
-        times=times,
+        times=base.times,
         bloch_instantaneous=inst,
         bloch_superadiabatic=supa,
         bloch_evolution=evol,

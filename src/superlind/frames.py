@@ -132,10 +132,7 @@ class FrameTrajectory:
         drift = float(np.max(np.abs(recomputed - self.energies)))
         if not drift <= ENERGY_TOL:
             raise ParameterError(f"stored quasi-energies drifted by {drift:.3e}")
-        overlaps = _step_overlaps(basis)
-        if np.any(overlaps.real < 0) or np.any(np.abs(overlaps.imag) >= 0.1):
-            raise GridError("gauge smoothness violated between adjacent frames")
-        _check_step_overlaps(self.times, overlaps)
+        _check_step_overlaps(self.times, _check_gauge(basis))
 
 
 def _entries(stack: np.ndarray) -> np.ndarray:
@@ -228,6 +225,15 @@ def _step_overlaps(basis: np.ndarray) -> np.ndarray:
     return np.einsum("iak,iak->ak", basis[..., :-1].conj(), basis[..., 1:])
 
 
+def _check_gauge(basis: np.ndarray) -> np.ndarray:
+    """Step overlaps of an (N, N, K) frame stack; GridError unless each is near
+    real positive, the smooth gauge that finite differences of the frames need."""
+    overlaps = _step_overlaps(basis)
+    if np.any(overlaps.real < 0) or np.any(np.abs(overlaps.imag) >= 0.1):
+        raise GridError("gauge smoothness violated between adjacent frames")
+    return overlaps
+
+
 def _check_step_overlaps(times: np.ndarray, overlaps: np.ndarray) -> None:
     o2 = np.abs(overlaps) ** 2
     if not np.all(o2 > MIN_STEP_OVERLAP_SQ):
@@ -269,10 +275,14 @@ def adiabatic_report(traj: FrameTrajectory) -> AdiabaticReport:
 
     The suggested order is the integer nearest 1/max(A), clamped to
     [0, J_MAX]; a vanishing adiabatic parameter needs no correction at all.
+    The couplings are finite differences of the frames, so ``GridError``
+    unless every adjacent overlap is near real positive (smooth gauge).
     """
     if traj.order != 0:
         raise ParameterError("adiabatic report is defined on order-0 trajectories")
-    couplings = _couplings(_entries(traj.basis), traj.step)
+    basis = _entries(traj.basis)
+    _check_gauge(basis)
+    couplings = _couplings(basis, traj.step)
     off = ~np.eye(traj.dim, dtype=bool)
     levels = traj.energies.T
     gaps_off = np.abs(levels[None, :, :] - levels[:, None, :])[off]
@@ -314,24 +324,25 @@ def superadiabatic_frames(
     diag(previous level's frequencies) - i K, rotates the eigenvectors back
     to the lab frame and re-fixes the gauge. Quasi-energies of the result
     are recomputed against the original H(t). ``base`` may supply a
-    pre-built order-0 trajectory of this H on the same grid.
+    pre-built order-0 trajectory of this H on the same grid. Above order 0
+    the order-0 frames enter finite differences, so ``GridError`` unless
+    their gauge is smooth, as ``FrameTrajectory.validate`` checks it.
     """
     check_order(order)
     times = np.asarray(times, dtype=float)
-    if base is not None:
-        if base.order != 0 or base.hamiltonian is not H or not np.array_equal(base.times, times):
-            raise ParameterError("base must be an order-0 trajectory of H on the same grid")
-        traj0 = base
-    else:
-        traj0 = instantaneous_frames(H, times)
+    if base is None:
+        base = instantaneous_frames(H, times)
+    elif base.order != 0 or base.hamiltonian is not H or not np.array_equal(base.times, times):
+        raise ParameterError("base must be an order-0 trajectory of H on the same grid")
     if order == 0:
-        return traj0
+        return base
 
-    h = traj0.step
+    h = base.step
     # frame-local rotation of the current level, and the cumulative lab-frame basis
-    level_vecs = lab = _entries(traj0.basis)
-    level_vals = traj0.energies
-    n = traj0.dim
+    level_vecs = lab = _entries(base.basis)
+    _check_gauge(lab)
+    level_vals = base.energies
+    n = base.dim
     idx = np.arange(n)
     for level in range(1, order + 1):
         coupling = _couplings(level_vecs, h)

@@ -39,6 +39,11 @@ def excited_state(H, t):
     return vecs[:, -1]
 
 
+def random_hermitian(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (m + m.conj().T)
+
+
 def random_density(rng, n=2):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = m @ m.conj().T

@@ -88,6 +88,16 @@ class TestSweepConfigValidation:
         (dephased,) = sl.run_lz_sweep(replace(cfg, bath=BathConfig(kind="dephasing")))
         assert record.gamma0 == 0.0 and record.p_ge == dephased.p_ge
 
+    def test_repeated_values_rejected(self, monkeypatch):
+        # a repeated value would be solved, and written, twice
+        with pytest.raises(sl.ParameterError, match="inv_velocities holds 2.0 twice"):
+            _fast_cfg(inv_velocities=(2, 1.0, 2.0))
+        monkeypatch.setattr(experiments, "adaptive_time_grid", None)  # rejected before any grid
+        cfg = _fast_cfg(bath=BathConfig(kind="dephasing"))
+        for mode in ("superadiabatic", "closed"):
+            with pytest.raises(sl.ParameterError, match="gamma0 holds np.float64.0.1. twice"):
+                sl.run_sweep_curves(replace(cfg, mode=mode), (0.1, 0.01, np.float64(0.1)))
+
     @pytest.mark.parametrize("flag", ["false", 0, None])
     def test_symmetric_cutoff_must_be_bool(self, flag):
         # a truthy string would select the symmetric cutoff, in the config and in the library
@@ -264,6 +274,7 @@ class TestRunSweep:
         lines = out_a.read_text().splitlines()
         meta = [ln for ln in lines if ln.startswith("# ")]
         assert any("mode = superadiabatic" in m for m in meta)
+        assert meta[meta.index("# solver = me") + 1] == f"# n_traj = {cfg.n_traj}"
         body = [ln for ln in lines if not ln.startswith("#")]
         assert body[0].split(",") == [
             "gamma0", "inv_v", "p_ge", "trace_error", "min_eigenvalue", "adiabaticity",
@@ -298,6 +309,7 @@ def test_sweep_csv_exact_format(tmp_path):
         "# cutoff = 5",
         "# symmetric_cutoff = false",
         "# solver = me",
+        "# n_traj = 1000",
         "# rtol = 1e-08",
         "# atol = 1e-10",
         "# seed = 0",
@@ -626,6 +638,16 @@ class TestCLI:
             args = ["sweep", str(cfg), "--set", f"sweep.mode={mode}", "--set", "bath.gamma0=0,0.5"]
             assert cli_main(args) == 3
             assert "bath kind 'none' needs gamma0 = 0, got 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "y.csv").exists()
+
+    def test_repeated_values_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG_TEXT.format(out=tmp_path / "y.csv"))
+        for override, message in (("sweep.inv_v=2, 1, 2", "inv_velocities holds 2.0 twice"),
+                                  ("bath.gamma0=0.1, 0.01, 0.1", "gamma0 holds 0.1 twice")):
+            args = ["sweep", str(cfg), "--set", "bath.kind=dephasing", "--set", override]
+            assert cli_main(args) == 3
+            assert message in capsys.readouterr().err
         assert not (tmp_path / "y.csv").exists()
 
     def test_module_entry_point(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import superlind as sl
 
 from lzutil import (constant_hamiltonian, excited_population, excited_state, ladder_hamiltonian,
-                    lz_hamiltonian, lz_setup, random_density)
+                    lz_hamiltonian, lz_setup, random_density, random_hermitian)
 
 
 def _constant_traj(matrix, t1=10.0, n=201):
@@ -76,6 +76,33 @@ def _real_generator_matches_assembly(n, seed, pointwise):
         images = np.array([_unraveled_rhs(gen, b, t) for b in basis])
         want = np.einsum("aji,bij->ab", basis, images)
         assert np.max(np.abs(g - want)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
+       gamma0=st.floats(0.01, 1.0), temperature=st.floats(0.0, 2.0), cells=st.floats(0.1, 4.0))
+def test_constant_h_cell_propagator_is_cptp(n, seed, gamma0, temperature, cells):
+    """exp(h L) of one ``liouvillian`` matrix of a constant random N-level H, a random
+    Hermitian coupling and an ohmic bath, over h of up to four cells, is completely
+    positive and trace preserving: its Choi matrix sum_ij |i><j| (x) Phi(|i><j|) is
+    positive semidefinite and its partial trace over the output is the identity.
+    Over 300 draws the least Choi eigenvalue was -3.5e-16 and the partial-trace
+    defect 4.4e-16; the bound, 1e-12, is rounding of an O(1) exponential."""
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(seed)
+    # levels at least 0.2 apart: no degeneracy for the frames to trip on
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    h0 = u @ np.diag(np.cumsum(rng.uniform(0.2, 2.0, n))) @ u.conj().T
+    frames = sl.instantaneous_frames(constant_hamiltonian(h0), np.linspace(0.0, 1.0, 11))
+    gen = sl.LindbladGenerator(frames, random_hermitian(rng, n),
+                               sl.ohmic_spectrum(gamma0, 5.0, temperature))
+    prop = linalg.expm(cells * frames.step * gen.liouvillian([0.5])[0])
+    basis = sl.model.operator_basis(n)
+    # Phi(|i><j|) = sum_a (P x)_a B_a with x_a = Tr(B_a |i><j|) = (B_a)_ji
+    images = np.einsum("ab,bji,akl->ijkl", prop, basis, basis)
+    choi = images.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    assert np.linalg.eigvalsh(choi).min() >= -1e-12
+    assert np.max(np.abs(np.einsum("ijkk->ij", images) - np.eye(n))) <= 1e-12
 
 
 class TestLindbladOps:
@@ -378,17 +405,25 @@ def test_generator_takes_its_frames_hamiltonian(order):
 def test_outputs_ignore_frame_column_phases():
     """Random per-point column phases of order-4 frames move the master-equation
     P and a 200-trajectory Monte-Carlo P at a fixed seed by at most 1e-13: for LZ
-    at 1/v = 2 with a dephasing bath and with an ohmic one, and for the affine
+    at 1/v = 2 with a dephasing bath and with an ohmic one, for the affine
     three-level ladder (coupling diag(1, 0, -1)) with the ohmic bath, where the
-    Monte-Carlo P is 0.03 (under dephasing it is 3e-10). The dissipator, the
+    Monte-Carlo P is 0.03 (under dephasing it is 3e-10), and for a random
+    four-level affine H and coupling with the ohmic bath (6853 grid points,
+    recommended order 4, final ground population 0.97). The dissipator, the
     jump operators and psi0's global phase are gauge-invariant."""
     H, t_final, _, _, traj = lz_setup(2.0, order=4)
     lz = (H, t_final, traj, sl.sigma_z, excited_state(H, t_final))
     ladder = ladder_hamiltonian()
     ladder_traj = sl.superadiabatic_frames(ladder, 4, sl.adaptive_time_grid(ladder, -150.0, 150.0))
     ground = np.linalg.eigh(ladder(150.0))[1][:, 0]
+    rng = np.random.default_rng(3)
+    h0, h1, coupling = (random_hermitian(rng, 4) for _ in range(3))
+    four = sl.TimeDependentHamiltonian.affine(h0, 0.25 * h1)
+    four_traj = sl.superadiabatic_frames(four, 4, sl.adaptive_time_grid(four, -40.0, 40.0))
     cases = [(*lz, sl.dephasing_spectrum(0.1)), (*lz, sl.ohmic_spectrum(0.1, 5.0, 0.5)),
              (ladder, 150.0, ladder_traj, np.diag([1.0, 0.0, -1.0]), ground,
+              sl.ohmic_spectrum(0.05, 5.0, 0.5)),
+             (four, 40.0, four_traj, coupling, np.linalg.eigh(four(40.0))[1][:, 0],
               sl.ohmic_spectrum(0.05, 5.0, 0.5))]
     tcfg = sl.TrajectoryConfig(n_traj=200, seed=5)
     for H, t_final, traj, coupling, target, spectrum in cases:
