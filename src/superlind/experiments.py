@@ -139,14 +139,12 @@ def closed_lz_oracle(delta: float, v: float) -> float:
     return math.exp(-math.pi * delta**2 / (2.0 * v))
 
 
-def _lz_point(delta: float, v: float, order: int, window_factor: float):
+def _lz_point(delta: float, v: float, window_factor: float):
     """LZ at (delta, v), the window edge T = window_factor * delta / v, and the order-0
-    and order-j frames on the adaptive grid of [-T, T], whose ends are exactly -T and T."""
+    frames on the adaptive grid of [-T, T], whose ends are exactly -T and T."""
     H = lz_hamiltonian(LZParams(v=v, delta=delta))
     t_final = window_factor * delta / v
-    times = adaptive_time_grid(H, -t_final, t_final)
-    base = instantaneous_frames(H, times)
-    return H, t_final, base, superadiabatic_frames(H, order, times, base=base)
+    return H, t_final, instantaneous_frames(H, adaptive_time_grid(H, -t_final, t_final))
 
 
 def _sweep_point(cfg: SweepConfig, inv_v: float, baths) -> list:
@@ -156,7 +154,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, baths) -> list:
     The model, grid, frames, warnings, initial and readout states are built
     once and shared by every bath.
     """
-    H, t_final, base, traj = _lz_point(cfg.delta, 1.0 / inv_v, cfg.order, cfg.window_factor)
+    H, t_final, base = _lz_point(cfg.delta, 1.0 / inv_v, cfg.window_factor)
     report = adiabatic_report(base)
     if report.global_max > ADIABATICITY_WARN_THRESHOLD:
         warnings.warn(
@@ -175,6 +173,7 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, baths) -> list:
             stacklevel=caller_stacklevel(),
         )
 
+    traj = superadiabatic_frames(H, cfg.order, base.times, base=base)  # after the warnings
     psi0 = traj.basis[0, :, 0]
     leak0 = abs(np.vdot(base.basis[0, :, -1], psi0)) ** 2
     if leak0 > WINDOW_WARN_POPULATION:
@@ -293,7 +292,8 @@ def run_fig1(
     order-j ground state, and the actual unitary evolution of the initial
     ground state. Written as one CSV per path when a prefix is given."""
     check_fig1(delta, v, order, window_factor)
-    H, t_final, base, traj = _lz_point(delta, v, order, window_factor)
+    H, t_final, base = _lz_point(delta, v, window_factor)
+    traj = superadiabatic_frames(H, order, base.times, base=base)
     res = evolve_unitary(H, traj.basis[0, :, 0], -t_final, t_final, sample_times=base.times)
 
     paths_rho = [

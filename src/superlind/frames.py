@@ -325,12 +325,14 @@ def superadiabatic_frames(
     to the lab frame and re-fixes the gauge. Quasi-energies of the result
     are recomputed against the original H(t). ``base`` may supply a
     pre-built order-0 trajectory of this H on the same grid. Above order 0
-    the order-0 frames enter finite differences, so ``GridError`` unless
-    their gauge is smooth, as ``FrameTrajectory.validate`` checks it.
+    its frames enter finite differences, so ``GridError`` unless their gauge
+    is smooth, as ``FrameTrajectory.validate`` checks it; frames built here
+    have that gauge by construction.
     """
     check_order(order)
     times = np.asarray(times, dtype=float)
-    if base is None:
+    given = base is not None
+    if not given:
         base = instantaneous_frames(H, times)
     elif base.order != 0 or base.hamiltonian is not H or not np.array_equal(base.times, times):
         raise ParameterError("base must be an order-0 trajectory of H on the same grid")
@@ -340,7 +342,8 @@ def superadiabatic_frames(
     h = base.step
     # frame-local rotation of the current level, and the cumulative lab-frame basis
     level_vecs = lab = _entries(base.basis)
-    _check_gauge(lab)
+    if given:
+        _check_gauge(lab)
     level_vals = base.energies
     n = base.dim
     idx = np.arange(n)

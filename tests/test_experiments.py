@@ -174,6 +174,16 @@ class TestRunSweep:
         assert [w.category for w in above] == ([sl.AdiabaticityWarning] if warns else [])
         assert all(w.filename == __file__ for w in above)
 
+    def test_warnings_come_before_a_failing_order_j_build(self):
+        # at 1/v = 0.5 the order-8 iteration outruns the grid; the two
+        # adiabaticity warnings say why before the GridError
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(sl.GridError, match="refine the grid"):
+                sl.run_lz_sweep(_fast_cfg(inv_velocities=(0.5,), order=8))
+        assert [w.category for w in caught] == [sl.AdiabaticityWarning] * 2
+        assert "above the recommended order" in str(caught[1].message)
+
     def test_closed_sweep_runs_once_for_all_gammas(self):
         cfg = _fast_cfg(bath=BathConfig(kind="dephasing"))
         records = sl.run_sweep_curves(cfg, gamma_values=(0.0, 0.01, 0.1))

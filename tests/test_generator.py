@@ -54,8 +54,7 @@ def _real_generator_matches_assembly(n, seed, pointwise):
     rng = np.random.default_rng(seed)
 
     def hermitian():
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        return m + m.conj().T
+        return 2.0 * random_hermitian(rng, n)
 
     h0, h1 = hermitian(), hermitian()
     H = (sl.TimeDependentHamiltonian(n, lambda t: h0 + math.sin(t) * h1) if pointwise

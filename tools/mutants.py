@@ -1,7 +1,6 @@
 """Run one-line defects (mutants) of the program against named subsets of the test suite.
 
-    python tools/mutants.py                  # every row of MUTANTS
-    python tools/mutants.py gain-halved ...  # the named rows only
+    python tools/mutants.py
 
 Each row of `MUTANTS` names a file under `src/superlind/`, the exact text of
 one line of it (or of a part of that line), its replacement, what the
@@ -124,22 +123,18 @@ def _pytest(cwd: Path, tests) -> tuple:
     return f"pytest exited {run.returncode}: {' '.join(tail)}", seconds
 
 
-def main(names) -> int:
-    rows = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
+def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="superlind-mutants-") as tmp:
         work = Path(tmp)
         _copy(work)
-        union = tuple(dict.fromkeys(t for m in rows for t in m.tests))
+        union = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         verdict, seconds = _pytest(work, union)
         print(f"{'unmutated':24} {seconds:7.1f} s  {verdict}", flush=True)
         if verdict != "survived":
             print("the unmutated subsets fail: no verdict on any mutant", file=sys.stderr)
             return 1
-        for mutant in rows:
+        for mutant in MUTANTS:
             target = work / "src" / "superlind" / mutant.path
             original = target.read_text(encoding="utf-8")
             if original.count(mutant.line) != 1:
@@ -156,4 +151,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
