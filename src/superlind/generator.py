@@ -23,7 +23,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import DimensionError, ParameterError, StateIntegrityError
-from .frames import FrameTrajectory
+from .frames import FrameTrajectory, _entries
 from .model import (BathSpectrum, TimeDependentHamiltonian, _require_hermitian, coherence_vector,
                     density_matrix, hermiticity_defect, operator_basis)
 from .propagation import _CHUNK_ENTRIES, _matmul
@@ -118,7 +118,8 @@ class LindbladGenerator:
         # H_eff - H is diagonal in the frame basis, diag(shift - i/2 (ell^2 + total
         # loss rate)): the drift of the unraveling, U drift U^dag, and of the dissipator
         self._drift = shift - 0.5j * (self._ell**2 + rate.sum(axis=1))
-        self._heff_add = np.einsum("kia,ka,kja->kij", basis, self._drift, basis.conj())
+        # (N, N, K): the propagation core's complex stacks are step-axis-contiguous
+        self._heff_add = _entries(np.einsum("kia,ka,kja->kij", basis, self._drift, basis.conj()))
 
         # the channel stack's labels and mask: the dephasing operator, then the transfers
         self._transfers = a_idx, b_idx = np.nonzero(~np.eye(n, dtype=bool))
@@ -158,9 +159,9 @@ class LindbladGenerator:
         out = np.empty((len(self.frames), n * n, n * n))
         step = max(_CHUNK_ENTRIES // n**4, 1)
         for cells in (slice(lo, lo + step) for lo in range(0, len(out), step)):
-            u = self.frames.basis[cells][:, None]
-            c = _matmul(_matmul(u.conj().swapaxes(-1, -2), operator_basis(n)), u)  # C_a
-            c = c.reshape(-1, n * n, n * n)
+            u = _entries(self.frames.basis[cells]).transpose(2, 0, 1)[None]  # steps contiguous
+            c = _matmul(_matmul(u.conj().swapaxes(-1, -2), operator_basis(n)[:, None]), u)  # C_a
+            c = np.ascontiguousarray(c.swapaxes(0, 1).reshape(-1, n * n, n * n))  # C order, for @
             pops = c[:, :, :: n + 1].real
             out[cells] = ((c.conj() * c_ij[cells].reshape(-1, 1, n * n)) @ c.swapaxes(-1, -2)).real
             out[cells] += pops @ self._rate[cells] @ pops.swapaxes(-1, -2)
@@ -194,7 +195,8 @@ class LindbladGenerator:
     def effective_hamiltonian(self, times) -> np.ndarray:
         """Non-Hermitian drift H(t) + H_shift - (i/2) sum_c Lc^dag Lc at each
         of ``times``, (M, N, N)."""
-        return self.hamiltonian.on_grid(times) + self._heff_add[self.frames.index_at(times)]
+        drift = np.take(self._heff_add, self.frames.index_at(times), axis=-1).transpose(2, 0, 1)
+        return self.hamiltonian.on_grid(times) + drift
 
     def jump_channels(self, t: float):
         """Nonzero jump channels at the frame nearest to t.

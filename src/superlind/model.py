@@ -118,18 +118,23 @@ class TimeDependentHamiltonian:
             raise DimensionError(f"h0 is {h0.shape} but h1 is {h1.shape}")
         h0, h1 = (0.5 * (h + h.conj().T) for h in (h0, h1))
         H = cls(h0.shape[0], None)  # checks the dimension; the broadcast replaces the evaluator
-        H._stack = lambda times: h0 + times[:, None, None] * h1
+        H._stack = lambda times: (h0[..., None] + times * h1[..., None]).transpose(2, 0, 1)
         return H
 
     def __call__(self, t: float) -> np.ndarray:
+        t = check_real("t", t)
+        if not math.isfinite(t):
+            raise ParameterError(f"t must be finite, got {t!r}")
         return self.on_grid([t])[0]
 
     def on_grid(self, times) -> np.ndarray:
-        """H at each of a 1-d sequence of ``times``, shape (M, N, N)."""
-        times = np.asarray(times, dtype=float)
+        """H at each of a 1-d sequence of finite real ``times``, shape (M, N, N)."""
+        times = np.asarray(times)
         if times.ndim != 1:
             raise ParameterError(f"times must be a 1-d sequence, got shape {times.shape}")
-        return self._stack(times)
+        if times.dtype.kind not in "iuf" or not np.isfinite(times).all():
+            raise ParameterError("times must be a 1-d sequence of finite reals")
+        return self._stack(times.astype(float, copy=False))
 
     def _stack(self, times: np.ndarray) -> np.ndarray:
         key = times.tobytes()

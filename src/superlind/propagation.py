@@ -22,6 +22,14 @@ else by a degree-24 Taylor polynomial in products alone, scaled and squared
 above theta_9, each independently of its stack.
 All these products use ``_matmul``: broadcast products for complex stacks,
 2-5 times faster than numpy's ``@`` at N = 2, and ``@`` for real ones.
+Storage rule: a complex stack is stored step-axis-contiguous, as the (M, N, N)
+view of a C-ordered (N, N, M) array (``_stack``), where numpy's loops run
+fastest: ``_matmul`` and ``_expm2`` allocate theirs so, an affine H's
+``on_grid`` and ``effective_hamiltonian`` return theirs so, and elementwise
+steps keep it by numpy's K order. Complex edge states are column sums in j
+order, equal bit for bit to ``@`` on a C-ordered stack. Real stacks (the
+master equation's) stay in C order, where ``@`` is fastest. No result
+depends on the layout.
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
 for the whole ensemble, and walks each trajectory over a binary-lifting table
 of a block's step products to the step of its first crossing. There a bisection
@@ -184,12 +192,21 @@ def _of_dim(state: np.ndarray, dim: int) -> np.ndarray:
 # --------------------------------------------------------------------- core
 
 
+def _stack(shape) -> np.ndarray:
+    """An empty complex stack of matrices, shape (..., n, p), stored as the C-ordered
+    (n, p, ...): each entry's steps are contiguous."""
+    lead = range(2, len(shape))
+    return np.empty((*shape[-2:], *shape[:-2]), dtype=complex).transpose(*lead, 0, 1)
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for stacks of small matrices; for complex ones the sum over the
-    inner index of broadcast products, as numpy's stacked ``@`` is slow there."""
+    inner index of broadcast products into a ``_stack``, as numpy's stacked ``@``
+    is slow there."""
     if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
         return a @ b
-    out = a[..., :, 0, None] * b[..., None, 0, :]
+    first = a[..., :, 0, None], b[..., None, 0, :]
+    out = np.multiply(*first, out=_stack(np.broadcast(*first).shape))
     for j in range(1, a.shape[-1]):
         out += a[..., :, j, None] * b[..., None, j, :]
     return out
@@ -219,10 +236,10 @@ def _expm2(a: np.ndarray) -> np.ndarray:
     if big.any():
         up, down = np.exp(mu[big] + s[big]), np.exp(mu[big] - s[big])
         c[big], q[big] = 0.5 * (up + down), (up - down) / (2.0 * s[big])
-    r = np.empty((a.shape[0], 2, 2), dtype=complex)
+    r = _stack((a.shape[0], 2, 2))
     r[:, 0, 0], r[:, 1, 1] = c + q * half, c - q * half
     r[:, 0, 1], r[:, 1, 0] = q * a[:, 0, 1], q * a[:, 1, 0]
-    return r if np.iscomplexobj(a) else r.real
+    return r if np.iscomplexobj(a) else np.ascontiguousarray(r.real)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -361,7 +378,8 @@ def _march(generator, y0, edges, n):
         p = _expm(_magnus4(a[0], a[1], hc)).reshape(-1, m, d, d)
         while p.shape[1] > 1:
             p = _matmul(p[:, 1::2], p[:, 0::2])  # the later sub-step acts last
-        states = _scan(p[:, 0]) @ y
+        q = _scan(p[:, 0])
+        states = sum(q[..., j] * y[j] for j in range(d)) if np.iscomplexobj(q) else q @ y
         ends = (lo // m + 1 + np.arange(len(states))) * m  # sub-steps done at each block end
         done = ends % n == 0                                # the block ends an interval
         raw[ends[done] // n] = states[done]

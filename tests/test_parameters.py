@@ -4,7 +4,8 @@ Each row is an entry point and one of its scalar parameters. A value that is
 not a finite real scalar in range (for an integer parameter, not an integer
 in range) raises ParameterError naming the parameter; Python and numpy
 numbers of the right kind pass. The ``sample_times`` of the two solves that
-take them follow the same rule for a 1-d sequence of finite reals.
+take them, and the times of ``H.on_grid``, follow the same rule for a 1-d
+sequence of finite reals.
 """
 import math
 from fractions import Fraction
@@ -52,6 +53,7 @@ REAL = [
     ("run_fig1", "delta", lambda x: sl.run_fig1(x, 0.5, 1, window_factor=10.0), 1.0),
     ("run_fig1", "v", lambda x: sl.run_fig1(1.0, x, 1, window_factor=10.0), 1.0),
     ("run_fig1", "window_factor", lambda x: sl.run_fig1(1.0, 0.5, 1, window_factor=x), 10.0),
+    ("TimeDependentHamiltonian", "t", lambda x: H(x), 0.5),
     ("adaptive_time_grid", "t0", lambda x: sl.adaptive_time_grid(H, x, 1.0), -1.0),
     ("adaptive_time_grid", "t1", lambda x: sl.adaptive_time_grid(H, -1.0, x), 1.0),
     ("evolve_unitary", "t0", lambda x: sl.evolve_unitary(H, PSI0, x, 1.0), -1.0),
@@ -99,6 +101,7 @@ NOT_TIMES = [[0.5 + 1j], np.array([0.5 + 0j]), "abc", 0.5, np.float64(0.5), [[0.
              [[0.5], 0.75], [True], [None], ["0.5"], [math.nan], [-math.inf]]
 TIMES_ACCEPTED = [None, [], (), [0.5], (-0.5, 0, 0.5), np.array([0.5]), np.array([0, 1]),
                   [np.float64(0.5), np.int64(1)]]
+NOT_A_TIME = [None, "a", 1j, True, math.nan, math.inf]
 
 
 def _cells(rows, values):
@@ -153,3 +156,13 @@ def test_sample_times_rejected_with_the_parameter_named(call, value):
     for entry, call in SAMPLE_TIMES for value in TIMES_ACCEPTED])
 def test_sample_times_of_python_and_numpy_reals_accepted(call, value):
     call(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(H, "^t must be", id="H(t)"),
+    pytest.param(lambda x: H.on_grid(np.array([x])), "^times must be a 1-d sequence of finite",
+                 id="H.on_grid")])
+@pytest.mark.parametrize("value", NOT_A_TIME, ids=repr)
+def test_hamiltonian_rejects_a_time_that_is_not_a_finite_real(call, message, value):
+    with pytest.raises(sl.ParameterError, match=message):
+        call(value)

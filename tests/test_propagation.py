@@ -17,6 +17,7 @@ from lzutil import (
     ladder_hamiltonian,
     lz_setup,
     random_density,
+    random_hermitian,
 )
 
 
@@ -513,6 +514,67 @@ class TestExponentialCore:
         assert np.max(np.abs(whole.state - second.state)) < 1e-8
 
 
+def _steps_contiguous(stack):
+    """Whether each entry of a (M, N, N) stack holds its M steps contiguously."""
+    return np.moveaxis(stack, 0, -1).flags.c_contiguous
+
+
+class TestStackLayout:
+    """The core stores complex stacks with the step axis contiguous, which makes
+    numpy's loops over them fast, and real stacks in C order, where ``@`` is
+    fastest. The layout is a speed property only: no result changes a bit with it."""
+
+    @staticmethod
+    def _nodes(n, m=64):
+        """A random affine N x N H, and -iH at the two Gauss nodes of m sub-steps as
+        the core reads them: one ``on_grid`` stack, reshaped (2, m, N, N)."""
+        rng = np.random.default_rng(n)
+        H = sl.TimeDependentHamiltonian.affine(random_hermitian(rng, n), random_hermitian(rng, n))
+        return H, (-1j * H.on_grid(np.linspace(-1.0, 1.0, 2 * m))).reshape(2, m, n, n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_complex_stacks_keep_the_step_axis_contiguous(self, n):
+        core = sl.propagation
+        H, a = self._nodes(n)
+        gen = _lz_coarse()[0] if n == 2 else _ladder_coarse()
+        assert _steps_contiguous(H.on_grid(np.linspace(-1.0, 1.0, 9)))
+        assert _steps_contiguous(gen.effective_hamiltonian(gen.frames.times[:9]))
+        m = core._magnus4(a[0], a[1], np.full(a.shape[1], 0.05))
+        big = m * (4.0 * core._THETA9 / core._norm1(m))[:, None, None]  # squared twice
+        c_ordered = np.ascontiguousarray(a[0])
+        for stack in (m, core._matmul(a[0], a[1]), core._matmul(c_ordered, c_ordered),
+                      core._expm(m), core._expm(big)):
+            assert stack.dtype == complex and _steps_contiguous(stack)
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_real_stacks_stay_c_ordered(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(2, 16, n, n))
+        assert sl.propagation._matmul(a, b).flags.c_contiguous
+        for scale in (0.5, 8.0):  # unscaled, and squared (the Taylor polynomial for n > 2)
+            got = sl.propagation._expm(scale * a / sl.propagation._norm1(a)[:, None, None])
+            assert got.dtype == float and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_results_independent_of_the_input_layout(self, n):
+        # C-ordered, Fortran-ordered and step-contiguous copies of the same values
+        core = sl.propagation
+        H, a = self._nodes(n)
+        big = a * (4.0 * core._THETA9 / core._norm1(a[0]))[:, None, None]  # squared twice
+        y0 = np.linalg.eigh(H(-1.0))[1][:, 0]
+        edges = np.linspace(-1.0, 1.0, 7)
+        results = []
+        for layout in (np.ascontiguousarray, np.asfortranarray,
+                       lambda x: sl.frames._entries(x).transpose(2, 0, 1)):
+            x, y, z = layout(a[0]), layout(a[1]), layout(big[0])
+            results.append([core._matmul(x, y), core._expm(x), core._expm(z), core._norm1(x),
+                            *core._march(lambda times: layout(-1j * H.on_grid(times)), y0,
+                                         edges, 8)])
+        assert results[0][-1] is not None  # every sub-step resolved: the march's edge states
+        for got in results[1:]:
+            assert all(np.array_equal(g, w) for g, w in zip(got, results[0]))
+
+
 def _dop853(f, y0, edges):
     """Reference states at ``edges`` of y' = f(t, y, a, b), one DOP853 solve
     (rtol 1e-12, atol 1e-14) per interval [a, b] between consecutive edges."""
@@ -568,6 +630,18 @@ class TestToleranceMet:
                                 cfg=sl.IntegratorConfig(rtol=rtol, atol=rtol / 100))
         want = _dop853(lambda t, y, a, b: -1j * (H(t) @ y), psi0,
                        np.concatenate([[-5.0], samples, [5.0]]))
+        self._assert_within(np.concatenate([res.samples, [res.state]]), want[1:], rtol)
+
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-8, 1e-10])
+    def test_unitary_ladder(self, rtol):
+        # N = 3: the Taylor exponential and the products of complex 3 x 3 stacks
+        H = ladder_hamiltonian()
+        psi0 = np.linalg.eigh(H(-12.0))[1][:, 0]
+        samples = np.linspace(-11.5, -8.5, 7)
+        res = sl.evolve_unitary(H, psi0, -12.0, -8.0, sample_times=samples,
+                                cfg=sl.IntegratorConfig(rtol=rtol, atol=rtol / 100))
+        want = _dop853(lambda t, y, a, b: -1j * (H(t) @ y), psi0,
+                       np.concatenate([[-12.0], samples, [-8.0]]))
         self._assert_within(np.concatenate([res.samples, [res.state]]), want[1:], rtol)
 
     @pytest.mark.parametrize("inv_v", [1.0, 2.0, 4.0, 6.0])

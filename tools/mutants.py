@@ -82,11 +82,51 @@ MUTANTS = (
            "edges, at = _edges(t0, t1, sample_times, times)",
            "master-equation steps straddle the cell midpoints, where the dissipator jumps",
            ("tests/test_propagation.py",)),
+    # plain tests first, as -x stops there before hypothesis shrinks the property test's
+    # failures; pytest runs node ids in the order given, but a whole file in its own order
     Mutant("gain-halved", "generator.py",
            "out[cells] += pops @ self._rate[cells] @ pops.swapaxes(-1, -2)",
            "out[cells] += 0.5 * pops @ self._rate[cells] @ pops.swapaxes(-1, -2)",
            "the dissipator's gain term is halved: the trace is no longer preserved",
-           ("tests/test_generator.py",)),
+           ("tests/test_generator.py::TestMasterEquationRHS",
+            "tests/test_generator.py::test_constant_h_cell_propagator_is_cptp")),
+    Mutant("scan-down-sweep-order", "propagation.py",
+           "hi[:] = _matmul(hi, q[2 * s - 1::2 * s][:len(hi)])",
+           "hi[:] = _matmul(q[2 * s - 1::2 * s][:len(hi)], hi)",
+           "the down-sweep joins a prefix after its later factors: products in the wrong order",
+           ("tests/test_propagation.py::TestExponentialCore"
+            "::test_scan_prefix_products_in_at_most_two_per_matrix",)),
+    Mutant("edge-state-rows", "propagation.py",
+           "states = sum(q[..., j] * y[j] for j in range(d))",
+           "states = sum(q[..., j, :] * y[j] for j in range(d))",
+           "complex edge states take the transposed propagators' product with the state",
+           ("tests/test_propagation.py::TestExponentialCore"
+            "::test_march_matches_sequential_reference",
+            "tests/test_propagation.py::TestToleranceMet::test_unitary_ladder")),
+    Mutant("philox-counter-offset", "propagation.py",
+           "self.words = _philox(self.seed, self.rows, np.arange(1, _STREAM_WORDS // 4 + 1))",
+           "self.words = _philox(self.seed, self.rows, np.arange(0, _STREAM_WORDS // 4))",
+           "each trajectory's stream starts one counter block before numpy's Philox stream",
+           ("tests/test_propagation.py::TestRandomStreams"
+            "::test_bulk_draws_match_numpy_generators",)),
+    Mutant("jump-search-level-short", "propagation.py",
+           "for i in range(first.min(initial=_HALVES.size) + 1, _HALVES.size):",
+           "for i in range(first.min(initial=_HALVES.size) + 1, _HALVES.size - 1):",
+           "a jump time whose predicted levels miss is bisected one level short, 2^-39 of a step",
+           ("tests/test_propagation.py::TestEvolveTrajectories"
+            "::test_jump_time_search_survives_a_missed_prediction",
+            "tests/test_propagation.py::TestEvolveTrajectories"
+            "::test_jump_time_search_matches_literal_bisection")),
+    Mutant("align-phase-sign", "frames.py",
+           "phases = -np.cumsum(np.angle(raw), axis=1)",
+           "phases = np.cumsum(np.angle(raw), axis=1)",
+           "the phase chain doubles each step overlap's phase instead of removing it",
+           ("tests/test_frames.py",)),
+    Mutant("inclusive-ignored", "errors.py",
+           "(x >= low if inclusive else x > low)",
+           "(x >= low if inclusive else x >= low)",
+           "every lower bound admits its own value: v = 0, delta = 0, cutoff = 0 and rtol = 0 pass",
+           ("tests/test_parameters.py", "tests/test_model.py")),
 )
 
 
