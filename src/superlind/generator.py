@@ -26,7 +26,7 @@ from .errors import DimensionError, ParameterError, StateIntegrityError
 from .frames import FrameTrajectory, _entries
 from .model import (BathSpectrum, TimeDependentHamiltonian, _require_hermitian, coherence_vector,
                     density_matrix, hermiticity_defect, operator_basis)
-from .propagation import _CHUNK_ENTRIES, _matmul
+from .propagation import _CHUNK_ENTRIES
 
 HERMITICITY_INPUT_TOL = 1e-8
 
@@ -92,10 +92,12 @@ class LindbladGenerator:
         whose operators ``channels`` builds from these once, when
         ``jump_channels`` or the Monte-Carlo unraveling first reads them. Every
         rate is one ``gamma`` call on w_ab, checked real, finite and >= 0; the
-        dephasing amplitudes read gamma(0) off its diagonal, where w_aa = 0."""
-        basis = self.frames.basis                      # (K, N, N)
+        dephasing amplitudes read gamma(0) off its diagonal, where w_aa = 0. Frames are
+        read entries-major, (N, N, K), so each einsum keeps the grid axis innermost."""
+        basis = _entries(self.frames.basis)            # (N, N, K)
         energies = self.frames.energies                # (K, N)
-        abar = np.einsum("kia,ij,kjb->kab", basis.conj(), self.coupling, basis)
+        abar = np.einsum("ij,jbk->ibk", self.coupling, basis)                    # A |phi_b>
+        abar = np.einsum("iak,ibk->abk", basis.conj(), abar).transpose(2, 0, 1)  # <phi_a|A|phi_b>
         omega = energies[:, None, :] - energies[:, :, None]   # w[a,b] = E_b - E_a
 
         gam, s_vals = (np.asarray(f(omega)) for f in (self.spectrum.gamma, self.spectrum.shift))
@@ -104,22 +106,20 @@ class LindbladGenerator:
                 raise ParameterError(f"{name}(w) must be finite real values of w's shape")
         if (gam < 0.0).any():
             raise ParameterError(f"gamma(w) must be >= 0; found {float(gam.min())} on the grid")
-        n = self.frames.dim
-        idx = np.arange(n)
+        n, idx = self.frames.dim, np.arange(self.frames.dim)
         self._ell = np.sqrt(gam[:, idx, idx]) * np.einsum("kaa->ka", abar).real   # (K, N)
-        rate = gam * np.abs(abar) ** 2                 # (K, N, N)
+        self._rate = rate = gam * np.abs(abar) ** 2    # (K, N, N)
         rate[:, idx, idx] = 0.0
-        self._rate = rate
         self._amp = np.sqrt(gam) * abar                # channel amplitudes
         self._amp[:, idx, idx] = 0.0
-
         shift = np.einsum("kab->kb", s_vals * np.abs(abar) ** 2)
+        del abar, gam, s_vals, omega  # freed before the build's peak, the einsum into H_eff
 
         # H_eff - H is diagonal in the frame basis, diag(shift - i/2 (ell^2 + total
         # loss rate)): the drift of the unraveling, U drift U^dag, and of the dissipator
         self._drift = shift - 0.5j * (self._ell**2 + rate.sum(axis=1))
         # (N, N, K): the propagation core's complex stacks are step-axis-contiguous
-        self._heff_add = _entries(np.einsum("kia,ka,kja->kij", basis, self._drift, basis.conj()))
+        self._heff_add = np.einsum("iak,ka,jak->ijk", basis, self._drift, basis.conj())
 
         # the channel stack's labels and mask: the dephasing operator, then the transfers
         self._transfers = a_idx, b_idx = np.nonzero(~np.eye(n, dtype=bool))
@@ -134,11 +134,11 @@ class LindbladGenerator:
     def channels(self) -> np.ndarray:
         """The channel stack, built on first use: only the jump unraveling and
         ``jump_channels`` read it, and it is C times the size of a frame."""
-        basis = self.frames.basis
+        basis, entries = self.frames.basis, _entries(self.frames.basis)
         a_idx, b_idx = self._transfers
         stack = np.empty((len(self.frames), len(self.channel_labels)) + basis.shape[1:],
                          dtype=complex)
-        stack[:, 0] = np.einsum("kia,ka,kja->kij", basis, self._ell, basis.conj())
+        stack[:, 0] = np.einsum("iak,ka,jak->kij", entries, self._ell, entries.conj())
         np.multiply(basis[:, :, a_idx].transpose(0, 2, 1)[..., :, None],          # kets
                     basis[:, :, b_idx].conj().transpose(0, 2, 1)[..., None, :],   # bras
                     out=stack[:, 1:])
@@ -152,16 +152,20 @@ class LindbladGenerator:
         (K, N^2, N^2), built on first use, a chunk of frames at a time. In the
         frame basis U it maps rho_ij to c_ij rho_ij + delta_ij sum_l rate_il rho_ll,
         c_ij = -i (drift_i - drift_j^*) + ell_i ell_j, so with C_a = U^dag B_a U,
-        D_ab = sum_ij (C_a)_ij^* c_ij (C_b)_ij + (C_a)_ii rate_ij (C_b)_jj.
-        Row 0, the trace, vanishes in Lindblad form; StateIntegrityError if above 1e-12 ||D||_1."""
+        D_ab = sum_ij (C_a)_ij^* c_ij (C_b)_ij + (C_a)_ii rate_ij (C_b)_jj. As (C_a)_ij =
+        sum_pq (B_a)_pq conj(U_pi) U_qj, a chunk's C_a are one product of the (N^2, N^2)
+        matrix of the B_a with the outer products conj(u_p) u_q^T of the frame rows u_p,
+        (p, q, i, j, cell). Row 0, the trace, vanishes in Lindblad form;
+        StateIntegrityError if above 1e-12 ||D||_1."""
         n, d, ell = self.frames.dim, self._drift, self._ell
         c_ij = -1j * (d[:, :, None] - d[:, None, :].conj()) + ell[:, :, None] * ell[:, None, :]
         out = np.empty((len(self.frames), n * n, n * n))
         step = max(_CHUNK_ENTRIES // n**4, 1)
         for cells in (slice(lo, lo + step) for lo in range(0, len(out), step)):
-            u = _entries(self.frames.basis[cells]).transpose(2, 0, 1)[None]  # steps contiguous
-            c = _matmul(_matmul(u.conj().swapaxes(-1, -2), operator_basis(n)[:, None]), u)  # C_a
-            c = np.ascontiguousarray(c.swapaxes(0, 1).reshape(-1, n * n, n * n))  # C order, for @
+            u = _entries(self.frames.basis[cells])                                # (N, N, C)
+            pairs = (u.conj()[:, None, :, None] * u[None, :, None]).reshape(n * n, -1)
+            c = (operator_basis(n).reshape(n * n, n * n) @ pairs).reshape(n * n, n * n, -1)
+            c = np.ascontiguousarray(c.transpose(2, 0, 1))  # C_a of each cell, C order for @
             pops = c[:, :, :: n + 1].real
             out[cells] = ((c.conj() * c_ij[cells].reshape(-1, 1, n * n)) @ c.swapaxes(-1, -2)).real
             out[cells] += pops @ self._rate[cells] @ pops.swapaxes(-1, -2)

@@ -118,7 +118,13 @@ class TimeDependentHamiltonian:
             raise DimensionError(f"h0 is {h0.shape} but h1 is {h1.shape}")
         h0, h1 = (0.5 * (h + h.conj().T) for h in (h0, h1))
         H = cls(h0.shape[0], None)  # checks the dimension; the broadcast replaces the evaluator
-        H._stack = lambda times: (h0[..., None] + times * h1[..., None]).transpose(2, 0, 1)
+
+        def stack(times):  # real products (t * complex h1 is 4x slower); (M, N, N) of (N, N, M)
+            out = np.empty(h0.shape + times.shape, dtype=complex)
+            for part, p0, p1 in ((out.real, h0.real, h1.real), (out.imag, h0.imag, h1.imag)):
+                np.add(np.multiply(times, p1[..., None], out=part), p0[..., None], out=part)
+            return out.transpose(2, 0, 1)
+        H._stack = stack
         return H
 
     def __call__(self, t: float) -> np.ndarray:

@@ -285,6 +285,27 @@ class TestMasterEquationRHS:
             gen.liouvillian([0.0])
         assert info.value.exit_code == 7
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_chunking_leaves_the_dissipators_unchanged(self, monkeypatch, n):
+        # the default build, one chunk here, against chunks of one cell and of four,
+        # the last of which is ragged; a NaN rate in a later chunk names its cell
+        H = lz_hamiltonian(2.0) if n == 2 else ladder_hamiltonian()
+        traj = sl.superadiabatic_frames(H, 2, np.linspace(-12.0, 12.0, 97))
+        spec = replace(sl.ohmic_spectrum(0.1, 5.0, 0.5), shift=lambda w: 0.02 * np.asarray(w))
+        coupling = (sl.sigma_z if n == 2 else
+                    np.diag([1.0, 0.0, -1.0]) + 0.3 * (np.eye(3, k=1) + np.eye(3, k=-1)))
+        want = sl.LindbladGenerator(traj, coupling, spec)._dissipators
+        assert len(traj) * n**4 <= sl.generator._CHUNK_ENTRIES
+        for cells in (1, 4):
+            monkeypatch.setattr(sl.generator, "_CHUNK_ENTRIES", cells * n**4)
+            gen = sl.LindbladGenerator(traj, coupling, spec)
+            assert gen._dissipators.tobytes() == want.tobytes()
+            gen = sl.LindbladGenerator(traj, coupling, spec)
+            gen._rate = np.where(np.arange(len(traj))[:, None, None] == 42, np.nan, gen._rate)
+            at = re.escape(f"at t = {float(traj.times[42])!r}") + "$"
+            with pytest.raises(sl.StateIntegrityError, match=at):
+                gen._dissipators
+
     def test_frame_gauge_invariance(self):
         rng = np.random.default_rng(4)
         H, _, times, base, _ = lz_setup(2.0)

@@ -999,10 +999,14 @@ class TestEvolveTrajectories:
         # f = 0.75 - 2 (s - 1/2)^3 in the first row has a zero slope at 1/2, which
         # stops Newton there, so the levels of 0.5 are predicted while the crossing
         # lies near 0.79: the check must catch it at level 2, and the literal levels
-        # go on from there; the second row is predicted right
-        c = _hermite([1.0, 0.9], [0.5, 0.1], [-1.5, -0.1], [-1.5, -0.1], 0.7)
+        # go on from there; the second row is predicted right; the third is the first
+        # at threshold 0.68, whose crossing near 0.83 ends on an odd 2^-40 bit, so the
+        # literal levels must run to the last one
+        c = _hermite([1.0, 0.9, 1.0], [0.5, 0.1, 0.5], [-1.5, -0.1, -1.5], [-1.5, -0.1, -1.5],
+                     np.array([0.7, 0.7, 0.68]))
         want = _literal_bisection(c)
-        assert want[0] != 0.5
+        assert want[0] != 0.5 and want[2] != 0.5
+        assert want[2] * 2.0**40 % 2.0 == 1.0
         assert sl.propagation._crossing(c).tobytes() == want.tobytes()
         assert sl.propagation._crossing(c[:, 1:]).tobytes() == want[1:].tobytes()
 

@@ -90,6 +90,11 @@ MUTANTS = (
            "the dissipator's gain term is halved: the trace is no longer preserved",
            ("tests/test_generator.py::TestMasterEquationRHS",
             "tests/test_generator.py::test_constant_h_cell_propagator_is_cptp")),
+    Mutant("rotation-conj-dropped", "generator.py",
+           "pairs = (u.conj()[:, None, :, None] * u[None, :, None]).reshape(n * n, -1)",
+           "pairs = (u[:, None, :, None] * u[None, :, None]).reshape(n * n, -1)",
+           "the dissipator's rotation reads U^T B_a U, not U^dag B_a U, from complex frames",
+           ("tests/test_generator.py::TestMasterEquationRHS",)),
     Mutant("scan-down-sweep-order", "propagation.py",
            "hi[:] = _matmul(hi, q[2 * s - 1::2 * s][:len(hi)])",
            "hi[:] = _matmul(q[2 * s - 1::2 * s][:len(hi)], hi)",

@@ -23,6 +23,10 @@ directory that it removes. Covered:
   3-level ladder at orders 0, 4 and 12;
 - `repr` of the 3-level ladder's master-equation P (`spec.ladder_p()`), the
   one N = 3 solve;
+- the bytes of the per-frame stacks `_dissipators` and `_heff_add` of each
+  generator of the `sweep-me.cfg` sweep (one per bath curve) and of the
+  ladder's, so that a change to the generator build shows which stack moved,
+  apart from the CSVs;
 - `repr` of `residual_oscillation` of the `configs/fig1.cfg` frames (order 3,
   v = 0.25), a unitary solve under the frames' own H.
 """
@@ -60,19 +64,27 @@ def _cli(*argv: str) -> str:
 
 
 @contextlib.contextmanager
-def _trajectory_results():
-    """Collect the result of every `evolve_trajectories` call of the sweep harness."""
-    results, solve = [], experiments.evolve_trajectories
+def _recorded(module, name: str):
+    """Collect the result of every call of `module.name` made inside the block."""
+    results, call = [], getattr(module, name)
 
     def recorded(*args, **kwargs):
-        results.append(solve(*args, **kwargs))
+        results.append(call(*args, **kwargs))
         return results[-1]
 
-    experiments.evolve_trajectories = recorded
+    setattr(module, name, recorded)
     try:
         yield results
     finally:
-        experiments.evolve_trajectories = solve
+        setattr(module, name, call)
+
+
+def _stacks(out: Path, name: str, gen):
+    """Write the bytes of a generator's `_dissipators` and `_heff_add`; yield (name, path)."""
+    for stack in ("_dissipators", "_heff_add"):
+        path = out / f"{name}{stack}.bin"
+        path.write_bytes(getattr(gen, stack).tobytes())
+        yield path.name, path
 
 
 def _outputs(out: Path):
@@ -85,9 +97,12 @@ def _outputs(out: Path):
         for seed in seeds:
             name = cfg.stem if seed is None else f"{cfg.stem}-seed{seed}"
             extra = () if seed is None else ("--set", f"solver.seed={seed}")
-            with _trajectory_results() as results:
+            with (_recorded(experiments, "evolve_trajectories") as results,
+                  _recorded(experiments, "LindbladGenerator") as gens):
                 _cli("sweep", str(cfg), "--output", str(out / f"{name}.csv"), *extra)
             yield f"{name}.csv", out / f"{name}.csv"
+            for k, gen in enumerate(gens if cfg.stem == "sweep-me" else ()):
+                yield from _stacks(out, f"{name}-gen{k}", gen)
             for k, res in enumerate(results):
                 ids = np.stack([res.jumps[c] for c in ("trajectory", "target", "source")], axis=1)
                 (out / f"{name}-jumps{k}.bin").write_bytes(ids.astype(np.int64).tobytes())
@@ -109,8 +124,10 @@ def _outputs(out: Path):
         name = f"frames-ladder-order{order}.csv"
         sl.write_frames_csv(traj, out / name)
         yield name, out / name
-    (out / "ladder-p.txt").write_text(repr(spec.ladder_p()))
+    with _recorded(sl, "LindbladGenerator") as gens:
+        (out / "ladder-p.txt").write_text(repr(spec.ladder_p()))
     yield "ladder-p.txt", out / "ladder-p.txt"
+    yield from _stacks(out, "ladder", gens[0])
     job = fig1_job(read_config(ROOT / "configs" / "fig1.cfg"))
     H = sl.lz_hamiltonian(sl.LZParams(v=job.v, delta=job.delta))
     t_final = job.window_factor * job.delta / job.v
