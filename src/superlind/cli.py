@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -62,10 +63,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dir(path) -> None:
+    """Raise FileNotFoundError, before any solve, if ``path``'s directory is missing."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"output directory {folder!r} does not exist")
+
+
 def _cmd_sweep(args) -> int:
     data = apply_overrides(read_config(args.config), args.overrides)
     job = sweep_job(data)
     output = args.output or job.output
+    _check_output_dir(output)
     records = run_sweep_curves(job.base, job.gamma_values)
     write_sweep_csv(output, records, job.base)
     print(f"wrote {len(records)} records to {output}")
@@ -75,6 +84,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_fig1(args) -> int:
     data = apply_overrides(read_config(args.config), args.overrides)
     job = fig1_job(data)
+    _check_output_dir(job.prefix)
     result = run_fig1(
         job.delta, job.v, job.order, window_factor=job.window_factor,
         out_prefix=job.prefix,

@@ -36,7 +36,7 @@ from .errors import (
 )
 from ._output import BLOCK_ROWS, write_blocks
 from .model import TimeDependentHamiltonian, _eigh
-from .propagation import bloch_vector, evolve_unitary
+from .propagation import _matmul, bloch_vector, evolve_unitary
 
 J_MAX = 12  # highest super-adiabatic order built or recommended
 GAP_TOL_FACTOR = 1e-9
@@ -345,8 +345,7 @@ def superadiabatic_frames(
     if given:
         _check_gauge(lab)
     level_vals = base.energies
-    n = base.dim
-    idx = np.arange(n)
+    idx = np.arange(base.dim)
     for level in range(1, order + 1):
         coupling = _couplings(level_vecs, h)
         anti = 0.5 * (coupling - np.conj(np.transpose(coupling, (1, 0, 2))))
@@ -357,11 +356,8 @@ def superadiabatic_frames(
         level_vals, level_vecs = _eigh_grid(np.moveaxis(frame_h, -1, 0), times,
                                             f"super-adiabatic level {level}")
         level_vecs = _align_sweep(_entries(level_vecs), times)
-        # lab @ level_vecs as _matmul forms it: broadcast products summed in j order
-        product = lab[:, 0, None] * level_vecs[0]
-        for j in range(1, n):
-            product += lab[:, j, None] * level_vecs[j]
-        lab = product
+        # lab @ level_vecs on the (K, N, N) views; _matmul's stack is a C-ordered (N, N, K)
+        lab = np.moveaxis(_matmul(*(np.moveaxis(x, -1, 0) for x in (lab, level_vecs))), 0, -1)
 
     lab = _align_sweep(lab, times)
     _check_step_overlaps(times, _step_overlaps(lab))

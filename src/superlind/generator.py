@@ -50,12 +50,11 @@ class LindbladGenerator:
     elements, transition frequencies, rates) are precomputed on the grid,
     so ``liouvillian`` and ``rhs`` are pure.
 
-    ``channels`` holds every jump operator at every frame, (K, C, N, N)
-    with C = 1 + N (N - 1), labeled by ``channel_labels``: the dephasing
-    operator (-1, -1), then each transfer b -> a as (a, b) in row-major
-    order. ``active_channels`` (K, C) flags the nonzero ones; an inactive
-    operator is exactly zero. All three are read-only; the stack is built
-    once, on first use.
+    The C = 1 + N (N - 1) jump channels are labeled by ``channel_labels``:
+    the dephasing operator (-1, -1), then each transfer b -> a as (a, b) in
+    row-major order. ``active_channels`` (K, C), read-only, flags the nonzero
+    ones at each frame; an inactive operator is exactly zero. No operator is
+    stored: ``apply_jumps`` applies them to states from the frames.
 
     H, read as ``hamiltonian``, is the frames' own: the jump operators act between
     the frames of the H that drives the state. A fourth argument may only repeat it;
@@ -88,9 +87,7 @@ class LindbladGenerator:
     def _precompute(self) -> None:
         """Per-frame arrays, read-only: dephasing amplitudes, rates, channel
         amplitudes, the frame-diagonal drift, the non-Hermitian drift
-        addition, and the labels and activity mask of the channel stack,
-        whose operators ``channels`` builds from these once, when
-        ``jump_channels`` or the Monte-Carlo unraveling first reads them. Every
+        addition, and the channels' labels and activity mask. Every
         rate is one ``gamma`` call on w_ab, checked real, finite and >= 0; the
         dephasing amplitudes read gamma(0) off its diagonal, where w_aa = 0. Frames are
         read entries-major, (N, N, K), so each einsum keeps the grid axis innermost."""
@@ -121,7 +118,7 @@ class LindbladGenerator:
         # (N, N, K): the propagation core's complex stacks are step-axis-contiguous
         self._heff_add = np.einsum("iak,ka,jak->ijk", basis, self._drift, basis.conj())
 
-        # the channel stack's labels and mask: the dephasing operator, then the transfers
+        # the channels' labels and mask: the dephasing operator, then the transfers
         self._transfers = a_idx, b_idx = np.nonzero(~np.eye(n, dtype=bool))
         self.channel_labels = ((-1, -1), *zip(a_idx.tolist(), b_idx.tolist()))
         self.active_channels = np.concatenate(
@@ -129,22 +126,6 @@ class LindbladGenerator:
         for arr in (self._ell, self._rate, self._amp, self._drift, self._heff_add,
                     self.active_channels):
             arr.setflags(write=False)
-
-    @cached_property
-    def channels(self) -> np.ndarray:
-        """The channel stack, built on first use: only the jump unraveling and
-        ``jump_channels`` read it, and it is C times the size of a frame."""
-        basis, entries = self.frames.basis, _entries(self.frames.basis)
-        a_idx, b_idx = self._transfers
-        stack = np.empty((len(self.frames), len(self.channel_labels)) + basis.shape[1:],
-                         dtype=complex)
-        stack[:, 0] = np.einsum("iak,ka,jak->kij", entries, self._ell, entries.conj())
-        np.multiply(basis[:, :, a_idx].transpose(0, 2, 1)[..., :, None],          # kets
-                    basis[:, :, b_idx].conj().transpose(0, 2, 1)[..., None, :],   # bras
-                    out=stack[:, 1:])
-        np.multiply(self._amp[:, a_idx, b_idx][..., None, None], stack[:, 1:], out=stack[:, 1:])
-        stack.setflags(write=False)
-        return stack
 
     @cached_property
     def _dissipators(self) -> np.ndarray:
@@ -210,8 +191,20 @@ class LindbladGenerator:
         transferring b -> a. An empty list means no dissipator. With
         ``effective_hamiltonian`` this is the master equation in explicit
         operators: d rho/dt = -i (H_eff rho - rho H_eff^dag) + sum L rho L^dag.
-        The operators are read-only views of the channel stack built once.
+        Each operator is ``apply_jumps`` of the identity's columns.
         """
-        k = self.frames.index_at(t)
-        return [(self.channel_labels[c], self.channels[k, c])
-                for c in np.flatnonzero(self.active_channels[k])]
+        n, k = self.frames.dim, self.frames.index_at(t)
+        ops = self.apply_jumps(np.full(n, k), np.eye(n)).transpose(1, 2, 0)  # (C, N, N)
+        return [(self.channel_labels[c], ops[c]) for c in np.flatnonzero(self.active_channels[k])]
+
+    def apply_jumps(self, cells, psi) -> np.ndarray:
+        """L_c psi for every channel c at the frames ``cells``, (M, C, N) in
+        ``channel_labels`` order, for states psi (M, N). From the frame coordinates
+        c = U^dag psi: U (ell c) for the dephasing operator, amp_ab c_b phi_a for
+        each transfer b -> a."""
+        u, (a_idx, b_idx) = self.frames.basis[cells], self._transfers   # (M, N, N)
+        coords = np.einsum("mia,mi->ma", u.conj(), psi)
+        dephased = np.einsum("mia,ma->mi", u, self._ell[cells] * coords)
+        weights = self._amp[cells[:, None], a_idx, b_idx] * coords[:, b_idx]
+        kicks = weights[..., None] * u[:, :, a_idx].swapaxes(1, 2)      # amp c_b phi_a
+        return np.concatenate([dephased[:, None], kicks], axis=1)

@@ -602,14 +602,14 @@ def _jumps(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds)
     another finishes the step; each jump draws the pick, then its new threshold.
     Trajectories whose survivor crosses its fresh threshold again repeat this
     from their own jump time. Each round makes one ``effective_hamiltonian``,
-    one ``_expm`` and one ``streams.draw`` call.
+    one ``_expm``, one ``apply_jumps`` and one ``streams.draw`` call.
 
     Returns the states at t_b, the new thresholds and the jumps, ``_JUMP_DTYPE``
     rows in the order made: a trajectory's own in time order.
     """
     if not gen.active_channels[cells].any(axis=1).all():
         raise SuperlindError("norm decayed but no jump channel is active")
-    channels, labels = gen.channels[cells], np.array(gen.channel_labels)  # (M, C, N, N)
+    labels = np.array(gen.channel_labels)
     gamma = 1j * (h_eff - h_eff.conj().swapaxes(1, 2))
     out, out_thr = psi_b.copy(), thresholds.copy()
     todo, record = np.arange(rows.size), []
@@ -627,7 +627,7 @@ def _jumps(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds)
         nodes = np.concatenate([t_a, t_jump]) + _GAUSS[:, None] * widths
         a = -1j * gen.effective_hamiltonian(nodes.ravel()).reshape(2, 2 * m, *h_eff.shape[1:])
         props = _expm(_magnus4(a[0], a[1], widths))
-        kicked = np.einsum("mcij,mjk,mk->mci", channels, props[:m], psi_a)  # (m, C, N)
+        kicked = gen.apply_jumps(cells, np.einsum("mij,mj->mi", props[:m], psi_a))  # (m, C, N)
         cum = np.cumsum(np.einsum("mci,mci->mc", kicked.conj(), kicked).real, axis=1)
         if not np.all(cum[:, -1] > 0.0):
             raise SuperlindError("norm decayed but all jump weights vanish")
@@ -644,8 +644,8 @@ def _jumps(gen, cells, streams, rows, psi_a, psi_b, t_a, t_b, h_eff, thresholds)
         thresholds = draws[:, 1]
         out[todo], out_thr[todo] = psi_end, thresholds
         again = np.einsum("mi,mi->m", psi_end.conj(), psi_end).real < thresholds
-        todo, t_a, t_b, psi_a, psi_b, thresholds, channels, gamma = (
-            x[again] for x in (todo, t_jump, t_b, psi, psi_end, thresholds, channels, gamma))
+        todo, t_a, t_b, psi_a, psi_b, thresholds, cells, gamma = (
+            x[again] for x in (todo, t_jump, t_b, psi, psi_end, thresholds, cells, gamma))
     raise StiffnessError("jump cascade did not terminate within one step")
 
 

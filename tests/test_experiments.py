@@ -660,6 +660,28 @@ class TestCLI:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "y.csv").exists()
 
+    def _refuse_solve(self, *args, **kwargs):
+        raise AssertionError("the solve started although the output directory is missing")
+
+    def test_sweep_missing_output_dir_fails_before_the_solve(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep_curves", self._refuse_solve)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG_TEXT.format(out=tmp_path / "y.csv"))
+        missing = tmp_path / "missing"
+        assert cli_main(["sweep", str(cfg), "--output", str(missing / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: output directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+    def test_fig1_missing_output_dir_fails_before_the_solve(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(cli, "run_fig1", self._refuse_solve)
+        cfg = tmp_path / "fig1.cfg"
+        cfg.write_text(f"[fig1]\nv = 0.5\n[output]\nprefix = {tmp_path / 'missing' / 'f1'}\n")
+        assert cli_main(["fig1", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: output directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1.cfg"]
+
     def test_module_entry_point(self):
         # `python -m superlind` from a source checkout, not an installed script
         env = {**os.environ, "PYTHONPATH": str(Path(sl.__file__).resolve().parents[1])}

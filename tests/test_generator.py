@@ -149,10 +149,10 @@ class TestLindbladOps:
         for L in _jumps(gen, 1.7).values():
             assert np.linalg.matrix_rank(L, tol=1e-12) == 1
 
-    @pytest.mark.parametrize("case", ["lz_warm", "lz_cold", "ladder"])
-    def test_channel_stack_matches_per_call_construction(self, case):
-        # jump_channels reads the stack built once; each operator must equal
-        # the one built from the frame at call time, at every cell
+    @staticmethod
+    def _case_generator(case):
+        """LZ at order 2 in a warm ohmic bath with a Lamb shift or in a cold one,
+        or the 3-level ladder at order 2 in a warm one."""
         if case == "ladder":
             H = ladder_hamiltonian()
             traj = sl.superadiabatic_frames(H, 2, sl.adaptive_time_grid(H, -40.0, 40.0))
@@ -161,7 +161,16 @@ class TestLindbladOps:
             H, _, _, _, traj = lz_setup(3.0, order=2)
             coupling = sl.sigma_z
             spec = sl.ohmic_spectrum(0.1, 5.0, 0.5 if case == "lz_warm" else 0.0)
-        gen = sl.LindbladGenerator(traj, coupling, spec)
+            if case == "lz_warm":
+                spec = replace(spec, shift=lambda w: 0.01 * np.asarray(w))
+        return sl.LindbladGenerator(traj, coupling, spec)
+
+    @pytest.mark.parametrize("case", ["lz_warm", "lz_cold", "ladder"])
+    def test_channel_stack_matches_per_call_construction(self, case):
+        # each operator of jump_channels must equal the one built from the
+        # frame at call time, at every cell
+        gen = self._case_generator(case)
+        traj = gen.frames
         seen = set()
         for k, t in enumerate(traj.times):
             u = traj.basis[k]
@@ -178,6 +187,28 @@ class TestLindbladOps:
         # at T = 0 gamma(0) and gamma(-gap) vanish: only the downward channel
         assert seen == {"lz_warm": {(-1, -1), (0, 1), (1, 0)}, "lz_cold": {(0, 1)},
                         "ladder": {(-1, -1), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}}[case]
+
+    @pytest.mark.parametrize("case", ["lz_warm", "lz_cold", "ladder"])
+    def test_batched_kicks_match_jump_channels(self, case):
+        # one apply_jumps call on rows at different cells: each row's L_c psi is
+        # jump_channels at that row's time applied to psi, and exactly zero
+        # for an inactive channel
+        gen = self._case_generator(case)
+        rng = np.random.default_rng(7)
+        n, k = gen.frames.dim, len(gen.frames)
+        cells = np.concatenate([[0, k - 1, k // 2, k // 2], rng.integers(0, k, 12)])
+        psi = rng.normal(size=(cells.size, n)) + 1j * rng.normal(size=(cells.size, n))
+        kicks = gen.apply_jumps(cells, psi)
+        assert kicks.shape == (cells.size, len(gen.channel_labels), n)
+        for row, cell in enumerate(cells.tolist()):
+            ops = dict(gen.jump_channels(gen.frames.times[cell]))
+            for c, label in enumerate(gen.channel_labels):
+                if label not in ops:
+                    assert not gen.active_channels[cell, c]
+                    assert np.all(kicks[row, c] == 0.0)
+                    continue
+                np.testing.assert_allclose(kicks[row, c], ops[label] @ psi[row], rtol=0.0,
+                                           atol=1e-15 * np.linalg.norm(psi[row]))
 
     def test_lamb_shift_diagonal_in_frame(self):
         H, traj = _constant_traj(0.5 * sl.sigma_x)

@@ -127,6 +127,18 @@ MUTANTS = (
            "phases = np.cumsum(np.angle(raw), axis=1)",
            "the phase chain doubles each step overlap's phase instead of removing it",
            ("tests/test_frames.py",)),
+    Mutant("kick-reads-target", "generator.py",
+           "weights = self._amp[cells[:, None], a_idx, b_idx] * coords[:, b_idx]",
+           "weights = self._amp[cells[:, None], a_idx, b_idx] * coords[:, a_idx]",
+           "a transfer b -> a scales phi_a by the target's frame coordinate c_a, not c_b",
+           ("tests/test_generator.py::TestLindbladOps"
+            "::test_channel_stack_matches_per_call_construction",
+            "tests/test_generator.py::test_outputs_ignore_frame_column_phases")),
+    Mutant("frame-product-swapped", "frames.py",
+           "for x in (lab, level_vecs))), 0, -1)",
+           "for x in (level_vecs, lab))), 0, -1)",
+           "each super-adiabatic level takes level_vecs @ lab, not lab @ level_vecs",
+           ("tests/test_frames.py::test_frames_match_literal_stack_layout_bit_for_bit",)),
     Mutant("inclusive-ignored", "errors.py",
            "(x >= low if inclusive else x > low)",
            "(x >= low if inclusive else x >= low)",
