@@ -19,6 +19,7 @@ from ._output import fmt, write_table
 from .errors import (AdiabaticityWarning, ParameterError, WindowWarning, caller_stacklevel,
                      check_distinct, check_real, shown)
 from .frames import (
+    FrameTrajectory,
     adaptive_time_grid,
     adiabatic_report,
     check_order,
@@ -147,6 +148,14 @@ def _lz_point(delta: float, v: float, window_factor: float):
     return H, t_final, instantaneous_frames(H, adaptive_time_grid(H, -t_final, t_final))
 
 
+def _head(base: FrameTrajectory, order: int) -> FrameTrajectory:
+    """``base`` on its first 2 order + 3 points. The level loop is pointwise but for the 3-point
+    difference and the gauge chain from k = 0, so its first order-j frame is the whole grid's.
+    Only a whole build's checks see the iteration break down, past the recommended order."""
+    n = 2 * order + 3
+    return FrameTrajectory(base.times[:n], base.basis[:n], base.energies[:n], 0, base.hamiltonian)
+
+
 def _sweep_point(cfg: SweepConfig, inv_v: float, baths) -> list:
     """Records at one inverse velocity: one per bath, or one in closed mode,
     which ignores the bath.
@@ -173,7 +182,9 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, baths) -> list:
             stacklevel=caller_stacklevel(),
         )
 
-    traj = superadiabatic_frames(H, cfg.order, base.times, base=base)  # after the warnings
+    whole = cfg.mode == "superadiabatic" or cfg.order > report.recommended_order  # else psi0 only
+    head = base if whole else _head(base, cfg.order)
+    traj = superadiabatic_frames(H, cfg.order, head.times, base=head)  # after the warnings
     psi0 = traj.basis[0, :, 0]
     leak0 = abs(np.vdot(base.basis[0, :, -1], psi0)) ** 2
     if leak0 > WINDOW_WARN_POPULATION:

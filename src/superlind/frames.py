@@ -249,9 +249,10 @@ def _differentiate(stack: np.ndarray, h: float) -> np.ndarray:
     if stack.shape[-1] < 3:
         raise GridError("need at least three grid points to differentiate frames")
     d = np.empty_like(stack)
-    d[..., 1:-1] = (stack[..., 2:] - stack[..., :-2]) / (2.0 * h)
-    d[..., 0] = (-3.0 * stack[..., 0] + 4.0 * stack[..., 1] - stack[..., 2]) / (2.0 * h)
-    d[..., -1] = (3.0 * stack[..., -1] - 4.0 * stack[..., -2] + stack[..., -3]) / (2.0 * h)
+    np.subtract(stack[..., 2:], stack[..., :-2], out=d[..., 1:-1])
+    ends = stack[..., [0, -1, 1, -2, 2, -3]] * [-3.0, 3.0, 4.0, -4.0, -1.0, 1.0]
+    d[..., [0, -1]] = ends[..., 0:2] + ends[..., 2:4] + ends[..., 4:6]
+    np.multiply(d.view(float), 1.0 / (2.0 * h), out=d.view(float))  # as complex / real does
     return d
 
 

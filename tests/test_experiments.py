@@ -206,6 +206,44 @@ class TestRunSweep:
             (alone,) = sl.run_lz_sweep(replace(cfg, bath=replace(cfg.bath, gamma0=r.gamma0)))
             assert repr(r) == repr(alone)  # bitwise: repr round-trips every float
 
+    @pytest.mark.parametrize("mode, above, whole", [
+        ("closed", 0, False), ("instantaneous", 0, False),
+        ("superadiabatic", 0, True), ("closed", 1, True),
+    ])
+    def test_points_build_the_order_j_frames_they_read(self, monkeypatch, mode, above, whole):
+        # a closed or instantaneous point reads only the order-j initial state: at or below
+        # the recommended order it builds on the first 2j + 3 grid points; above it, and in
+        # superadiabatic mode, on the whole grid, whose checks see the iteration break down
+        lengths = []
+
+        def recorded(H, order, times, *, _build=experiments.superadiabatic_frames, **kwargs):
+            lengths.append(len(times))
+            return _build(H, order, times, **kwargs)
+
+        monkeypatch.setattr(experiments, "superadiabatic_frames", recorded)
+        _, _, base = experiments._lz_point(1.0, 0.5, FAST["window_factor"])
+        j = sl.adiabatic_report(base).recommended_order + above
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sl.AdiabaticityWarning)
+            sl.run_lz_sweep(_fast_cfg(inv_velocities=(2.0,), mode=mode, order=j))
+        assert lengths == [len(base) if whole else 2 * j + 3]
+
+    def test_order_j_initial_state_from_the_head_of_the_grid(self):
+        # the level loop is pointwise but for the 3-point difference and the gauge chain
+        # from k = 0, so the first order-j frame built on _head's 2j + 3 points is the
+        # whole build's bit for bit, at every order up to the recommended one
+        cases = 0
+        for window_factor in (10.0, 25.0, 60.0):
+            for inv_v in (0.25, 0.5, 0.75, 1, 1.5, 2, 2.5, 3, 4, 5, 6, 7, 8, 10, 12):
+                H, _, base = experiments._lz_point(1.0, 1.0 / inv_v, window_factor)
+                for j in range(sl.adiabatic_report(base).recommended_order + 1):
+                    whole = sl.superadiabatic_frames(H, j, base.times, base=base)
+                    head = experiments._head(base, j)
+                    part = sl.superadiabatic_frames(H, j, head.times, base=head)
+                    assert np.array_equal(part.basis[0], whole.basis[0]), (window_factor, inv_v, j)
+                    cases += 1
+        assert cases == 351
+
     def test_unphysical_probability_raises(self, monkeypatch):
         # the record's range check sees the computed P, not a clipped one
         def solve(H, psi0, t0, t1, cfg=None, sample_times=None):

@@ -139,6 +139,12 @@ MUTANTS = (
            "for x in (level_vecs, lab))), 0, -1)",
            "each super-adiabatic level takes level_vecs @ lab, not lab @ level_vecs",
            ("tests/test_frames.py::test_frames_match_literal_stack_layout_bit_for_bit",)),
+    Mutant("order-j-head-short", "experiments.py",
+           "n = 2 * order + 3",
+           "n = order + 1",
+           "the order-j initial state is built on j + 1 grid points, one fewer than it reads",
+           ("tests/test_experiments.py::TestRunSweep"
+            "::test_order_j_initial_state_from_the_head_of_the_grid",)),
     Mutant("inclusive-ignored", "errors.py",
            "(x >= low if inclusive else x > low)",
            "(x >= low if inclusive else x >= low)",
