@@ -1,4 +1,4 @@
-"""Exception hierarchy, warning categories and the scalar-parameter rule.
+"""Exception hierarchy, warning categories, the scalar-parameter rule and the array check.
 
 Every error carries an ``exit_code`` used by the command line interface, so
 that each failure class maps to a stable, documented process exit status.
@@ -7,6 +7,8 @@ import math
 import numbers
 import os
 import sys
+
+import numpy as np
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -104,6 +106,15 @@ def check_ends(t0, t1) -> tuple:
     if not -math.inf < t0 < t1 < math.inf:  # NaN fails too
         raise ParameterError(f"need finite t0 < t1, got t0 = {t0!r}, t1 = {t1!r}")
     return t0, t1
+
+
+def check_array(name: str, value, dtype=None) -> np.ndarray:
+    """``value`` as an ndarray of ``dtype``, numpy's choice if None; ParameterError naming
+    ``name`` where numpy cannot convert it, as for a ragged sequence or a string of letters."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name} must be a numeric array, got {shown(value)}") from None
 
 
 def check_integer(name: str, value, low: int | None = None) -> int:

@@ -11,11 +11,9 @@ which suppresses the residual oscillation of the true evolution around the
 basis by one power of the adiabatic parameter per level. Every spectral
 solve goes through ``model._eigh``: closed form for N = 2, LAPACK for larger N.
 
-Inside this module frame stacks are entries-major, ``(N, N, K)`` with the
-grid index innermost and contiguous: numpy's ``einsum`` is several times
-faster when the axis it keeps, not the one it sums, is innermost. A stack is
-converted once on the way in (``_entries``) and once on the way out;
-``FrameTrajectory.basis`` and ``frame_couplings`` stay ``(K, N, N)``.
+Frame stacks are (K, N, N) and follow the storage rule of ``model._stack``;
+each einsum reads the entries-major (N, N, K) view ``_entries``, as numpy's
+``einsum`` is several times faster with the grid axis it keeps innermost.
 """
 from __future__ import annotations
 
@@ -31,11 +29,12 @@ from .errors import (
     OrderCapError,
     ParameterError,
     TimeDomainError,
+    check_array,
     check_ends,
     check_integer,
 )
 from ._output import BLOCK_ROWS, write_blocks
-from .model import TimeDependentHamiltonian, _eigh
+from .model import TimeDependentHamiltonian, _eigh, _entries, _stack
 from .propagation import _matmul, bloch_vector, evolve_unitary
 
 J_MAX = 12  # highest super-adiabatic order built or recommended
@@ -51,7 +50,7 @@ GRID_MAX_POINTS = 2_000_000
 
 def _checked_grid(times) -> np.ndarray:
     """``times`` as floats; raises unless 1-d, finite, uniform and increasing."""
-    times = np.asarray(times, dtype=float)
+    times = check_array("times", times, float)
     if times.ndim != 1 or times.size < 2:
         raise ParameterError("need a 1-d time grid with at least two points")
     steps = np.diff(times)
@@ -68,8 +67,8 @@ class FrameTrajectory:
     ``basis[k, :, a]`` is basis vector ``a`` at ``times[k]``; ``energies``
     are the quasi-energies <phi|H|phi> against the source Hamiltonian.
     ``basis`` must be (K, N, N) and ``energies`` (K, N), with K grid points
-    and N = ``hamiltonian.dim``; ``DimensionError`` otherwise. Instances are
-    read-only after construction and safe to share.
+    and N = ``hamiltonian.dim``; ``DimensionError`` otherwise. ``basis`` is a copy stored
+    as a ``model._stack``. Instances are read-only down to that storage and safe to share.
     """
 
     def __init__(
@@ -82,15 +81,17 @@ class FrameTrajectory:
     ):
         # copies: the caller's arrays keep their flags, and its later writes do not reach these
         self.times = np.array(_checked_grid(times))
-        self.basis = np.array(basis, dtype=complex, order="C")
-        self.energies = np.array(energies, dtype=float, order="C")
+        basis = check_array("basis", basis, complex)
+        self.energies = np.array(check_array("energies", energies, float), order="C")
         k, n = self.times.size, hamiltonian.dim
-        if self.basis.shape != (k, n, n) or self.energies.shape != (k, n):
+        if basis.shape != (k, n, n) or self.energies.shape != (k, n):
             raise DimensionError(f"{k} grid points and N = {n} need a {(k, n, n)} basis and "
-                                 f"{(k, n)} energies, got {self.basis.shape}, {self.energies.shape}")
+                                 f"{(k, n)} energies, got {basis.shape}, {self.energies.shape}")
         self.order = check_order(order)
         self.hamiltonian = hamiltonian
-        for arr in (self.times, self.basis, self.energies):
+        self.basis = _stack(basis.shape)
+        self.basis[...] = basis
+        for arr in (self.times, self.basis, self.basis.base, self.energies):
             arr.setflags(write=False)
 
     @property
@@ -109,7 +110,7 @@ class FrameTrajectory:
 
         Halves round to even, as ``round`` does; raises ``TimeDomainError``
         naming the first time outside the grid, NaN included."""
-        t = np.asarray(t, dtype=float)
+        t = check_array("t", t, float)
         h, first, last = self.step, self.times[0], self.times[-1]
         outside = ~((t >= first - 0.5 * h - 1e-9 * h) & (t <= last + 0.5 * h + 1e-9 * h))
         if outside.any():
@@ -128,23 +129,19 @@ class FrameTrajectory:
             raise ParameterError(f"frame unitarity defect {worst:.3e} > {UNITARITY_TOL:.0e}")
         if not np.all(np.diff(self.energies, axis=1) >= 0):
             raise ParameterError("quasi-energies are not sorted ascending")
-        recomputed = _quasi_energies(self.hamiltonian, self.times, basis)
+        recomputed = _quasi_energies(self.hamiltonian, self.times, self.basis)
         drift = float(np.max(np.abs(recomputed - self.energies)))
         if not drift <= ENERGY_TOL:
             raise ParameterError(f"stored quasi-energies drifted by {drift:.3e}")
-        _check_step_overlaps(self.times, _check_gauge(basis))
-
-
-def _entries(stack: np.ndarray) -> np.ndarray:
-    """A (K, N, N) stack as a contiguous entries-major (N, N, K) array."""
-    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+        _check_step_overlaps(self.times, _check_gauge(self.basis))
 
 
 def _quasi_energies(
     H: TimeDependentHamiltonian, times: np.ndarray, basis: np.ndarray
 ) -> np.ndarray:
-    """<phi_a | H(t_k) | phi_a> for every grid point k and column a of an
-    (N, N, K) frame stack, as a (K, N) array."""
+    """<phi_a | H(t_k) | phi_a> for every grid point k and column a of a
+    (K, N, N) frame stack, as a (K, N) array."""
+    basis = _entries(basis)
     return np.einsum("iak,ijk,jak->ka", basis.conj(), _entries(H.on_grid(times)), basis).real
 
 
@@ -170,11 +167,14 @@ def _reference_phase(basis_k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _align_sweep(basis: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Gauge-fix an (N, N, K) frame stack in place and return it: k=0 by the reference
-    convention, then phase-chain forward so each adjacent same-index overlap is real positive."""
+def _align_sweep(stack: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Gauge-fix a (K, N, N) frame stack and return it as a ``_stack``, in place if it is one
+    (then writable), else a copy: k=0 by the reference convention, then phase-chain forward
+    so each adjacent same-index overlap is real positive."""
+    basis = _entries(stack)
     basis[..., 0] = _reference_phase(basis[..., 0])
-    raw = _step_overlaps(basis)
+    stack = np.moveaxis(basis, -1, 0)
+    raw = _step_overlaps(stack)
     mags = np.abs(raw)
     if not np.all(mags >= MIN_ALIGN_OVERLAP):
         bad = np.min(mags, axis=0)
@@ -186,7 +186,7 @@ def _align_sweep(basis: np.ndarray, times: np.ndarray) -> np.ndarray:
     # column phases accumulate: psi_k = psi_0 - sum_{j<=k} arg(raw_j)
     phases = -np.cumsum(np.angle(raw), axis=1)
     basis[..., 1:] *= np.exp(1j * phases)
-    return basis
+    return stack
 
 
 def _step_norms(mats: np.ndarray) -> np.ndarray:
@@ -215,18 +215,19 @@ def instantaneous_frames(
     """Order-0 trajectory: sorted eigenframes of H on the grid, gauge-fixed."""
     times = _checked_grid(times)
     vals, vecs = _eigh_grid(H.on_grid(times), times, "instantaneous frames")
-    basis = _align_sweep(_entries(vecs), times)
+    basis = _align_sweep(vecs, times)
     _check_step_overlaps(times, _step_overlaps(basis))
-    return FrameTrajectory(times, np.moveaxis(basis, -1, 0), vals, order=0, hamiltonian=H)
+    return FrameTrajectory(times, basis, vals, order=0, hamiltonian=H)
 
 
 def _step_overlaps(basis: np.ndarray) -> np.ndarray:
-    """<phi_a(t_k) | phi_a(t_k+1)> for every column a and grid step k, (N, K-1)."""
+    """<phi_a(t_k) | phi_a(t_k+1)> of a (K, N, N) frame stack, (N, K-1): each column a, step k."""
+    basis = _entries(basis)
     return np.einsum("iak,iak->ak", basis[..., :-1].conj(), basis[..., 1:])
 
 
 def _check_gauge(basis: np.ndarray) -> np.ndarray:
-    """Step overlaps of an (N, N, K) frame stack; GridError unless each is near
+    """Step overlaps of a (K, N, N) frame stack; GridError unless each is near
     real positive, the smooth gauge that finite differences of the frames need."""
     overlaps = _step_overlaps(basis)
     if np.any(overlaps.real < 0) or np.any(np.abs(overlaps.imag) >= 0.1):
@@ -259,16 +260,12 @@ def _differentiate(stack: np.ndarray, h: float) -> np.ndarray:
 def frame_couplings(basis: np.ndarray, step: float) -> np.ndarray:
     """Derivative couplings K[k, a, b] = <phi_a | d/dt phi_b> at every grid point.
 
-    ``basis`` is a (K, N, N) frame stack on a uniform grid of spacing
-    ``step``. Anti-Hermitian up to the finite-difference error O(step^2);
-    the diagonal vanishes to the same order under the smooth gauge.
+    ``basis`` is a (K, N, N) frame stack on a uniform grid of spacing ``step``; the
+    result is a ``model._stack``. Anti-Hermitian up to the finite-difference error
+    O(step^2); the diagonal vanishes to the same order under the smooth gauge.
     """
-    return np.ascontiguousarray(np.moveaxis(_couplings(_entries(basis), step), -1, 0))
-
-
-def _couplings(basis: np.ndarray, h: float) -> np.ndarray:
-    """``frame_couplings`` of an (N, N, K) frame stack, as K[a, b, k]."""
-    return np.einsum("iak,ibk->abk", basis.conj(), _differentiate(basis, h))
+    basis = _entries(basis)
+    return np.moveaxis(np.einsum("iak,ibk->abk", basis.conj(), _differentiate(basis, step)), -1, 0)
 
 
 def adiabatic_report(traj: FrameTrajectory) -> AdiabaticReport:
@@ -281,9 +278,8 @@ def adiabatic_report(traj: FrameTrajectory) -> AdiabaticReport:
     """
     if traj.order != 0:
         raise ParameterError("adiabatic report is defined on order-0 trajectories")
-    basis = _entries(traj.basis)
-    _check_gauge(basis)
-    couplings = _couplings(basis, traj.step)
+    _check_gauge(traj.basis)
+    couplings = _entries(frame_couplings(traj.basis, traj.step))
     off = ~np.eye(traj.dim, dtype=bool)
     levels = traj.energies.T
     gaps_off = np.abs(levels[None, :, :] - levels[:, None, :])[off]
@@ -331,7 +327,7 @@ def superadiabatic_frames(
     have that gauge by construction.
     """
     check_order(order)
-    times = np.asarray(times, dtype=float)
+    times = check_array("times", times, float)
     given = base is not None
     if not given:
         base = instantaneous_frames(H, times)
@@ -342,28 +338,25 @@ def superadiabatic_frames(
 
     h = base.step
     # frame-local rotation of the current level, and the cumulative lab-frame basis
-    level_vecs = lab = _entries(base.basis)
+    level_vecs = lab = base.basis
     if given:
         _check_gauge(lab)
     level_vals = base.energies
     idx = np.arange(base.dim)
     for level in range(1, order + 1):
-        coupling = _couplings(level_vecs, h)
-        anti = 0.5 * (coupling - np.conj(np.transpose(coupling, (1, 0, 2))))
-        anti[idx, idx] = 0.0
+        coupling = frame_couplings(level_vecs, h)
+        anti = 0.5 * (coupling - coupling.conj().swapaxes(1, 2))
+        anti[:, idx, idx] = 0.0
         frame_h = -1j * anti
-        frame_h[idx, idx] += level_vals.T   # exactly Hermitian, as anti is exactly anti-Hermitian
+        frame_h[:, idx, idx] += level_vals   # exactly Hermitian, as anti is exactly anti-Hermitian
         del coupling, anti  # a stack each: freed before the solve and the product
-        level_vals, level_vecs = _eigh_grid(np.moveaxis(frame_h, -1, 0), times,
-                                            f"super-adiabatic level {level}")
-        level_vecs = _align_sweep(_entries(level_vecs), times)
-        # lab @ level_vecs on the (K, N, N) views; _matmul's stack is a C-ordered (N, N, K)
-        lab = np.moveaxis(_matmul(*(np.moveaxis(x, -1, 0) for x in (lab, level_vecs))), 0, -1)
+        level_vals, level_vecs = _eigh_grid(frame_h, times, f"super-adiabatic level {level}")
+        level_vecs = _align_sweep(level_vecs, times)
+        lab = _matmul(lab, level_vecs)
 
     lab = _align_sweep(lab, times)
     _check_step_overlaps(times, _step_overlaps(lab))
-    return FrameTrajectory(times, np.moveaxis(lab, -1, 0), _quasi_energies(H, times, lab),
-                           order=order, hamiltonian=H)
+    return FrameTrajectory(times, lab, _quasi_energies(H, times, lab), order=order, hamiltonian=H)
 
 
 def residual_oscillation(traj: FrameTrajectory) -> float:

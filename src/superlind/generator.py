@@ -23,9 +23,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import DimensionError, ParameterError, StateIntegrityError
-from .frames import FrameTrajectory, _entries
-from .model import (BathSpectrum, TimeDependentHamiltonian, _require_hermitian, coherence_vector,
-                    density_matrix, hermiticity_defect, operator_basis)
+from .frames import FrameTrajectory
+from .model import (BathSpectrum, TimeDependentHamiltonian, _entries, _require_hermitian,
+                    coherence_vector, density_matrix, hermiticity_defect, operator_basis)
 from .propagation import _CHUNK_ENTRIES
 
 HERMITICITY_INPUT_TOL = 1e-8
@@ -143,7 +143,7 @@ class LindbladGenerator:
         out = np.empty((len(self.frames), n * n, n * n))
         step = max(_CHUNK_ENTRIES // n**4, 1)
         for cells in (slice(lo, lo + step) for lo in range(0, len(out), step)):
-            u = _entries(self.frames.basis[cells])                                # (N, N, C)
+            u = _entries(self.frames.basis)[..., cells]                           # (N, N, C)
             pairs = (u.conj()[:, None, :, None] * u[None, :, None]).reshape(n * n, -1)
             c = (operator_basis(n).reshape(n * n, n * n) @ pairs).reshape(n * n, n * n, -1)
             c = np.ascontiguousarray(c.transpose(2, 0, 1))  # C_a of each cell, C order for @

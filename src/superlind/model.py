@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, check_integer, check_real, shown
+from .errors import DimensionError, ParameterError, check_array, check_integer, check_real, shown
 
 HERMITICITY_TOL = 1e-12
 
@@ -30,13 +30,30 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
 
 
 def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = check_array(what, m, complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what} must be a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
     if not defect <= HERMITICITY_TOL:  # a NaN entry makes the defect NaN
         raise ParameterError(f"{what} is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
     return m
+
+
+def _stack(shape) -> np.ndarray:
+    """An empty complex stack of matrices, shape (..., n, p), by the one storage rule:
+    a stack of M (n, p) matrices is the (M, n, p) view of a C-ordered (n, p, M) array,
+    each entry's M steps contiguous, where numpy's loops over a stack run fastest. Every
+    complex frame, H and propagator stack is built so, and elementwise steps keep it by
+    numpy's K order; no result depends on it. ``_entries`` is its (n, p, M) array, a
+    view. Real master-equation stacks stay in C order, where ``@`` is fastest."""
+    lead = range(2, len(shape))
+    return np.empty((*shape[-2:], *shape[:-2]), dtype=complex).transpose(*lead, 0, 1)
+
+
+def _entries(stack: np.ndarray) -> np.ndarray:
+    """A (M, n, p) stack as a C-ordered entries-major (n, p, M) array: a view of a
+    ``_stack``, a copy of a stack in any other layout."""
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
 
 
 def _eigh(mats: np.ndarray, vectors: bool = True):
@@ -56,7 +73,9 @@ def _eigh(mats: np.ndarray, vectors: bool = True):
     theta = 0.5 * np.arctan2(size, half)
     c, s = np.cos(theta), np.sin(theta)
     phase = np.divide(b, size, out=np.ones_like(b, dtype=complex), where=size > 0)
-    vecs = np.stack([-s * phase.conj(), c, c, s * phase], axis=1).reshape(-1, 2, 2)
+    vecs = _stack((len(mats), 2, 2))
+    vecs[:, 0, 0], vecs[:, 1, 1] = -s * phase.conj(), s * phase
+    vecs[:, 0, 1] = vecs[:, 1, 0] = c
     return vals, vecs
 
 
@@ -119,11 +138,11 @@ class TimeDependentHamiltonian:
         h0, h1 = (0.5 * (h + h.conj().T) for h in (h0, h1))
         H = cls(h0.shape[0], None)  # checks the dimension; the broadcast replaces the evaluator
 
-        def stack(times):  # real products (t * complex h1 is 4x slower); (M, N, N) of (N, N, M)
-            out = np.empty(h0.shape + times.shape, dtype=complex)
+        def stack(times):  # real products: t * complex h1 is 4x slower
+            out = _stack((times.size, *h0.shape))
             for part, p0, p1 in ((out.real, h0.real, h1.real), (out.imag, h0.imag, h1.imag)):
-                np.add(np.multiply(times, p1[..., None], out=part), p0[..., None], out=part)
-            return out.transpose(2, 0, 1)
+                np.add(np.multiply(times[:, None, None], p1, out=part), p0, out=part)
+            return out
         H._stack = stack
         return H
 
@@ -135,7 +154,7 @@ class TimeDependentHamiltonian:
 
     def on_grid(self, times) -> np.ndarray:
         """H at each of a 1-d sequence of finite real ``times``, shape (M, N, N)."""
-        times = np.asarray(times)
+        times = check_array("times", times)
         if times.ndim != 1:
             raise ParameterError(f"times must be a 1-d sequence, got shape {times.shape}")
         if times.dtype.kind not in "iuf" or not np.isfinite(times).all():

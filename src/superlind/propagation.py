@@ -22,14 +22,8 @@ else by a degree-24 Taylor polynomial in products alone, scaled and squared
 above theta_9, each independently of its stack.
 All these products use ``_matmul``: broadcast products for complex stacks,
 2-5 times faster than numpy's ``@`` at N = 2, and ``@`` for real ones.
-Storage rule: a complex stack is stored step-axis-contiguous, as the (M, N, N)
-view of a C-ordered (N, N, M) array (``_stack``), where numpy's loops run
-fastest: ``_matmul`` and ``_expm2`` allocate theirs so, an affine H's
-``on_grid`` and ``effective_hamiltonian`` return theirs so, and elementwise
-steps keep it by numpy's K order. Complex edge states are column sums in j
-order, equal bit for bit to ``@`` on a C-ordered stack. Real stacks (the
-master equation's) stay in C order, where ``@`` is fastest. No result
-depends on the layout.
+Complex stacks follow the storage rule of ``model._stack``; complex edge states
+are column sums in j order, equal bit for bit to ``@`` on a C-ordered stack.
 The Monte-Carlo engine takes one such step per half frame cell, in lockstep
 for the whole ensemble, and walks each trajectory over a binary-lifting table
 of a block's step products to the step of its first crossing. There a bisection
@@ -54,13 +48,14 @@ from .errors import (
     StiffnessError,
     SuperlindError,
     TimeDomainError,
+    check_array,
     check_ends,
     check_integer,
     check_real,
     shown,
 )
 from ._output import write_table
-from .model import (TimeDependentHamiltonian, _eigh, coherence_vector, density_matrix,
+from .model import (TimeDependentHamiltonian, _eigh, _stack, coherence_vector, density_matrix,
                     hermiticity_defect)
 
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)  # Gauss-Legendre nodes on [0, 1]
@@ -157,7 +152,7 @@ class TrajectoryResult:
 
 
 def check_state_vector(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
+    psi = check_array("state vector", psi, complex)
     if psi.ndim != 1:
         raise DimensionError(f"state vector must be 1-d, got shape {psi.shape}")
     norm = float(np.linalg.norm(psi))
@@ -167,7 +162,7 @@ def check_state_vector(psi: np.ndarray) -> np.ndarray:
 
 
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
+    rho = check_array("density matrix", rho, complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
     herm = hermiticity_defect(rho)
@@ -190,13 +185,6 @@ def _of_dim(state: np.ndarray, dim: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- core
-
-
-def _stack(shape) -> np.ndarray:
-    """An empty complex stack of matrices, shape (..., n, p), stored as the C-ordered
-    (n, p, ...): each entry's steps are contiguous."""
-    lead = range(2, len(shape))
-    return np.empty((*shape[-2:], *shape[:-2]), dtype=complex).transpose(*lead, 0, 1)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -731,7 +719,7 @@ def evolve_trajectories(gen, psi0: np.ndarray, t0: float, t1: float,
 def bloch_vector(rho: np.ndarray):
     """(x, y, z) with x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11: floats
     for one 2x2 matrix, three arrays of shape (...) for a (..., 2, 2) stack."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = check_array("rho", rho, complex)
     if rho.shape[-2:] != (2, 2):
         raise DimensionError(f"Bloch vector needs 2x2 density matrices, got {rho.shape}")
     x = 2.0 * rho[..., 0, 1].real

@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 
 import superlind as sl
 from superlind.frames import (
-    _align_sweep, _check_step_overlaps, _eigh, _eigh_grid, _entries, _quasi_energies,
-    _reference_phase, _step_norms,
+    _align_sweep, _check_step_overlaps, _eigh, _eigh_grid, _quasi_energies, _reference_phase,
+    _step_norms,
 )
+from superlind.model import _entries
 
 from lzutil import constant_hamiltonian, ladder_hamiltonian, lz_hamiltonian, lz_setup
 
@@ -50,7 +51,7 @@ class TestInstantaneousFrames:
         base.validate()
         gram = np.einsum("kia,kib->kab", base.basis.conj(), base.basis)
         assert np.max(np.abs(gram - np.eye(2))) < 1e-10
-        recomputed = _quasi_energies(base.hamiltonian, base.times, _entries(base.basis))
+        recomputed = _quasi_energies(base.hamiltonian, base.times, base.basis)
         assert np.max(np.abs(recomputed - base.energies)) < 1e-10
 
     def test_degenerate_spectrum_rejected(self):
@@ -157,10 +158,28 @@ class TestInstantaneousFrames:
                 assert not arr.flags.writeable
                 assert np.array_equal(arr, before)
 
+    @pytest.mark.parametrize("H,t_final", [(lz_hamiltonian(2.0), 50.0),
+                                           (ladder_hamiltonian(), 30.0)], ids=["lz", "ladder"])
+    def test_frame_storage_is_read_only(self, H, t_final):
+        # the basis is the (K, N, N) view of a read-only C-ordered (N, N, K) array,
+        # whose entries-major view is free, and its couplings follow the same rule
+        times = sl.adaptive_time_grid(H, -t_final, t_final)
+        base = sl.instantaneous_frames(H, times)
+        built = sl.FrameTrajectory(times, np.ascontiguousarray(base.basis), base.energies, 0, H)
+        for traj in (base, built, sl.superadiabatic_frames(H, 2, times, base=base)):
+            storage, (k, n) = traj.basis.base, traj.energies.shape
+            assert storage.shape == (n, n, k) and storage.flags.c_contiguous
+            assert np.shares_memory(_entries(traj.basis), traj.basis)
+            couplings = sl.frame_couplings(traj.basis, traj.step)
+            assert np.moveaxis(couplings, 0, -1).flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                storage[0, 0, 0] = 0.0
+        assert np.array_equal(built.basis, base.basis)
+
 
 def _align_pair(prev, cur):
     """Gauge-fix the two-frame stack (prev, cur) on a unit-step grid; (2, N, N)."""
-    return np.moveaxis(_align_sweep(np.stack([prev, cur], axis=-1), np.array([0.0, 1.0])), -1, 0)
+    return _align_sweep(np.stack([prev, cur]), np.array([0.0, 1.0]))
 
 
 def _flip_every_other(basis):
@@ -450,9 +469,10 @@ def test_frames_match_literal_stack_layout_bit_for_bit(H, t_final, orders):
             continue
         traj = sl.superadiabatic_frames(H, order, times, base=base)
         assert np.array_equal(traj.basis, basis) and np.array_equal(traj.energies, energies)
-        assert traj.basis.flags.c_contiguous and traj.energies.flags.c_contiguous
+        assert np.moveaxis(traj.basis, 0, -1).flags.c_contiguous
+        assert traj.energies.flags.c_contiguous
         couplings = sl.frame_couplings(traj.basis, traj.step)
-        assert couplings.flags.c_contiguous
+        assert np.moveaxis(couplings, 0, -1).flags.c_contiguous
         assert np.array_equal(couplings, _literal_couplings(basis, traj.step))
 
 

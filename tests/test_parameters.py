@@ -5,7 +5,8 @@ not a finite real scalar in range (for an integer parameter, not an integer
 in range) raises ParameterError naming the parameter; Python and numpy
 numbers of the right kind pass. The ``sample_times`` of the two solves that
 take them, and the times of ``H.on_grid``, follow the same rule for a 1-d
-sequence of finite reals.
+sequence of finite reals. An array argument that numpy cannot convert, ragged
+or a string of letters, raises ParameterError naming it too.
 """
 import math
 from fractions import Fraction
@@ -166,3 +167,39 @@ def test_sample_times_of_python_and_numpy_reals_accepted(call, value):
 def test_hamiltonian_rejects_a_time_that_is_not_a_finite_real(call, message, value):
     with pytest.raises(sl.ParameterError, match=message):
         call(value)
+
+
+RAGGED = [[1.0, 0.0], [0.0]]
+# (entry point, the argument's name in the message, a call with a malformed array)
+MALFORMED_ARRAYS = [
+    ("FrameTrajectory-ragged-basis", "basis",
+     lambda: sl.FrameTrajectory(TIMES[:2], [FRAMES.basis[0], RAGGED], FRAMES.energies[:2], 0, H)),
+    ("FrameTrajectory-string-basis", "basis",
+     lambda: sl.FrameTrajectory(TIMES[:2], "abc", FRAMES.energies[:2], 0, H)),
+    ("FrameTrajectory-ragged-times", "times",
+     lambda: sl.FrameTrajectory(RAGGED, FRAMES.basis[:2], FRAMES.energies[:2], 0, H)),
+    ("instantaneous_frames-ragged-times", "times", lambda: sl.instantaneous_frames(H, RAGGED)),
+    ("instantaneous_frames-string", "times", lambda: sl.instantaneous_frames(H, "abc")),
+    ("H.on_grid-ragged-times", "times", lambda: H.on_grid(RAGGED)),
+    ("superadiabatic_frames-ragged-times", "times",
+     lambda: sl.superadiabatic_frames(H, 1, RAGGED)),
+    ("index_at-string", "t", lambda: FRAMES.index_at("x")),
+    ("evolve_unitary-string-psi0", "state vector", lambda: sl.evolve_unitary(H, "ab", -1.0, 1.0)),
+    ("evolve_unitary-ragged-psi0", "state vector",
+     lambda: sl.evolve_unitary(H, RAGGED, -1.0, 1.0)),
+    ("affine-ragged-h0", "h0",
+     lambda: sl.TimeDependentHamiltonian.affine(RAGGED, np.eye(2))),
+    ("LindbladGenerator-ragged-coupling", "coupling",
+     lambda: sl.LindbladGenerator(FRAMES, RAGGED, sl.dephasing_spectrum(0.01))),
+    ("check_density_matrix-ragged", "density matrix",
+     lambda: sl.propagation.check_density_matrix(RAGGED)),
+    ("bloch_vector-ragged", "rho", lambda: sl.bloch_vector(RAGGED)),
+    ("bloch_vector-string", "rho", lambda: sl.bloch_vector("ab")),
+]
+
+
+@pytest.mark.parametrize("name, call", [pytest.param(name, call, id=entry)
+                                        for entry, name, call in MALFORMED_ARRAYS])
+def test_malformed_arrays_rejected_with_the_argument_named(name, call):
+    with pytest.raises(sl.ParameterError, match=f"^[^,]*{name}[^,]* must be a numeric array"):
+        call()

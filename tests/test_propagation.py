@@ -519,6 +519,13 @@ def _steps_contiguous(stack):
     return np.moveaxis(stack, 0, -1).flags.c_contiguous
 
 
+def _step_contiguous_copy(stack):
+    """A copy of a (M, N, N) stack laid out by the storage rule, ``model._stack``."""
+    out = sl.model._stack(stack.shape)
+    out[...] = stack
+    return out
+
+
 class TestStackLayout:
     """The core stores complex stacks with the step axis contiguous, which makes
     numpy's loops over them fast, and real stacks in C order, where ``@`` is
@@ -538,6 +545,8 @@ class TestStackLayout:
         H, a = self._nodes(n)
         gen = _lz_coarse()[0] if n == 2 else _ladder_coarse()
         assert _steps_contiguous(H.on_grid(np.linspace(-1.0, 1.0, 9)))
+        if n == 2:  # the closed form's eigenvectors; LAPACK's, for N > 2, are C-ordered
+            assert _steps_contiguous(sl.model._eigh(H.on_grid(np.linspace(-1.0, 1.0, 9)))[1])
         assert _steps_contiguous(gen.effective_hamiltonian(gen.frames.times[:9]))
         m = core._magnus4(a[0], a[1], np.full(a.shape[1], 0.05))
         big = m * (4.0 * core._THETA9 / core._norm1(m))[:, None, None]  # squared twice
@@ -564,8 +573,7 @@ class TestStackLayout:
         y0 = np.linalg.eigh(H(-1.0))[1][:, 0]
         edges = np.linspace(-1.0, 1.0, 7)
         results = []
-        for layout in (np.ascontiguousarray, np.asfortranarray,
-                       lambda x: sl.frames._entries(x).transpose(2, 0, 1)):
+        for layout in (np.ascontiguousarray, np.asfortranarray, _step_contiguous_copy):
             x, y, z = layout(a[0]), layout(a[1]), layout(big[0])
             results.append([core._matmul(x, y), core._expm(x), core._expm(z), core._norm1(x),
                             *core._march(lambda times: layout(-1j * H.on_grid(times)), y0,

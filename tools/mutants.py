@@ -135,10 +135,15 @@ MUTANTS = (
             "::test_channel_stack_matches_per_call_construction",
             "tests/test_generator.py::test_outputs_ignore_frame_column_phases")),
     Mutant("frame-product-swapped", "frames.py",
-           "for x in (lab, level_vecs))), 0, -1)",
-           "for x in (level_vecs, lab))), 0, -1)",
+           "lab = _matmul(lab, level_vecs)",
+           "lab = _matmul(level_vecs, lab)",
            "each super-adiabatic level takes level_vecs @ lab, not lab @ level_vecs",
            ("tests/test_frames.py::test_frames_match_literal_stack_layout_bit_for_bit",)),
+    Mutant("frame-storage-writable", "frames.py",
+           "for arr in (self.times, self.basis, self.basis.base, self.energies):",
+           "for arr in (self.times, self.basis, self.energies):",
+           "a frame basis is read-only as a view, but writes through its storage reach it",
+           ("tests/test_frames.py::TestInstantaneousFrames::test_frame_storage_is_read_only",)),
     Mutant("order-j-head-short", "experiments.py",
            "n = 2 * order + 3",
            "n = order + 1",

@@ -21,6 +21,9 @@ directory that it removes. Covered:
 - `write_frames_csv` of the order-0 and recommended-order frames of LZ at
   every 1/v of the `frames-scan` workload (1.5, 2, ..., 12), and of the
   3-level ladder at orders 0, 4 and 12;
+- the exact bytes of those same frames, `np.ascontiguousarray(traj.basis)` and
+  `traj.energies`: a one-ulp move that the 12-digit CSVs round away shows here,
+  and ulps of the frames grow to 1e-6 and more by order 12;
 - `repr` of the 3-level ladder's master-equation P (`spec.ladder_p()`), the
   one N = 3 solve;
 - the bytes of the per-frame stacks `_dissipators` and `_heff_add` of each
@@ -87,6 +90,14 @@ def _stacks(out: Path, name: str, gen):
         yield path.name, path
 
 
+def _frame_bytes(out: Path, name: str, traj):
+    """Write the exact bytes of a trajectory's basis and energies; yield (name, path)."""
+    for part, arr in (("basis", np.ascontiguousarray(traj.basis)), ("energies", traj.energies)):
+        path = out / f"{name}-{part}.bin"
+        path.write_bytes(arr.tobytes())
+        yield path.name, path
+
+
 def _outputs(out: Path):
     """Write every covered output under `out`; yield (name, path) pairs."""
     for name in ("fig2a", "fig2b", "fig3a", "fig3b"):
@@ -116,14 +127,16 @@ def _outputs(out: Path):
     for inv_v in spec.FRAMES_INV_V:
         H, _, traj = spec.lz_frames(inv_v)
         for t in (sl.instantaneous_frames(H, traj.times), traj):
-            name = f"frames-lz-{inv_v:g}-order{t.order}.csv"
-            sl.write_frames_csv(t, out / name)
-            yield name, out / name
+            name = f"frames-lz-{inv_v:g}-order{t.order}"
+            sl.write_frames_csv(t, out / f"{name}.csv")
+            yield f"{name}.csv", out / f"{name}.csv"
+            yield from _frame_bytes(out, name, t)
     for order in (0, 4, 12):
         traj = spec.ladder_frames(order)[2]
-        name = f"frames-ladder-order{order}.csv"
-        sl.write_frames_csv(traj, out / name)
-        yield name, out / name
+        name = f"frames-ladder-order{order}"
+        sl.write_frames_csv(traj, out / f"{name}.csv")
+        yield f"{name}.csv", out / f"{name}.csv"
+        yield from _frame_bytes(out, name, traj)
     with _recorded(sl, "LindbladGenerator") as gens:
         (out / "ladder-p.txt").write_text(repr(spec.ladder_p()))
     yield "ladder-p.txt", out / "ladder-p.txt"
