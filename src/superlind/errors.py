@@ -117,6 +117,16 @@ def check_array(name: str, value, dtype=None) -> np.ndarray:
         raise ParameterError(f"{name} must be a numeric array, got {shown(value)}") from None
 
 
+def check_sequence(name: str, values) -> tuple:
+    """``values`` as a tuple; ParameterError naming ``name`` unless a non-empty sequence,
+    no string or bytes, whose characters would pass for its items."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        raise ParameterError(f"{name} must be a sequence of numbers, got {shown(values)}")
+    if not (values := tuple(values)):
+        raise ParameterError(f"{name} must hold at least one number")
+    return values
+
+
 def check_integer(name: str, value, low: int | None = None) -> int:
     """``value`` as an int; ParameterError naming ``name`` unless it is a Python or numpy
     integer, no bool, and, given ``low``, >= ``low``."""

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from ._output import fmt, write_table
 from .errors import (AdiabaticityWarning, ParameterError, WindowWarning, caller_stacklevel,
-                     check_distinct, check_real, shown)
+                     check_distinct, check_real, check_sequence, shown)
 from .frames import (
     FrameTrajectory,
     adaptive_time_grid,
@@ -98,13 +98,9 @@ class SweepConfig:
     atol: float = IntegratorConfig.atol
 
     def __post_init__(self):
-        inv_vs = self.inv_velocities
-        if isinstance(inv_vs, (str, bytes)) or not np.iterable(inv_vs):
-            raise ParameterError(f"inv_velocities must be a sequence of numbers, got {shown(inv_vs)}")
+        inv_vs = check_sequence("inv_velocities", self.inv_velocities)
         object.__setattr__(self, "inv_velocities", tuple(
             check_real(f"inv_velocities[{i}]", x, 0) for i, x in enumerate(inv_vs)))
-        if not self.inv_velocities:
-            raise ParameterError("need at least one inverse velocity")
         check_distinct("inv_velocities", self.inv_velocities)
         check_real("delta", self.delta, 0)
         if self.mode not in MODES:
@@ -120,12 +116,12 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Result of one sweep point, with integration diagnostics."""
+    """Result of one sweep point, with integration diagnostics: its fields, in order,
+    are the columns of the sweep CSV."""
 
+    gamma0: float
     inv_v: float
     p_ge: float
-    gamma0: float
-    trace_error: float
     min_eigenvalue: float
     adiabaticity: float
 
@@ -199,11 +195,8 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, baths) -> list:
     excited = base.basis[-1, :, -1]
 
     def record(gamma0, p, d):
-        return SweepRecord(
-            inv_v=inv_v, p_ge=float(p), gamma0=gamma0,
-            trace_error=d.max_trace_drift, min_eigenvalue=d.min_eigenvalue,
-            adiabaticity=report.global_max,
-        )
+        return SweepRecord(gamma0=gamma0, inv_v=inv_v, p_ge=float(p),
+                           min_eigenvalue=d.min_eigenvalue, adiabaticity=report.global_max)
 
     if cfg.mode == "closed":
         res = evolve_unitary(H, psi0, -t_final, t_final, cfg=icfg)
@@ -240,7 +233,8 @@ def run_sweep_curves(base: SweepConfig, gamma_values) -> list:
     Each inverse velocity builds its grid and frames once for all curves; a
     closed sweep ignores the bath, so it runs once whatever the strengths.
     """
-    baths = [replace(base.bath, gamma0=g) for g in gamma_values]  # checked before any solve
+    baths = [replace(base.bath, gamma0=g)  # checked before any grid
+             for g in check_sequence("gamma_values", gamma_values)]
     check_distinct("gamma0", [bath.gamma0 for bath in baths])
     records = [r for x in sorted(base.inv_velocities) for r in _sweep_point(base, x, baths)]
     records.sort(key=lambda r: (r.inv_v, r.gamma0))
@@ -270,7 +264,7 @@ def write_sweep_csv(path, records, cfg: SweepConfig) -> None:
         f"seed = {cfg.seed}",
         "gamma0_curves = " + ", ".join(fmt(g) for g in gammas),
     ]
-    columns = ["gamma0", "inv_v", "p_ge", "trace_error", "min_eigenvalue", "adiabaticity"]
+    columns = [f.name for f in fields(SweepRecord)]
     rows = ([getattr(r, c) for c in columns]
             for r in sorted(records, key=lambda r: (r.inv_v, r.gamma0)))
     write_table(path, ["superlind sweep", *meta], columns, rows)

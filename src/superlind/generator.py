@@ -22,7 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, StateIntegrityError
+from .errors import DimensionError, ParameterError, StateIntegrityError, check_array
 from .frames import FrameTrajectory
 from .model import (BathSpectrum, TimeDependentHamiltonian, _entries, _require_hermitian,
                     coherence_vector, density_matrix, hermiticity_defect, operator_basis)
@@ -97,7 +97,8 @@ class LindbladGenerator:
         abar = np.einsum("iak,ibk->abk", basis.conj(), abar).transpose(2, 0, 1)  # <phi_a|A|phi_b>
         omega = energies[:, None, :] - energies[:, :, None]   # w[a,b] = E_b - E_a
 
-        gam, s_vals = (np.asarray(f(omega)) for f in (self.spectrum.gamma, self.spectrum.shift))
+        gam, s_vals = (check_array(f"{name}(w)", getattr(self.spectrum, name)(omega))
+                       for name in ("gamma", "shift"))
         for name, v in (("gamma", gam), ("shift", s_vals)):
             if v.shape != omega.shape or v.dtype.kind not in "iuf" or not np.isfinite(v).all():
                 raise ParameterError(f"{name}(w) must be finite real values of w's shape")

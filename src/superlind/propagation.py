@@ -118,10 +118,12 @@ class IntegrationDiagnostics:
 
     ``n_steps`` counts the sub-steps of the accepted pass and ``n_rejected``
     those of the resolved passes discarded before it; the Monte-Carlo engine
-    counts its lockstep steps and rejects none. The trace drift (unitary: of
-    the squared norm) is the largest over the edges, before the one
-    renormalization; the minimum eigenvalue over the edge states, 0 for a pure
-    state, is the meaningful integrity number. Monte-Carlo: both of its rho.
+    counts its lockstep steps and rejects none. The trace drift is the unitary
+    engine's largest | ||psi||^2 - 1 | over the edges, before the one
+    renormalization. The density-matrix engines hold the trace by construction
+    (a zero trace row, a mean of normalized projectors) and leave it at 0.0.
+    The minimum eigenvalue over the edge states, 0 for a pure state, is the
+    meaningful integrity number; Monte-Carlo: that of its rho.
     """
 
     n_steps: int = 0
@@ -131,14 +133,9 @@ class IntegrationDiagnostics:
 
 
 @dataclass(frozen=True)
-class UnitaryResult:
-    state: np.ndarray
-    diagnostics: IntegrationDiagnostics
-    samples: np.ndarray | None = None
+class EvolutionResult:
+    """The state of ``evolve_unitary`` or ``evolve_lindblad`` at t1, and at the sample times."""
 
-
-@dataclass(frozen=True)
-class LindbladResult:
     state: np.ndarray
     diagnostics: IntegrationDiagnostics
     samples: np.ndarray | None = None
@@ -435,7 +432,7 @@ def evolve_unitary(
     t1: float,
     cfg: IntegratorConfig | None = None,
     sample_times=None,
-) -> UnitaryResult:
+) -> EvolutionResult:
     """Solve i psi' = H(t) psi, renormalizing at every sample time and at t1."""
     cfg = cfg or IntegratorConfig()
     psi0 = _of_dim(check_state_vector(psi0), H.dim)
@@ -447,7 +444,7 @@ def evolve_unitary(
     raw, n_steps, n_rejected = _propagate(generator, psi0, edges, cfg)
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     states = raw / norms
-    return UnitaryResult(
+    return EvolutionResult(
         state=states[-1],
         diagnostics=IntegrationDiagnostics(
             n_steps=n_steps, n_rejected=n_rejected,
@@ -463,7 +460,7 @@ def evolve_lindblad(
     t1: float,
     cfg: IntegratorConfig | None = None,
     sample_times=None,
-) -> LindbladResult:
+) -> EvolutionResult:
     """Solve the master equation from rho0.
 
     The core marches the real coherence vector of rho between edges at the
@@ -485,18 +482,14 @@ def evolve_lindblad(
     rhos = raw / np.trace(raw, axis1=1, axis2=2).real[:, None, None]
     min_eigs = _eigh(rhos, vectors=False)[:, 0]
     k = int(np.argmin(min_eigs))
-    diag = IntegrationDiagnostics(
-        n_steps=n_steps,
-        n_rejected=n_rejected,
-        max_trace_drift=float(np.max(np.abs(np.trace(raw, axis1=1, axis2=2) - 1.0))),
-        min_eigenvalue=float(min_eigs[k]),
-    )
+    diag = IntegrationDiagnostics(n_steps=n_steps, n_rejected=n_rejected,
+                                  min_eigenvalue=float(min_eigs[k]))
     if diag.min_eigenvalue < -1e-5:
         raise PositivityError(
             f"min eigenvalue {diag.min_eigenvalue:.3e} at t = {edges[k]}: tolerance "
             "too loose or generator not of Lindblad form"
         )
-    return LindbladResult(
+    return EvolutionResult(
         state=rhos[-1],
         diagnostics=diag,
         samples=rhos[at] if at.size else None,
@@ -708,8 +701,7 @@ def evolve_trajectories(gen, psi0: np.ndarray, t0: float, t1: float,
     rho = 0.5 * (rho + rho.conj().T)
     jumps = np.concatenate(record)  # a trajectory's in time order, which the stable sort keeps
     diag = IntegrationDiagnostics(
-        n_steps=widths.size, max_trace_drift=abs(float(np.trace(rho).real) - 1.0),
-        min_eigenvalue=float(_eigh(rho[None], vectors=False)[0, 0]))
+        n_steps=widths.size, min_eigenvalue=float(_eigh(rho[None], vectors=False)[0, 0]))
     return TrajectoryResult(rho, diag, jumps[np.argsort(jumps["trajectory"], kind="stable")])
 
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The sweep curves are
-computed once per session and shared; every record they produce, and every
-state the three engines return to them, feeds the integrity criterion.
+computed once per session and shared; every record they produce, every
+state the three engines return to them, and the trace of every solve feeds
+the integrity criterion.
 """
 import math
 import warnings
@@ -18,6 +19,7 @@ from lzutil import excited_population, excited_state, lz_setup
 DELTA = 1.0
 ALL_RECORDS = []
 ALL_STATES = []  # every state an engine returned: a vector of the unitary solve, else rho
+ALL_DRIFTS = []  # trace drift of every solve: edge states before renormalization, else rho
 ENGINES = ("evolve_unitary", "evolve_lindblad", "evolve_trajectories")
 
 
@@ -32,12 +34,37 @@ def _curve(records):
 
 
 def _kept(solve):
-    """``solve``, keeping the state of each result it returns in ALL_STATES."""
+    """``solve``, keeping the state of each result it returns in ALL_STATES, and the
+    trace drift of an ensemble's rho in ALL_DRIFTS."""
     def kept(*args, **kwargs):
         res = solve(*args, **kwargs)
         ALL_STATES.append(res.state)
+        if isinstance(res, sl.propagation.TrajectoryResult):
+            ALL_DRIFTS.append(abs(complex(np.trace(res.state)) - 1.0))
         return res
     return kept
+
+
+def _propagated(propagate):
+    """``propagate``, keeping in ALL_DRIFTS the largest trace drift of the edge states it
+    returns, before the one renormalization: of ||psi||^2 for a state vector, else of the
+    density matrix of a coherence vector."""
+    def propagated(*args):
+        raw, steps, rejected = propagate(*args)
+        if np.iscomplexobj(raw):
+            traces = np.linalg.norm(raw, axis=1) ** 2
+        else:
+            traces = np.trace(sl.model.density_matrix(raw), axis1=1, axis2=2)
+        ALL_DRIFTS.append(float(np.max(np.abs(traces - 1.0))))
+        return raw, steps, rejected
+    return propagated
+
+
+def _spied(mp):
+    """Patch the engines that the sweeps call, and the propagation core, into ``mp``."""
+    for name in ENGINES:
+        mp.setattr(sl.experiments, name, _kept(getattr(sl.experiments, name)))
+    mp.setattr(sl.propagation, "_propagate", _propagated(sl.propagation._propagate))
 
 
 def _run(cfg):
@@ -45,8 +72,7 @@ def _run(cfg):
     # warnings expected are the two adiabaticity ones of the fast 1/v = 1 point
     with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("always")
-        for name in ENGINES:
-            mp.setattr(sl.experiments, name, _kept(getattr(sl.experiments, name)))
+        _spied(mp)
         records = sl.run_lz_sweep(cfg)
     for w in caught:
         assert issubclass(w.category, sl.AdiabaticityWarning), str(w.message)
@@ -126,24 +152,21 @@ def unraveling_runs():
     gen = sl.LindbladGenerator(traj, sl.sigma_z, sl.ohmic_spectrum(0.05, 5.0, 0.5))
     psi0 = traj.basis[0, :, 0]
     excited = excited_state(H, t_final)
-    me = sl.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -t_final, t_final)
+    with pytest.MonkeyPatch.context() as mp:
+        _spied(mp)
+        me = sl.experiments.evolve_lindblad(gen, np.outer(psi0, psi0.conj()), -t_final, t_final)
+        ensembles = {
+            m: sl.experiments.evolve_trajectories(
+                gen, psi0, -t_final, t_final, sl.TrajectoryConfig(n_traj=m, seed=2025)).state
+            for m in (250, 1000, 4000)
+        }
     ALL_RECORDS.append(
         sl.SweepRecord(
-            inv_v=3.0, p_ge=excited_population(me.state, excited), gamma0=0.05,
-            trace_error=me.diagnostics.max_trace_drift,
+            gamma0=0.05, inv_v=3.0, p_ge=excited_population(me.state, excited),
             min_eigenvalue=me.diagnostics.min_eigenvalue,
             adiabaticity=1.0 / 6.0,
         )
     )
-    ALL_STATES.append(me.state)
-    ensembles = {}
-    for m in (250, 1000, 4000):
-        res = sl.evolve_trajectories(
-            gen, psi0, -t_final, t_final,
-            sl.TrajectoryConfig(n_traj=m, seed=2025),
-        )
-        ensembles[m] = res.state
-        ALL_STATES.append(res.state)
     return me.state, ensembles, excited
 
 
@@ -240,13 +263,13 @@ def test_criterion_6_integrity_suite(
     closed_curve, dephasing_curves, instantaneous_curve,
     cold_ohmic_curves, warm_ohmic_curve, unraveling_runs,
 ):
-    worst_tr = max(r.trace_error for r in ALL_RECORDS)
+    worst_tr = max(ALL_DRIFTS)
     rhos = [np.outer(s, s.conj()) if s.ndim == 1 else s for s in ALL_STATES]
     worst_h = max(sl.model.hermiticity_defect(rho) for rho in rhos)
     worst_eig = min(r.min_eigenvalue for r in ALL_RECORDS)
-    # each record has its engine's state; the unraveling runs add three ensembles
+    # each record has its engine's state and solve; the unraveling runs add three ensembles
     ok = (worst_tr < 1e-8 and worst_h < 1e-10 and worst_eig >= -1e-7
-          and len(rhos) == len(ALL_RECORDS) + 3)
+          and len(rhos) == len(ALL_DRIFTS) == len(ALL_RECORDS) + 3)
     _criterion(
         6, "state integrity over all runs", ok,
         f"{len(ALL_RECORDS)} runs: trace drift {worst_tr:.1e} (< 1e-8), "

@@ -68,6 +68,21 @@ class TestSweepConfigValidation:
             with pytest.raises(sl.ParameterError, match=f"got {re.escape(repr(bad))}$"):
                 _fast_cfg(inv_velocities=bad)
 
+    def test_bath_strengths_checked_as_inverse_velocities(self, monkeypatch):
+        # one rule, before any grid: () once built the frames and returned no record for
+        # a bath mode and one for closed, and a bare number leaked a TypeError
+        with pytest.raises(sl.ParameterError, match="^inv_velocities must hold at least one"):
+            _fast_cfg(inv_velocities=())
+        monkeypatch.setattr(experiments, "adaptive_time_grid", None)
+        cfg = _fast_cfg(bath=BathConfig(kind="dephasing"))
+        for mode in ("superadiabatic", "closed"):
+            for bad, message in (((), "^gamma_values must hold at least one number$"),
+                                 (0.01, "^gamma_values must be a sequence of numbers, got 0.01$"),
+                                 ("0.1", "^gamma_values must be a sequence of numbers, got '0.1'$"),
+                                 (np.array(0.01), "^gamma_values must be a sequence")):
+                with pytest.raises(sl.ParameterError, match=message):
+                    sl.run_sweep_curves(replace(cfg, mode=mode), bad)
+
     def test_window_floor(self):
         with pytest.raises(sl.ParameterError):
             _fast_cfg(window_factor=5.0)
@@ -128,9 +143,8 @@ class TestRunSweep:
             oracle = sl.closed_lz_oracle(1.0, 1.0 / r.inv_v)
             assert r.p_ge == pytest.approx(oracle, rel=0.1)
             assert -1e-7 <= r.p_ge <= 1.0 + 1e-7
-            assert r.trace_error < 1e-8
 
-    def test_closed_trace_error_is_drift_before_renormalization(self, monkeypatch):
+    def test_unitary_trace_drift_is_drift_before_renormalization(self, monkeypatch):
         drifts = []
 
         def spy(*args, _propagate=sl.propagation._propagate):
@@ -139,12 +153,13 @@ class TestRunSweep:
             return raw, steps, rejected
 
         monkeypatch.setattr(sl.propagation, "_propagate", spy)
-        with pytest.warns(sl.AdiabaticityWarning):
-            (record,) = sl.run_lz_sweep(_fast_cfg(inv_velocities=(1.0,)))
+        H, t_final, base = experiments._lz_point(1.0, 1.0, FAST["window_factor"])
+        res = sl.evolve_unitary(H, base.basis[0, :, 0], -t_final, t_final,
+                                cfg=sl.IntegratorConfig(rtol=FAST["rtol"], atol=FAST["atol"]))
         # the edge states drift by rounding, far above the few ulps by which
         # the renormalized state's norm can miss 1
         assert len(drifts) == 1 and drifts[0] > 1e-14
-        assert record.trace_error == pytest.approx(drifts[0], rel=0.05, abs=0.0)
+        assert res.diagnostics.max_trace_drift == pytest.approx(drifts[0], rel=0.05, abs=0.0)
 
     def test_adiabaticity_warning_on_fast_sweep(self):
         with pytest.warns(sl.AdiabaticityWarning):
@@ -248,8 +263,8 @@ class TestRunSweep:
         # the record's range check sees the computed P, not a clipped one
         def solve(H, psi0, t0, t1, cfg=None, sample_times=None):
             _, vecs = np.linalg.eigh(H(t1))
-            return sl.propagation.UnitaryResult(state=math.sqrt(1.5) * vecs[:, -1],
-                                                diagnostics=sl.propagation.IntegrationDiagnostics())
+            return sl.propagation.EvolutionResult(state=math.sqrt(1.5) * vecs[:, -1],
+                                                  diagnostics=sl.propagation.IntegrationDiagnostics())
 
         monkeypatch.setattr(experiments, "evolve_unitary", solve)
         with pytest.raises(sl.ParameterError, match="transition probability 1.49"):
@@ -325,7 +340,7 @@ class TestRunSweep:
         assert meta[meta.index("# solver = me") + 1] == f"# n_traj = {cfg.n_traj}"
         body = [ln for ln in lines if not ln.startswith("#")]
         assert body[0].split(",") == [
-            "gamma0", "inv_v", "p_ge", "trace_error", "min_eigenvalue", "adiabaticity",
+            "gamma0", "inv_v", "p_ge", "min_eigenvalue", "adiabaticity",
         ]
         values = [ln.split(",") for ln in body[1:]]
         assert [float(v[1]) for v in values] == [1.0, 2.0]
@@ -333,7 +348,7 @@ class TestRunSweep:
 
 def _record(gamma0, p_ge):
     return SweepRecord(
-        inv_v=2.0, p_ge=p_ge, gamma0=gamma0, trace_error=1e-12,
+        gamma0=gamma0, inv_v=2.0, p_ge=p_ge,
         min_eigenvalue=-3e-9,
         adiabaticity=0.25 / 3.0,
     )
@@ -362,15 +377,15 @@ def test_sweep_csv_exact_format(tmp_path):
         "# atol = 1e-10",
         "# seed = 0",
         "# gamma0_curves = 0.01, 0.1",
-        "gamma0,inv_v,p_ge,trace_error,min_eigenvalue,adiabaticity",
-        "0.01,2,0.125,1e-12,-3e-09,0.0833333333333",
-        "0.1,2,0.2,1e-12,-3e-09,0.0833333333333",
+        "gamma0,inv_v,p_ge,min_eigenvalue,adiabaticity",
+        "0.01,2,0.125,-3e-09,0.0833333333333",
+        "0.1,2,0.2,-3e-09,0.0833333333333",
     ]
 
 
 def test_documented_columns_are_the_sweep_csv_header(tmp_path):
-    # README's "Output format" lists the sweep CSV's columns in order, and
-    # every field of a record is one of them
+    # README's "Output format" lists the sweep CSV's columns in order: a
+    # record's fields, in order
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n### Output format\n", 1)[1].split("\n### ", 1)[0]
     listing = section.split("these columns, in order", 1)[1].split("\n\n")[1]
@@ -378,7 +393,7 @@ def test_documented_columns_are_the_sweep_csv_header(tmp_path):
     sl.write_sweep_csv(out, [_record(0.1, 0.2)], sl.SweepConfig(inv_velocities=(2.0,)))
     header = next(ln for ln in out.read_text().splitlines() if not ln.startswith("#"))
     assert re.findall(r"^- `(\w+)`:", listing, re.M) == header.split(",")
-    assert set(header.split(",")) == {f.name for f in fields(SweepRecord)}
+    assert header.split(",") == [f.name for f in fields(SweepRecord)]
 
 
 class TestFig1:

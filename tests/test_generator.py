@@ -303,6 +303,17 @@ class TestMasterEquationRHS:
                         t = rng.uniform(traj.times[0], traj.times[-1])
                         assert np.max(np.abs(gen.rhs(rho, t) - _unraveled_rhs(gen, rho, t))) < 1e-12
 
+    def test_dissipator_trace_row_is_exactly_zero(self):
+        # the build checks the trace row against rounding, then zeroes it: the master
+        # equation holds the trace by construction, so no solve reports its drift
+        ladder = sl.instantaneous_frames(ladder_hamiltonian(), np.linspace(-30.0, 30.0, 61))
+        ladder_coupling = np.diag([1.0, 0.0, -1.0]) + 0.3 * (np.eye(3, k=1) + np.eye(3, k=-1))
+        for traj, coupling in ((lz_setup(3.0, order=2)[-1], sl.sigma_z),
+                               (ladder, ladder_coupling)):
+            gen = sl.LindbladGenerator(traj, coupling, sl.ohmic_spectrum(0.1, 5.0, 0.5))
+            assert np.count_nonzero(gen._dissipators[:, 0]) == 0
+            assert np.count_nonzero(gen._dissipators[:, 1:]) > 0
+
     @pytest.mark.parametrize("spoil, cell", [("halved gain", 0), ("nan", 3)])
     def test_unbalanced_trace_row_raises_naming_the_cell(self, spoil, cell):
         # half of each level's gain no longer balances the loss of the others, and

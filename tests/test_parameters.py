@@ -9,6 +9,7 @@ sequence of finite reals. An array argument that numpy cannot convert, ragged
 or a string of letters, raises ParameterError naming it too.
 """
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -195,11 +196,16 @@ MALFORMED_ARRAYS = [
      lambda: sl.propagation.check_density_matrix(RAGGED)),
     ("bloch_vector-ragged", "rho", lambda: sl.bloch_vector(RAGGED)),
     ("bloch_vector-string", "rho", lambda: sl.bloch_vector("ab")),
+    ("BathSpectrum-ragged-gamma", "gamma(w)", lambda: sl.LindbladGenerator(
+        FRAMES, sl.sigma_z, sl.BathSpectrum(lambda w: [np.zeros(3), np.zeros(2)]))),
+    ("BathSpectrum-ragged-shift", "shift(w)", lambda: sl.LindbladGenerator(
+        FRAMES, sl.sigma_z, sl.BathSpectrum(np.abs, lambda w: [np.zeros(3), np.zeros(2)]))),
 ]
 
 
 @pytest.mark.parametrize("name, call", [pytest.param(name, call, id=entry)
                                         for entry, name, call in MALFORMED_ARRAYS])
 def test_malformed_arrays_rejected_with_the_argument_named(name, call):
-    with pytest.raises(sl.ParameterError, match=f"^[^,]*{name}[^,]* must be a numeric array"):
+    with pytest.raises(sl.ParameterError,
+                       match=f"^[^,]*{re.escape(name)}[^,]* must be a numeric array"):
         call()

@@ -13,8 +13,9 @@ The checkout is never written.
 
 Before the mutants it runs the union of the rows' tests once on the unmutated
 copy: a subset that fails without a mutant would catch every mutant. A row's
-line must occur exactly once in its file; `tests/test_mutants.py` checks that,
-so the table cannot rot unnoticed. The acceptance criteria are left out of
+line must occur exactly once in its file, and each of its pytest ids must name
+a test class or function defined in its file; `tests/test_mutants.py` checks
+both, so the table cannot rot unnoticed. The acceptance criteria are left out of
 every subset: criterion 2 fails without any mutant.
 
 Method: DeMillo, Lipton & Sayward, "Hints on test data selection", IEEE
@@ -90,6 +91,22 @@ MUTANTS = (
            "the dissipator's gain term is halved: the trace is no longer preserved",
            ("tests/test_generator.py::TestMasterEquationRHS",
             "tests/test_generator.py::test_constant_h_cell_propagator_is_cptp")),
+    Mutant("dissipator-trace-row-kept", "generator.py",
+           "out[:, 0] = 0.0",
+           "pass",
+           "the dissipator's checked trace row keeps its rounding: the trace is not held exactly",
+           ("tests/test_generator.py::TestMasterEquationRHS"
+            "::test_dissipator_trace_row_is_exactly_zero",
+            "tests/test_generator.py::TestMasterEquationRHS"
+            "::test_matches_explicit_operator_assembly")),
+    Mutant("trajectory-unnormalized", "propagation.py",
+           "psis = psis / norms[:, None]",
+           "psis = psis",
+           "the ensemble averages the decayed, unnormalized trajectories: tr rho < 1",
+           ("tests/test_propagation.py::TestEvolveTrajectories"
+            "::test_diagnostics_match_returned_state",
+            "tests/test_propagation.py::TestEvolveTrajectories"
+            "::test_three_level_ladder_matches_master_equation")),
     Mutant("rotation-conj-dropped", "generator.py",
            "pairs = (u.conj()[:, None, :, None] * u[None, :, None]).reshape(n * n, -1)",
            "pairs = (u[:, None, :, None] * u[None, :, None]).reshape(n * n, -1)",
@@ -198,7 +215,7 @@ def main() -> int:
         _copy(work)
         union = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         verdict, seconds = _pytest(work, union)
-        print(f"{'unmutated':24} {seconds:7.1f} s  {verdict}", flush=True)
+        print(f"{'unmutated':26} {seconds:7.1f} s  {verdict}", flush=True)
         if verdict != "survived":
             print("the unmutated subsets fail: no verdict on any mutant", file=sys.stderr)
             return 1
@@ -213,8 +230,8 @@ def main() -> int:
                 verdict, seconds = _pytest(work, mutant.tests)
             finally:
                 target.write_text(original, encoding="utf-8")
-            print(f"{mutant.name:24} {seconds:7.1f} s  {verdict}", flush=True)
-    print(f"{'total':24} {time.perf_counter() - start:7.1f} s", flush=True)
+            print(f"{mutant.name:26} {seconds:7.1f} s  {verdict}", flush=True)
+    print(f"{'total':26} {time.perf_counter() - start:7.1f} s", flush=True)
     return 0
 
 
