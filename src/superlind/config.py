@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import configparser
 import inspect
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-from .errors import ConfigError, check_distinct
-from .experiments import BathConfig, SweepConfig, check_fig1, run_fig1
+from .errors import ConfigError
+from .experiments import BathConfig, SweepConfig, check_fig1, curve_baths, run_fig1
 
 
 def read_config(path) -> dict:
@@ -50,11 +50,9 @@ def apply_overrides(data: dict, overrides) -> dict:
 
 
 def _bool(text: str) -> bool:
-    words = {"true": True, "yes": True, "on": True, "1": True,
-             "false": False, "no": False, "off": False, "0": False}
-    if text.lower() not in words:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
         raise ValueError(f"{text!r} is not a boolean")
-    return words[text.lower()]
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
 def _floats(text: str) -> tuple:
@@ -127,12 +125,9 @@ def sweep_job(data: dict) -> SweepJob:
     values = _read(data, _SWEEP_KEYS, ("sweep.inv_v",), "sweep")
     bath = {f.name: values.pop(f.name) for f in fields(BathConfig) if f.name in values}
     job = {f.name: values.pop(f.name) for f in fields(SweepJob) if f.name in values}
-    gammas = job.get("gamma_values", SweepJob.gamma_values)
-    try:
-        base = SweepConfig(bath=BathConfig(gamma0=gammas[0], **bath), **values)
-        for g in gammas[1:]:  # every curve's bath, before any curve is solved
-            replace(base.bath, gamma0=g)
-        check_distinct("gamma0", gammas)
+    try:  # every curve's bath, before any curve is solved
+        baths = curve_baths(BathConfig(**bath), job.get("gamma_values", SweepJob.gamma_values))
+        base = SweepConfig(bath=baths[0], **values)
     except ValueError as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc
     return SweepJob(base=base, **job)

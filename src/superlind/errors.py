@@ -108,13 +108,16 @@ def check_ends(t0, t1) -> tuple:
     return t0, t1
 
 
-def check_array(name: str, value, dtype=None) -> np.ndarray:
-    """``value`` as an ndarray of ``dtype``, numpy's choice if None; ParameterError naming
-    ``name`` where numpy cannot convert it, as for a ragged sequence or a string of letters."""
+def check_array(name: str, value, dtype: type) -> np.ndarray:
+    """``value`` as an ndarray of ``dtype``, float or complex; ParameterError naming ``name``
+    unless numpy reads it as integers or floats, or complex numbers for a complex ``dtype``."""
     try:
-        return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"{name} must be a numeric array, got {shown(value)}") from None
+        a = np.asarray(value)  # ValueError for a ragged sequence
+        if a.dtype.kind in ("iufc" if dtype is complex else "iuf"):
+            return a.astype(dtype, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise ParameterError(f"{name} must be a numeric array of {dtype.__name__}, got {shown(value)}")
 
 
 def check_sequence(name: str, values) -> tuple:

@@ -226,6 +226,13 @@ def run_lz_sweep(cfg: SweepConfig, output=None) -> list:
     return records
 
 
+def curve_baths(bath: BathConfig, gamma_values) -> list:
+    """``bath`` at each strength of ``gamma_values``, a non-empty sequence of distinct ones."""
+    baths = [replace(bath, gamma0=g) for g in check_sequence("gamma_values", gamma_values)]
+    check_distinct("gamma0", [b.gamma0 for b in baths])
+    return baths
+
+
 def run_sweep_curves(base: SweepConfig, gamma_values) -> list:
     """Sweep curves differing in bath strength; records from all curves,
     sorted by (inv_v, gamma0).
@@ -233,9 +240,7 @@ def run_sweep_curves(base: SweepConfig, gamma_values) -> list:
     Each inverse velocity builds its grid and frames once for all curves; a
     closed sweep ignores the bath, so it runs once whatever the strengths.
     """
-    baths = [replace(base.bath, gamma0=g)  # checked before any grid
-             for g in check_sequence("gamma_values", gamma_values)]
-    check_distinct("gamma0", [bath.gamma0 for bath in baths])
+    baths = curve_baths(base.bath, gamma_values)  # checked before any grid
     records = [r for x in sorted(base.inv_velocities) for r in _sweep_point(base, x, baths)]
     records.sort(key=lambda r: (r.inv_v, r.gamma0))
     return records

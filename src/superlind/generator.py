@@ -97,10 +97,10 @@ class LindbladGenerator:
         abar = np.einsum("iak,ibk->abk", basis.conj(), abar).transpose(2, 0, 1)  # <phi_a|A|phi_b>
         omega = energies[:, None, :] - energies[:, :, None]   # w[a,b] = E_b - E_a
 
-        gam, s_vals = (check_array(f"{name}(w)", getattr(self.spectrum, name)(omega))
+        gam, s_vals = (check_array(f"{name}(w)", getattr(self.spectrum, name)(omega), float)
                        for name in ("gamma", "shift"))
         for name, v in (("gamma", gam), ("shift", s_vals)):
-            if v.shape != omega.shape or v.dtype.kind not in "iuf" or not np.isfinite(v).all():
+            if v.shape != omega.shape or not np.isfinite(v).all():
                 raise ParameterError(f"{name}(w) must be finite real values of w's shape")
         if (gam < 0.0).any():
             raise ParameterError(f"gamma(w) must be >= 0; found {float(gam.min())} on the grid")
@@ -171,12 +171,13 @@ class LindbladGenerator:
 
     def rhs(self, rho: np.ndarray, t: float) -> np.ndarray:
         """d rho / dt of the master equation at time t, through the coherence vector."""
+        rho = check_array("rho", rho, complex)
         defect = hermiticity_defect(rho)
         if defect > HERMITICITY_INPUT_TOL:
             raise StateIntegrityError(
                 f"input state non-Hermitian (defect {defect:.3e} > {HERMITICITY_INPUT_TOL:.0e})"
             )
-        return density_matrix(self.liouvillian([t])[0] @ coherence_vector(np.asarray(rho)))
+        return density_matrix(self.liouvillian([t])[0] @ coherence_vector(rho))
 
     def effective_hamiltonian(self, times) -> np.ndarray:
         """Non-Hermitian drift H(t) + H_shift - (i/2) sum_c Lc^dag Lc at each

@@ -154,12 +154,12 @@ class TimeDependentHamiltonian:
 
     def on_grid(self, times) -> np.ndarray:
         """H at each of a 1-d sequence of finite real ``times``, shape (M, N, N)."""
-        times = check_array("times", times)
+        times = check_array("times", times, float)
         if times.ndim != 1:
             raise ParameterError(f"times must be a 1-d sequence, got shape {times.shape}")
-        if times.dtype.kind not in "iuf" or not np.isfinite(times).all():
+        if not np.isfinite(times).all():
             raise ParameterError("times must be a 1-d sequence of finite reals")
-        return self._stack(times.astype(float, copy=False))
+        return self._stack(times)
 
     def _stack(self, times: np.ndarray) -> np.ndarray:
         key = times.tobytes()

@@ -273,13 +273,9 @@ def _edges(t0, t1, sample_times, breakpoints=()):
     edges need no merging: the interval between them has zero width.
     """
     t0, t1 = check_ends(t0, t1)
-    try:
-        s = np.asarray(() if sample_times is None else sample_times)
-    except ValueError:  # a ragged sequence
-        s = np.empty((0, 0))
-    if s.ndim != 1 or s.dtype.kind not in "iuf" or not np.all(np.isfinite(s)):
+    s = check_array("sample_times", () if sample_times is None else sample_times, float)
+    if s.ndim != 1 or not np.all(np.isfinite(s)):
         raise ParameterError("sample_times must be a 1-d sequence of finite reals")
-    s = s.astype(float)
     if s.size and np.any(np.diff(s) < 0):
         raise ParameterError("sample_times must be ascending")
     tol = 1e-12 * (t1 - t0)

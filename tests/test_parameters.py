@@ -5,8 +5,9 @@ not a finite real scalar in range (for an integer parameter, not an integer
 in range) raises ParameterError naming the parameter; Python and numpy
 numbers of the right kind pass. The ``sample_times`` of the two solves that
 take them, and the times of ``H.on_grid``, follow the same rule for a 1-d
-sequence of finite reals. An array argument that numpy cannot convert, ragged
-or a string of letters, raises ParameterError naming it too.
+sequence of finite reals. An array argument that numpy does not read as numbers
+of its kind (ragged, a string of letters, bools, or complex numbers for a real
+array) raises ParameterError naming it too.
 """
 import math
 import re
@@ -149,7 +150,9 @@ def test_order_above_the_cap_stays_an_order_cap_error():
     pytest.param(call, value, id=f"{entry}.sample_times-{value!r:.24}")
     for entry, call in SAMPLE_TIMES for value in NOT_TIMES])
 def test_sample_times_rejected_with_the_parameter_named(call, value):
-    with pytest.raises(sl.ParameterError, match="sample_times must be a 1-d sequence of finite"):
+    # non-real and ragged values get check_array's message, the rest the sequence rule's
+    with pytest.raises(sl.ParameterError, match="^sample_times must be (a 1-d sequence of "
+                                                "finite|a numeric array of float,)"):
         call(value)
 
 
@@ -162,7 +165,8 @@ def test_sample_times_of_python_and_numpy_reals_accepted(call, value):
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(H, "^t must be", id="H(t)"),
-    pytest.param(lambda x: H.on_grid(np.array([x])), "^times must be a 1-d sequence of finite",
+    pytest.param(lambda x: H.on_grid(np.array([x])),
+                 "^times must be (a 1-d sequence of finite|a numeric array of float,)",
                  id="H.on_grid")])
 @pytest.mark.parametrize("value", NOT_A_TIME, ids=repr)
 def test_hamiltonian_rejects_a_time_that_is_not_a_finite_real(call, message, value):
@@ -171,6 +175,7 @@ def test_hamiltonian_rejects_a_time_that_is_not_a_finite_real(call, message, val
 
 
 RAGGED = [[1.0, 0.0], [0.0]]
+BOOL_GRID = np.array([False, True])  # as floats, the uniform increasing grid (0, 1)
 # (entry point, the argument's name in the message, a call with a malformed array)
 MALFORMED_ARRAYS = [
     ("FrameTrajectory-ragged-basis", "basis",
@@ -200,6 +205,28 @@ MALFORMED_ARRAYS = [
         FRAMES, sl.sigma_z, sl.BathSpectrum(lambda w: [np.zeros(3), np.zeros(2)]))),
     ("BathSpectrum-ragged-shift", "shift(w)", lambda: sl.LindbladGenerator(
         FRAMES, sl.sigma_z, sl.BathSpectrum(np.abs, lambda w: [np.zeros(3), np.zeros(2)]))),
+    ("LindbladGenerator.rhs-ragged-rho", "rho", lambda: GEN.rhs(RAGGED, 0.0)),
+    # a real array takes no complex numbers and no bools, a complex one no bools; each
+    # bool value here would pass every other check of its entry point
+    ("instantaneous_frames-complex", "times", lambda: sl.instantaneous_frames(H, TIMES + 1j)),
+    ("instantaneous_frames-bool", "times", lambda: sl.instantaneous_frames(H, BOOL_GRID)),
+    ("superadiabatic_frames-complex", "times",
+     lambda: sl.superadiabatic_frames(H, 1, TIMES + 0.5j)),
+    ("superadiabatic_frames-bool", "times", lambda: sl.superadiabatic_frames(H, 0, BOOL_GRID)),
+    ("FrameTrajectory-complex-times", "times",
+     lambda: sl.FrameTrajectory(TIMES + 1j, FRAMES.basis, FRAMES.energies, 0, H)),
+    ("FrameTrajectory-bool-times", "times",
+     lambda: sl.FrameTrajectory(BOOL_GRID, FRAMES.basis[:2], FRAMES.energies[:2], 0, H)),
+    ("FrameTrajectory-complex-energies", "energies",
+     lambda: sl.FrameTrajectory(TIMES, FRAMES.basis, FRAMES.energies + 1j, 0, H)),
+    ("FrameTrajectory-bool-energies", "energies",
+     lambda: sl.FrameTrajectory(TIMES[:2], FRAMES.basis[:2], np.zeros((2, 2), bool), 0, H)),
+    ("index_at-complex", "t", lambda: FRAMES.index_at(np.array([0.1 + 5j]))),
+    ("index_at-bool", "t", lambda: FRAMES.index_at(True)),
+    ("evolve_unitary-bool-psi0", "state vector",
+     lambda: sl.evolve_unitary(H, np.array([True, False]), -1.0, 1.0)),
+    ("LindbladGenerator-bool-coupling", "coupling",
+     lambda: sl.LindbladGenerator(FRAMES, np.eye(2, dtype=bool), sl.dephasing_spectrum(0.01))),
 ]
 
 

@@ -172,6 +172,16 @@ MUTANTS = (
            "(x >= low if inclusive else x >= low)",
            "every lower bound admits its own value: v = 0, delta = 0, cutoff = 0 and rtol = 0 pass",
            ("tests/test_parameters.py", "tests/test_model.py")),
+    Mutant("array-kind-unchecked", "errors.py",
+           'if a.dtype.kind in ("iufc" if dtype is complex else "iuf"):',
+           "if True:",
+           "an array argument takes bools, and a real one complex numbers cast to their real part",
+           ("tests/test_parameters.py::test_malformed_arrays_rejected_with_the_argument_named"
+            "[index_at-bool]",
+            "tests/test_parameters.py::test_malformed_arrays_rejected_with_the_argument_named"
+            "[instantaneous_frames-complex]",
+            "tests/test_parameters.py::test_malformed_arrays_rejected_with_the_argument_named"
+            "[evolve_unitary-bool-psi0]")),
 )
 
 
