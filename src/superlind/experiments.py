@@ -152,6 +152,11 @@ def _head(base: FrameTrajectory, order: int) -> FrameTrajectory:
     return FrameTrajectory(base.times[:n], base.basis[:n], base.energies[:n], 0, base.hamiltonian)
 
 
+def _warn(message: str, category: type) -> None:
+    """Warn with the stack level of the first frame outside this package."""
+    warnings.warn(message, category, stacklevel=caller_stacklevel())
+
+
 def _sweep_point(cfg: SweepConfig, inv_v: float, baths) -> list:
     """Records at one inverse velocity: one per bath, or one in closed mode,
     which ignores the bath.
@@ -162,21 +167,13 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, baths) -> list:
     H, t_final, base = _lz_point(cfg.delta, 1.0 / inv_v, cfg.window_factor)
     report = adiabatic_report(base)
     if report.global_max > ADIABATICITY_WARN_THRESHOLD:
-        warnings.warn(
-            f"adiabatic parameter {report.global_max:.3f} > "
-            f"{ADIABATICITY_WARN_THRESHOLD} at 1/v = {inv_v}",
-            AdiabaticityWarning,
-            stacklevel=caller_stacklevel(),
-        )
+        _warn(f"adiabatic parameter {report.global_max:.3f} > "
+              f"{ADIABATICITY_WARN_THRESHOLD} at 1/v = {inv_v}", AdiabaticityWarning)
 
     if cfg.order > report.recommended_order:
-        warnings.warn(
-            f"order {cfg.order} is above the recommended order "
-            f"{report.recommended_order} at 1/v = {inv_v}: the super-adiabatic "
-            "expansion is asymptotic, and its terms grow past that order",
-            AdiabaticityWarning,
-            stacklevel=caller_stacklevel(),
-        )
+        _warn(f"order {cfg.order} is above the recommended order "
+              f"{report.recommended_order} at 1/v = {inv_v}: the super-adiabatic "
+              "expansion is asymptotic, and its terms grow past that order", AdiabaticityWarning)
 
     whole = cfg.mode == "superadiabatic" or cfg.order > report.recommended_order  # else psi0 only
     head = base if whole else _head(base, cfg.order)
@@ -184,12 +181,8 @@ def _sweep_point(cfg: SweepConfig, inv_v: float, baths) -> list:
     psi0 = traj.basis[0, :, 0]
     leak0 = abs(np.vdot(base.basis[0, :, -1], psi0)) ** 2
     if leak0 > WINDOW_WARN_POPULATION:
-        warnings.warn(
-            f"initial excited population {leak0:.2e} at 1/v = {inv_v}: "
-            "window too short",
-            WindowWarning,
-            stacklevel=caller_stacklevel(),
-        )
+        _warn(f"initial excited population {leak0:.2e} at 1/v = {inv_v}: window too short",
+              WindowWarning)
 
     icfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol)
     excited = base.basis[-1, :, -1]

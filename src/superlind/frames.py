@@ -32,6 +32,7 @@ from .errors import (
     check_array,
     check_ends,
     check_integer,
+    check_real,
 )
 from ._output import BLOCK_ROWS, write_blocks
 from .model import TimeDependentHamiltonian, _eigh, _entries, _stack
@@ -264,7 +265,10 @@ def frame_couplings(basis: np.ndarray, step: float) -> np.ndarray:
     result is a ``model._stack``. Anti-Hermitian up to the finite-difference error
     O(step^2); the diagonal vanishes to the same order under the smooth gauge.
     """
-    basis = _entries(basis)
+    step, basis = check_real("step", step, 0), check_array("basis", basis, complex)
+    if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
+        raise DimensionError(f"basis must be a (K, N, N) stack, got shape {basis.shape}")
+    basis = _entries(basis)  # a view of a ``_stack``, as check_array returns it as it is
     return np.moveaxis(np.einsum("iak,ibk->abk", basis.conj(), _differentiate(basis, step)), -1, 0)
 
 

@@ -174,9 +174,10 @@ class TimeDependentHamiltonian:
         if not mats:
             return np.empty((0, self.dim, self.dim), dtype=complex)
         try:
-            mats = np.asarray(mats, dtype=complex)
+            mats = np.asarray(mats)
         except ValueError:
             raise DimensionError("Hamiltonian evaluator returned differing shapes") from None
+        mats = check_array("H(t)", mats, complex)
         if mats.shape != (len(times), self.dim, self.dim):
             raise DimensionError(
                 f"Hamiltonian evaluator returned shape {mats.shape[1:]}, "
@@ -216,7 +217,7 @@ def lz_hamiltonian(params: LZParams) -> TimeDependentHamiltonian:
 
 
 def _zero_shift(w):
-    w = np.asarray(w, dtype=float)
+    w = check_array("w", w, float)
     out = np.zeros_like(w)
     return float(out) if out.ndim == 0 else out
 
@@ -264,7 +265,7 @@ def ohmic_spectrum(
         raise ParameterError(f"symmetric_cutoff must be a bool, got {shown(symmetric_cutoff)}")
 
     def gamma(w):
-        w_arr = np.asarray(w, dtype=float)
+        w_arr = check_array("w", w, float)
         size = np.abs(w_arr)
         arg = size if symmetric_cutoff else w_arr
         with np.errstate(over="ignore", invalid="ignore"):
@@ -290,7 +291,7 @@ def dephasing_spectrum(gamma0: float) -> BathSpectrum:
     gamma0 = check_real("gamma0", gamma0, 0, inclusive=True)
 
     def gamma(w):
-        w_arr = np.asarray(w, dtype=float)
+        w_arr = check_array("w", w, float)
         val = np.where(w_arr == 0.0, gamma0, 0.0)
         return float(val) if val.ndim == 0 else val
 

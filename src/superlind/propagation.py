@@ -47,7 +47,6 @@ from .errors import (
     StateIntegrityError,
     StiffnessError,
     SuperlindError,
-    TimeDomainError,
     check_array,
     check_ends,
     check_integer,
@@ -134,18 +133,14 @@ class IntegrationDiagnostics:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """The state of ``evolve_unitary`` or ``evolve_lindblad`` at t1, and at the sample times."""
+    """The state at t1 of every engine. ``evolve_unitary`` and ``evolve_lindblad`` fill
+    ``samples``, the states at the sample times; ``evolve_trajectories`` fills ``jumps``,
+    a _JUMP_DTYPE row per jump, by trajectory and then time."""
 
     state: np.ndarray
     diagnostics: IntegrationDiagnostics
     samples: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class TrajectoryResult:
-    state: np.ndarray
-    diagnostics: IntegrationDiagnostics
-    jumps: np.ndarray  # every jump, a _JUMP_DTYPE row each, by trajectory and then time
+    jumps: np.ndarray | None = None
 
 
 def check_state_vector(psi: np.ndarray) -> np.ndarray:
@@ -287,18 +282,6 @@ def _edges(t0, t1, sample_times, breakpoints=()):
     where = np.empty_like(order)
     where[order] = np.arange(order.size)
     return times[order], where[1:1 + s.size]
-
-
-def _check_span(frames, t0, t1) -> None:
-    """Raise TimeDomainError unless [t0, t1] lies on the frame grid, to the
-    half cell ``index_at`` allows at either end; every edge lies in it."""
-    try:
-        frames.index_at(np.array([t0, t1]))
-    except TimeDomainError:
-        raise TimeDomainError(
-            f"[t0, t1] = [{float(t0)!r}, {float(t1)!r}] is not inside the frame grid "
-            f"[{float(frames.times[0])!r}, {float(frames.times[-1])!r}]"
-        ) from None
 
 
 def _chunk(d: int) -> int:
@@ -471,7 +454,7 @@ def evolve_lindblad(
     rho0 = _of_dim(check_density_matrix(rho0), gen.frames.dim)
     times = gen.frames.times
     edges, at = _edges(t0, t1, sample_times, 0.5 * (times[:-1] + times[1:]))
-    _check_span(gen.frames, t0, t1)
+    gen.frames.index_at(edges[[0, -1]])  # TimeDomainError unless on the frame grid
 
     raw, n_steps, n_rejected = _propagate(gen.liouvillian, coherence_vector(rho0), edges, cfg)
     raw = density_matrix(raw)
@@ -639,7 +622,7 @@ def _walk(lift: list, at: np.ndarray, psi: np.ndarray, thresholds: np.ndarray):
 
 
 def evolve_trajectories(gen, psi0: np.ndarray, t0: float, t1: float,
-                        tcfg: TrajectoryConfig) -> TrajectoryResult:
+                        tcfg: TrajectoryConfig) -> EvolutionResult:
     """Jump unraveling of the master equation, averaged over an ensemble.
 
     Pure states drift under H_eff = H + H_shift - (i/2) sum L^dag L without
@@ -658,7 +641,7 @@ def evolve_trajectories(gen, psi0: np.ndarray, t0: float, t1: float,
     psi0 = _of_dim(check_state_vector(psi0), gen.frames.dim)
     times = gen.frames.times
     edges, _ = _edges(t0, t1, None, np.concatenate([times, 0.5 * (times[:-1] + times[1:])]))
-    _check_span(gen.frames, t0, t1)
+    gen.frames.index_at(edges[[0, -1]])  # the cells below would round an off-grid t0 into cell 0
     widths = np.diff(edges)
     cells = gen.frames.index_at(edges[:-1] + 0.5 * widths)
 
@@ -698,7 +681,7 @@ def evolve_trajectories(gen, psi0: np.ndarray, t0: float, t1: float,
     jumps = np.concatenate(record)  # a trajectory's in time order, which the stable sort keeps
     diag = IntegrationDiagnostics(
         n_steps=widths.size, min_eigenvalue=float(_eigh(rho[None], vectors=False)[0, 0]))
-    return TrajectoryResult(rho, diag, jumps[np.argsort(jumps["trajectory"], kind="stable")])
+    return EvolutionResult(rho, diag, jumps=jumps[np.argsort(jumps["trajectory"], kind="stable")])
 
 
 # ------------------------------------------------------------------- misc
@@ -717,8 +700,13 @@ def bloch_vector(rho: np.ndarray):
 
 
 def write_bloch_csv(path, times, rhos, header_lines=()) -> None:
-    """Time series of 2x2 states as t, x, y, z rows."""
+    """Time series of 2x2 states as t, x, y, z rows, one time per state: a 1-d array for
+    a (K, 2, 2) stack; for one 2x2 matrix, a scalar or a one-element array."""
     comments = ["superlind bloch time series", *header_lines,
                 "convention: x = 2 Re rho01, y = 2 Im rho10, z = rho00 - rho11"]
-    rows = np.column_stack([times, *bloch_vector(rhos)])
+    times, xyz = np.atleast_1d(check_array("times", times, float)), bloch_vector(rhos)
+    if times.ndim != 1 or times.shape != np.atleast_1d(xyz[0]).shape:
+        raise DimensionError(f"times must hold one time per state: got shape {times.shape} "
+                             f"for rhos of shape {np.shape(rhos)}")
+    rows = np.column_stack([times, *xyz])
     write_table(path, comments, ["t", "x", "y", "z"], rows)

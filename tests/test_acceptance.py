@@ -39,7 +39,7 @@ def _kept(solve):
     def kept(*args, **kwargs):
         res = solve(*args, **kwargs)
         ALL_STATES.append(res.state)
-        if isinstance(res, sl.propagation.TrajectoryResult):
+        if res.jumps is not None:  # a Monte-Carlo ensemble
             ALL_DRIFTS.append(abs(complex(np.trace(res.state)) - 1.0))
         return res
     return kept

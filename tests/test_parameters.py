@@ -7,7 +7,8 @@ numbers of the right kind pass. The ``sample_times`` of the two solves that
 take them, and the times of ``H.on_grid``, follow the same rule for a 1-d
 sequence of finite reals. An array argument that numpy does not read as numbers
 of its kind (ragged, a string of letters, bools, or complex numbers for a real
-array) raises ParameterError naming it too.
+array) raises ParameterError naming it too, as does one of the right kind but the
+wrong shape or range (DimensionError for a shape).
 """
 import math
 import re
@@ -57,6 +58,7 @@ REAL = [
     ("run_fig1", "v", lambda x: sl.run_fig1(1.0, x, 1, window_factor=10.0), 1.0),
     ("run_fig1", "window_factor", lambda x: sl.run_fig1(1.0, 0.5, 1, window_factor=x), 10.0),
     ("TimeDependentHamiltonian", "t", lambda x: H(x), 0.5),
+    ("frame_couplings", "step", lambda x: sl.frame_couplings(FRAMES.basis, x), 1.0),
     ("adaptive_time_grid", "t0", lambda x: sl.adaptive_time_grid(H, x, 1.0), -1.0),
     ("adaptive_time_grid", "t1", lambda x: sl.adaptive_time_grid(H, -1.0, x), 1.0),
     ("evolve_unitary", "t0", lambda x: sl.evolve_unitary(H, PSI0, x, 1.0), -1.0),
@@ -176,6 +178,9 @@ def test_hamiltonian_rejects_a_time_that_is_not_a_finite_real(call, message, val
 
 RAGGED = [[1.0, 0.0], [0.0]]
 BOOL_GRID = np.array([False, True])  # as floats, the uniform increasing grid (0, 1)
+STATES = np.stack([RHO0, RHO0])  # two 2x2 states
+NO_FILE = "no-such-directory/bloch.csv"  # opening it raises: each check must run first
+OHMIC = sl.ohmic_spectrum(0.1, 5.0, 0.5)
 # (entry point, the argument's name in the message, a call with a malformed array)
 MALFORMED_ARRAYS = [
     ("FrameTrajectory-ragged-basis", "basis",
@@ -227,6 +232,29 @@ MALFORMED_ARRAYS = [
      lambda: sl.evolve_unitary(H, np.array([True, False]), -1.0, 1.0)),
     ("LindbladGenerator-bool-coupling", "coupling",
      lambda: sl.LindbladGenerator(FRAMES, np.eye(2, dtype=bool), sl.dephasing_spectrum(0.01))),
+    ("frame_couplings-ragged-basis", "basis",
+     lambda: sl.frame_couplings([FRAMES.basis[0], RAGGED], 1.0)),
+    ("frame_couplings-bool-basis", "basis",
+     lambda: sl.frame_couplings(np.zeros((3, 2, 2), bool), 1.0)),
+    ("frame_couplings-string-basis", "basis", lambda: sl.frame_couplings("abc", 1.0)),
+    ("write_bloch_csv-string-times", "times", lambda: sl.write_bloch_csv(NO_FILE, "ab", STATES)),
+    ("write_bloch_csv-complex-times", "times",
+     lambda: sl.write_bloch_csv(NO_FILE, TIMES[:2] + 1j, STATES)),
+    ("write_bloch_csv-bool-times", "times",
+     lambda: sl.write_bloch_csv(NO_FILE, BOOL_GRID, STATES)),
+    # the spectrum callables and a Hamiltonian's evaluator are converted where they are called
+    ("ohmic_spectrum.gamma-complex-w", "w", lambda: OHMIC.gamma(np.array([1.0 + 1j]))),
+    ("ohmic_spectrum.gamma-bool-w", "w", lambda: OHMIC.gamma(True)),
+    ("ohmic_spectrum.gamma-string-w", "w", lambda: OHMIC.gamma("abc")),
+    ("ohmic_spectrum.gamma-ragged-w", "w", lambda: OHMIC.gamma(RAGGED)),
+    ("dephasing_spectrum.gamma-complex-w", "w", lambda: sl.dephasing_spectrum(0.1).gamma(1j)),
+    ("dephasing_spectrum.gamma-bool-w", "w", lambda: sl.dephasing_spectrum(0.1).gamma(True)),
+    ("BathSpectrum.shift-complex-w", "w", lambda: OHMIC.shift(1j)),
+    ("BathSpectrum.shift-bool-w", "w", lambda: OHMIC.shift(np.array([True]))),
+    ("H.on_grid-bool-evaluator", "H(t)", lambda: sl.TimeDependentHamiltonian(
+        2, lambda t: np.eye(2, dtype=bool)).on_grid([0.0])),
+    ("H.on_grid-string-evaluator", "H(t)", lambda: sl.TimeDependentHamiltonian(
+        2, lambda t: np.array([["a", "b"], ["b", "a"]])).on_grid([0.0])),
 ]
 
 
@@ -235,4 +263,29 @@ MALFORMED_ARRAYS = [
 def test_malformed_arrays_rejected_with_the_argument_named(name, call):
     with pytest.raises(sl.ParameterError,
                        match=f"^[^,]*{re.escape(name)}[^,]* must be a numeric array"):
+        call()
+
+
+# (entry point, error, the argument's name that starts the message, a call with a value
+# of the argument's kind but outside its range or shape)
+OUT_OF_DOMAIN = [
+    ("frame_couplings-zero-step", sl.ParameterError, "step",
+     lambda: sl.frame_couplings(FRAMES.basis, 0)),
+    ("frame_couplings-negative-step", sl.ParameterError, "step",
+     lambda: sl.frame_couplings(FRAMES.basis, -1.0)),
+    ("frame_couplings-one-matrix", sl.DimensionError, "basis",
+     lambda: sl.frame_couplings(FRAMES.basis[0], 1.0)),
+    ("frame_couplings-rectangular-basis", sl.DimensionError, "basis",
+     lambda: sl.frame_couplings(FRAMES.basis[:, :1], 1.0)),
+    ("write_bloch_csv-short-times", sl.DimensionError, "times",
+     lambda: sl.write_bloch_csv(NO_FILE, TIMES[:1], STATES)),
+    ("write_bloch_csv-column-times", sl.DimensionError, "times",
+     lambda: sl.write_bloch_csv(NO_FILE, TIMES[:2, None], STATES)),
+]
+
+
+@pytest.mark.parametrize("error, name, call", [pytest.param(error, name, call, id=entry)
+                                               for entry, error, name, call in OUT_OF_DOMAIN])
+def test_out_of_domain_arguments_rejected_with_the_argument_named(error, name, call):
+    with pytest.raises(error, match=f"^{re.escape(name)} must"):
         call()

@@ -1,6 +1,7 @@
 import functools
 import math
 import warnings
+from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -1303,12 +1304,11 @@ class TestConfigsAndValidators:
             return sl.evolve_trajectories(gen, psi0, t0, t1, sl.TrajectoryConfig(n_traj=2))
 
         solve(-2.04, 2.04)  # within index_at's half cell (step 0.1) of the grid [-2, 2]
-        for t0, t1 in ((-2.5, 2.0), (-2.0, 2.2)):
+        solve(Fraction(-2), Fraction(2))  # the span is checked on the ends as floats
+        for t0, t1, outside in ((-2.5, 2.0, -2.5), (-2.0, 2.2, 2.2)):
             with pytest.raises(sl.TimeDomainError) as err:
                 solve(t0, t1)
-            assert str(err.value) == (
-                f"[t0, t1] = [{t0!r}, {t1!r}] is not inside the frame grid [-2.0, 2.0]"
-            )
+            assert str(err.value) == f"t = {outside!r} outside frame grid [-2.0, 2.0]"
 
     def test_lindblad_rejects_nan_sample_time(self):
         gen, rho0 = _lz_coarse()

@@ -182,6 +182,14 @@ MUTANTS = (
             "[instantaneous_frames-complex]",
             "tests/test_parameters.py::test_malformed_arrays_rejected_with_the_argument_named"
             "[evolve_unitary-bool-psi0]")),
+    Mutant("couplings-step-unchecked", "frames.py",
+           'step, basis = check_real("step", step, 0), check_array("basis", basis, complex)',
+           'basis = check_array("basis", basis, complex)',
+           "frame_couplings divides by any step: 0 raises ZeroDivisionError, -1 and True pass",
+           ("tests/test_parameters.py::test_out_of_domain_arguments_rejected_with_the_argument"
+            "_named[frame_couplings-zero-step]",
+            "tests/test_parameters.py::test_rejected_with_the_parameter_named"
+            "[frame_couplings.step-True]")),
 )
 
 
